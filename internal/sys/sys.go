@@ -9,7 +9,8 @@
 // pointers.
 //
 // The package also exposes a fault-injection hook so higher layers can test
-// their error paths without a broken kernel.
+// their error paths without a broken kernel, and wraps the two file
+// syscalls of the write-ahead log's commit path (Fallocate, Fdatasync).
 package sys
 
 import (

@@ -3,6 +3,7 @@
 package sys
 
 import (
+	"os"
 	"syscall"
 	"unsafe"
 )
@@ -189,4 +190,38 @@ func statDir(path string) (bool, error) {
 		return false, err
 	}
 	return st.Mode&syscall.S_IFDIR != 0, nil
+}
+
+// Fallocate reserves real blocks for the first size bytes of f and extends
+// the file to size (fallocate mode 0); the new bytes read as zeros. Writes
+// inside the reservation neither allocate nor change the file size, so a
+// later Fdatasync has only data to flush.
+func Fallocate(f *os.File, size int64) error {
+	return fileControl(f, "fallocate", func(fd int) error { return syscall.Fallocate(fd, 0, 0, size) })
+}
+
+// Fdatasync flushes f's data, and only the metadata needed to read it
+// back, to stable storage.
+func Fdatasync(f *os.File) error {
+	return fileControl(f, "fdatasync", syscall.Fdatasync)
+}
+
+// fileControl runs call on f's descriptor, retrying EINTR. The descriptor
+// stays referenced for the duration, so a concurrent Close cannot hand
+// its number to another file under the syscall; on a file closed before
+// the call the error is os.ErrClosed.
+func fileControl(f *os.File, op string, call func(fd int) error) error {
+	rc, err := f.SyscallConn()
+	if err != nil {
+		return err
+	}
+	cerr := error(os.ErrClosed)
+	rc.Control(func(fd uintptr) {
+		for cerr = call(int(fd)); cerr == syscall.EINTR; cerr = call(int(fd)) {
+		}
+	})
+	if cerr != nil {
+		return &os.PathError{Op: op, Path: f.Name(), Err: cerr}
+	}
+	return nil
 }

@@ -2,6 +2,8 @@ package sys
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -188,5 +190,32 @@ func TestWordsAlignment(t *testing.T) {
 	b := Bytes(addr, ps)
 	if b[0] != 1 || b[ps-8] != 2 {
 		t.Fatal("word view does not alias byte view")
+	}
+}
+
+func TestFallocateAndFdatasync(t *testing.T) {
+	f, err := os.OpenFile(filepath.Join(t.TempDir(), "seg"), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("abc")); err != nil {
+		t.Fatal(err)
+	}
+	if err := Fallocate(f, 1<<16); err != nil {
+		t.Skipf("this filesystem does not preallocate: %v", err)
+	}
+	if fi, err := f.Stat(); err != nil || fi.Size() != 1<<16 {
+		t.Fatalf("size after Fallocate = %v, %v, want the reservation", fi.Size(), err)
+	}
+	got := make([]byte, 8)
+	if _, err := f.ReadAt(got, 0); err != nil || string(got) != "abc\x00\x00\x00\x00\x00" {
+		t.Fatalf("read back %q, %v: the reservation must keep the data and read as zeros past it", got, err)
+	}
+	if err := Fdatasync(f); err != nil {
+		t.Fatalf("Fdatasync: %v", err)
+	}
+	f.Close()
+	if err := Fdatasync(f); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Fdatasync on a closed file = %v, want os.ErrClosed", err)
 	}
 }

@@ -52,6 +52,15 @@ func FuzzOpenSegment(f *testing.F) {
 	f.Add(withMixed[:len(withMixed)-5])
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
+	// What a crash leaves in a preallocated segment: records and a zero
+	// tail (long, or shorter than a header), a torn record and zeros, a
+	// torn record with its tail zeroed and a complete record behind it.
+	zeros := make([]byte, 100)
+	f.Add(append(append([]byte(nil), withMixed...), zeros...))
+	f.Add(append(append([]byte(nil), intact...), 0, 0, 0))
+	f.Add(append(append([]byte(nil), withMixed[:len(withMixed)-5]...), zeros...))
+	f.Add(append(append(append([]byte(nil), intact[:len(intact)-9]...), zeros[:9]...), withMixed[len(intact):]...))
+	f.Add(zeros)
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, segName(1)), blob, 0o644); err != nil {

@@ -22,10 +22,12 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 
 	"vmshortcut/internal/op"
 )
@@ -91,13 +93,68 @@ func decodeRecordPayload(p []byte, b *op.Batch) (lsn uint64, code byte, err erro
 	}
 	lsn = binary.LittleEndian.Uint64(p)
 	code = p[8]
-	switch code {
-	case OpPut, OpDel, OpMixed:
-	default:
+	if !validCode(code) {
 		return 0, 0, fmt.Errorf("%w: unknown opcode 0x%02x", ErrCorrupt, code)
 	}
 	if err := op.DecodePayload(code, p[payloadPrefixSize:], b); err != nil {
 		return 0, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return lsn, code, nil
+}
+
+// validCode reports whether code is one of the three record opcodes.
+func validCode(code byte) bool { return code == OpPut || code == OpDel || code == OpMixed }
+
+// recordReader decodes one segment's records in order. It is the only
+// reader of the framing: recovery, the live tailer and the chain auditor
+// all go through next and differ only in what a damaged record means to
+// them.
+type recordReader struct {
+	br  *bufio.Reader
+	off int64  // offset of the next record boundary
+	buf []byte // payload scratch, reused across records
+}
+
+// next returns the record at the cursor: its lsn, code and whole payload
+// (lsn and code prefix included), aliasing a buffer the following call
+// overwrites. io.EOF is the segment's clean end: the end of the input or
+// a zero length word at a record boundary — the tail of a preallocated
+// segment reads as zeros and no record has length zero. A record that is
+// cut short or fails its checks wraps ErrCorrupt.
+func (r *recordReader) next() (lsn uint64, code byte, payload []byte, err error) {
+	var hdr [recordHeaderSize]byte
+	n, err := io.ReadFull(r.br, hdr[:])
+	switch {
+	case err == io.ErrUnexpectedEOF && hdr != [recordHeaderSize]byte{}:
+		return 0, 0, nil, fmt.Errorf("%w: %d-byte record header at offset %d", ErrCorrupt, n, r.off)
+	case err == io.EOF || err == io.ErrUnexpectedEOF:
+		return 0, 0, nil, io.EOF // nothing left, or a zero tail shorter than a header
+	case err != nil:
+		return 0, 0, nil, err
+	}
+	payloadLen := int(binary.LittleEndian.Uint32(hdr[:4]))
+	if payloadLen == 0 {
+		return 0, 0, nil, io.EOF
+	}
+	if payloadLen < minPayload || payloadLen > maxPayload {
+		return 0, 0, nil, fmt.Errorf("%w: payload length %d out of range at offset %d", ErrCorrupt, payloadLen, r.off)
+	}
+	if cap(r.buf) < payloadLen {
+		r.buf = make([]byte, payloadLen)
+	}
+	payload = r.buf[:payloadLen]
+	if _, err := io.ReadFull(r.br, payload); err == io.EOF || err == io.ErrUnexpectedEOF {
+		return 0, 0, nil, fmt.Errorf("%w: record payload cut short at offset %d", ErrCorrupt, r.off)
+	} else if err != nil {
+		return 0, 0, nil, err
+	}
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:]) {
+		return 0, 0, nil, fmt.Errorf("%w: CRC mismatch at offset %d", ErrCorrupt, r.off)
+	}
+	lsn, code = binary.LittleEndian.Uint64(payload), payload[8]
+	if !validCode(code) {
+		return 0, 0, nil, fmt.Errorf("%w: unknown opcode 0x%02x at offset %d", ErrCorrupt, code, r.off)
+	}
+	r.off += int64(recordHeaderSize + payloadLen)
+	return lsn, code, payload, nil
 }

@@ -5,18 +5,18 @@
 // while reading. The design leans on two append-only facts: bytes written
 // to a segment never change, and a record is wholly on disk before the
 // log publishes its LSN (the tailer flushes the segment writer under the
-// log lock and snapshots lastLSN in the same critical section, then reads
-// the files outside any lock, stopping at the snapshot — so it can never
-// observe a partially-written record).
+// log lock and snapshots lastLSN and the active segment's flushed size in
+// the same critical section, then reads the files outside any lock, never
+// past that size — so it can neither observe a partially-written record
+// nor buffer preallocated zeros that a later append turns into records).
 package wal
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 )
@@ -104,15 +104,20 @@ type tailer struct {
 	l        *Log
 	next     uint64
 	f        *os.File
-	br       *bufio.Reader
+	rd       recordReader
 	segFirst uint64 // firstLSN of the open segment
-	buf      []byte // payload scratch, reused across records
+
+	// The last sync's snapshot of the active segment — its first LSN and
+	// flushed size: how far into that segment the reader may go.
+	activeFirst uint64
+	activeSize  int64
 }
 
 // sync flushes the log's segment writer and snapshots the delivery
-// target, both under the log lock: every record with LSN ≤ the returned
-// target is fully on disk before this returns. It also re-checks that the
-// cursor has not been compacted out from under us.
+// target and the active segment's size, all under the log lock: every
+// record with LSN ≤ the returned target is fully in the files, below that
+// size, before this returns. It also re-checks that the cursor has not
+// been compacted out from under us.
 func (t *tailer) sync() (uint64, error) {
 	l := t.l
 	l.mu.Lock()
@@ -130,6 +135,8 @@ func (t *tailer) sync() (uint64, error) {
 	}
 	target := l.lastLSN
 	oldest := l.segs[0].firstLSN
+	active := l.segs[len(l.segs)-1]
+	t.activeFirst, t.activeSize = active.firstLSN, active.size
 	l.mu.Unlock()
 	if t.next < oldest {
 		return 0, ErrCompacted
@@ -142,13 +149,16 @@ func (t *tailer) sync() (uint64, error) {
 // resume) are skipped; a clean EOF below target means the segment was
 // sealed by rotation and the cursor moves to its successor.
 func (t *tailer) deliver(target uint64, fn TailFunc) error {
+	if t.f != nil {
+		t.bound() // a new sync, a new snapshot
+	}
 	for t.next <= target {
 		if t.f == nil {
 			if err := t.openSegment(); err != nil {
 				return err
 			}
 		}
-		lsn, code, payload, err := t.readRecord()
+		lsn, code, payload, err := t.rd.next()
 		if err == io.EOF {
 			prev := t.segFirst
 			t.closeFile()
@@ -162,7 +172,9 @@ func (t *tailer) deliver(target uint64, fn TailFunc) error {
 			continue
 		}
 		if err != nil {
-			return err
+			// Everything below the bound was flushed whole, so unlike
+			// recovery the tailer has no torn tail to forgive.
+			return fmt.Errorf("tail: segment at LSN %d: %w", t.segFirst, err)
 		}
 		if lsn < t.next {
 			continue
@@ -170,7 +182,7 @@ func (t *tailer) deliver(target uint64, fn TailFunc) error {
 		if lsn != t.next {
 			return fmt.Errorf("%w: tail read LSN %d, expected %d", ErrCorrupt, lsn, t.next)
 		}
-		if err := fn(TailRecord{LSN: lsn, Code: code, Payload: payload}); err != nil {
+		if err := fn(TailRecord{LSN: lsn, Code: code, Payload: payload[payloadPrefixSize:]}); err != nil {
 			return err
 		}
 		t.next = lsn + 1
@@ -206,49 +218,27 @@ func (t *tailer) openSegment() error {
 	}
 	t.f = f
 	t.segFirst = seg.firstLSN
-	if t.br == nil {
-		t.br = bufio.NewReaderSize(f, 256<<10)
-	} else {
-		t.br.Reset(f)
-	}
+	t.rd.off = 0
+	t.bound()
 	return nil
 }
 
-// readRecord reads one record at the cursor, verifying its CRC. It
-// returns io.EOF at a clean segment end; any other shortfall is
-// corruption, because deliver never reads past a position sync proved to
-// be fully on disk. The payload aliases the tailer's scratch buffer.
-func (t *tailer) readRecord() (lsn uint64, code byte, payload []byte, err error) {
-	var hdr [recordHeaderSize]byte
-	n, err := io.ReadFull(t.br, hdr[:])
-	if err == io.EOF && n == 0 {
-		return 0, 0, nil, io.EOF
+// bound points the reader at the open segment from its cursor to what the
+// last sync saw flushed: the snapshot size when the segment was the active
+// one, its end when it was already sealed (rotation cuts a sealed segment
+// to its records). Whatever a delivery reads ahead lies below its bound, so
+// the buffer is empty again — nothing is re-read — by the next one.
+func (t *tailer) bound() {
+	end := int64(math.MaxInt64)
+	if t.segFirst == t.activeFirst {
+		end = t.activeSize
 	}
-	if err != nil {
-		return 0, 0, nil, fmt.Errorf("%w: tail: partial record header in segment at LSN %d", ErrCorrupt, t.segFirst)
+	src := io.NewSectionReader(t.f, t.rd.off, end-t.rd.off)
+	if t.rd.br == nil {
+		t.rd.br = bufio.NewReaderSize(src, 256<<10)
+	} else {
+		t.rd.br.Reset(src)
 	}
-	payloadLen := int(binary.LittleEndian.Uint32(hdr[:4]))
-	if payloadLen < minPayload || payloadLen > maxPayload {
-		return 0, 0, nil, fmt.Errorf("%w: tail: payload length %d out of range", ErrCorrupt, payloadLen)
-	}
-	if cap(t.buf) < payloadLen {
-		t.buf = make([]byte, payloadLen)
-	}
-	t.buf = t.buf[:payloadLen]
-	if _, err := io.ReadFull(t.br, t.buf); err != nil {
-		return 0, 0, nil, fmt.Errorf("%w: tail: partial record payload", ErrCorrupt)
-	}
-	if crc32.ChecksumIEEE(t.buf) != binary.LittleEndian.Uint32(hdr[4:]) {
-		return 0, 0, nil, fmt.Errorf("%w: tail: CRC mismatch at LSN %d", ErrCorrupt, binary.LittleEndian.Uint64(t.buf))
-	}
-	lsn = binary.LittleEndian.Uint64(t.buf)
-	code = t.buf[8]
-	switch code {
-	case OpPut, OpDel, OpMixed:
-	default:
-		return 0, 0, nil, fmt.Errorf("%w: tail: unknown opcode 0x%02x", ErrCorrupt, code)
-	}
-	return lsn, code, t.buf[payloadPrefixSize:], nil
 }
 
 // closeFile releases the open segment file, if any.
@@ -289,45 +279,17 @@ func scanRecords(path string, fn func(lsn uint64, code byte, payload []byte) err
 		return 0, fmt.Errorf("wal: opening %s: %w", path, err)
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
-	var (
-		hdr     [recordHeaderSize]byte
-		payload []byte
-		count   int
-	)
-	base := filepath.Base(path)
-	for {
-		n, err := io.ReadFull(br, hdr[:])
-		if err == io.EOF && n == 0 {
+	rd := recordReader{br: bufio.NewReaderSize(f, 1<<20)}
+	for count := 0; ; count++ {
+		lsn, code, payload, err := rd.next()
+		if err == io.EOF {
 			return count, nil
 		}
 		if err != nil {
-			return count, fmt.Errorf("%w: %s: torn record header", ErrCorrupt, base)
-		}
-		payloadLen := int(binary.LittleEndian.Uint32(hdr[:4]))
-		if payloadLen < minPayload || payloadLen > maxPayload {
-			return count, fmt.Errorf("%w: %s: payload length %d out of range", ErrCorrupt, base, payloadLen)
-		}
-		if cap(payload) < payloadLen {
-			payload = make([]byte, payloadLen)
-		}
-		payload = payload[:payloadLen]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return count, fmt.Errorf("%w: %s: torn record payload", ErrCorrupt, base)
-		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:]) {
-			return count, fmt.Errorf("%w: %s: CRC mismatch", ErrCorrupt, base)
-		}
-		lsn := binary.LittleEndian.Uint64(payload)
-		code := payload[8]
-		switch code {
-		case OpPut, OpDel, OpMixed:
-		default:
-			return count, fmt.Errorf("%w: %s: unknown opcode 0x%02x", ErrCorrupt, base, code)
+			return count, fmt.Errorf("%s: %w", filepath.Base(path), err)
 		}
 		if err := fn(lsn, code, payload[payloadPrefixSize:]); err != nil {
 			return count, err
 		}
-		count++
 	}
 }

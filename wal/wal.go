@@ -3,30 +3,58 @@
 // segment files. Each record carries a whole PUT or DEL batch, so the
 // store's batch-oriented hot path — the server's coalescer, the sharded
 // fan-out — costs one log append (and, with FsyncAlways, one shared
-// fsync) per batch, not per operation.
+// sync) per batch, not per operation.
 //
 // # Durability policies
 //
-// FsyncAlways syncs before Append returns, with group commit: one
-// appender at a time leads a sync — flushing everything appended so far
-// and fsyncing outside the log lock, so appends continue during the
-// fsync — while concurrent appenders wait on the published durable
-// position and piggyback on that one fsync instead of issuing their own.
-// FsyncInterval
-// syncs on a background ticker (bounded data loss, no sync on the append
-// path). FsyncOff leaves syncing to the OS (rotation and Close still
-// sync).
+// FsyncAlways syncs before Append returns, with group commit: a sync
+// leader flushes everything appended so far and syncs outside the log
+// lock, so appends continue meanwhile, and every appender whose record
+// that flush covered waits on the published durable position instead of
+// syncing itself. A writer waits only for a sync that covers its record.
+// One whose record landed after the running sync's flush does not sit
+// that sync out and then pay its own: it leads a second sync at once,
+// beside the first. Two in flight is the bound: it is what stops two
+// closed-loop writers from taking turns at one-record syncs (each
+// commit then costs one sync time, not two), and the device overlaps two
+// flushes of one file but gains little from more. Overlap must not cost
+// grouping, so a second sync starts only once at least as many records
+// wait as the latest flush carried: one record goes beside a one-record
+// sync at once, while behind a sync that carries thirty the writers it
+// will release are worth waiting for — whoever brings the count up leads,
+// or, when the running sync finishes first, the next leader's single
+// flush sweeps up everyone who waited. Many writers so keep grouping
+// (BenchmarkAppendAlways reports records per sync by writer count).
+// Every sync covers the whole file up to its flush, whichever leader
+// issued it, so a later sync that finishes first has made the earlier
+// one's records durable too, and an acknowledged record never sits behind
+// an unsynced one. A failed sync is fail-stop: nothing above the position
+// durable at that moment is ever acknowledged and every later append fails.
+// FsyncInterval syncs on a background ticker (bounded data loss, no sync
+// on the append path). FsyncOff leaves syncing to the OS (rotation and
+// Close still sync). All three share the one sync path.
 //
 // # Segments and recovery
 //
-// The log is a directory of segment files named wal-<first-lsn>.log. Open
-// scans them in order, replays every intact record through the caller's
-// callback, and truncates a torn final record — a crash mid-write leaves
-// at most one, always at the tail of the last segment. Corruption
-// anywhere else (a CRC mismatch in the middle of the log) is not a torn
-// write and fails Open with ErrCorrupt rather than silently dropping
-// acknowledged records. Compact removes whole segments that a snapshot
-// has made redundant.
+// The log is a directory of segment files named wal-<first-lsn>.log. The
+// active segment is preallocated to SegmentBytes (fallocate, real size)
+// and written at an explicit offset, so an append changes neither the
+// file's size nor its block map and the sync is an fdatasync with no
+// metadata to journal. Past its last record such a file reads as zeros:
+// a zero length word at a record boundary is the segment's logical end,
+// for recovery, the tailer and the auditor alike. Rotation and Close
+// seal a segment — flush, truncate to the logical size, sync, close —
+// so sealed segments end with their last record; a crash in between
+// leaves zeros there, which read as the same end.
+//
+// Open scans the segments in order, replays every intact record through
+// the caller's callback, and cuts the last segment behind its last
+// intact record — a crash mid-write tears at most the tail of the last
+// segment, and by the invariant above nothing acknowledged lies behind
+// the tear, even if a complete record does. Damage anywhere else (a CRC
+// mismatch in the middle of the log) is not a torn write and fails Open
+// with ErrCorrupt rather than silently dropping acknowledged records.
+// Compact removes whole segments that a snapshot has made redundant.
 package wal
 
 import (
@@ -45,7 +73,19 @@ import (
 
 	"vmshortcut/internal/obs"
 	"vmshortcut/internal/op"
+	"vmshortcut/internal/sys"
 )
+
+// The two syscalls of the commit path, as variables so that tests can
+// fail, block or replace them.
+var (
+	fdatasync = sys.Fdatasync
+	fallocate = sys.Fallocate
+)
+
+// maxSyncs is how many syncs may be in flight at once (see "Durability
+// policies" for why two).
+const maxSyncs = 2
 
 // FsyncMode selects when appended records reach stable storage.
 type FsyncMode int
@@ -91,16 +131,18 @@ type Options struct {
 	// 100 ms.
 	Interval time.Duration
 	// SegmentBytes rotates the active segment when it would exceed this
-	// size. Default 64 MiB.
+	// size, and is what each new segment reserves on disk up front.
+	// Default 64 MiB.
 	SegmentBytes int64
 	// Chained maintains a running tamper-evidence digest (see Chain) over
 	// the record sequence: Open recomputes it across the replayed records
 	// and every append extends it. ChainHead exposes the current head for
 	// publication; VerifyChain audits the segment files against it.
 	Chained bool
-	// FsyncHist, when set, records the duration of every fsync syscall
-	// the log issues (group-commit leader syncs and rotation seals) in
-	// nanoseconds. Nil disables recording at zero cost.
+	// FsyncHist, when set, records the duration of every sync the log
+	// issues (commit leaders' syncs — two may overlap — and the seals of
+	// rotation and Close) in nanoseconds. Nil disables recording at zero
+	// cost.
 	FsyncHist *obs.Hist
 }
 
@@ -140,7 +182,8 @@ type Stats struct {
 	Syncs uint64
 	// Segments is the number of live segment files.
 	Segments int
-	// Bytes is the total size of all live segments.
+	// Bytes is the total size of the records in all live segments (the
+	// active segment's file is larger: it is preallocated).
 	Bytes int64
 }
 
@@ -171,18 +214,20 @@ type Log struct {
 	wakeMu  sync.Mutex
 	wakeC   chan struct{}
 
-	// Group-commit state. One appender at a time is the sync leader: it
-	// flushes under mu, then fsyncs OUTSIDE all locks — so other
-	// appenders keep appending during the fsync — and publishes the
-	// durable position. Followers wait on the condition variable; every
-	// record appended before the leader's flush is covered by the
-	// leader's one fsync.
-	syncMu  sync.Mutex
-	syncC   *sync.Cond
-	syncing bool   // a leader's fsync is in flight
-	synced  uint64 // newest record known durable
-	syncErr error  // sticky: a sync failed; waiters must not report durable
-	syncs   uint64
+	// Commit state. A sync leader flushes under mu, then syncs OUTSIDE all
+	// locks — so appends, and a second leader, proceed meanwhile — and
+	// publishes the durable position; everyone else waits on the condition
+	// variable. synced and syncErr are written under syncMu and read
+	// without it (the append path checks syncErr on every record).
+	syncMu   sync.Mutex
+	syncC    *sync.Cond
+	inflight int                   // leaders between claim and publish, ≤ maxSyncs
+	flushing bool                  // a leader has claimed a slot and not flushed yet
+	covered  uint64                // newest record flushed ahead of a leader's sync
+	group    uint64                // how many records the latest such flush added
+	synced   atomic.Uint64         // newest record known durable
+	syncErr  atomic.Pointer[error] // sticky: a sync failed; nothing later is acked
+	syncs    atomic.Uint64
 
 	stopOnce sync.Once
 	stopc    chan struct{}
@@ -292,7 +337,7 @@ func Open(dir string, opts Options, replay ReplayFunc) (*Log, error) {
 		}
 	}
 	l.segs = segs
-	l.synced = l.lastLSN // everything replayed is on disk by definition
+	l.synced.Store(l.lastLSN) // everything replayed is on disk by definition
 	if opts.Chained && l.chain.LSN() != l.lastLSN {
 		// A named-but-empty segment bumped lastLSN past the last replayed
 		// record: the chain cannot span records that no longer exist, so
@@ -306,13 +351,23 @@ func Open(dir string, opts Options, replay ReplayFunc) (*Log, error) {
 			return nil, err
 		}
 	} else {
+		// Cut the active segment to its validated records — dropping a
+		// torn tail and whatever a crash left in the old preallocation, so
+		// that everything past the write offset reads as zeros again —
+		// and continue writing there.
 		active := &l.segs[len(l.segs)-1]
-		f, err := os.OpenFile(active.path, os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := os.OpenFile(active.path, os.O_WRONLY, 0o644)
 		if err != nil {
 			return nil, fmt.Errorf("wal: opening active segment: %w", err)
 		}
-		l.f = f
-		l.bw = bufio.NewWriterSize(f, 64<<10)
+		if err = f.Truncate(active.size); err == nil {
+			_, err = f.Seek(active.size, io.SeekStart)
+		}
+		if err != nil {
+			f.Close()
+			return nil, fmt.Errorf("wal: repositioning active segment: %w", err)
+		}
+		l.setActiveLocked(f)
 	}
 
 	if opts.Mode == FsyncInterval {
@@ -324,63 +379,32 @@ func Open(dir string, opts Options, replay ReplayFunc) (*Log, error) {
 }
 
 // replaySegment scans one segment, feeding intact records to replay. It
-// returns the validated size (the segment is truncated to it when a torn
-// record was found at the tail of the final segment) and the last LSN
-// seen. Corruption in a non-final position fails with ErrCorrupt.
+// returns the validated size — where a torn record, forgiven only at the
+// tail of the final segment, or the preallocated zeros begin — and the
+// last LSN seen. A damaged record anywhere else fails with ErrCorrupt.
 func (l *Log) replaySegment(seg *segment, final bool, replay ReplayFunc) (int64, uint64, error) {
 	f, err := os.Open(seg.path)
 	if err != nil {
 		return 0, 0, fmt.Errorf("wal: opening %s: %w", seg.path, err)
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
-	var (
-		offset  int64
-		lastLSN uint64
-		hdr     [recordHeaderSize]byte
-		payload []byte
-		batch   op.Batch // reused across records; ReplayFunc must not retain it
-	)
-	expect := seg.firstLSN
+	rd := recordReader{br: bufio.NewReaderSize(f, 1<<20)}
+	var batch op.Batch // reused across records; ReplayFunc must not retain it
+	lastLSN, expect := uint64(0), seg.firstLSN
 	for {
-		n, err := io.ReadFull(br, hdr[:])
-		if err == io.EOF && n == 0 {
-			return offset, lastLSN, nil // clean end of segment
+		start := rd.off
+		lsn, code, payload, err := rd.next()
+		if err == nil && lsn != expect {
+			err = fmt.Errorf("%w: LSN %d, expected %d", ErrCorrupt, lsn, expect)
 		}
-		torn := func(reason string) (int64, uint64, error) {
-			if !final {
-				return 0, 0, fmt.Errorf("%w: %s in non-final segment %s at offset %d",
-					ErrCorrupt, reason, filepath.Base(seg.path), offset)
-			}
-			// Torn tail: drop the partial record, keep everything before it.
-			if err := os.Truncate(seg.path, offset); err != nil {
-				return 0, 0, fmt.Errorf("wal: truncating torn tail of %s: %w", seg.path, err)
-			}
-			return offset, lastLSN, nil
+		if err == nil {
+			_, _, err = decodeRecordPayload(payload, &batch)
 		}
-		if err != nil {
-			return torn("partial record header")
-		}
-		payloadLen := int(binary.LittleEndian.Uint32(hdr[:4]))
-		if payloadLen < minPayload || payloadLen > maxPayload {
-			return torn(fmt.Sprintf("payload length %d out of range", payloadLen))
-		}
-		if cap(payload) < payloadLen {
-			payload = make([]byte, payloadLen)
-		}
-		payload = payload[:payloadLen]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return torn("partial record payload")
-		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:]) {
-			return torn("CRC mismatch")
-		}
-		lsn, code, err := decodeRecordPayload(payload, &batch)
-		if err != nil {
-			return torn(err.Error())
-		}
-		if lsn != expect {
-			return torn(fmt.Sprintf("LSN %d, expected %d", lsn, expect))
+		switch {
+		case err == io.EOF, final && errors.Is(err, ErrCorrupt):
+			return start, lastLSN, nil // clean end, or a torn tail Open cuts off
+		case err != nil:
+			return 0, 0, fmt.Errorf("wal: segment %s: %w", filepath.Base(seg.path), err)
 		}
 		if l.opts.Chained {
 			if _, err := l.chain.Extend(lsn, code, payload[payloadPrefixSize:]); err != nil {
@@ -392,9 +416,7 @@ func (l *Log) replaySegment(seg *segment, final bool, replay ReplayFunc) (int64,
 				return 0, 0, fmt.Errorf("wal: replaying record %d: %w", lsn, err)
 			}
 		}
-		offset += int64(recordHeaderSize + payloadLen)
-		lastLSN = lsn
-		expect = lsn + 1
+		lastLSN, expect = lsn, lsn+1
 	}
 }
 
@@ -406,39 +428,58 @@ func (l *Log) openSegmentLocked(firstLSN uint64) error {
 	if err != nil {
 		return fmt.Errorf("wal: creating segment: %w", err)
 	}
+	l.segs = append(l.segs, segment{path: path, firstLSN: firstLSN})
+	l.setActiveLocked(f)
+	// After the preallocation, so that this one journal commit carries the
+	// new size too and the segment's first sync is already data-only.
 	if err := SyncDir(l.dir); err != nil {
 		f.Close()
 		return fmt.Errorf("wal: syncing dir after segment create: %w", err)
 	}
-	l.f = f
-	l.bw = bufio.NewWriterSize(f, 64<<10)
-	l.segs = append(l.segs, segment{path: path, firstLSN: firstLSN})
 	return nil
 }
 
-// rotateLocked seals the active segment (flush, fsync, close) and opens a
-// new one. Everything appended so far becomes durable, so the synced
-// position advances to lastLSN — waking any group-commit followers whose
-// records the rotation just covered. Caller holds mu.
-func (l *Log) rotateLocked() error {
-	if err := l.bw.Flush(); err != nil {
-		return err
+// setActiveLocked makes f, positioned at the active segment's logical end,
+// the file appends go to, and preallocates the rest of the segment: writes
+// below SegmentBytes then never move the file size, so a sync has no
+// metadata to journal. A filesystem that cannot (EOPNOTSUPP) or will not
+// (ENOSPC) reserve leaves a segment that grows on write — as correct, but
+// every sync then commits a size change.
+func (l *Log) setActiveLocked(f *os.File) {
+	_ = fallocate(f, l.opts.SegmentBytes)
+	l.f = f
+	l.bw = bufio.NewWriterSize(f, 64<<10)
+}
+
+// sealLocked finishes the active segment: flush, cut the preallocated tail
+// so the file ends with its last record, sync, close. Everything appended
+// so far is then durable, which releases every waiter in syncTo; a failure
+// is sticky like any failed sync. The outcome is published before the file
+// is closed: a leader whose own sync then finds the file closed under it
+// can tell from synced that its records are durable. Caller holds mu.
+func (l *Log) sealLocked() error {
+	err := l.bw.Flush()
+	if err == nil {
+		err = l.f.Truncate(l.segs[len(l.segs)-1].size)
 	}
-	syncStart := time.Now()
-	if err := l.f.Sync(); err != nil {
-		return err
-	}
-	l.opts.FsyncHist.RecordSince(syncStart)
-	if err := l.f.Close(); err != nil {
-		return err
+	if err == nil {
+		err = l.syncFile(l.f)
 	}
 	l.syncMu.Lock()
-	l.syncs++
-	if l.lastLSN > l.synced {
-		l.synced = l.lastLSN
-	}
-	l.syncC.Broadcast()
+	l.publishLocked(l.lastLSN, err)
 	l.syncMu.Unlock()
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// rotateLocked seals the active segment and opens its successor (create,
+// preallocate, sync the directory). Caller holds mu.
+func (l *Log) rotateLocked() error {
+	if err := l.sealLocked(); err != nil {
+		return err
+	}
 	return l.openSegmentLocked(l.lastLSN + 1)
 }
 
@@ -469,9 +510,7 @@ func (l *Log) AppendDelete(keys []uint64) (uint64, error) {
 // count must be at most MaxRecordPairs. The configured sync policy
 // applies exactly as for AppendPut.
 func (l *Log) AppendBatch(code byte, payload []byte) (uint64, error) {
-	switch code {
-	case OpPut, OpDel, OpMixed:
-	default:
+	if !validCode(code) {
 		return 0, fmt.Errorf("wal: AppendBatch: invalid batch code 0x%02x", code)
 	}
 	if len(payload) < 4 {
@@ -553,10 +592,10 @@ func (l *Log) appendableLocked() error {
 	if l.err != nil {
 		return l.err
 	}
-	l.syncMu.Lock()
-	serr := l.syncErr
-	l.syncMu.Unlock()
-	return serr
+	if serr := l.syncErr.Load(); serr != nil {
+		return *serr
+	}
+	return nil
 }
 
 // writeRecordLocked streams one record — header, CRC, lsn, code, then
@@ -597,9 +636,7 @@ func (l *Log) writeRecordLocked(lsn uint64, code byte, payload []byte) error {
 }
 
 // maybeSync applies the configured sync policy after an append: under
-// FsyncAlways it blocks until a group-commit leader's fsync covers lsn —
-// joining an in-flight cohort instead of issuing its own fsync whenever
-// one is already pending.
+// FsyncAlways it blocks until a sync covers lsn.
 func (l *Log) maybeSync(lsn uint64) error {
 	if l.opts.Mode != FsyncAlways {
 		return nil
@@ -607,73 +644,95 @@ func (l *Log) maybeSync(lsn uint64) error {
 	return l.syncTo(lsn)
 }
 
-// syncTo blocks until every record up to target is on stable storage.
-// Exactly one caller at a time acts as the sync leader: it flushes the
-// buffered writer under mu (covering everything appended so far, not just
-// its own record), fsyncs outside all locks so appends continue
-// meanwhile, and publishes the new durable position; the other callers
-// wait on the condition variable and piggyback on that one fsync.
+// syncTo blocks until every record up to target is on stable storage. A
+// caller waits only for a sync that covers its record: when one in flight
+// flushed past target it waits for that; otherwise, unless maxSyncs are
+// already running, it leads its own at once, beside the running one —
+// flushing everything appended so far, not just its record, so whoever had
+// to wait is swept up by the next leader's single sync. Two things keep
+// that from splitting groups. A leader that has taken a slot but not
+// flushed yet is about to cover every caller there is (target is always
+// appended already), so nobody leads beside it until its flush is out: of
+// several waiters woken by a freed slot, one syncs. And beside a running
+// sync a caller leads only when the records waiting (target is the newest
+// of them, or another caller will come) number at least those of the
+// latest flush; fewer wait for more, or for the running sync to finish.
 func (l *Log) syncTo(target uint64) error {
 	l.syncMu.Lock()
-	for {
-		if l.synced >= target {
-			l.syncMu.Unlock()
-			return nil
+	defer l.syncMu.Unlock()
+	for l.synced.Load() < target {
+		if serr := l.syncErr.Load(); serr != nil {
+			return *serr
 		}
-		if l.syncErr != nil {
-			err := l.syncErr
-			l.syncMu.Unlock()
-			return err
-		}
-		if l.syncing {
+		if target <= l.covered || l.flushing || l.inflight == maxSyncs ||
+			l.inflight > 0 && target-l.covered < l.group {
 			l.syncC.Wait()
 			continue
 		}
-		l.syncing = true
+		l.inflight++
+		l.flushing = true
 		l.syncMu.Unlock()
-
-		l.mu.Lock()
-		ferr := l.err
-		var f *os.File
-		var cur uint64
-		if ferr == nil {
-			if ferr = l.bw.Flush(); ferr != nil {
-				l.err = ferr
-			} else {
-				cur = l.lastLSN
-				f = l.f
-			}
-		}
-		l.mu.Unlock()
-		var serr error
-		if ferr == nil {
-			syncStart := time.Now()
-			serr = f.Sync()
-			l.opts.FsyncHist.RecordSince(syncStart)
-		}
-
+		cur, err := l.flushAndSync()
 		l.syncMu.Lock()
-		l.syncing = false
-		switch {
-		case ferr != nil:
-			l.syncErr = ferr
-		case serr == nil:
-			l.syncs++
-			if cur > l.synced {
-				l.synced = cur
-			}
-		case l.synced >= cur:
-			// A rotation raced the leader: it flushed, fsynced, and
-			// closed the captured file, so the Sync failure is benign —
-			// everything up to cur reached disk through the rotation's
-			// own fsync (a genuine I/O failure there would have left
-			// synced behind and the sticky l.err set).
-		default:
-			l.syncErr = serr
-		}
-		l.syncC.Broadcast()
-		// Loop: re-check target against the published position.
+		l.inflight--
+		l.publishLocked(cur, err)
 	}
+	return nil
+}
+
+// flushAndSync is one leader's work: hand everything appended so far to
+// the OS under mu and publish how far that covers, then sync outside every
+// lock. It returns the newest record the sync made durable.
+func (l *Log) flushAndSync() (uint64, error) {
+	l.mu.Lock()
+	if l.err == nil {
+		l.err = l.bw.Flush()
+	}
+	err, cur, f := l.err, l.lastLSN, l.f
+	l.syncMu.Lock() // still under mu: no append falls between the flush and its announcement
+	l.flushing = false
+	if err == nil {
+		l.group, l.covered = cur-l.covered, cur
+	}
+	l.syncMu.Unlock()
+	l.mu.Unlock()
+	if err != nil {
+		return 0, err
+	}
+	err = l.syncFile(f)
+	if errors.Is(err, os.ErrClosed) && l.synced.Load() >= cur {
+		// Lost a race with a seal (rotation, Close), which flushed, synced,
+		// published and only then closed f under us: cur is durable.
+		err = nil
+	}
+	return cur, err
+}
+
+// syncFile is the one place the log syncs a segment: fdatasync, timed into
+// FsyncHist and counted in Stats.Syncs.
+func (l *Log) syncFile(f *os.File) error {
+	start := time.Now()
+	err := fdatasync(f)
+	l.opts.FsyncHist.RecordSince(start)
+	if err == nil {
+		l.syncs.Add(1)
+	}
+	return err
+}
+
+// publishLocked records the outcome of a sync that covered every record up
+// to cur and wakes all waiters. A later sync may finish first, so synced
+// only moves forward; the first error sticks, and nothing is published
+// after it — not even by a sync that began earlier and came back clean.
+// Caller holds syncMu.
+func (l *Log) publishLocked(cur uint64, err error) {
+	if err != nil {
+		l.syncErr.CompareAndSwap(nil, &err)
+	}
+	if l.syncErr.Load() == nil && cur > l.synced.Load() {
+		l.synced.Store(cur)
+	}
+	l.syncC.Broadcast()
 }
 
 // Sync forces everything appended so far onto stable storage, regardless
@@ -776,40 +835,28 @@ func (l *Log) Stats() Stats {
 		st.Bytes += s.size
 	}
 	l.mu.Unlock()
-	l.syncMu.Lock()
-	st.SyncedLSN = l.synced
-	st.Syncs = l.syncs
-	l.syncMu.Unlock()
+	st.SyncedLSN = l.synced.Load()
+	st.Syncs = l.syncs.Load()
 	return st
 }
 
-// Close stops the background syncer (waiting for it to exit), flushes and
-// fsyncs the active segment, and closes it. Close is idempotent; appends
-// after Close fail with ErrClosed.
+// Close stops the background syncer (waiting for it to exit) and seals the
+// active segment: a cleanly closed log's files hold exactly its records,
+// all durable. Close is idempotent; appends after Close fail with
+// ErrClosed.
 func (l *Log) Close() error {
 	l.stopOnce.Do(func() { close(l.stopc) })
 	<-l.done
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
 		return nil
 	}
-	target := l.lastLSN
-	l.mu.Unlock()
-	var firstErr error
-	if target > 0 {
-		firstErr = l.syncTo(target)
-	}
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return nil
-	}
+	err := l.appendableLocked()
 	l.closed = true
-	cerr := l.f.Close()
-	l.mu.Unlock()
-	if cerr != nil && firstErr == nil {
-		firstErr = cerr
+	if err != nil {
+		l.f.Close() // the log died earlier; report why, leave the files to recovery
+		return err
 	}
-	return firstErr
+	return l.sealLocked()
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -108,50 +109,42 @@ func equalU64(a, b []uint64) bool {
 }
 
 // TestTornTailEveryOffset is the torn-write table test: a one-segment log
-// truncated at every byte offset must open cleanly, replay exactly the
-// records that fit completely before the cut, and accept new appends.
+// cut at every byte offset must open cleanly, replay exactly the records
+// that fit completely before the cut, and accept new appends at exactly
+// that point. Each cut is tried with the three things a crash can leave
+// behind it in a preallocated segment: nothing, zeros, and — the rest of
+// the torn record zeroed — the complete later records. The last must still
+// cut at the tear: no acknowledged record can sit behind an unsynced one.
 func TestTornTailEveryOffset(t *testing.T) {
 	src := t.TempDir()
 	l, err := Open(src, Options{Mode: FsyncAlways}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A few records of different shapes and sizes.
-	var boundaries []int64 // file size after each complete record
-	segPath := filepath.Join(src, segName(1))
-	appendAndMark := func(op byte, keys, values []uint64) {
-		t.Helper()
-		if op == OpPut {
-			_, err = l.AppendPut(keys, values)
-		} else {
-			_, err = l.AppendDelete(keys)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		fi, err := os.Stat(segPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		boundaries = append(boundaries, fi.Size())
-	}
-	appendAndMark(OpPut, []uint64{1, 2}, []uint64{11, 22})
-	appendAndMark(OpDel, []uint64{2, 3, 4}, nil)
-	// A mixed record in the middle: torn-tail repair must handle the
-	// variable-stride layout exactly like the uniform ones.
+	// A few records of different shapes and sizes; the mixed one in the
+	// middle makes torn-tail repair handle the variable-stride layout. No
+	// zero bytes in keys or values: zeroing any part of a record damages it.
+	k := func(x uint64) uint64 { return x * 0x0101010101010101 }
 	var mixed op.Batch
-	mixed.Get(7)
-	mixed.Put(8, 88)
-	mixed.Del(9)
-	if _, err := l.AppendBatch(OpMixed, mixed.AppendPayload(nil)); err != nil {
-		t.Fatal(err)
+	mixed.Get(k(7))
+	mixed.Put(k(8), k(88))
+	mixed.Del(k(9))
+	var boundaries []int // logical size after each complete record
+	for i, app := range []func() (uint64, error){
+		func() (uint64, error) { return l.AppendPut([]uint64{k(1), k(2)}, []uint64{k(11), k(22)}) },
+		func() (uint64, error) { return l.AppendDelete([]uint64{k(2), k(3), k(4)}) },
+		func() (uint64, error) { return l.AppendBatch(OpMixed, mixed.AppendPayload(nil)) },
+		func() (uint64, error) { return l.AppendPut([]uint64{k(5)}, []uint64{k(55)}) },
+	} {
+		if _, err := app(); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+		boundaries = append(boundaries, int(l.Stats().Bytes))
 	}
-	if fi, err := os.Stat(segPath); err != nil {
-		t.Fatal(err)
-	} else {
-		boundaries = append(boundaries, fi.Size())
+	segPath := filepath.Join(src, segName(1))
+	if fi, err := os.Stat(segPath); err != nil || fi.Size() <= int64(boundaries[3]) {
+		t.Fatalf("the live segment is not preallocated: %v, %v", fi, err)
 	}
-	appendAndMark(OpPut, []uint64{5}, []uint64{55})
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -159,46 +152,72 @@ func TestTornTailEveryOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(whole) != boundaries[3] {
+		t.Fatalf("closed segment is %d bytes, its records %d", len(whole), boundaries[3])
+	}
 
-	for cut := 0; cut <= len(whole); cut++ {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, segName(1)), whole[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		var got []rec
-		l2, err := Open(dir, Options{Mode: FsyncOff}, collect(&got))
-		if err != nil {
-			t.Fatalf("cut at %d: Open: %v", cut, err)
-		}
-		wantRecords := 0
-		for _, b := range boundaries {
-			if int64(cut) >= b {
-				wantRecords++
+	tails := map[string]func(cut int) []byte{
+		"nothing": func(int) []byte { return nil },
+		"zeros":   func(int) []byte { return make([]byte, 300) },
+		"later records": func(cut int) []byte {
+			for _, b := range boundaries {
+				if b > cut {
+					return append(make([]byte, b-cut), whole[b:]...)
+				}
 			}
+			return nil
+		},
+	}
+	for name, tail := range tails {
+		for cut := 0; cut <= len(whole); cut++ {
+			dir := t.TempDir()
+			path := filepath.Join(dir, segName(1))
+			blob := append(append([]byte(nil), whole[:cut]...), tail(cut)...)
+			if err := os.WriteFile(path, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var got []rec
+			l2, err := Open(dir, Options{Mode: FsyncOff}, collect(&got))
+			if err != nil {
+				t.Fatalf("%s after %d: Open: %v", name, cut, err)
+			}
+			wantRecords, end := 0, 0
+			for _, b := range boundaries {
+				if cut >= b {
+					wantRecords, end = wantRecords+1, b
+				}
+			}
+			if len(got) != wantRecords {
+				t.Fatalf("%s after %d: replayed %d records, want %d", name, cut, len(got), wantRecords)
+			}
+			// The log stays appendable, the new record lands right behind
+			// the last intact one, and it survives a reopen.
+			newLSN, err := l2.AppendPut([]uint64{100}, []uint64{200})
+			if err != nil {
+				t.Fatalf("%s after %d: append after repair: %v", name, cut, err)
+			}
+			if want := uint64(wantRecords) + 1; newLSN != want {
+				t.Fatalf("%s after %d: new LSN %d, want %d", name, cut, newLSN, want)
+			}
+			if err := l2.Close(); err != nil {
+				t.Fatalf("%s after %d: close: %v", name, cut, err)
+			}
+			want := appendRecord(append([]byte(nil), whole[:end]...), newLSN, OpPut,
+				op.AppendPairsPayload(nil, []uint64{100}, []uint64{200}))
+			if onDisk, err := os.ReadFile(path); err != nil || !bytes.Equal(onDisk, want) {
+				t.Fatalf("%s after %d: the new record is not at offset %d (%d bytes on disk, want %d): %v",
+					name, cut, end, len(onDisk), len(want), err)
+			}
+			got = got[:0]
+			l3, err := Open(dir, Options{Mode: FsyncOff}, collect(&got))
+			if err != nil {
+				t.Fatalf("%s after %d: reopen: %v", name, cut, err)
+			}
+			if len(got) != wantRecords+1 || got[len(got)-1].keys[0] != 100 {
+				t.Fatalf("%s after %d: after reappend replayed %d records", name, cut, len(got))
+			}
+			l3.Close()
 		}
-		if len(got) != wantRecords {
-			t.Fatalf("cut at %d: replayed %d records, want %d", cut, len(got), wantRecords)
-		}
-		// The log stays appendable and the new record survives a reopen.
-		newLSN, err := l2.AppendPut([]uint64{100}, []uint64{200})
-		if err != nil {
-			t.Fatalf("cut at %d: append after truncation: %v", cut, err)
-		}
-		if want := uint64(wantRecords) + 1; newLSN != want {
-			t.Fatalf("cut at %d: new LSN %d, want %d", cut, newLSN, want)
-		}
-		if err := l2.Close(); err != nil {
-			t.Fatalf("cut at %d: close: %v", cut, err)
-		}
-		got = got[:0]
-		l3, err := Open(dir, Options{Mode: FsyncOff}, collect(&got))
-		if err != nil {
-			t.Fatalf("cut at %d: reopen: %v", cut, err)
-		}
-		if len(got) != wantRecords+1 || got[len(got)-1].keys[0] != 100 {
-			t.Fatalf("cut at %d: after reappend replayed %d records", cut, len(got))
-		}
-		l3.Close()
 	}
 }
 
@@ -247,6 +266,60 @@ func TestRotationAndCompact(t *testing.T) {
 	first := got[0].lsn
 	if first > 21 {
 		t.Fatalf("compact removed records past LSN 20: first replayed is %d", first)
+	}
+}
+
+// TestUntruncatedSealedSegment: a crash in mid-rotation, after the
+// successor was created but before the sealed segment's truncation reached
+// the disk, leaves a non-final segment that still ends in preallocated
+// zeros — a few bytes of them or thousands. Recovery, the chain auditor and
+// the tailer must all read the zeros as the end of that segment, not as a
+// damaged record in the middle of the log.
+func TestUntruncatedSealedSegment(t *testing.T) {
+	for _, pad := range []int64{3, 8, 5000} {
+		dir := t.TempDir()
+		l, err := Open(dir, Options{Mode: FsyncOff, SegmentBytes: 128, Chained: true}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 20
+		for i := uint64(1); i <= n; i++ {
+			if _, err := l.AppendPut([]uint64{i}, []uint64{i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, _, head, _ := l.ChainHead()
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		segs, err := listSegments(dir)
+		if err != nil || len(segs) < 3 {
+			t.Fatalf("want several segments, got %d (%v)", len(segs), err)
+		}
+		for _, seg := range segs[:len(segs)-1] {
+			fi, err := os.Stat(seg.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(seg.path, fi.Size()+pad); err != nil { // grows the file with zeros
+				t.Fatal(err)
+			}
+		}
+		if _, last, vhead, err := VerifyChain(dir); err != nil || last != n || vhead != head {
+			t.Fatalf("pad %d: VerifyChain = last %d, head match %v, %v", pad, last, vhead == head, err)
+		}
+		var got []rec
+		l2, err := Open(dir, Options{Mode: FsyncOff, SegmentBytes: 128}, collect(&got))
+		if err != nil {
+			t.Fatalf("pad %d: Open: %v", pad, err)
+		}
+		if len(got) != n {
+			t.Fatalf("pad %d: replayed %d records, want %d", pad, len(got), n)
+		}
+		if recs, err := collectTail(t, l2, 0, n); err != nil || len(recs) != n {
+			t.Fatalf("pad %d: tail delivered %d records: %v", pad, len(recs), err)
+		}
+		l2.Close()
 	}
 }
 
@@ -361,40 +434,46 @@ func TestEmptySegmentSeedsLSNFromName(t *testing.T) {
 }
 
 // TestGroupCommitSharesFsyncs drives many concurrent FsyncAlways
-// appenders and checks the cohort actually shares fsyncs: the fsync
-// count must come out well below the append count (every appender
-// issuing its own would make them equal).
+// appenders against the real device and checks the cohort actually shares
+// syncs: two may be in flight, but whoever leads one flushes for everyone
+// who waited, so the sync count must come out well below the append count
+// (every appender issuing its own would make them equal). Every writer
+// gets a P: on a small machine the two writers blocked in a sync can
+// otherwise hold both for the length of this test, and two writers alone
+// share nothing — they overlap.
 func TestGroupCommitSharesFsyncs(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{Mode: FsyncAlways}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	const workers, perWorker = 16, 40
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				if _, err := l.AppendPut([]uint64{uint64(w)}, []uint64{uint64(i)}); err != nil {
-					t.Errorf("append: %v", err)
-					return
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(64))
+	for _, workers := range []int{16, 64} {
+		l, err := Open(t.TempDir(), Options{Mode: FsyncAlways}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const perWorker = 40
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < perWorker; i++ {
+					if _, err := l.AppendPut([]uint64{uint64(w)}, []uint64{uint64(i)}); err != nil {
+						t.Errorf("append: %v", err)
+						return
+					}
 				}
-			}
-		}(w)
+			}(w)
+		}
+		wg.Wait()
+		st := l.Stats()
+		l.Close()
+		total := uint64(workers * perWorker)
+		if st.SyncedLSN != total {
+			t.Fatalf("%d writers: synced %d of %d appended", workers, st.SyncedLSN, total)
+		}
+		if st.Syncs > total/4 {
+			t.Fatalf("%d writers: %d syncs for %d appends: group commit shares too little", workers, st.Syncs, total)
+		}
+		t.Logf("%d writers: %d appends covered by %d syncs", workers, total, st.Syncs)
 	}
-	wg.Wait()
-	st := l.Stats()
-	total := uint64(workers * perWorker)
-	if st.SyncedLSN != total {
-		t.Fatalf("synced %d of %d appended", st.SyncedLSN, total)
-	}
-	if st.Syncs >= total {
-		t.Fatalf("%d fsyncs for %d appends: group commit shared nothing", st.Syncs, total)
-	}
-	t.Logf("group commit: %d appends covered by %d fsyncs", total, st.Syncs)
 }
 
 // TestLargeBatchSplits checks that a batch beyond MaxRecordPairs lands as
