@@ -1,7 +1,8 @@
 // Package client is the Go client of the network KV service (package
 // server): a connection pool over the length-prefixed binary protocol of
-// internal/wire, with single-op round trips, native batch calls, and an
-// explicit Pipeline for overlapping many requests on one connection.
+// internal/wire, with single-op round trips and an explicit Pipeline for
+// overlapping many requests — single ops or MIXEDBATCH frames — on one
+// connection.
 //
 // Client is the concurrency-safe entry point: each call checks a
 // connection out of the pool and returns it afterwards, so independent
@@ -301,82 +302,6 @@ func (c *Conn) readAck() error {
 	return c.fail(fmt.Errorf("client: unexpected status 0x%02x", tag))
 }
 
-// errBatchTooLarge reports a batch the server's frame bound would
-// reject; failing client-side keeps the connection alive and the error
-// actionable.
-func errBatchTooLarge(n int) error {
-	return fmt.Errorf("client: batch of %d elements exceeds wire.MaxBatch (%d); split it", n, wire.MaxBatch)
-}
-
-// GetBatch looks up every key in one round trip (one OpGetBatch frame,
-// one LookupBatch on the server). Values land in out, which must have
-// length at least len(keys); the returned slice is per-key presence.
-// Batches beyond wire.MaxBatch fail without touching the connection.
-func (c *Conn) GetBatch(keys []uint64, out []uint64) ([]bool, error) {
-	if len(keys) > wire.MaxBatch {
-		return nil, errBatchTooLarge(len(keys))
-	}
-	c.reqBuf = wire.AppendKeyBatch(c.reqBuf[:0], wire.OpGetBatch, keys)
-	if err := c.writeAll(c.reqBuf); err != nil {
-		return nil, err
-	}
-	tag, payload, err := c.readResp()
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
-	case wire.StatusOK:
-		return decodeFoundValues(c, payload, len(keys), out)
-	case wire.StatusErr:
-		return nil, remoteErr(payload)
-	case wire.StatusReadOnly, wire.StatusStale:
-		return nil, refusalErr(tag)
-	}
-	return nil, c.fail(fmt.Errorf("client: unexpected status 0x%02x", tag))
-}
-
-// PutBatch upserts every pair in one round trip; len(keys) must equal
-// len(values).
-func (c *Conn) PutBatch(keys, values []uint64) error {
-	if len(keys) != len(values) {
-		return fmt.Errorf("client: PutBatch: %d keys but %d values", len(keys), len(values))
-	}
-	if len(keys) > wire.MaxBatch {
-		return errBatchTooLarge(len(keys))
-	}
-	c.reqBuf = wire.AppendPutBatch(c.reqBuf[:0], keys, values)
-	if err := c.writeAll(c.reqBuf); err != nil {
-		return err
-	}
-	return c.readAck()
-}
-
-// DelBatch removes every key in one round trip, returning per-key
-// presence. Batches beyond wire.MaxBatch fail without touching the
-// connection.
-func (c *Conn) DelBatch(keys []uint64) ([]bool, error) {
-	if len(keys) > wire.MaxBatch {
-		return nil, errBatchTooLarge(len(keys))
-	}
-	c.reqBuf = wire.AppendKeyBatch(c.reqBuf[:0], wire.OpDelBatch, keys)
-	if err := c.writeAll(c.reqBuf); err != nil {
-		return nil, err
-	}
-	tag, payload, err := c.readResp()
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
-	case wire.StatusOK:
-		return decodeFound(c, payload, len(keys))
-	case wire.StatusErr:
-		return nil, remoteErr(payload)
-	case wire.StatusReadOnly, wire.StatusStale:
-		return nil, refusalErr(tag)
-	}
-	return nil, c.fail(fmt.Errorf("client: unexpected status 0x%02x", tag))
-}
-
 // Promote asks a replica server to become the primary: it detaches from
 // its old primary and starts accepting writes. Promoting a server that is
 // already a primary fails with a server error.
@@ -419,35 +344,4 @@ func (c *Conn) Stats() (Stats, error) {
 		return st, nil
 	}
 	return Stats{}, c.fail(fmt.Errorf("client: unexpected status 0x%02x", tag))
-}
-
-func decodeFoundValues(c *Conn, payload []byte, want int, out []uint64) ([]bool, error) {
-	if len(payload) < 4 {
-		return nil, c.fail(errors.New("client: short batch response"))
-	}
-	n := int(wire.Uint32(payload, 0))
-	if n != want || len(payload) != 4+n+8*n {
-		return nil, c.fail(fmt.Errorf("client: batch response carries %d elements, want %d", n, want))
-	}
-	oks := make([]bool, n)
-	for i := 0; i < n; i++ {
-		oks[i] = payload[4+i] == 1
-		out[i] = wire.Uint64(payload, 4+n+8*i)
-	}
-	return oks, nil
-}
-
-func decodeFound(c *Conn, payload []byte, want int) ([]bool, error) {
-	if len(payload) < 4 {
-		return nil, c.fail(errors.New("client: short batch response"))
-	}
-	n := int(wire.Uint32(payload, 0))
-	if n != want || len(payload) != 4+n {
-		return nil, c.fail(fmt.Errorf("client: batch response carries %d elements, want %d", n, want))
-	}
-	oks := make([]bool, n)
-	for i := 0; i < n; i++ {
-		oks[i] = payload[4+i] == 1
-	}
-	return oks, nil
 }

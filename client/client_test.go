@@ -122,8 +122,9 @@ func TestDeepPipelineNoDeadlock(t *testing.T) {
 	}
 }
 
-// TestOversizedBatchRejectedClientSide: a batch beyond wire.MaxBatch must
-// fail with an actionable error and leave the connection usable.
+// TestOversizedBatchRejectedClientSide: a mixed batch beyond
+// wire.MaxMixedBatch must fail at Flush with an actionable error, before
+// any byte is written, and leave the connection usable.
 func TestOversizedBatchRejectedClientSide(t *testing.T) {
 	addr := startServer(t)
 	c, err := client.DialConn(addr)
@@ -132,25 +133,21 @@ func TestOversizedBatchRejectedClientSide(t *testing.T) {
 	}
 	defer c.Close()
 
-	huge := make([]uint64, 70_000)
-	if err := c.PutBatch(huge, huge); err == nil || !strings.Contains(err.Error(), "MaxBatch") {
-		t.Fatalf("PutBatch(70k) = %v, want MaxBatch error", err)
+	var m client.MixedBatch
+	for i := uint64(0); i < 70_000; i++ {
+		m.Put(i, i)
 	}
-	if _, err := c.GetBatch(huge, make([]uint64, len(huge))); err == nil {
-		t.Fatal("GetBatch(70k) accepted")
-	}
-	if _, err := c.DelBatch(huge); err == nil {
-		t.Fatal("DelBatch(70k) accepted")
+	p := c.Pipeline()
+	p.Mixed(&m)
+	if _, err := p.Flush(nil); err == nil || !strings.Contains(err.Error(), "MaxMixedBatch") {
+		t.Fatalf("pipeline Flush = %v, want MaxMixedBatch error", err)
 	}
 	// The connection must still work: nothing was written.
 	if err := c.Put(3, 33); err != nil {
 		t.Fatalf("conn dead after rejected batch: %v", err)
 	}
-	// Pipeline batch queueing is poisoned, reported at Flush.
-	p := c.Pipeline()
-	p.GetBatch(huge)
-	if _, err := p.Flush(nil); err == nil || !strings.Contains(err.Error(), "MaxBatch") {
-		t.Fatalf("pipeline Flush = %v, want MaxBatch error", err)
+	if v, ok, err := c.Get(3); err != nil || !ok || v != 33 {
+		t.Fatalf("Get(3) after rejected batch = %d, %v, %v", v, ok, err)
 	}
 }
 

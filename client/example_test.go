@@ -12,7 +12,7 @@ import (
 )
 
 // ExampleClient starts an in-process KV server over a Shortcut-EH store,
-// connects the pooled client, and runs single ops, a native batch, and a
+// connects the pooled client, and runs single ops, a mixed batch, and a
 // pipelined round trip — the full surface a networked consumer uses.
 func ExampleClient() {
 	store, err := vmshortcut.Open(vmshortcut.KindShortcutEH, vmshortcut.WithConcurrency(true))
@@ -48,19 +48,31 @@ func ExampleClient() {
 	}
 	fmt.Println("get 1:", v, found)
 
-	// One batch frame becomes one InsertBatch on the server.
-	if err := cl.PutBatch([]uint64{2, 3, 4}, []uint64{200, 300, 400}); err != nil {
-		log.Fatal(err)
-	}
-	out := make([]uint64, 3)
-	oks, err := cl.GetBatch([]uint64{2, 3, 99}, out)
+	// One MIXEDBATCH frame becomes one ApplyBatch on the server; its
+	// entries apply in order, so the GETs see the PUTs before them.
+	err = cl.Do(func(c *client.Conn) error {
+		var m client.MixedBatch
+		m.Put(2, 200)
+		m.Put(3, 300)
+		m.Put(4, 400)
+		m.Get(2)
+		m.Get(3)
+		m.Get(99)
+		p := c.Pipeline()
+		p.Mixed(&m)
+		res, err := p.Flush(nil)
+		if err != nil {
+			return err
+		}
+		fmt.Println("batch:", res[3].Value, res[4].Value, res[5].Found)
+		return nil
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("batch:", out[0], out[1], oks[2])
 
 	// A pipeline overlaps requests on one pooled connection; the server
-	// coalesces the GET run into a single LookupBatch.
+	// coalesces the three single-op frames into one ApplyBatch.
 	err = cl.Do(func(c *client.Conn) error {
 		p := c.Pipeline()
 		p.Get(2)

@@ -10,12 +10,12 @@ import (
 // Pipeline queues requests on one Conn and sends them in a single write,
 // reading all responses back after one round trip. This is how the
 // protocol's pipelining is meant to be driven: the server's per-connection
-// coalescer turns a flushed run of same-kind requests into one store
-// batch call, so a deep pipeline pays one syscall, one flush, and one
-// routing decision for the whole run.
+// coalescer turns a flushed run of single-op requests — of any kind — into
+// one store batch call, so a deep pipeline pays one syscall, one flush,
+// and one routing decision for the whole run.
 //
-// Results come back in submission order; batch calls contribute one
-// Result per element. A Pipeline is reusable after Flush and is not safe
+// Results come back in submission order; a mixed batch contributes one
+// Result per entry. A Pipeline is reusable after Flush and is not safe
 // for concurrent use.
 type Pipeline struct {
 	c       *Conn
@@ -24,12 +24,12 @@ type Pipeline struct {
 	kinds   []op.Kind // arena of queued mixed batches' kind columns
 	mres    op.Results
 	ops     int
-	err     error // deferred queueing error (oversized batch), reported by Flush
+	err     error // deferred queueing error (oversized mixed batch), reported by Flush
 }
 
 // pendingOp records what response decoding one queued request needs —
-// the opcode, for batch frames the element count, and for mixed frames
-// the batch's kind column (a range of the pipeline's kinds arena) — plus
+// the opcode, the element count, and for mixed frames the batch's kind
+// column (a range of the pipeline's kinds arena) — plus
 // where its frame ends in the request buffer, so Flush can write in
 // bounded segments.
 type pendingOp struct {
@@ -55,61 +55,26 @@ type Result struct {
 	Err error
 }
 
-// Len returns the number of queued operations (batch elements counted
-// individually).
+// Len returns the number of queued operations (mixed batch entries
+// counted individually).
 func (p *Pipeline) Len() int { return p.ops }
 
 // Get queues a lookup.
 func (p *Pipeline) Get(key uint64) {
 	p.buf = wire.AppendKey(p.buf, wire.OpGet, key)
-	p.push(wire.OpGet, 1)
+	p.push(wire.OpGet)
 }
 
 // Put queues an upsert.
 func (p *Pipeline) Put(key, value uint64) {
 	p.buf = wire.AppendPut(p.buf, key, value)
-	p.push(wire.OpPut, 1)
+	p.push(wire.OpPut)
 }
 
 // Del queues a delete.
 func (p *Pipeline) Del(key uint64) {
 	p.buf = wire.AppendKey(p.buf, wire.OpDel, key)
-	p.push(wire.OpDel, 1)
-}
-
-// GetBatch queues one native batch lookup frame; it contributes
-// len(keys) Results. Batches beyond wire.MaxBatch fail at Flush.
-func (p *Pipeline) GetBatch(keys []uint64) {
-	if !p.checkBatch(len(keys)) {
-		return
-	}
-	p.buf = wire.AppendKeyBatch(p.buf, wire.OpGetBatch, keys)
-	p.push(wire.OpGetBatch, len(keys))
-}
-
-// PutBatch queues one native batch upsert frame; it contributes
-// len(keys) Results. len(keys) must equal len(values); batches beyond
-// wire.MaxBatch fail at Flush.
-func (p *Pipeline) PutBatch(keys, values []uint64) {
-	if !p.checkBatch(len(keys)) {
-		return
-	}
-	if len(keys) != len(values) {
-		p.err = fmt.Errorf("client: PutBatch: %d keys but %d values", len(keys), len(values))
-		return
-	}
-	p.buf = wire.AppendPutBatch(p.buf, keys, values)
-	p.push(wire.OpPutBatch, len(keys))
-}
-
-// DelBatch queues one native batch delete frame; it contributes
-// len(keys) Results. Batches beyond wire.MaxBatch fail at Flush.
-func (p *Pipeline) DelBatch(keys []uint64) {
-	if !p.checkBatch(len(keys)) {
-		return
-	}
-	p.buf = wire.AppendKeyBatch(p.buf, wire.OpDelBatch, keys)
-	p.push(wire.OpDelBatch, len(keys))
+	p.push(wire.OpDel)
 }
 
 // MixedBatch accumulates an ordered mix of Get/Put/Del operations for
@@ -164,20 +129,10 @@ func (p *Pipeline) Mixed(m *MixedBatch) {
 	p.ops += n
 }
 
-// checkBatch rejects batch frames the server would refuse (their
-// encoding would exceed the frame bound); nothing is queued and the
-// error surfaces at Flush, before any bytes hit the wire. A poisoned
-// pipeline queues nothing further.
-func (p *Pipeline) checkBatch(n int) bool {
-	if p.err == nil && n > wire.MaxBatch {
-		p.err = errBatchTooLarge(n)
-	}
-	return p.err == nil
-}
-
-func (p *Pipeline) push(op byte, n int) {
-	p.pending = append(p.pending, pendingOp{op: op, n: n, end: len(p.buf)})
-	p.ops += n
+// push records a just-queued single-op frame.
+func (p *Pipeline) push(op byte) {
+	p.pending = append(p.pending, pendingOp{op: op, n: 1, end: len(p.buf)})
+	p.ops++
 }
 
 // flushSegmentBytes bounds how many request bytes Flush sends before
@@ -235,8 +190,8 @@ func (p *Pipeline) readOne(pd pendingOp, results []Result) ([]Result, error) {
 		return results, err
 	}
 	if tag == wire.StatusErr || tag == wire.StatusReadOnly || tag == wire.StatusStale {
-		// One errored response per request frame; batch frames fail as a
-		// unit, so fan the error out to every element. The replica
+		// One errored response per request frame; a mixed batch frame
+		// fails as a unit, so fan the error out to every entry. The replica
 		// refusals land here too: a replica answers a coalesced pipeline
 		// per frame, serving the reads and refusing the mutations.
 		err := refusalErr(tag)
@@ -274,36 +229,6 @@ func (p *Pipeline) readOne(pd pendingOp, results []Result) ([]Result, error) {
 			results = append(results, Result{})
 		default:
 			return results, c.fail(unexpectedStatus(tag))
-		}
-	case wire.OpGetBatch:
-		if tag != wire.StatusOK {
-			return results, c.fail(unexpectedStatus(tag))
-		}
-		vals := make([]uint64, pd.n)
-		oks, err := decodeFoundValues(c, payload, pd.n, vals)
-		if err != nil {
-			return results, err
-		}
-		for i := range oks {
-			results = append(results, Result{Found: oks[i], Value: vals[i]})
-		}
-	case wire.OpPutBatch:
-		if tag != wire.StatusOK {
-			return results, c.fail(unexpectedStatus(tag))
-		}
-		for i := 0; i < pd.n; i++ {
-			results = append(results, Result{Found: true})
-		}
-	case wire.OpDelBatch:
-		if tag != wire.StatusOK {
-			return results, c.fail(unexpectedStatus(tag))
-		}
-		oks, err := decodeFound(c, payload, pd.n)
-		if err != nil {
-			return results, err
-		}
-		for _, ok := range oks {
-			results = append(results, Result{Found: ok})
 		}
 	case wire.OpMixedBatch:
 		if tag != wire.StatusOK {

@@ -119,29 +119,6 @@ func (cl *Client) Del(key uint64) (found bool, err error) {
 	return found, err
 }
 
-// GetBatch looks up every key in one round trip on a pooled connection.
-func (cl *Client) GetBatch(keys []uint64, out []uint64) (oks []bool, err error) {
-	err = cl.Do(func(c *Conn) error {
-		oks, err = c.GetBatch(keys, out)
-		return err
-	})
-	return oks, err
-}
-
-// PutBatch upserts every pair in one round trip on a pooled connection.
-func (cl *Client) PutBatch(keys, values []uint64) error {
-	return cl.Do(func(c *Conn) error { return c.PutBatch(keys, values) })
-}
-
-// DelBatch removes every key in one round trip on a pooled connection.
-func (cl *Client) DelBatch(keys []uint64) (oks []bool, err error) {
-	err = cl.Do(func(c *Conn) error {
-		oks, err = c.DelBatch(keys)
-		return err
-	})
-	return oks, err
-}
-
 // Stats fetches server and store statistics on a pooled connection.
 func (cl *Client) Stats() (st Stats, err error) {
 	err = cl.Do(func(c *Conn) error {

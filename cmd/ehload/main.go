@@ -32,7 +32,7 @@
 // Usage:
 //
 //	ehload -addr :6380 -mix A -conns 4 -pipeline 32 -load 100000 -duration 10s
-//	ehload -mix C -dist uniform -batch 64 -out BENCH_server.json
+//	ehload -mix C -dist uniform -out BENCH_server.json
 //	ehload -mix F -batch mixed -duration 5s   # one MIXEDBATCH frame per round trip
 //	ehload -restart-check -addr 127.0.0.1:16390 -load 200000 -duration 2s \
 //	       -server-cmd "ehserver -addr 127.0.0.1:16390 -kind eh -wal-dir /tmp/wal -fsync always"
@@ -49,7 +49,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -64,7 +63,7 @@ func main() {
 	dist := flag.String("dist", "", "request distribution override: zipfian | uniform (default: the mix's own)")
 	conns := flag.Int("conns", 4, "client connections, one worker goroutine each")
 	pipeline := flag.Int("pipeline", 32, "operations in flight per connection round trip")
-	batch := flag.String("batch", "0", "native batch frames: N gathers same-kind runs into batch frames of up to N ops; 'mixed' submits each round trip as one MIXEDBATCH frame; 0 = pipelined single-op frames")
+	batch := flag.String("batch", "0", "'mixed' submits each round trip as one MIXEDBATCH frame; 0 = pipelined single-op frames")
 	load := flag.Int("load", 100_000, "keyspace entries preloaded before the measured run")
 	warmup := flag.Duration("warmup", 0, "drive the workload for this long after the preload and discard the results, so the measured run starts warm")
 	duration := flag.Duration("duration", 10*time.Second, "measured run length")
@@ -74,8 +73,6 @@ func main() {
 	adminAddr := flag.String("admin-addr", "", "server admin HTTP address (its -admin flag); scrapes /metrics around the measured run and embeds the server-side stage breakdown in the report")
 	sample := flag.Float64("sample", 0, "trace-sampling probability per pipelined round trip, 0..1; sampled traces land in the server's flight recorder (its /tracez admin endpoint)")
 	statsDelta := flag.Bool("stats-delta", false, "print the server-side delta for the measured window (ops, coalesced batches, rejects, per-stage latency); requires -admin-addr")
-	readCache := flag.Bool("read-cache", false, "record that the server runs its hot-key read cache (ehserver -read-cache); flows into the report so runs stay self-describing")
-	adaptiveWindow := flag.Bool("batch-window-adaptive", false, "record that the server retunes its coalescing window adaptively (ehserver -batch-window-adaptive); flows into the report")
 	restartCheck := flag.Bool("restart-check", false, "crash-recovery verification instead of a benchmark: start the server (-server-cmd), write acknowledged keys, kill -9 mid-run, restart, verify nothing acknowledged was lost")
 	serverCmd := flag.String("server-cmd", "", "server command line managed by -restart-check; must include -wal-dir (split on whitespace, no shell quoting)")
 	failoverCheck := flag.Bool("failover-check", false, "replication-failover verification instead of a benchmark: start a primary (-primary-cmd, which must run -repl-sync) and a follower (-follower-cmd), write acknowledged keys, kill -9 the primary mid-run, promote the follower, verify nothing acknowledged was lost")
@@ -84,12 +81,6 @@ func main() {
 	followerAddr := flag.String("follower-addr", "", "follower server address for -failover-check (the primary's is -addr)")
 	flag.Parse()
 
-	// The verification modes manage their own server processes and run no
-	// measured window, so the read-path annotations are meaningless there;
-	// reject the combination before dispatching into either mode.
-	if (*readCache || *adaptiveWindow) && (*restartCheck || *failoverCheck) {
-		usageError("-read-cache and -batch-window-adaptive describe a measured benchmark run; they cannot be combined with -restart-check or -failover-check")
-	}
 	if *restartCheck {
 		if err := runRestartCheck(restartConfig{
 			addr: *addr, serverCmd: *serverCmd,
@@ -147,26 +138,19 @@ func main() {
 	if *sample < 0 || *sample > 1 {
 		usageError("-sample must be in [0, 1], got %v", *sample)
 	}
-	batchMode, batchSize := bench.BatchNone, 0
+	batchMode := bench.BatchNone
 	switch strings.ToLower(*batch) {
 	case "", "0", bench.BatchNone:
 	case bench.BatchMixed:
 		batchMode = bench.BatchMixed
 	default:
-		n, err := strconv.Atoi(*batch)
-		if err != nil || n < 0 {
-			usageError("-batch must be a non-negative size or 'mixed', got %q", *batch)
-		}
-		if n > 0 {
-			batchMode, batchSize = bench.BatchKind, n
-		}
+		usageError("-batch must be 'mixed' or 0, got %q", *batch)
 	}
 	cfg := bench.Config{
 		Addr: *addr, Mix: mix, Conns: *conns,
-		Pipeline: *pipeline, BatchSize: batchSize, BatchMode: batchMode, Load: *load,
+		Pipeline: *pipeline, BatchMode: batchMode, Load: *load,
 		Warmup: *warmup, Duration: *duration, Ops: *ops, Seed: *seed,
 		AdminAddr: *adminAddr, SampleRate: *sample,
-		ReadCache: *readCache, AdaptiveWindow: *adaptiveWindow,
 	}
 
 	report, err := bench.Run(cfg)
@@ -206,9 +190,8 @@ func writeStatsDelta(w io.Writer, sd *bench.ServerDelta) {
 	fmt.Fprintln(w, "server delta (measured window):")
 	fmt.Fprintf(w, "  ops=%d frames=%d coalesced_batches=%d coalesced_ops=%d errors=%d rejects=%d slow_ops=%d\n",
 		sd.Ops, sd.Frames, sd.CoalescedBatches, sd.CoalescedOps, sd.Errors, sd.Rejects, sd.SlowOps)
-	if sd.FastpathCache+sd.FastpathSeqlock+sd.FastpathLocked > 0 {
-		fmt.Fprintf(w, "  read_fastpath cache=%d seqlock=%d locked=%d cache_misses=%d cache_hit_rate=%.3f\n",
-			sd.FastpathCache, sd.FastpathSeqlock, sd.FastpathLocked, sd.CacheMisses, sd.CacheHitRate)
+	if sd.FastpathSeqlock+sd.FastpathLocked > 0 {
+		fmt.Fprintf(w, "  read_fastpath seqlock=%d locked=%d\n", sd.FastpathSeqlock, sd.FastpathLocked)
 	}
 	for s := obs.Stage(0); s < obs.NumStages; s++ {
 		sw, ok := sd.Stages[s.String()]

@@ -30,8 +30,25 @@ type restartConfig struct {
 	seed      uint64        // key derivation seed (same scheme as the benchmark)
 }
 
-// checkChunk is the PutBatch/GetBatch size of the write and verify loops.
+// checkChunk is the MIXEDBATCH size of the write and verify loops.
 const checkChunk = 128
+
+// roundTrip sends m as one MIXEDBATCH frame and returns its per-entry
+// results. A server error on the frame fails the whole batch: none of its
+// entries was acknowledged.
+func roundTrip(p *client.Pipeline, m *client.MixedBatch, res []client.Result) ([]client.Result, error) {
+	p.Mixed(m)
+	res, err := p.Flush(res[:0])
+	if err != nil {
+		return res, err
+	}
+	for _, r := range res {
+		if r.Err != nil {
+			return res, r.Err
+		}
+	}
+	return res, nil
+}
 
 func runRestartCheck(cfg restartConfig) error {
 	if cfg.serverCmd == "" {
@@ -123,19 +140,19 @@ func writePhase(cfg restartConfig, acked *atomic.Int64) error {
 		return err
 	}
 	defer c.Close()
-	keys := make([]uint64, 0, checkChunk)
-	vals := make([]uint64, 0, checkChunk)
+	p := c.Pipeline()
+	var m client.MixedBatch
+	var res []client.Result
 	for lo := 0; lo < cfg.maxKeys; lo += checkChunk {
 		hi := lo + checkChunk
 		if hi > cfg.maxKeys {
 			hi = cfg.maxKeys
 		}
-		keys, vals = keys[:0], vals[:0]
+		m.Reset()
 		for i := lo; i < hi; i++ {
-			keys = append(keys, workload.Key(cfg.seed, uint64(i)))
-			vals = append(vals, uint64(i))
+			m.Put(workload.Key(cfg.seed, uint64(i)), uint64(i))
 		}
-		if err := c.PutBatch(keys, vals); err != nil {
+		if res, err = roundTrip(p, &m, res); err != nil {
 			return err // the kill landed (or the server fell over early)
 		}
 		acked.Store(int64(hi))
@@ -150,26 +167,26 @@ func verifyPhase(cfg restartConfig, n int64) (missing, mismatched int64, err err
 		return 0, 0, fmt.Errorf("server did not come back: %w", err)
 	}
 	defer c.Close()
-	keys := make([]uint64, 0, checkChunk)
-	out := make([]uint64, checkChunk)
+	p := c.Pipeline()
+	var m client.MixedBatch
+	var res []client.Result
 	for lo := int64(0); lo < n; lo += checkChunk {
 		hi := lo + checkChunk
 		if hi > n {
 			hi = n
 		}
-		keys = keys[:0]
+		m.Reset()
 		for i := lo; i < hi; i++ {
-			keys = append(keys, workload.Key(cfg.seed, uint64(i)))
+			m.Get(workload.Key(cfg.seed, uint64(i)))
 		}
-		oks, err := c.GetBatch(keys, out[:len(keys)])
-		if err != nil {
+		if res, err = roundTrip(p, &m, res); err != nil {
 			return missing, mismatched, fmt.Errorf("verify read: %w", err)
 		}
-		for j, ok := range oks {
+		for j, r := range res {
 			switch {
-			case !ok:
+			case !r.Found:
 				missing++
-			case out[j] != uint64(lo)+uint64(j):
+			case r.Value != uint64(lo)+uint64(j):
 				mismatched++
 			}
 		}

@@ -64,9 +64,9 @@
 // Functional options (WithCapacity, WithPollInterval, WithFanInThreshold,
 // WithAdaptiveRouting, WithConcurrency, WithShards, ...) tune the chosen
 // kind; options that do not apply to a kind are ignored so one option set
-// can drive a sweep over all of them. The per-kind constructors
-// (NewHashTable, NewExtendibleHashing, NewShortcutEH, ...) predate Open
-// and remain as deprecated wrappers.
+// can drive a sweep over all of them. Open is the only constructor;
+// AsShortcutEH, AsExtendibleHashing and AsRadixMap reach the concrete
+// table behind an open store.
 //
 // # Concurrency
 //
@@ -83,14 +83,12 @@
 //
 // Under either option, pure-GET traffic takes a lock-free fast path:
 // writers bump a per-shard sequence counter (odd while mutating), and
-// readers run optimistic seqlock passes — plus, with WithReadCache(true),
-// probes of a small hot-key cache whose entries are stamped with that
-// counter, so one write invalidates the whole cache in O(1). Each index
-// kind carries a readSafe capability bit recording whether its Lookup is
-// free of side effects; kinds that mutate on read (KindHTI migrates
-// entries on access) clear it and keep the locked path, so the fast path
-// can never run a read that writes. Stats reports the per-level serve
-// counts (FastpathCacheReads / FastpathSeqlockReads /
+// readers run optimistic seqlock passes that they keep only if the
+// counter did not move. Each index kind carries a readSafe capability
+// bit recording whether its Lookup is free of side effects; kinds that
+// mutate on read (KindHTI migrates entries on access) clear it and keep
+// the locked path, so the fast path can never run a read that writes.
+// Stats reports how GETs were served (FastpathSeqlockReads /
 // FastpathLockedReads).
 //
 // All rewired memory lives outside the Go heap; the garbage collector

@@ -44,6 +44,9 @@ func TestDurableRecoverFromWAL(t *testing.T) {
 				want[i] = i * 2
 			}
 			// Batch mutations, overwrites, and deletes must all replay.
+			// InsertBatch and DeleteBatch log PUTBATCH and DELBATCH
+			// records, the same-kind layouts no request frame carries
+			// any more: replay must keep reading them.
 			keys := []uint64{10, 20, 30}
 			vals := []uint64{111, 222, 333}
 			if err := s.InsertBatch(keys, vals); err != nil {

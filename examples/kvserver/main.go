@@ -68,14 +68,22 @@ func main() {
 	}
 	fmt.Printf("GET 1 -> %d (found=%v)\n", v, found)
 
-	// One native batch frame = one InsertBatch against the store.
-	keys := make([]uint64, 1000)
-	vals := make([]uint64, 1000)
-	for i := range keys {
-		keys[i] = uint64(i) * 7
-		vals[i] = uint64(i)
-	}
-	if err := cl.PutBatch(keys, vals); err != nil {
+	// One MIXEDBATCH frame = one ApplyBatch against the store; an
+	// all-PUT batch runs as one InsertBatch inside it.
+	err = cl.Do(func(c *client.Conn) error {
+		var m client.MixedBatch
+		for i := 0; i < 1000; i++ {
+			m.Put(uint64(i)*7, uint64(i))
+		}
+		p := c.Pipeline()
+		p.Mixed(&m)
+		res, err := p.Flush(nil)
+		if err == nil && res[0].Err != nil {
+			err = res[0].Err // a frame fails as a unit
+		}
+		return err
+	})
+	if err != nil {
 		log.Fatal(err)
 	}
 

@@ -23,84 +23,10 @@ func applyGets(t *testing.T, s Store, b *op.Batch, res *op.Results, keys ...uint
 	}
 }
 
-func TestReadCacheServesAndInvalidates(t *testing.T) {
-	s, err := Open(KindShortcutEH, WithConcurrency(true), WithReadCache(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := uint64(0); i < 64; i++ {
-		if err := s.Insert(i, i*10); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var b op.Batch
-	var res op.Results
-	// Repeated reads of the same keys must populate the cache (the
-	// admission sketch needs to see a key more than once) and then serve
-	// from it.
-	for round := 0; round < 10; round++ {
-		applyGets(t, s, &b, &res, 1, 2, 3, 4)
-		for i, want := range []uint64{10, 20, 30, 40} {
-			if !res.Found[i] || res.Vals[i] != want {
-				t.Fatalf("round %d entry %d: got (%d, %v), want (%d, true)", round, i, res.Vals[i], res.Found[i], want)
-			}
-		}
-	}
-	st := s.Stats()
-	if st.FastpathCacheReads == 0 {
-		t.Fatalf("no cache-served reads after 10 identical rounds: %+v", st)
-	}
-
-	// An acked overwrite must invalidate: the very next read returns the
-	// new value, never the cached old one.
-	if err := s.Insert(2, 9999); err != nil {
-		t.Fatal(err)
-	}
-	applyGets(t, s, &b, &res, 2)
-	if !res.Found[0] || res.Vals[0] != 9999 {
-		t.Fatalf("read after acked overwrite: got (%d, %v), want (9999, true)", res.Vals[0], res.Found[0])
-	}
-
-	// Deletes invalidate the same way.
-	if !s.Delete(3) {
-		t.Fatal("Delete(3) reported not found")
-	}
-	applyGets(t, s, &b, &res, 3)
-	if res.Found[0] {
-		t.Fatalf("read after delete still found value %d", res.Vals[0])
-	}
-
-	top, ok := HotKeys(s, 8)
-	if !ok {
-		t.Fatal("HotKeys reported no cache on a WithReadCache store")
-	}
-	if len(top) == 0 {
-		t.Fatal("HotKeys returned no residents after a hot read loop")
-	}
-	for i := 1; i < len(top); i++ {
-		if top[i].Hits > top[i-1].Hits {
-			t.Fatalf("HotKeys not sorted hottest-first: %v", top)
-		}
-	}
-}
-
-func TestHotKeysReportsNoCache(t *testing.T) {
-	s, err := Open(KindHT, WithConcurrency(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, ok := HotKeys(s, 8); ok {
-		t.Fatal("HotKeys reported a cache on a store opened without WithReadCache")
-	}
-}
-
 func TestHTIKeepsLockedPath(t *testing.T) {
-	// KindHTI reads migrate entries: readSafe is off, no cache attaches,
-	// and every GET must be served under the lock.
-	s, err := Open(KindHTI, WithConcurrency(true), WithReadCache(true))
+	// KindHTI reads migrate entries: readSafe is off, and every GET must
+	// be served under the lock.
+	s, err := Open(KindHTI, WithConcurrency(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +42,7 @@ func TestHTIKeepsLockedPath(t *testing.T) {
 		applyGets(t, s, &b, &res, 1, 2, 3)
 	}
 	st := s.Stats()
-	if st.FastpathCacheReads != 0 || st.FastpathSeqlockReads != 0 {
+	if st.FastpathSeqlockReads != 0 {
 		t.Fatalf("KindHTI took a lock-free path: %+v", st)
 	}
 	if st.FastpathLockedReads == 0 {
@@ -125,15 +51,14 @@ func TestHTIKeepsLockedPath(t *testing.T) {
 }
 
 // TestFastpathNeverServesStaleReads is the linearizability spot-check
-// for the version-counter invalidation: writers hammer overwrites into
-// a two-shard store while readers sit on the cache/seqlock path, and
-// every read must observe a value at least as new as the last overwrite
-// the writer had acknowledged before the read began. Values per key are
-// monotonically increasing, so "stale after ack" is a single compare.
-// Run under -race this also proves the surviving fast path (the cache)
-// is free of data races.
+// for the seqlock validation: writers hammer overwrites into a two-shard
+// store while readers sit on the seqlock path, and every read must
+// observe a value at least as new as the last overwrite the writer had
+// acknowledged before the read began. Values per key are monotonically
+// increasing, so "stale after ack" is a single compare. Under -race the
+// seqlock pass is compiled out, so there it checks the locked path.
 func TestFastpathNeverServesStaleReads(t *testing.T) {
-	s, err := Open(KindHT, WithShards(2), WithReadCache(true))
+	s, err := Open(KindHT, WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,12 +164,11 @@ func TestFastpathNeverServesStaleReads(t *testing.T) {
 	}
 
 	st := s.Stats()
-	total := st.FastpathCacheReads + st.FastpathSeqlockReads + st.FastpathLockedReads
-	if total == 0 {
-		t.Fatal("no GET entries counted on any fast-path level")
+	if st.FastpathSeqlockReads+st.FastpathLockedReads == 0 {
+		t.Fatal("no GET entries counted on either read path")
 	}
-	t.Logf("reads: cache=%d seqlock=%d locked=%d retries=%d fallbacks=%d",
-		st.FastpathCacheReads, st.FastpathSeqlockReads, st.FastpathLockedReads,
+	t.Logf("reads: seqlock=%d locked=%d retries=%d fallbacks=%d",
+		st.FastpathSeqlockReads, st.FastpathLockedReads,
 		st.SeqlockRetries, st.SeqlockFallbacks)
 }
 

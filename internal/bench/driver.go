@@ -27,7 +27,6 @@ import (
 // Batch modes: how each worker turns its generated ops into wire frames.
 const (
 	BatchNone  = "none"  // pipelined single-op frames (the server coalesces)
-	BatchKind  = "kind"  // same-kind runs as native GETBATCH/PUTBATCH frames
 	BatchMixed = "mixed" // each round trip as ONE MIXEDBATCH frame
 )
 
@@ -37,8 +36,7 @@ type Config struct {
 	Mix       workload.Mix
 	Conns     int
 	Pipeline  int
-	BatchSize int    // batch size in BatchKind mode; 0 otherwise
-	BatchMode string // BatchNone | BatchKind | BatchMixed
+	BatchMode string // BatchNone | BatchMixed
 	Load      int    // keyspace entries preloaded before the measured run
 	// Warmup drives the workload for this long after the preload and
 	// discards the results, so the measured run starts against warmed
@@ -57,13 +55,6 @@ type Config struct {
 	// sampling; sampled traces land in the server's flight recorder
 	// (/tracez on its admin listener).
 	SampleRate float64
-	// ReadCache and AdaptiveWindow record the server-side configuration
-	// this run was measured against (the hot-key read cache and the
-	// adaptive coalescing window). The driver cannot set them — they are
-	// server knobs — but they flow into the report so runs remain
-	// self-describing.
-	ReadCache      bool
-	AdaptiveWindow bool
 }
 
 // DistName is the distribution label runs are reported under.
@@ -87,10 +78,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("bench: ops must be non-negative")
 	case c.Ops == 0 && c.Duration <= 0:
 		return fmt.Errorf("bench: duration must be positive when ops is 0 (the run would never stop)")
-	case c.BatchMode != BatchNone && c.BatchMode != BatchKind && c.BatchMode != BatchMixed:
+	case c.BatchMode != BatchNone && c.BatchMode != BatchMixed:
 		return fmt.Errorf("bench: unknown batch mode %q", c.BatchMode)
-	case c.BatchMode == BatchKind && c.BatchSize <= 0:
-		return fmt.Errorf("bench: kind batching needs a positive batch size")
 	case c.SampleRate < 0 || c.SampleRate > 1:
 		return fmt.Errorf("bench: sample rate must be in [0, 1]")
 	}
@@ -102,7 +91,7 @@ type workerResult struct {
 	ops      uint64
 	errors   uint64
 	opCounts [4]uint64 // by workload.OpKind
-	hist     harness.HDR
+	hist     obs.HDR
 }
 
 // Run executes one benchmark: preload, optional warmup, then the
@@ -112,8 +101,8 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 
-	// Preload [0, load) across the connections, through native batch
-	// frames — PutBatch is the bulk-load path.
+	// Preload [0, load) across the connections, one MIXEDBATCH frame of
+	// PUTs per chunk.
 	loadStart := time.Now()
 	if err := preload(cfg); err != nil {
 		return nil, fmt.Errorf("preload: %w", err)
@@ -159,9 +148,8 @@ func Run(cfg Config) (*Report, error) {
 	rep := &Report{
 		Bench: "server", Addr: cfg.Addr, Mix: cfg.Mix.Name, Dist: cfg.DistName(),
 		Conns: cfg.Conns, Pipeline: cfg.Pipeline,
-		BatchMode: cfg.BatchMode, BatchSize: cfg.BatchSize,
-		Loaded: cfg.Load, Seed: cfg.Seed, Sample: cfg.SampleRate,
-		ReadCache: cfg.ReadCache, AdaptiveWindow: cfg.AdaptiveWindow,
+		BatchMode: cfg.BatchMode,
+		Loaded:    cfg.Load, Seed: cfg.Seed, Sample: cfg.SampleRate,
 		WarmupS:   warmupDur.Seconds(),
 		DurationS: elapsed.Seconds(),
 		LoadS:     loadDur.Seconds(),
@@ -170,7 +158,7 @@ func Run(cfg Config) (*Report, error) {
 	if s := loadDur.Seconds(); s > 0 {
 		rep.LoadRate = float64(cfg.Load) / s
 	}
-	var hist harness.HDR
+	var hist obs.HDR
 	for _, r := range results {
 		rep.Ops += r.ops
 		rep.Errors += r.errors
@@ -261,18 +249,27 @@ func preload(cfg Config) error {
 			return
 		}
 		defer c.Close()
-		keys := make([]uint64, 0, chunk)
-		vals := make([]uint64, 0, chunk)
+		p := c.Pipeline()
+		var m client.MixedBatch
+		var res []client.Result
 		harness.Chunks(hi-lo, chunk, func(clo, chi int) {
 			if errs[w] != nil {
 				return
 			}
-			keys, vals = keys[:0], vals[:0]
+			m.Reset()
 			for i := lo + clo; i < lo+chi; i++ {
-				keys = append(keys, workload.Key(cfg.Seed, uint64(i)))
-				vals = append(vals, uint64(i))
+				m.Put(workload.Key(cfg.Seed, uint64(i)), uint64(i))
 			}
-			errs[w] = c.PutBatch(keys, vals)
+			p.Mixed(&m)
+			if res, errs[w] = p.Flush(res[:0]); errs[w] != nil {
+				return
+			}
+			for _, r := range res {
+				if r.Err != nil {
+					errs[w] = r.Err
+					return
+				}
+			}
 		})
 	})
 	for _, err := range errs {
@@ -316,27 +313,6 @@ func worker(cfg Config, w int, stop *atomic.Bool) (*workerResult, error) {
 	p := c.Pipeline()
 	var exp []expected
 	var mixed client.MixedBatch
-	var batchKeys, batchVals []uint64
-	var batchRead bool
-	flushBatch := func() {
-		if cfg.BatchMode == BatchMixed {
-			// The whole round trip is one MIXEDBATCH frame: one decode,
-			// one store call, one WAL record server-side.
-			p.Mixed(&mixed)
-			mixed.Reset()
-			return
-		}
-		if len(batchKeys) == 0 {
-			return
-		}
-		if batchRead {
-			p.GetBatch(batchKeys)
-		} else {
-			p.PutBatch(batchKeys, batchVals)
-		}
-		batchKeys = batchKeys[:0]
-		batchVals = batchVals[:0]
-	}
 	queue := func(read bool, idx uint64) {
 		key := workload.Key(cfg.Seed, idx)
 		switch {
@@ -345,15 +321,6 @@ func worker(cfg Config, w int, stop *atomic.Bool) (*workerResult, error) {
 				mixed.Get(key)
 			} else {
 				mixed.Put(key, idx)
-			}
-		case cfg.BatchSize > 0:
-			if len(batchKeys) > 0 && (batchRead != read || len(batchKeys) >= cfg.BatchSize) {
-				flushBatch()
-			}
-			batchRead = read
-			batchKeys = append(batchKeys, key)
-			if !read {
-				batchVals = append(batchVals, idx)
 			}
 		case read:
 			p.Get(key)
@@ -381,7 +348,12 @@ func worker(cfg Config, w int, stop *atomic.Bool) (*workerResult, error) {
 				queue(false, idx)
 			}
 		}
-		flushBatch()
+		if cfg.BatchMode == BatchMixed {
+			// The whole round trip is one MIXEDBATCH frame: one decode,
+			// one store call, one WAL record server-side.
+			p.Mixed(&mixed)
+			mixed.Reset()
+		}
 
 		start := time.Now()
 		results, err = p.Flush(results[:0])

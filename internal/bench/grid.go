@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -59,8 +58,8 @@ type Axes struct {
 
 	Mix  []string `json:"mix,omitempty"`
 	Dist []string `json:"dist,omitempty"`
-	// Batch axis values: "none", "mixed", or a decimal size for
-	// same-kind batch frames.
+	// Batch axis values: "none" (pipelined single-op frames) or "mixed"
+	// (one MIXEDBATCH frame per round trip).
 	Batch []string `json:"batch,omitempty"`
 	// Fsync axis values: "none" (memory-only store, no WAL), or the WAL
 	// policies "off" | "interval" | "always".
@@ -71,14 +70,6 @@ type Axes struct {
 	// follower (requires a WAL, i.e. fsync != "none") and records the
 	// follower's applied position and lag.
 	Replication []bool `json:"replication,omitempty"`
-	// ReadCache: true opens the store with the hot-key read cache
-	// (vmshortcut.WithReadCache) in front of the seqlock GET fast path.
-	ReadCache []bool `json:"read_cache,omitempty"`
-	// AdaptiveWindow: true serves with server.Config.BatchWindowAdaptive,
-	// letting each connection retune its coalescing window from wait
-	// outcomes (keep windows that data cuts short, collapse ones that
-	// expire empty).
-	AdaptiveWindow []bool `json:"adaptive_window,omitempty"`
 }
 
 // merge overlays exp over base: any field exp sets wins.
@@ -126,12 +117,6 @@ func (base Axes) merge(exp Axes) Axes {
 	if len(exp.Replication) > 0 {
 		out.Replication = exp.Replication
 	}
-	if len(exp.ReadCache) > 0 {
-		out.ReadCache = exp.ReadCache
-	}
-	if len(exp.AdaptiveWindow) > 0 {
-		out.AdaptiveWindow = exp.AdaptiveWindow
-	}
 	return out
 }
 
@@ -175,12 +160,6 @@ func (a Axes) fill() Axes {
 	}
 	if len(a.Replication) == 0 {
 		a.Replication = []bool{false}
-	}
-	if len(a.ReadCache) == 0 {
-		a.ReadCache = []bool{false}
-	}
-	if len(a.AdaptiveWindow) == 0 {
-		a.AdaptiveWindow = []bool{false}
 	}
 	return a
 }
@@ -232,23 +211,21 @@ type Cell struct {
 	// runs of the same grid.
 	Key string `json:"key"`
 
-	Kind      string   `json:"kind"`
-	Mix       string   `json:"mix"`
-	Dist      string   `json:"dist"`
-	Batch     string   `json:"batch"`
-	Fsync     string   `json:"fsync"`
-	Shards    int      `json:"shards"`
-	Procs     int      `json:"gomaxprocs"` // 0 = runtime default
-	Repl      bool     `json:"replication"`
-	ReadCache bool     `json:"read_cache"`
-	AdWin     bool     `json:"batch_window_adaptive"`
-	Load      int      `json:"load"`
-	Conns     int      `json:"conns"`
-	Pipeline  int      `json:"pipeline"`
-	Duration  Duration `json:"duration"`
-	Warmup    Duration `json:"warmup"`
-	Seed      uint64   `json:"seed"`
-	Repeats   int      `json:"repeats"`
+	Kind     string   `json:"kind"`
+	Mix      string   `json:"mix"`
+	Dist     string   `json:"dist"`
+	Batch    string   `json:"batch"`
+	Fsync    string   `json:"fsync"`
+	Shards   int      `json:"shards"`
+	Procs    int      `json:"gomaxprocs"` // 0 = runtime default
+	Repl     bool     `json:"replication"`
+	Load     int      `json:"load"`
+	Conns    int      `json:"conns"`
+	Pipeline int      `json:"pipeline"`
+	Duration Duration `json:"duration"`
+	Warmup   Duration `json:"warmup"`
+	Seed     uint64   `json:"seed"`
+	Repeats  int      `json:"repeats"`
 }
 
 // FileStem is the cell's key flattened into a filename-safe stem.
@@ -283,11 +260,7 @@ func (c Cell) driverConfig() (Config, error) {
 	case BatchMixed:
 		cfg.BatchMode = BatchMixed
 	default:
-		n, err := strconv.Atoi(c.Batch)
-		if err != nil || n <= 0 {
-			return Config{}, fmt.Errorf("bench: cell %s: batch must be none, mixed, or a positive size, got %q", c.Key, c.Batch)
-		}
-		cfg.BatchMode, cfg.BatchSize = BatchKind, n
+		return Config{}, fmt.Errorf("bench: cell %s: batch must be none or mixed, got %q", c.Key, c.Batch)
 	}
 	return cfg, cfg.Validate()
 }
@@ -335,29 +308,24 @@ func (g *Grid) Cells() ([]Cell, error) {
 						for _, shards := range a.Shards {
 							for _, procs := range a.Gomaxprocs {
 								for _, repl := range a.Replication {
-									for _, rc := range a.ReadCache {
-										for _, aw := range a.AdaptiveWindow {
-											c := Cell{
-												Experiment: exp.Name,
-												Kind:       a.Kind, Mix: mix, Dist: dist,
-												Batch: batch, Fsync: fsync,
-												Shards: shards, Procs: procs, Repl: repl,
-												ReadCache: rc, AdWin: aw,
-												Load: a.Load, Conns: a.Conns, Pipeline: a.Pipeline,
-												Duration: a.Duration, Warmup: a.Warmup,
-												Seed: a.Seed, Repeats: g.Repeats,
-											}
-											c.Key = cellKey(c)
-											if seen[c.Key] {
-												return nil, fmt.Errorf("bench: duplicate cell %s (axes overlap within or across experiments)", c.Key)
-											}
-											seen[c.Key] = true
-											if err := c.validate(); err != nil {
-												return nil, err
-											}
-											cells = append(cells, c)
-										}
+									c := Cell{
+										Experiment: exp.Name,
+										Kind:       a.Kind, Mix: mix, Dist: dist,
+										Batch: batch, Fsync: fsync,
+										Shards: shards, Procs: procs, Repl: repl,
+										Load: a.Load, Conns: a.Conns, Pipeline: a.Pipeline,
+										Duration: a.Duration, Warmup: a.Warmup,
+										Seed: a.Seed, Repeats: g.Repeats,
 									}
+									c.Key = cellKey(c)
+									if seen[c.Key] {
+										return nil, fmt.Errorf("bench: duplicate cell %s (axes overlap within or across experiments)", c.Key)
+									}
+									seen[c.Key] = true
+									if err := c.validate(); err != nil {
+										return nil, err
+									}
+									cells = append(cells, c)
 								}
 							}
 						}
@@ -381,15 +349,6 @@ func cellKey(c Cell) string {
 		c.Experiment, c.Mix, dist, c.Batch, c.Fsync, c.Shards, c.Procs)
 	if c.Repl {
 		key += "-repl"
-	}
-	// The cache/window suffixes appear only when the axis is on, so
-	// every cell key from grids that predate these axes is unchanged
-	// and the regression gate still joins against old history entries.
-	if c.ReadCache {
-		key += "-readcache"
-	}
-	if c.AdWin {
-		key += "-adwin"
 	}
 	return key
 }

@@ -12,9 +12,10 @@ import (
 
 // Report is the BENCH_server.json schema: one measured run. The field
 // set is pinned by TestReportSchemaRoundTrip — fields may be added, but
-// never silently renamed or dropped. (The deprecated "batch" int that
-// PR 5 kept one release is gone; the kind-mode batch size now reports as
-// "batch_size", absent in the other modes.)
+// never silently renamed or dropped. Fields that described retired
+// mechanisms ("batch_size" of the same-kind batch frames, "read_cache",
+// "batch_window_adaptive") were dropped with them; old reports still
+// decode, the extra keys ignored.
 type Report struct {
 	Bench    string `json:"bench"`
 	Addr     string `json:"addr"`
@@ -22,27 +23,20 @@ type Report struct {
 	Dist     string `json:"dist"`
 	Conns    int    `json:"conns"`
 	Pipeline int    `json:"pipeline"`
-	// BatchMode is how ops became frames: none | kind | mixed. BatchSize
-	// is the kind-mode batch cap and is omitted in the other modes.
+	// BatchMode is how ops became frames: none | mixed.
 	BatchMode string `json:"batch_mode"`
-	BatchSize int    `json:"batch_size,omitempty"`
 	Loaded    int    `json:"loaded"`
 	Seed      uint64 `json:"seed"`
 	// Sample is the trace-sampling probability the workers ran with
 	// (omitted when sampling was off).
-	Sample float64 `json:"sample,omitempty"`
-	// ReadCache / AdaptiveWindow record the server-side read-path knobs
-	// the run was measured against (hot-key read cache, adaptive
-	// coalescing window); both omitted when off.
-	ReadCache      bool    `json:"read_cache,omitempty"`
-	AdaptiveWindow bool    `json:"batch_window_adaptive,omitempty"`
-	WarmupS        float64 `json:"warmup_seconds,omitempty"`
-	DurationS      float64 `json:"duration_seconds"`
-	Ops            uint64  `json:"ops"`
-	Errors         uint64  `json:"errors"`
-	Throughput     float64 `json:"throughput_ops_per_sec"`
-	LoadS          float64 `json:"load_seconds"`
-	LoadRate       float64 `json:"load_ops_per_sec"`
+	Sample     float64 `json:"sample,omitempty"`
+	WarmupS    float64 `json:"warmup_seconds,omitempty"`
+	DurationS  float64 `json:"duration_seconds"`
+	Ops        uint64  `json:"ops"`
+	Errors     uint64  `json:"errors"`
+	Throughput float64 `json:"throughput_ops_per_sec"`
+	LoadS      float64 `json:"load_seconds"`
+	LoadRate   float64 `json:"load_ops_per_sec"`
 
 	// Latency of one pipelined round trip (Pipeline ops per sample),
 	// nanoseconds.
@@ -76,20 +70,11 @@ type LatencyNS struct {
 	Max     uint64  `json:"max"`
 }
 
-// BatchLabel renders the batch configuration compactly: none, mixed, or
-// kind(N).
-func (r *Report) BatchLabel() string {
-	if r.BatchMode == BatchKind {
-		return fmt.Sprintf("%s(%d)", BatchKind, r.BatchSize)
-	}
-	return r.BatchMode
-}
-
 // WriteSummary prints the human-readable run summary ehload has always
 // emitted.
 func (r *Report) WriteSummary(w io.Writer) {
 	fmt.Fprintf(w, "mix %s (%s)  conns=%d pipeline=%d batch=%s  loaded=%d\n",
-		r.Mix, r.Dist, r.Conns, r.Pipeline, r.BatchLabel(), r.Loaded)
+		r.Mix, r.Dist, r.Conns, r.Pipeline, r.BatchMode, r.Loaded)
 	fmt.Fprintf(w, "load: %d entries in %.2fs (%.0f ops/s)\n", r.Loaded, r.LoadS, r.LoadRate)
 	fmt.Fprintf(w, "run:  %d ops in %.2fs = %.0f ops/s, %d errors\n",
 		r.Ops, r.DurationS, r.Throughput, r.Errors)
@@ -107,9 +92,8 @@ func (r *Report) WriteSummary(w io.Writer) {
 	if sd := r.ServerDelta; sd != nil {
 		fmt.Fprintf(w, "server window: %d ops, %d frames, %d coalesced batches, %d rejects, %d slow\n",
 			sd.Ops, sd.Frames, sd.CoalescedBatches, sd.Rejects, sd.SlowOps)
-		if sd.FastpathCache+sd.FastpathSeqlock+sd.FastpathLocked > 0 {
-			fmt.Fprintf(w, "read fastpath: cache %d (%.1f%% hit) / seqlock %d / locked %d\n",
-				sd.FastpathCache, 100*sd.CacheHitRate, sd.FastpathSeqlock, sd.FastpathLocked)
+		if sd.FastpathSeqlock+sd.FastpathLocked > 0 {
+			fmt.Fprintf(w, "read fastpath: seqlock %d / locked %d\n", sd.FastpathSeqlock, sd.FastpathLocked)
 		}
 		fmt.Fprintf(w, "server stage p99:")
 		for s := obs.Stage(0); s < obs.NumStages; s++ {

@@ -57,8 +57,6 @@ type CellSummary struct {
 	Shards     int    `json:"shards"`
 	Procs      int    `json:"gomaxprocs"`
 	Repl       bool   `json:"replication"`
-	ReadCache  bool   `json:"read_cache,omitempty"`
-	AdWin      bool   `json:"batch_window_adaptive,omitempty"`
 	Repeats    int    `json:"repeats"`
 	Ops        uint64 `json:"total_ops"`
 	Errors     uint64 `json:"total_errors"`
@@ -71,9 +69,6 @@ type CellSummary struct {
 	// ReplLag is the end-of-run follower lag in WAL records, present for
 	// replication cells.
 	ReplLag *Stat `json:"repl_lag_records,omitempty"`
-	// CacheHitRate is the measured-window hot-key cache hit rate, present
-	// for read-cache cells whose runs scraped a server delta.
-	CacheHitRate *Stat `json:"cache_hit_rate,omitempty"`
 }
 
 // Summary is the grouped summary.json artifact: environment, then one
@@ -100,10 +95,9 @@ func Summarize(stamp string, results []*CellResult) *Summary {
 		cs := CellSummary{
 			Key: c.Key, Experiment: c.Experiment, Mix: c.Mix, Dist: c.Dist,
 			Batch: c.Batch, Fsync: c.Fsync, Shards: c.Shards, Procs: c.Procs,
-			Repl: c.Repl, ReadCache: c.ReadCache, AdWin: c.AdWin,
-			Repeats: len(cr.Runs),
+			Repl: c.Repl, Repeats: len(cr.Runs),
 		}
-		var tput, p50, p95, p99, walRecs, lag, hitRate []float64
+		var tput, p50, p95, p99, walRecs, lag []float64
 		for _, run := range cr.Runs {
 			r := run.Report
 			cs.Ops += r.Ops
@@ -116,9 +110,6 @@ func Summarize(stamp string, results []*CellResult) *Summary {
 			if run.Follower != nil {
 				lag = append(lag, float64(run.ReplLagRecords()))
 			}
-			if c.ReadCache && r.ServerDelta != nil {
-				hitRate = append(hitRate, r.ServerDelta.CacheHitRate)
-			}
 		}
 		cs.Throughput = statOf(tput)
 		cs.P50, cs.P95, cs.P99 = statOf(p50), statOf(p95), statOf(p99)
@@ -126,10 +117,6 @@ func Summarize(stamp string, results []*CellResult) *Summary {
 		if len(lag) > 0 {
 			l := statOf(lag)
 			cs.ReplLag = &l
-		}
-		if len(hitRate) > 0 {
-			h := statOf(hitRate)
-			cs.CacheHitRate = &h
 		}
 		s.Cells = append(s.Cells, cs)
 	}

@@ -5,8 +5,6 @@ import (
 	"io"
 	"math/bits"
 	"strings"
-
-	"vmshortcut/internal/obs"
 )
 
 // Histogram is a log₂-bucketed latency histogram: values land in bucket
@@ -101,13 +99,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	h.count += other.count
 	h.sum += other.sum
 }
-
-// HDR is the high-dynamic-range latency histogram, promoted to
-// internal/obs as the shared core of the server-side observability
-// layer (which adds a striped concurrency-safe variant on top). The
-// alias keeps harness callers — the load generator records one HDR per
-// connection and merges them — source-compatible.
-type HDR = obs.HDR
 
 // Render writes a textual histogram with percentile summary.
 func (h *Histogram) Render(w io.Writer, title string) {

@@ -64,9 +64,10 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Batch payload codes. On the wire these ARE the frame opcodes of the
-// batch frames (internal/wire aliases them), and in the WAL they ARE the
-// record opcodes (package wal aliases them): one constant, one layout.
+// Batch payload codes. In the WAL they ARE the record opcodes (package
+// wal aliases them), and CodeMixedBatch is also the opcode of the wire's
+// one batch request frame (internal/wire aliases it): one constant, one
+// layout. The same-kind codes name WAL and replication records only.
 const (
 	CodeGetBatch   byte = 0x05
 	CodePutBatch   byte = 0x06

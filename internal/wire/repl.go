@@ -42,6 +42,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"vmshortcut/internal/op"
 )
 
 // Admin / handshake opcodes (request path).
@@ -179,7 +181,7 @@ func DecodeReplRecord(tag byte, p []byte) (lsn uint64, code byte, hash, payload 
 	lsn = binary.LittleEndian.Uint64(p)
 	code = p[8]
 	switch code {
-	case OpPutBatch, OpDelBatch, OpMixedBatch:
+	case op.CodePutBatch, op.CodeDelBatch, op.CodeMixedBatch:
 	default:
 		return 0, 0, nil, nil, fmt.Errorf("wire: record frame carries non-batch code 0x%02x", code)
 	}

@@ -13,21 +13,24 @@ import (
 )
 
 // TestWALOpcodesMatchWire pins what is now true by construction: the
-// wire protocol's batch opcodes and the WAL's record opcodes are the
-// SAME constants — both alias internal/op's batch codes, so there is one
-// code path and one set of values, not two kept equal by convention.
+// WAL's record opcodes are internal/op's batch codes, and the wire
+// protocol's one batch request opcode is the same mixed code — one set
+// of constants, not two kept equal by convention. The uniform PUT/DEL
+// codes survive as record opcodes (and replication record tags) after
+// their request frames were retired, so logs written before that still
+// replay and ship.
 func TestWALOpcodesMatchWire(t *testing.T) {
 	pairs := []struct {
-		name          string
-		walOp, wireOp byte
+		name         string
+		walOp, opRef byte
 	}{
-		{"put", wal.OpPut, wire.OpPutBatch},
-		{"del", wal.OpDel, wire.OpDelBatch},
+		{"put", wal.OpPut, op.CodePutBatch},
+		{"del", wal.OpDel, op.CodeDelBatch},
 		{"mixed", wal.OpMixed, wire.OpMixedBatch},
 	}
 	for _, p := range pairs {
-		if p.walOp != p.wireOp {
-			t.Fatalf("%s: wal opcode %#x != wire opcode %#x", p.name, p.walOp, p.wireOp)
+		if p.walOp != p.opRef {
+			t.Fatalf("%s: wal opcode %#x != batch code %#x", p.name, p.walOp, p.opRef)
 		}
 	}
 	if op.CodePutBatch != 0x06 || op.CodeDelBatch != 0x07 || op.CodeMixedBatch != 0x08 {
@@ -36,75 +39,106 @@ func TestWALOpcodesMatchWire(t *testing.T) {
 	}
 }
 
-// TestWALRecordIsWirePayload drives the whole contract end to end
-// through the REAL code paths: a batch frame's payload, decoded exactly
-// as the server decodes it, appended to a real log via the zero-copy
-// path, must appear on disk byte-for-byte as the record's payload — for
-// a uniform PUT batch (the PR 4 layout, unchanged) and for a mixed
-// batch. No re-encoding happened in between: op.Encodings stays flat
-// across decode → Payload → append.
+// TestWALRecordIsWirePayload drives the layout contract end to end
+// through the REAL code paths. A uniform PUT batch and a uniform DEL
+// batch, built entry by entry the way the server's coalescer builds
+// them, encode through the op codec into the same-kind PUT/DEL layouts; a
+// MIXEDBATCH frame's payload is decoded exactly as the server decodes
+// it. Each is appended to a real log, must appear on disk byte-for-byte
+// as the record's payload, and must decode back (the follower's path)
+// to the same entries. The decoded mixed frame goes to the log with no
+// re-encoding: op.Encodings stays flat across decode → Payload → append.
 func TestWALRecordIsWirePayload(t *testing.T) {
-	// Build the frames a client would send.
-	putFrame := wire.AppendPutBatch(nil, []uint64{1, 2}, []uint64{10, 20})
-	var m op.Batch
+	var put, del, m op.Batch
+	put.Put(1, 10)
+	put.Put(2, 20)
+	del.Del(3)
+	del.Del(4)
 	m.Get(5)
 	m.Put(6, 66)
 	m.Del(7)
 	mixedFrame := wire.AppendMixedBatch(nil, &m)
+
+	// The same-kind layouts, spelled out: u32 n, then n × (key, value)
+	// for PUT and n × key for DEL.
+	wantPut := op.AppendPairsPayload(nil, []uint64{1, 2}, []uint64{10, 20})
+	wantDel := op.AppendKeysPayload(nil, []uint64{3, 4})
 
 	dir := t.TempDir()
 	l, err := wal.Open(dir, wal.Options{Mode: wal.FsyncOff}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wantPayloads [][]byte
+	type rec struct {
+		code    byte
+		payload []byte
+		batch   *op.Batch
+	}
+	var want []rec
+	for _, b := range []*op.Batch{&put, &del} {
+		code, payload := b.Payload()
+		if _, err := l.AppendBatch(code, payload); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, rec{code, append([]byte(nil), payload...), b})
+	}
+	if !bytes.Equal(want[0].payload, wantPut) || want[0].code != op.CodePutBatch {
+		t.Fatalf("uniform PUT batch encodes as %#x %x, want %#x %x", want[0].code, want[0].payload, op.CodePutBatch, wantPut)
+	}
+	if !bytes.Equal(want[1].payload, wantDel) || want[1].code != op.CodeDelBatch {
+		t.Fatalf("uniform DEL batch encodes as %#x %x, want %#x %x", want[1].code, want[1].payload, op.CodeDelBatch, wantDel)
+	}
+
 	encBefore := op.Encodings()
-	for _, frame := range [][]byte{putFrame, mixedFrame} {
-		tag, payload := frame[4], frame[wire.HeaderSize:]
-		var b op.Batch
-		if err := wire.DecodeBatch(tag, payload, &b); err != nil {
-			t.Fatal(err)
-		}
-		code, recPayload := b.Payload()
-		if code != tag || !bytes.Equal(recPayload, payload) {
-			t.Fatalf("decoded batch's payload (code %#x) differs from the frame payload", code)
-		}
-		if _, err := l.AppendBatch(code, recPayload); err != nil {
-			t.Fatal(err)
-		}
-		wantPayloads = append(wantPayloads, payload)
+	tag, payload := mixedFrame[4], mixedFrame[wire.HeaderSize:]
+	var decoded op.Batch
+	if err := wire.DecodeBatch(tag, payload, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	code, recPayload := decoded.Payload()
+	if code != tag || !bytes.Equal(recPayload, payload) {
+		t.Fatalf("decoded batch's payload (code %#x) differs from the frame payload", code)
+	}
+	if _, err := l.AppendBatch(code, recPayload); err != nil {
+		t.Fatal(err)
 	}
 	if got := op.Encodings(); got != encBefore {
 		t.Fatalf("wire→WAL path performed %d encoding passes, want 0", got-encBefore)
 	}
+	want = append(want, rec{code, payload, &m})
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Parse the segment by hand and compare each record's payload (after
 	// the 8-byte record header, the 8-byte LSN, and the code byte) to the
-	// frame payload that produced it.
+	// payload that produced it, then decode it back.
 	blob, err := os.ReadFile(filepath.Join(dir, "wal-0000000000000001.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	offset := 0
-	for i, want := range wantPayloads {
+	for i, w := range want {
 		payloadLen := int(binary.LittleEndian.Uint32(blob[offset:]))
-		rec := blob[offset+8 : offset+8+payloadLen]
-		lsn, code := binary.LittleEndian.Uint64(rec), rec[8]
+		r := blob[offset+8 : offset+8+payloadLen]
+		lsn, code := binary.LittleEndian.Uint64(r), r[8]
 		if lsn != uint64(i+1) {
 			t.Fatalf("record %d has LSN %d", i, lsn)
 		}
-		wantCode := wire.OpPutBatch
-		if i == 1 {
-			wantCode = wire.OpMixedBatch
+		if code != w.code {
+			t.Fatalf("record %d code %#x, want %#x", i, code, w.code)
 		}
-		if code != wantCode {
-			t.Fatalf("record %d code %#x, want %#x", i, code, wantCode)
+		if !bytes.Equal(r[9:], w.payload) {
+			t.Fatalf("record %d payload differs from the batch payload", i)
 		}
-		if !bytes.Equal(rec[9:], want) {
-			t.Fatalf("record %d payload differs from the wire frame payload", i)
+		var back op.Batch
+		if err := wire.DecodeBatch(code, r[9:], &back); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		for j := 0; j < w.batch.Len(); j++ {
+			if back.Kinds()[j] != w.batch.Kinds()[j] || back.Keys()[j] != w.batch.Keys()[j] || back.Vals()[j] != w.batch.Vals()[j] {
+				t.Fatalf("record %d entry %d decodes differently", i, j)
+			}
 		}
 		offset += 8 + payloadLen
 	}

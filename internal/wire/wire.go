@@ -1,9 +1,9 @@
 // Package wire defines the compact length-prefixed binary protocol spoken
 // between the network KV server (package server) and its Go client
 // (package client). The format is built for pipelining: frames are fully
-// self-delimiting, responses come back in request order, and the batch
-// frames carry whole key sets so one round trip can become one
-// InsertBatch/LookupBatch/DeleteBatch call against the store.
+// self-delimiting, responses come back in request order, and one
+// MIXEDBATCH frame carries a whole ordered mix of operations so one round
+// trip can become one ApplyBatch call against the store.
 //
 // Frame layout (all integers little-endian):
 //
@@ -17,29 +17,26 @@
 //	OpPut         u64 key, u64 value
 //	OpDel         u64 key
 //	OpStats       (empty)
-//	OpGetBatch    u32 n, n × u64 key
-//	OpPutBatch    u32 n, n × (u64 key, u64 value)
-//	OpDelBatch    u32 n, n × u64 key
 //	OpMixedBatch  u32 n, n × u8 kind, n × u64 key, puts × u64 value
 //
-// The batch payloads are not defined here: they are the internal/op
-// package's batch payload layouts, and the batch opcodes are its batch
-// codes — the same bytes name a batch in a request frame and in a WAL
-// record, so the wire→log path appends payloads without re-encoding.
-// MIXEDBATCH carries an ordered mix of GET/PUT/DEL entries (columnar:
-// kinds, keys, then one value per PUT entry in entry order), so one
-// frame — and one store call, and one WAL record — can carry whatever a
-// pipelined client had in flight.
+// The batch payload is not defined here: it is the internal/op package's
+// mixed batch layout, and OpMixedBatch is its batch code — the same bytes
+// name a batch in a request frame and in a WAL record, so the wire→log
+// path appends payloads without re-encoding. MIXEDBATCH carries an
+// ordered mix of GET/PUT/DEL entries (columnar: kinds, keys, then one
+// value per PUT entry in entry order), so one frame — and one store call,
+// and one WAL record — can carry whatever a pipelined client had in
+// flight. The op package's other batch codes (0x05–0x07, the same-kind
+// layouts) name WAL records and replication stream records only; a
+// request frame carrying one is refused as an unknown opcode.
 //
 // Response payloads:
 //
 //	StatusOK        op-specific: u64 value (GET); empty (PUT, STATS via
-//	                JSON below); u32 n, n × u8 found, n × u64 value
-//	                (GETBATCH); u32 n, n × u8 found (DELBATCH);
-//	                u32 n, n × u8 flag, gets × u64 value (MIXEDBATCH —
-//	                flag is presence for GET/DEL entries and acceptance
-//	                for PUT entries; one value per GET entry in entry
-//	                order, zero when absent)
+//	                JSON below); u32 n, n × u8 flag, gets × u64 value
+//	                (MIXEDBATCH — flag is presence for GET/DEL entries and
+//	                acceptance for PUT entries; one value per GET entry in
+//	                entry order, zero when absent)
 //	StatusNotFound  empty (GET, DEL miss)
 //	StatusErr       UTF-8 error message
 //
@@ -59,17 +56,13 @@ import (
 // HeaderSize is the fixed frame prefix: u32 length + u8 tag.
 const HeaderSize = 5
 
-// MaxFrame bounds a frame's length field. It admits batches of ~64k pairs
-// while keeping a malformed or hostile length prefix from ballooning a
+// MaxFrame bounds a frame's length field. It admits MIXEDBATCH frames of
+// ~60k entries while keeping a malformed or hostile length prefix from ballooning a
 // connection buffer.
 const MaxFrame = 1 << 20
 
-// MaxBatch is the largest element count a batch frame may carry; chosen so
-// the largest batch frame (PUTBATCH) stays under MaxFrame.
-const MaxBatch = (MaxFrame - HeaderSize - 4) / 16
-
-// Request opcodes. The batch opcodes are the internal/op batch codes —
-// not merely equal by convention but the same constants — so the frame
+// Request opcodes. OpMixedBatch is the internal/op mixed batch code —
+// not merely equal by convention but the same constant — so the frame
 // tag, the store-facing batch representation, and the WAL record opcode
 // agree by construction.
 const (
@@ -79,12 +72,7 @@ const (
 	OpStats
 )
 
-const (
-	OpGetBatch   = op.CodeGetBatch
-	OpPutBatch   = op.CodePutBatch
-	OpDelBatch   = op.CodeDelBatch
-	OpMixedBatch = op.CodeMixedBatch
-)
+const OpMixedBatch = op.CodeMixedBatch
 
 // OpTraceCtx is the trace-context envelope: a request-path frame carrying
 // u64 traceID, u8 flags that applies to the NEXT request frame on the
@@ -147,7 +135,9 @@ const (
 // client reading a newer server's reply (extra sections, extra counters)
 // sees everything it knows about and skips the rest — version skew
 // between ehload/ehstore and the server is expected during rollouts.
-// Fields must therefore never be removed or renamed, only added.
+// Fields must therefore never be renamed or change meaning. An optional
+// (omitempty) section may stop being sent; readers already treat an
+// absent section as "not running here".
 type StatsReply struct {
 	Server ServerCounters   `json:"server"`
 	Store  vmshortcut.Stats `json:"store"`
@@ -164,28 +154,6 @@ type StatsReply struct {
 	// enabled. Like every other section it only ever gains fields;
 	// readers must ignore stages they do not know.
 	Obs *ObsStats `json:"obs,omitempty"`
-	// Hotkeys is the hot-key read-cache section, present when the store
-	// serves reads through one (WithReadCache): the cache's hit rate and
-	// the hottest resident keys. Same contract as every section: fields
-	// are only ever added.
-	Hotkeys *HotkeysStats `json:"hotkeys,omitempty"`
-}
-
-// HotkeysStats is the hotkeys section of StatsReply. HitRate is
-// lifetime CacheReads / (CacheReads + CacheMisses); Top lists the
-// hottest resident cache entries, hottest first.
-type HotkeysStats struct {
-	HitRate     float64  `json:"hit_rate"`
-	CacheReads  uint64   `json:"cache_reads"`
-	CacheMisses uint64   `json:"cache_misses"`
-	Top         []HotKey `json:"top,omitempty"`
-}
-
-// HotKey is one entry of HotkeysStats.Top: a resident cached key and
-// how many reads it has served from its slot.
-type HotKey struct {
-	Key  uint64 `json:"key"`
-	Hits uint64 `json:"hits"`
 }
 
 // ObsStats is the observability section of StatsReply: summarized
@@ -240,7 +208,7 @@ type ServerCounters struct {
 	// accepted connections.
 	ActiveConns uint64 `json:"active_conns"`
 	TotalConns  uint64 `json:"total_conns"`
-	// Ops counts operations served (batch frames count each element).
+	// Ops counts operations served (a MIXEDBATCH frame counts each entry).
 	Ops uint64 `json:"ops"`
 	// Frames counts request frames decoded.
 	Frames uint64 `json:"frames"`
@@ -287,28 +255,6 @@ func AppendPut(dst []byte, key, value uint64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, value)
 }
 
-// AppendKeyBatch appends a keys-only batch request frame (OpGetBatch,
-// OpDelBatch) through the shared op codec.
-func AppendKeyBatch(dst []byte, tag byte, keys []uint64) []byte {
-	dst = appendHeader(dst, tag, 4+8*len(keys))
-	return op.AppendKeysPayload(dst, keys)
-}
-
-// AppendPutBatch appends an OpPutBatch frame through the shared op
-// codec; len(keys) must equal len(values).
-func AppendPutBatch(dst []byte, keys, values []uint64) []byte {
-	dst = appendHeader(dst, OpPutBatch, 4+16*len(keys))
-	return op.AppendPairsPayload(dst, keys, values)
-}
-
-// AppendBatch appends a batch request frame carrying b's payload under
-// its own code — the one encoder every layer shares. A batch decoded
-// from received bytes re-emits them without an encoding pass.
-func AppendBatch(dst []byte, b *op.Batch) []byte {
-	code, payload := b.Payload()
-	return AppendFrame(dst, code, payload)
-}
-
 // AppendMixedBatch appends an OpMixedBatch request frame, pinning the
 // mixed layout even for a uniform batch — the response layout follows
 // the request opcode, so the submitting client must know which one went
@@ -319,10 +265,10 @@ func AppendMixedBatch(dst []byte, b *op.Batch) []byte {
 	return b.AppendMixedPayload(dst)
 }
 
-// DecodeBatch decodes a batch request payload (OpGetBatch, OpPutBatch,
-// OpDelBatch, OpMixedBatch) into b. b retains payload (aliased) as its
-// pre-encoded form, so the WAL can append it zero-copy; payload must
-// stay untouched while b is in use.
+// DecodeBatch decodes a batch payload under its op batch code (a
+// MIXEDBATCH request frame, or a shipped WAL record of any batch code)
+// into b. b retains payload (aliased) as its pre-encoded form, so the WAL
+// can append it zero-copy; payload must stay untouched while b is in use.
 func DecodeBatch(tag byte, payload []byte, b *op.Batch) error {
 	return op.DecodePayload(tag, payload, b)
 }
@@ -337,20 +283,6 @@ func AppendValue(dst []byte, value uint64) []byte {
 func AppendError(dst []byte, msg string) []byte {
 	dst = appendHeader(dst, StatusErr, len(msg))
 	return append(dst, msg...)
-}
-
-// AppendFoundValues appends the GETBATCH StatusOK response: per-key
-// presence flags followed by the (zero-filled where absent) values.
-func AppendFoundValues(dst []byte, found []bool, values []uint64) []byte {
-	dst = appendHeader(dst, StatusOK, 4+len(found)+8*len(found))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(found)))
-	for _, ok := range found {
-		dst = append(dst, boolByte(ok))
-	}
-	for _, v := range values {
-		dst = binary.LittleEndian.AppendUint64(dst, v)
-	}
-	return dst
 }
 
 // AppendMixedResults appends the MIXEDBATCH StatusOK response: one flag
@@ -402,16 +334,6 @@ func DecodeMixedResults(payload []byte, kinds []op.Kind, r *op.Results) error {
 		}
 	}
 	return nil
-}
-
-// AppendFound appends the DELBATCH StatusOK response: per-key presence.
-func AppendFound(dst []byte, found []bool) []byte {
-	dst = appendHeader(dst, StatusOK, 4+len(found))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(found)))
-	for _, ok := range found {
-		dst = append(dst, boolByte(ok))
-	}
-	return dst
 }
 
 func boolByte(b bool) byte {

@@ -35,33 +35,24 @@ func TestRequestFrameRoundTrips(t *testing.T) {
 		t.Fatalf("STATS frame = tag %d payload %x", tag, p)
 	}
 
+	// A uniform batch still goes out as MIXEDBATCH: that is the only
+	// batch request frame.
 	keys := []uint64{1, 2, 3, ^uint64(0)}
 	vals := []uint64{10, 20, 30, 40}
-
-	tag, p = roundTrip(t, AppendKeyBatch(nil, OpGetBatch, keys))
-	if tag != OpGetBatch {
-		t.Fatalf("GETBATCH tag = %d", tag)
+	var in, b op.Batch
+	for i := range keys {
+		in.Put(keys[i], vals[i])
 	}
-	var b op.Batch
-	if err := DecodeBatch(tag, p, &b); err != nil || b.Len() != len(keys) {
-		t.Fatalf("GETBATCH decode = %d entries, %v", b.Len(), err)
-	}
-	for i, k := range keys {
-		if b.Kinds()[i] != op.Get || b.Keys()[i] != k {
-			t.Fatalf("GETBATCH entry[%d] = (%v, %d), want (GET, %d)", i, b.Kinds()[i], b.Keys()[i], k)
-		}
-	}
-
-	tag, p = roundTrip(t, AppendPutBatch(nil, keys, vals))
-	if tag != OpPutBatch {
-		t.Fatalf("PUTBATCH tag = %d", tag)
+	tag, p = roundTrip(t, AppendMixedBatch(nil, &in))
+	if tag != OpMixedBatch {
+		t.Fatalf("MIXEDBATCH tag = %d", tag)
 	}
 	if err := DecodeBatch(tag, p, &b); err != nil || b.Len() != len(keys) {
-		t.Fatalf("PUTBATCH decode = %d entries, %v", b.Len(), err)
+		t.Fatalf("MIXEDBATCH decode = %d entries, %v", b.Len(), err)
 	}
 	for i := range keys {
 		if b.Kinds()[i] != op.Put || b.Keys()[i] != keys[i] || b.Vals()[i] != vals[i] {
-			t.Fatalf("PUTBATCH entry[%d] mismatch", i)
+			t.Fatalf("MIXEDBATCH entry[%d] mismatch", i)
 		}
 	}
 }
@@ -82,27 +73,24 @@ func TestResponseFrameRoundTrips(t *testing.T) {
 		t.Fatalf("error response = tag %d payload %q", tag, p)
 	}
 
-	found := []bool{true, false, true}
-	vals := []uint64{5, 0, 7}
-	tag, p = roundTrip(t, AppendFoundValues(nil, found, vals))
-	if tag != StatusOK {
-		t.Fatalf("found-values tag = %d", tag)
+	// MIXEDBATCH response: one flag per entry, one value per GET entry.
+	var b op.Batch
+	b.Get(1)
+	b.Del(2)
+	b.Get(3)
+	res := op.Results{Found: []bool{true, false, false}, Vals: []uint64{5, 0, 0}}
+	tag, p = roundTrip(t, AppendMixedResults(nil, &b, &res))
+	if tag != StatusOK || len(p) != 4+3+8*2 {
+		t.Fatalf("mixed response = tag %d payload %x", tag, p)
 	}
-	if got := int(Uint32(p, 0)); got != 3 {
-		t.Fatalf("found-values n = %d", got)
+	var got op.Results
+	if err := DecodeMixedResults(p, b.Kinds(), &got); err != nil {
+		t.Fatal(err)
 	}
-	for i, ok := range found {
-		if (p[4+i] == 1) != ok {
-			t.Fatalf("found[%d] flag mismatch", i)
+	for i := range res.Found {
+		if got.Found[i] != res.Found[i] || got.Vals[i] != res.Vals[i] {
+			t.Fatalf("mixed result[%d] = (%v, %d), want (%v, %d)", i, got.Found[i], got.Vals[i], res.Found[i], res.Vals[i])
 		}
-		if got := Uint64(p, 4+len(found)+8*i); got != vals[i] {
-			t.Fatalf("found-values value[%d] = %d", i, got)
-		}
-	}
-
-	tag, p = roundTrip(t, AppendFound(nil, found))
-	if tag != StatusOK || int(Uint32(p, 0)) != 3 || p[4] != 1 || p[5] != 0 || p[6] != 1 {
-		t.Fatalf("found response = tag %d payload %x", tag, p)
 	}
 }
 
@@ -127,18 +115,18 @@ func TestReadFrameRejectsBadLengths(t *testing.T) {
 
 func TestDecodeBatchRejectsMalformedPayloads(t *testing.T) {
 	var b op.Batch
-	if err := DecodeBatch(OpGetBatch, []byte{1, 2}, &b); err == nil {
+	if err := DecodeBatch(op.CodeGetBatch, []byte{1, 2}, &b); err == nil {
 		t.Fatal("short batch header accepted")
 	}
 	// Count says 2 elements, payload carries 1.
 	p := binary.LittleEndian.AppendUint32(nil, 2)
 	p = binary.LittleEndian.AppendUint64(p, 1)
-	if err := DecodeBatch(OpGetBatch, p, &b); err == nil {
+	if err := DecodeBatch(op.CodeGetBatch, p, &b); err == nil {
 		t.Fatal("count/payload mismatch accepted")
 	}
 	// Count beyond the element cap.
 	p = binary.LittleEndian.AppendUint32(nil, op.MaxElems+1)
-	if err := DecodeBatch(OpDelBatch, p, &b); err == nil {
+	if err := DecodeBatch(op.CodeDelBatch, p, &b); err == nil {
 		t.Fatal("oversized batch accepted")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,6 +33,36 @@ type node struct {
 	metrics  *server.Metrics
 	addr     string
 	dir      string
+	dead     atomic.Bool // set by kill: no byte leaves the node after it
+}
+
+// deadListener hands out connections whose Writes fail once dead is set,
+// so an in-process node dies the way a kill -9'd process does: at the kill
+// instant every outbound byte stops, on every connection at once, however
+// the teardown that follows orders its closes.
+type deadListener struct {
+	net.Listener
+	dead *atomic.Bool
+}
+
+func (l deadListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return deadConn{c, l.dead}, nil
+}
+
+type deadConn struct {
+	net.Conn
+	dead *atomic.Bool
+}
+
+func (c deadConn) Write(p []byte) (int, error) {
+	if c.dead.Load() {
+		return 0, net.ErrClosed
+	}
+	return c.Conn.Write(p)
 }
 
 // startNode opens a store and serves it on a loopback port. dir != ""
@@ -86,16 +117,22 @@ func startNode(t *testing.T, dir string, syncMode bool, replicaOf string, fcfg r
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	go srv.Serve(ln)
+	go srv.Serve(deadListener{ln, &n.dead})
 	n.srv = srv
 	n.addr = ln.Addr().String()
 	t.Cleanup(func() { n.kill() })
 	return n
 }
 
-// kill tears the node down hard, idempotently: listener and connections
-// die first (the network is gone), then replication, then the store.
+// kill tears the node down hard, idempotently. It first stops every
+// outbound byte (the kill instant, see deadListener); only then do the
+// listener and connections close, then replication, then the store.
+// Without the first step the server closes connections in map order: a
+// follower stream closed before a client's connection leaves the primary
+// with no follower, and it could still write a degraded ack to that
+// client — an ack a killed process would never have sent.
 func (n *node) kill() {
+	n.dead.Store(true)
 	n.srv.Close()
 	if n.follower != nil {
 		n.follower.Close()
@@ -168,11 +205,21 @@ func TestReplicaServesReadsRejectsWrites(t *testing.T) {
 	if _, err := rc.Del(5); !errors.Is(err, client.ErrReadOnly) {
 		t.Fatalf("replica Del err = %v, want ErrReadOnly", err)
 	}
-	if err := rc.PutBatch([]uint64{1, 2}, []uint64{1, 2}); !errors.Is(err, client.ErrReadOnly) {
-		t.Fatalf("replica PutBatch err = %v, want ErrReadOnly", err)
+	// A mixed batch frame with a mutation in it is refused as a unit.
+	var m client.MixedBatch
+	m.Get(1)
+	m.Put(2, 2)
+	m.Del(3)
+	mp := rc.Pipeline()
+	mp.Mixed(&m)
+	mres, err := mp.Flush(nil)
+	if err != nil {
+		t.Fatalf("mixed Flush: %v", err)
 	}
-	if _, err := rc.DelBatch([]uint64{1, 2}); !errors.Is(err, client.ErrReadOnly) {
-		t.Fatalf("replica DelBatch err = %v, want ErrReadOnly", err)
+	for i, r := range mres {
+		if !errors.Is(r.Err, client.ErrReadOnly) {
+			t.Fatalf("replica mixed batch entry %d err = %v, want ErrReadOnly", i, r.Err)
+		}
 	}
 	if v, found, err := rc.Get(1); err != nil || !found || v != 10 {
 		t.Fatalf("Get(1) after refusals = %d, %v, %v; the connection should survive", v, found, err)
@@ -308,6 +355,58 @@ func TestDurableReplicaRestartResumes(t *testing.T) {
 	}
 }
 
+// TestSameKindRecordsShip pins why the same-kind batch codes outlive
+// their request frames: a durable store's InsertBatch and DeleteBatch log
+// PUTBATCH (0x06) and DELBATCH (0x07) records, and logs holding them must
+// still ship to, and apply on, a follower.
+func TestSameKindRecordsShip(t *testing.T) {
+	primary := startNode(t, t.TempDir(), false, "", repl.FollowerConfig{})
+	keys := make([]uint64, 100)
+	for i := range keys {
+		keys[i] = uint64(i) + 1
+	}
+	if err := primary.store.InsertBatch(keys, keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, ok := range primary.store.DeleteBatch(keys[:10]) {
+		if !ok {
+			t.Fatal("DeleteBatch missed a key")
+		}
+	}
+
+	rep, _ := vmshortcut.AsReplicable(primary.store)
+	last := rep.LastLSN()
+	errEnd := errors.New("end of log")
+	var codes []byte
+	err := rep.TailWAL(0, nil, func(r wal.TailRecord) error {
+		codes = append(codes, r.Code)
+		if r.LSN >= last {
+			return errEnd
+		}
+		return nil
+	})
+	if !errors.Is(err, errEnd) {
+		t.Fatalf("TailWAL: %v", err)
+	}
+	if string(codes) != string([]byte{op.CodePutBatch, op.CodeDelBatch}) {
+		t.Fatalf("primary log codes = %x, want PUTBATCH then DELBATCH", codes)
+	}
+
+	replica := startNode(t, t.TempDir(), false, primary.addr, repl.FollowerConfig{})
+	waitCaughtUp(t, primary, replica)
+	rc := mustDial(t, replica.addr)
+	for _, k := range []uint64{1, 10} {
+		if _, found, err := rc.Get(k); err != nil || found {
+			t.Fatalf("replica Get(deleted %d) = %v, %v", k, found, err)
+		}
+	}
+	for _, k := range []uint64{11, 100} {
+		if v, found, err := rc.Get(k); err != nil || !found || v != k {
+			t.Fatalf("replica Get(%d) = %d, %v, %v", k, v, found, err)
+		}
+	}
+}
+
 // TestFailoverLosesNoAckedWrite is the subsystem's reason to exist:
 // under synchronous replication, writers hammer the primary from
 // several connections, the primary dies mid-stream without warning, the
@@ -427,8 +526,12 @@ func TestStalenessGate(t *testing.T) {
 	if err := rc.Put(2, 2); !errors.Is(err, client.ErrReadOnly) {
 		t.Fatalf("stale replica Put err = %v, want ErrReadOnly", err)
 	}
-	if _, err := rc.GetBatch([]uint64{1}, make([]uint64, 1)); !errors.Is(err, client.ErrStale) {
-		t.Fatalf("stale replica GetBatch err = %v, want ErrStale", err)
+	var m client.MixedBatch
+	m.Get(1)
+	p := rc.Pipeline()
+	p.Mixed(&m)
+	if res, err := p.Flush(nil); err != nil || !errors.Is(res[0].Err, client.ErrStale) {
+		t.Fatalf("stale replica mixed GET = %+v, %v; want ErrStale", res, err)
 	}
 
 	// Promotion clears staleness: the replica is its own authority now.

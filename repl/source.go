@@ -125,6 +125,17 @@ func (s *Source) bumpAcks() {
 // SyncTimeout it returns false and counts a sync timeout. "Some
 // follower" — not all — is the useful guarantee: it means at least one
 // promotable replica holds every acknowledged write.
+//
+// The sync-mode contract the server builds on it: a mutation is
+// acknowledged only after WaitShipped returns, so an ack means some
+// attached follower has the record. Any other ack is a degraded ack and
+// carries no failover guarantee. There are two kinds. The wait can hit
+// SyncTimeout: WaitShipped returns false and the ack is counted in
+// SyncTimeouts (eh_repl_sync_timeouts_total). Or no follower is attached
+// at all: WaitShipped returns true at once and nothing counts the ack.
+// A primary that is killed sends no ack after the kill, so a follower
+// stream torn down by the kill cannot turn a pending write into a
+// degraded ack.
 func (s *Source) WaitShipped(lsn uint64) bool {
 	var timer *time.Timer
 	for {

@@ -79,7 +79,7 @@ func serveOne(b *testing.B, st *connState, tag byte, payload []byte) {
 	case wire.OpGet, wire.OpPut, wire.OpDel:
 		err = st.singles(tag, payload)
 	default:
-		err = st.batchFrame(tag, payload)
+		err = st.mixedFrame(payload)
 	}
 	if err != nil {
 		b.Fatal(err)

@@ -1,6 +1,6 @@
 // Package server turns a vmshortcut.Store into a network KV service: a
 // TCP server speaking the compact length-prefixed binary protocol of
-// internal/wire (GET/PUT/DEL/STATS plus native batch frames) with full
+// internal/wire (GET/PUT/DEL/STATS plus the MIXEDBATCH frame) with full
 // pipelining.
 //
 // The serving layer is built around the same observation as the store's
@@ -13,9 +13,9 @@
 // layer below shares) and executed as ONE Store.ApplyBatch call: one
 // lock acquisition, one sharded fan-out pass, and — on a durable store —
 // one WAL record whose payload is the batch's own encoding, appended
-// without re-packing. Native batch frames (GETBATCH/PUTBATCH/DELBATCH/
-// MIXEDBATCH) take the same path: the frame payload decodes directly
-// into the batch and, for mutations, IS the bytes the log appends.
+// without re-packing. A MIXEDBATCH frame takes the same path: the frame
+// payload decodes directly into the batch and, for mutations, IS the
+// bytes the log appends.
 // Responses are written in request order, so clients cannot observe the
 // coalescing.
 //
@@ -53,24 +53,6 @@ import (
 // coalesced store call may carry.
 const DefaultMaxBatch = 1024
 
-// DefaultAdaptiveWindow is the adaptive coalescer's window ceiling when
-// Config.BatchWindow does not set one.
-const DefaultAdaptiveWindow = 100 * time.Microsecond
-
-// adaptiveMinWindow is the smallest non-zero adaptive window: widening
-// starts here, and collapsing below it lands on zero (no wait at all).
-const adaptiveMinWindow = 5 * time.Microsecond
-
-// adaptiveProbeMaxGap caps the probe backoff: after a probed window
-// expires without gathering anything, the connection serves at least
-// this many window-less rounds (doubling up from adaptiveProbeMinGap)
-// before arming the next probe, so closed-loop clients pay the wasted
-// wait a vanishing fraction of the time.
-const adaptiveProbeMaxGap = 512
-
-// adaptiveProbeMinGap is the backoff's starting gap.
-const adaptiveProbeMinGap = 4
-
 // Config configures a Server. Store is the only required field.
 type Config struct {
 	// Store answers every request. The server does not close it: the
@@ -96,20 +78,6 @@ type Config struct {
 	// added latency for larger batches — worthwhile for clients that
 	// dribble requests.
 	BatchWindow time.Duration
-
-	// BatchWindowAdaptive makes the coalescing window self-tuning per
-	// connection instead of fixed. The signal is the outcome of each
-	// armed wait, not batch depth: the window widens (doubling, up to
-	// BatchWindow — or DefaultAdaptiveWindow when BatchWindow is 0) only
-	// while rounds fill to MaxBatch with every armed wait cut short by
-	// arriving data, i.e. a dense open-loop stream the window is
-	// stitching without ever timing out; any round that ends on a wait
-	// that expired without a byte — the closed-loop signature, where the
-	// client sends nothing until it sees replies — collapses the window
-	// to zero and backs off exponentially before probing again.
-	// Connections whose bursts arrive whole — and idle or dribbling
-	// connections — therefore converge to paying no window at all.
-	BatchWindowAdaptive bool
 
 	// MaxBatch caps the ops per coalesced store call (default
 	// DefaultMaxBatch, hard-capped at wire.MaxMixedBatch so a gathered
@@ -475,19 +443,6 @@ type connState struct {
 	// connection must close right after.
 	drainBroken bool
 
-	// Adaptive-window state (Config.BatchWindowAdaptive): win is this
-	// connection's current coalescing window, retuned by adaptWindow
-	// after every singles round from the outcome flags peekSingle sets —
-	// waitHit (an armed wait was cut short by arriving data) and
-	// waitExpired (an armed wait timed out empty); probeSkip counts
-	// window-less rounds left before the next probe, and probeGap is the
-	// backoff that refills it.
-	win         time.Duration
-	waitHit     bool
-	waitExpired bool
-	probeSkip   int
-	probeGap    int
-
 	// Observability (instr is set once, from Config.Metrics != nil):
 	// trace collects the current batch's per-stage durations — it is
 	// installed on the batch so the durable layer can fill its stages —
@@ -572,8 +527,8 @@ func (s *Server) serveConn(c net.Conn) {
 		switch tag {
 		case wire.OpGet, wire.OpPut, wire.OpDel:
 			err = st.singles(tag, payload)
-		case wire.OpGetBatch, wire.OpPutBatch, wire.OpDelBatch, wire.OpMixedBatch:
-			err = st.batchFrame(tag, payload)
+		case wire.OpMixedBatch:
+			err = st.mixedFrame(payload)
 		case wire.OpStats:
 			err = st.statsReply()
 		case wire.OpReplSync:
@@ -727,9 +682,6 @@ func (st *connState) singles(tag byte, payload []byte) error {
 	}
 
 	n := st.batch.Len()
-	if st.srv.cfg.BatchWindowAdaptive {
-		st.adaptWindow(n)
-	}
 	st.srv.ops.Add(uint64(n))
 	if n > 1 {
 		st.srv.coalescedBatches.Add(1)
@@ -861,73 +813,9 @@ func (st *connState) appendSingle(tag byte, payload []byte) error {
 // waiting on them is not starved); without one it only inspects what is
 // already buffered, adding zero latency. A window timeout consumes
 // nothing — the partial bytes stay buffered for the main loop.
-// adaptWindow retunes the connection's coalescing window from the
-// outcome of the round just gathered. A window is only worth keeping
-// when it never expires: open-loop traffic dense enough that every
-// round fills to MaxBatch, with armed waits always cut short by
-// arriving data. Any round that ended on an expired wait paid the
-// timeout — and pays far more than the configured window reads, since
-// sub-millisecond read deadlines round up to the poller's granularity —
-// so it collapses the window to zero and re-probes only after an
-// exponentially growing number of window-less rounds. A wait that data
-// cut short mid-round is NOT enough to keep the window (a fast server
-// can catch a closed-loop client mid-burst, "earn" the stitch, then
-// burn the full timeout on the very next round); only a round that
-// both hit and filled to MaxBatch widens. Batch depth alone cannot
-// drive any of this: a closed-loop client with a deep pipeline gathers
-// deep batches with nothing left in flight behind them.
-func (st *connState) adaptWindow(n int) {
-	switch {
-	case st.waitExpired:
-		// An armed window expired empty: collapse, and back off before
-		// the next probe.
-		st.win = 0
-		st.probeGap *= 2
-		if st.probeGap < adaptiveProbeMinGap {
-			st.probeGap = adaptiveProbeMinGap
-		}
-		if st.probeGap > adaptiveProbeMaxGap {
-			st.probeGap = adaptiveProbeMaxGap
-		}
-		st.probeSkip = st.probeGap
-	case st.waitHit && n >= st.srv.cfg.MaxBatch:
-		// Saturated round with every armed wait cut short: the window is
-		// stitching a dense open-loop stream and never timing out. Widen
-		// toward the ceiling.
-		st.probeGap = 0
-		ceiling := st.srv.cfg.BatchWindow
-		if ceiling <= 0 {
-			ceiling = DefaultAdaptiveWindow
-		}
-		switch {
-		case st.win == 0:
-			st.win = adaptiveMinWindow
-		case st.win < ceiling:
-			st.win *= 2
-			if st.win > ceiling {
-				st.win = ceiling
-			}
-		}
-	case st.win == 0 && n >= 2:
-		// Pipelined traffic with no window armed. Occasionally probe a
-		// minimal window to discover whether bursts are fragmenting; a
-		// lone-request round (n <= 1) never probes — a dribbling client
-		// has nothing a window could stitch.
-		if st.probeSkip > 0 {
-			st.probeSkip--
-		} else {
-			st.win = adaptiveMinWindow
-		}
-	}
-	st.waitHit, st.waitExpired = false, false
-}
-
 func (st *connState) peekSingle() bool {
 	if st.br.Buffered() < wire.HeaderSize {
 		w := st.srv.cfg.BatchWindow
-		if st.srv.cfg.BatchWindowAdaptive {
-			w = st.win
-		}
 		if w <= 0 || st.srv.draining.Load() {
 			return false
 		}
@@ -936,10 +824,8 @@ func (st *connState) peekSingle() bool {
 		_, err := st.br.Peek(wire.HeaderSize)
 		st.c.SetReadDeadline(time.Time{})
 		if err != nil {
-			st.waitExpired = true
 			return false
 		}
-		st.waitHit = true
 	}
 	hdr, err := st.br.Peek(wire.HeaderSize)
 	if err != nil {
@@ -952,20 +838,18 @@ func (st *connState) peekSingle() bool {
 	return false
 }
 
-// batchFrame answers a native batch frame (GETBATCH, PUTBATCH, DELBATCH,
-// MIXEDBATCH): the payload decodes directly into the connection's
-// operation batch — which retains the payload bytes, so a durable
-// store's WAL record is those bytes, zero-copy — and one ApplyBatch call
-// executes it. The response keeps each frame's historical shape; a
-// store-level failure answers StatusErr for the whole frame with the
-// stream still aligned.
-func (st *connState) batchFrame(tag byte, payload []byte) error {
+// mixedFrame answers a MIXEDBATCH frame: the payload decodes directly
+// into the connection's operation batch — which retains the payload
+// bytes, so a durable store's WAL record is those bytes, zero-copy — and
+// one ApplyBatch call executes it. A store-level failure answers
+// StatusErr for the whole frame with the stream still aligned.
+func (st *connState) mixedFrame(payload []byte) error {
 	var t0 time.Time
 	if st.instr {
 		st.traced = true
 		t0 = time.Now()
 	}
-	if err := wire.DecodeBatch(tag, payload, &st.batch); err != nil {
+	if err := wire.DecodeBatch(wire.OpMixedBatch, payload, &st.batch); err != nil {
 		return err
 	}
 	st.batch.SetTraceID(st.frameCtx)
@@ -975,7 +859,7 @@ func (st *connState) batchFrame(tag byte, payload []byte) error {
 	n := st.batch.Len()
 	st.srv.ops.Add(uint64(n))
 	if g := st.srv.gate(); g != gateOpen {
-		// Batch frames fail as a unit (one response per frame), so the
+		// A MIXEDBATCH frame fails as a unit (one response per frame), so the
 		// refusal is whole-frame: any mutation makes the frame read-only-
 		// refused; a pure-read frame serves under the read-only gate and
 		// is stale-refused under the stale gate.
@@ -1007,16 +891,7 @@ func (st *connState) batchFrame(tag byte, payload []byte) error {
 	if st.batch.Mutations() > 0 {
 		st.timedWaitShipped()
 	}
-	switch tag {
-	case wire.OpGetBatch:
-		st.resp = wire.AppendFoundValues(st.resp, st.res.Found, st.res.Vals)
-	case wire.OpPutBatch:
-		st.resp = wire.AppendEmpty(st.resp, wire.StatusOK)
-	case wire.OpDelBatch:
-		st.resp = wire.AppendFound(st.resp, st.res.Found)
-	case wire.OpMixedBatch:
-		st.resp = wire.AppendMixedResults(st.resp, &st.batch, &st.res)
-	}
+	st.resp = wire.AppendMixedResults(st.resp, &st.batch, &st.res)
 	return nil
 }
 
@@ -1088,24 +963,8 @@ func (s *Server) StatsReply() wire.StatsReply {
 	if s.metrics != nil {
 		reply.Obs = s.metrics.obsStats()
 	}
-	if top, ok := vmshortcut.HotKeys(s.store, hotkeysTopK); ok {
-		hk := &wire.HotkeysStats{
-			CacheReads:  storeStats.FastpathCacheReads,
-			CacheMisses: storeStats.CacheMisses,
-		}
-		if probes := hk.CacheReads + hk.CacheMisses; probes > 0 {
-			hk.HitRate = float64(hk.CacheReads) / float64(probes)
-		}
-		for _, h := range top {
-			hk.Top = append(hk.Top, wire.HotKey{Key: h.Key, Hits: h.Hits})
-		}
-		reply.Hotkeys = hk
-	}
 	return reply
 }
-
-// hotkeysTopK bounds the hotkeys section's Top list.
-const hotkeysTopK = 8
 
 // statsReply answers OpStats with the JSON StatsReply.
 func (st *connState) statsReply() error {

@@ -1,16 +1,19 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"vmshortcut"
 	"vmshortcut/client"
+	"vmshortcut/internal/op"
 	"vmshortcut/internal/wire"
 	"vmshortcut/server"
 )
@@ -186,51 +189,46 @@ func TestPipelineOrderAcrossKinds(t *testing.T) {
 	}
 }
 
-// TestBatchFrames drives the native batch opcodes end to end: one frame,
-// one store batch call, element-wise results.
+// TestBatchFrames pins the batch-frame contract: MIXEDBATCH is the only
+// batch request frame. The retired same-kind request frames (GETBATCH
+// 0x05, PUTBATCH 0x06, DELBATCH 0x07) — well-formed payloads and all —
+// are refused like any unknown opcode: one StatusErr frame, then the
+// connection closes, and the store is untouched. Their codes live on
+// only as WAL record opcodes.
 func TestBatchFrames(t *testing.T) {
 	_, st, addr := startServer(t, server.Config{})
-	c, err := client.DialConn(addr)
-	if err != nil {
-		t.Fatal(err)
+	keys := []uint64{10, 20}
+	frames := map[string][]byte{
+		"GETBATCH": wire.AppendFrame(nil, op.CodeGetBatch, op.AppendKeysPayload(nil, keys)),
+		"PUTBATCH": wire.AppendFrame(nil, op.CodePutBatch, op.AppendPairsPayload(nil, keys, keys)),
+		"DELBATCH": wire.AppendFrame(nil, op.CodeDelBatch, op.AppendKeysPayload(nil, keys)),
 	}
-	defer c.Close()
-
-	keys := []uint64{10, 20, 30, 40}
-	vals := []uint64{1, 2, 3, 4}
-	if err := c.PutBatch(keys, vals); err != nil {
-		t.Fatalf("PutBatch: %v", err)
-	}
-
-	probe := []uint64{10, 11, 20, 21, 30, 40}
-	out := make([]uint64, len(probe))
-	oks, err := c.GetBatch(probe, out)
-	if err != nil {
-		t.Fatalf("GetBatch: %v", err)
-	}
-	wantOK := []bool{true, false, true, false, true, true}
-	wantV := []uint64{1, 0, 2, 0, 3, 4}
-	for i := range probe {
-		if oks[i] != wantOK[i] || out[i] != wantV[i] {
-			t.Fatalf("GetBatch[%d] = (%d, %v), want (%d, %v)", i, out[i], oks[i], wantV[i], wantOK[i])
+	for name, frame := range frames {
+		raw, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := raw.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+		// ReadAll returning without error means the server closed the
+		// connection after its reply.
+		reply, err := io.ReadAll(raw)
+		raw.Close()
+		if err != nil {
+			t.Fatalf("%s: connection not closed: %v", name, err)
+		}
+		tag, msg, _, err := wire.ReadFrame(bytes.NewReader(reply), nil)
+		if err != nil || tag != wire.StatusErr || !strings.Contains(string(msg), "unknown opcode") {
+			t.Fatalf("%s: reply = tag 0x%02x %q (%v), want a StatusErr unknown-opcode frame", name, tag, msg, err)
+		}
+		if rest := len(reply) - wire.HeaderSize - len(msg); rest != 0 {
+			t.Fatalf("%s: %d bytes after the error frame", name, rest)
 		}
 	}
-
-	dels, err := c.DelBatch([]uint64{10, 11, 20})
-	if err != nil {
-		t.Fatalf("DelBatch: %v", err)
-	}
-	if !dels[0] || dels[1] || !dels[2] {
-		t.Fatalf("DelBatch = %v", dels)
-	}
-
-	stats := st.Stats()
-	if stats.InsertBatches != 1 || stats.LookupBatches != 1 || stats.DeleteBatches != 1 {
-		t.Fatalf("batch counters = {I:%d L:%d D:%d}, want {1 1 1}",
-			stats.InsertBatches, stats.LookupBatches, stats.DeleteBatches)
-	}
-	if stats.Entries != 2 {
-		t.Fatalf("Entries = %d, want 2", stats.Entries)
+	if n := st.Len(); n != 0 {
+		t.Fatalf("refused batch frames changed the store: %d entries", n)
 	}
 }
 

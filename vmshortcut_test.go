@@ -12,39 +12,40 @@ type deferredBuffer struct{ bytes.Buffer }
 
 func (b *deferredBuffer) reader() *bytes.Reader { return bytes.NewReader(b.Bytes()) }
 
-// TestFacadeIndexes drives every index constructor through the Index
-// interface — the integration test of the public API.
+// TestFacadeIndexes drives every index kind through the Index interface
+// of an Open store — the integration test of the public API — and checks
+// that the As* escape hatches reach the same concrete tables.
 func TestFacadeIndexes(t *testing.T) {
 	p, err := NewPool(PoolConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-
-	ehTbl, err := NewExtendibleHashing(p, ExtendibleConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	p2, err := NewPool(PoolConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p2.Close()
-	scTbl, err := NewShortcutEH(p2, ShortcutEHConfig{PollInterval: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer scTbl.Close()
 
-	indexes := map[string]Index{
-		"HT":          NewHashTable(HashTableConfig{}),
-		"HTI":         NewIncrementalHashTable(IncrementalConfig{}),
-		"CH":          NewChainedHashTable(ChainedConfig{TableBytes: 1 << 16}),
-		"EH":          ehTbl,
-		"Shortcut-EH": scTbl,
+	open := func(kind Kind, opts ...Option) Store {
+		t.Helper()
+		s, err := Open(kind, opts...)
+		if err != nil {
+			t.Fatalf("Open(%s): %v", kind, err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	stores := map[string]Store{
+		"HT":          open(KindHT),
+		"HTI":         open(KindHTI),
+		"CH":          open(KindCH, WithTableBytes(1<<16)),
+		"EH":          open(KindEH, WithPool(p)),
+		"Shortcut-EH": open(KindShortcutEH, WithPool(p2), WithPollInterval(time.Millisecond)),
 	}
 	const n = 20000
-	for name, idx := range indexes {
+	for name, s := range stores {
+		var idx Index = s
 		for k := uint64(1); k <= n; k++ {
 			if err := idx.Insert(k, k*2); err != nil {
 				t.Fatalf("%s: Insert(%d): %v", name, k, err)
@@ -66,6 +67,18 @@ func TestFacadeIndexes(t *testing.T) {
 			t.Fatalf("%s: Len after delete = %d", name, idx.Len())
 		}
 	}
+
+	ehTbl, ok := AsExtendibleHashing(stores["EH"])
+	if !ok || ehTbl.Len() != n-1 {
+		t.Fatalf("AsExtendibleHashing = %v, %v", ehTbl, ok)
+	}
+	scTbl, ok := AsShortcutEH(stores["Shortcut-EH"])
+	if !ok || scTbl.Len() != n-1 {
+		t.Fatalf("AsShortcutEH = %v, %v", scTbl, ok)
+	}
+	if v, ok := scTbl.Lookup(7); !ok || v != 14 {
+		t.Fatalf("Shortcut-EH table Lookup(7) = %d,%v", v, ok)
+	}
 }
 
 // TestFacadeRadixAndSnapshot exercises the extension APIs end to end.
@@ -77,11 +90,15 @@ func TestFacadeRadixAndSnapshot(t *testing.T) {
 	defer p.Close()
 
 	// Radix map.
-	m, err := NewRadixMap(p, RadixMapConfig{Capacity: 100000})
+	rs, err := Open(KindRadix, WithPool(p), WithCapacity(100000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	defer rs.Close()
+	m, ok := AsRadixMap(rs)
+	if !ok {
+		t.Fatal("AsRadixMap reported no radix map")
+	}
 	for k := uint64(0); k < 100000; k += 17 {
 		if err := m.Set(k, k*2); err != nil {
 			t.Fatal(err)
@@ -94,12 +111,17 @@ func TestFacadeRadixAndSnapshot(t *testing.T) {
 	}
 
 	// EH snapshot through the facade.
-	src, err := NewExtendibleHashing(p, ExtendibleConfig{})
+	es, err := Open(KindEH, WithPool(p))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer es.Close()
 	for k := uint64(0); k < 10000; k++ {
-		src.Insert(k, k+5)
+		es.Insert(k, k+5)
+	}
+	src, ok := AsExtendibleHashing(es)
+	if !ok {
+		t.Fatal("AsExtendibleHashing reported no EH table")
 	}
 	var buf deferredBuffer
 	if err := src.WriteSnapshot(&buf); err != nil {

@@ -12,10 +12,11 @@
 // All integers are little-endian. The payload past the lsn is NOT a
 // private format: the op byte and the bytes after it are exactly an
 // internal/op batch payload — the same constants and the same codec the
-// wire protocol's batch frames use (OpPut is op.CodePutBatch is
-// wire.OpPutBatch, and so on). A batch frame received from the socket
-// therefore becomes a log record by prefixing lsn and code; nothing is
-// re-encoded between the read syscall and the fsync. OpMixed records
+// wire protocol's MIXEDBATCH frame uses (OpPut is op.CodePutBatch,
+// OpMixed is op.CodeMixedBatch is wire.OpMixedBatch). A batch frame
+// received from the socket therefore becomes a log record by prefixing
+// lsn and code; nothing is re-encoded between the read syscall and the
+// fsync. OpMixed records
 // (an ordered GET/PUT/DEL mix) may contain GET entries when the wire
 // payload did; replay applies the mutations and treats the GETs as
 // no-ops.
