@@ -74,11 +74,12 @@ func (t *Traditional) Ref(i int) pool.Ref {
 // Shortcut is a page-table-expressed inner node: a reserved virtual area of
 // k pages whose i-th page is rewired onto the physical page of leaf i.
 type Shortcut struct {
-	base   uintptr
-	k      int
-	pool   *pool.Pool
-	mapped []bool // which slots have been rewired onto pool pages
-	closed bool
+	base     uintptr
+	k        int
+	pool     *pool.Pool
+	mapped   []bool // which slots have been rewired onto pool pages
+	closed   bool
+	borrowed bool // the caller owns the virtual area (ShortcutAt)
 
 	// Remaps counts mmap calls issued for this node (for the cost analyses
 	// of paper §3.1).
@@ -100,6 +101,13 @@ func NewShortcut(p *pool.Pool, k int) (*Shortcut, error) {
 		return nil, fmt.Errorf("core: reserving %d-slot shortcut: %w", k, err)
 	}
 	return &Shortcut{base: base, k: k, pool: p, mapped: make([]bool, k)}, nil
+}
+
+// ShortcutAt builds a k-slot shortcut node in a virtual area of at least k
+// pages that the caller has already reserved at base. The caller keeps the
+// area: Close marks the node closed and unmaps nothing.
+func ShortcutAt(p *pool.Pool, base uintptr, k int) *Shortcut {
+	return &Shortcut{base: base, k: k, pool: p, mapped: make([]bool, k), borrowed: true}
 }
 
 // Slots returns the fan-out k of the node.
@@ -248,12 +256,16 @@ func (s *Shortcut) LeafAddr(i int) uintptr {
 	return s.base + uintptr(i*sys.PageSize())
 }
 
-// Close releases the node's virtual area. The leaf pages themselves belong
-// to the pool and are untouched.
+// Close releases the node's virtual area, unless the node was built with
+// ShortcutAt. The leaf pages themselves belong to the pool and are
+// untouched.
 func (s *Shortcut) Close() error {
 	if s.closed {
 		return nil
 	}
 	s.closed = true
+	if s.borrowed {
+		return nil
+	}
 	return sys.Unmap(s.base, s.k*sys.PageSize())
 }

@@ -74,7 +74,8 @@ type Pool struct {
 	window uintptr // stable v_pool base, MaxPages*pagesize of reserved VA
 	pages  int     // current file size in pages
 	used   int
-	free   []Ref // FIFO queue of reusable offsets
+	free   []Ref  // FIFO queue of reusable offsets
+	isFree []bool // isFree[i]: page i is queued in free
 	stats  Stats
 	closed bool
 }
@@ -154,6 +155,7 @@ func (p *Pool) growLocked(n int) error {
 	}
 	for i := p.pages; i < newPages; i++ {
 		p.free = append(p.free, Ref(int64(i)*int64(ps)))
+		p.isFree = append(p.isFree, true)
 	}
 	p.pages = newPages
 	p.stats.Grows++
@@ -195,6 +197,7 @@ func (p *Pool) AllocN(n int) ([]Ref, error) {
 	p.stats.Allocs += n
 	// Zero recycled pages so Alloc always returns clean memory.
 	for _, r := range out {
+		p.isFree[pageIndex(r)] = false
 		clearPage(p.pageLocked(r))
 	}
 	return out, nil
@@ -238,15 +241,14 @@ func (p *Pool) findRunLocked(n int) (Ref, bool) {
 	if len(p.free) < n {
 		return NoRef, false
 	}
-	ps := int64(sys.PageSize())
-	present := make(map[Ref]struct{}, len(p.free))
 	for _, r := range p.free {
-		present[r] = struct{}{}
-	}
-	for _, r := range p.free {
+		first := pageIndex(r)
+		if first+n > p.pages {
+			continue
+		}
 		ok := true
-		for i := 1; i < n; i++ {
-			if _, hit := present[r+Ref(int64(i)*ps)]; !hit {
+		for i := first + 1; i < first+n; i++ {
+			if !p.isFree[i] {
 				ok = false
 				break
 			}
@@ -260,15 +262,13 @@ func (p *Pool) findRunLocked(n int) (Ref, bool) {
 
 // takeRunLocked removes the n-page run starting at run from the free queue.
 func (p *Pool) takeRunLocked(run Ref, n int) {
-	ps := int64(sys.PageSize())
-	want := make(map[Ref]struct{}, n)
-	for i := 0; i < n; i++ {
-		want[run+Ref(int64(i)*ps)] = struct{}{}
+	first := pageIndex(run)
+	for i := first; i < first+n; i++ {
+		p.isFree[i] = false
 	}
 	kept := p.free[:0]
 	for _, r := range p.free {
-		if _, hit := want[r]; hit {
-			delete(want, r)
+		if i := pageIndex(r); i >= first && i < first+n {
 			continue
 		}
 		kept = append(kept, r)
@@ -292,6 +292,7 @@ func (p *Pool) Free(r Ref) error {
 	p.used--
 	p.stats.Frees++
 	p.free = append(p.free, r)
+	p.isFree[pageIndex(r)] = true
 	p.maybeShrinkLocked()
 	return nil
 }
@@ -316,17 +317,10 @@ func (p *Pool) maybeShrinkLocked() {
 		return
 	}
 	ps := int64(sys.PageSize())
-	inFree := make(map[Ref]struct{}, len(p.free))
-	for _, r := range p.free {
-		inFree[r] = struct{}{}
-	}
-	// Length of the contiguous free run ending at the file tail.
+	// Length of the contiguous free run ending at the file tail; it is 0,
+	// and this returns at once, whenever the last page is in use.
 	run := 0
-	for run < p.pages {
-		tail := Ref(int64(p.pages-1-run) * ps)
-		if _, ok := inFree[tail]; !ok {
-			break
-		}
+	for run < p.pages && p.isFree[p.pages-1-run] {
 		run++
 	}
 	slack := p.cfg.GrowChunkPages
@@ -358,6 +352,7 @@ func (p *Pool) maybeShrinkLocked() {
 		}
 	}
 	p.free = kept
+	p.isFree = p.isFree[:newPages]
 	p.pages = newPages
 	p.stats.Shrinks++
 }
@@ -424,6 +419,9 @@ func (p *Pool) Close() error {
 	}
 	return firstErr
 }
+
+// pageIndex converts a page ref into the page's number in the file.
+func pageIndex(r Ref) int { return int(int64(r) / int64(sys.PageSize())) }
 
 func clearPage(b []byte) {
 	for i := range b {

@@ -47,6 +47,32 @@ func TestFreeN(t *testing.T) {
 	}
 }
 
+// TestFreeAboveShrinkThresholdAllocatesNothing frees pages of a file past
+// the shrink threshold whose last page is in use: no call may build
+// anything per free page, so the free path allocates nothing.
+func TestFreeAboveShrinkThresholdAllocatesNothing(t *testing.T) {
+	p := newTestPool(t, Config{InitialPages: 4096, MaxPages: 1 << 13})
+	refs, err := p.AllocN(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Room for every free in the queue, so appends allocate nothing either.
+	p.free = make([]Ref, 0, len(refs))
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := p.Free(refs[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("Free allocated %.2f times per call, want 0", allocs)
+	}
+	if s := p.Stats(); s.Shrinks != 0 || s.FreePages != i {
+		t.Fatalf("stats = %+v after %d frees", s, i)
+	}
+}
+
 func TestAllocContiguousReusesFreeRun(t *testing.T) {
 	p := newTestPool(t, Config{GrowChunkPages: 4, ShrinkThresholdPages: 1 << 20, MaxPages: 256})
 	ps := sys.PageSize()

@@ -23,9 +23,14 @@
 //
 //   - a bucket split enqueues an update request (remap the two affected
 //     slot ranges onto the two new bucket pages);
-//   - a directory doubling enqueues a create request (destroy the shortcut
-//     and build a new one from a snapshot of all slot refs) — pending
-//     update requests are superseded by it.
+//   - a directory doubling enqueues a create request (retire the shortcut
+//     and build a new one from a snapshot of all slot refs) — every
+//     request queued before it, an older create included, is superseded.
+//
+// A retired generation is not unmapped: one read-only anonymous mapping
+// replaces its whole range before the next generation is built, so the
+// two never hold pages at once. The range stays reserved until Close, and
+// a later create that fits is built in it.
 //
 // Both directories carry version numbers. The shortcut's version advances
 // only after the page-table population of the replayed request completes,
@@ -43,4 +48,13 @@
 // across cores, the facade's WithShards hash-partitions the keyspace over
 // several independent Tables (each with its own mapper thread and lock
 // stripe) instead of sharing one lock.
+//
+// The facade's lock-free seqlock GET path calls Lookup beside a running
+// writer and discards the answer when the writer moved. It relies on two
+// things. A pending create implies no in-sync use of the old generation:
+// the writer raises the traditional version before the mapper can retire
+// anything, so a lookup that checks the version afterwards takes the
+// traditional directory. And retired ranges read as empty buckets until
+// Close: a lookup that checked the version earlier reads all-zero pages,
+// misses, and never faults.
 package sceh

@@ -86,8 +86,15 @@ type Stats struct {
 	TraditionalLookups uint64 // lookups answered through the pointer directory
 	UpdatesApplied     uint64 // update requests replayed
 	CreatesApplied     uint64 // create requests replayed
-	UpdatesSuperseded  uint64 // update requests dropped due to a newer create
+	UpdatesSuperseded  uint64 // update and create requests dropped due to a newer create
 	Remaps             uint64 // mmap calls issued by the mapper
+}
+
+// area is a reserved virtual range that shortcut generations are built in.
+// It stays reserved until Close.
+type area struct {
+	base  uintptr
+	slots int
 }
 
 // Table is a Shortcut-EH index.
@@ -99,6 +106,15 @@ type Stats struct {
 // check, shortcut publication, and retirement of old generations are all
 // race-free. Lookups concurrent with Insert/Delete require external
 // synchronization, exactly as in the original C++ prototype.
+//
+// An optimistic reader that validates afterwards (the facade's seqlock
+// path) may also run beside the writer, because of two guarantees. A
+// pending create means the traditional version is ahead of the published
+// one, so no lookup that passes the version check afterwards routes
+// through the generation the create retires. And a retired generation's
+// range is never unmapped before Close: it reads as all-zero pages, which
+// are empty buckets, so a reader that passed the check earlier gets a miss
+// that its validation discards.
 type Table struct {
 	cfg  Config
 	pool *pool.Pool
@@ -111,12 +127,14 @@ type Table struct {
 	published atomic.Pointer[scState]
 
 	// mapper-owned state
-	sc      *core.Shortcut
-	retired []*core.Shortcut // previous generations, unmapped lazily
+	sc    *core.Shortcut // live generation; nil until a create succeeds
+	live  area           // the range sc is built in
+	areas []area         // every reserved range, the live one included
 
 	stopOnce sync.Once
 	stop     chan struct{}
 	done     chan struct{}
+	kick     chan struct{} // WaitSync wakes the mapper through it
 
 	scLookups   atomic.Uint64
 	tradLookups atomic.Uint64
@@ -154,6 +172,7 @@ func New(p *pool.Pool, cfg Config) (*Table, error) {
 		queue: fifo.New[request](),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
+		kick:  make(chan struct{}, 1),
 	}
 	t.storeFanIn(inner.AvgFanIn())
 	t.tradVer.Store(inner.Version()) // pre-sized directories start above 0
@@ -167,6 +186,7 @@ func New(p *pool.Pool, cfg Config) (*Table, error) {
 		gd:      inner.GlobalDepth(),
 		refs:    inner.Refs(),
 	}); err != nil {
+		t.unmapAreas()
 		return nil, fmt.Errorf("sceh: building initial shortcut: %w", err)
 	}
 	if !cfg.Synchronous {
@@ -215,8 +235,8 @@ func (t *Table) onEvent(e eh.Event) {
 }
 
 // mapperLoop is the mapper thread: it polls the request queue at the
-// configured frequency and replays pending modifications into the shortcut
-// directory (paper §4.1).
+// configured frequency, and whenever WaitSync kicks it, and replays pending
+// modifications into the shortcut directory (paper §4.1).
 func (t *Table) mapperLoop() {
 	// The mapper performs a continuous stream of mmap syscalls and is the
 	// thread TLB shootdowns penalize; pin it to an OS thread like the
@@ -234,30 +254,26 @@ func (t *Table) mapperLoop() {
 			return
 		case <-ticker.C:
 			t.drainAndApply()
+		case <-t.kick:
+			t.drainAndApply()
 		}
 	}
 }
 
-// drainAndApply replays every pending request. Update requests older than
-// a pending create request became outdated the moment the directory
-// doubled; they are dropped, mirroring the paper's "pop all pending update
-// requests" before pushing a create.
+// drainAndApply replays the pending requests from the last create on.
+// Every request older than that create became outdated the moment the
+// directory was rebuilt from a newer snapshot, so it is dropped, mirroring
+// the paper's "pop all pending update requests" before pushing a create.
 func (t *Table) drainAndApply() {
 	reqs := t.queue.Drain()
-	if len(reqs) == 0 {
-		return
-	}
-	lastCreate := -1
+	from := 0
 	for i, r := range reqs {
 		if r.create {
-			lastCreate = i
+			from = i
 		}
 	}
-	for i, r := range reqs {
-		if i < lastCreate && !r.create {
-			t.superseded.Add(1)
-			continue
-		}
+	t.superseded.Add(uint64(from))
+	for _, r := range reqs[from:] {
 		t.apply(r)
 	}
 }
@@ -265,12 +281,10 @@ func (t *Table) drainAndApply() {
 // apply replays one request and publishes the resulting shortcut state.
 func (t *Table) apply(r request) {
 	if r.create {
-		if err := t.applyCreate(r); err != nil {
-			// Leave the shortcut stale; lookups keep using the
-			// traditional directory. The next create retries from a
-			// fresh snapshot.
-			return
-		}
+		// A failed create leaves no live generation: lookups keep using
+		// the traditional directory, and no update remaps or publishes
+		// until a later create succeeds from a fresh snapshot.
+		_ = t.applyCreate(r)
 		return
 	}
 	if t.sc == nil {
@@ -298,36 +312,79 @@ func (t *Table) apply(r request) {
 	t.publish(r.version)
 }
 
-// applyCreate destroys the current shortcut directory and builds a new one
-// from the snapshot in r (paper §4.1, directory doubling).
+// applyCreate retires the current shortcut directory and builds a new one
+// from the snapshot in r (paper §4.1, directory doubling). On error no
+// generation is live.
 func (t *Table) applyCreate(r request) error {
-	sc, err := core.NewShortcut(t.pool, 1<<r.gd)
-	if err != nil {
-		return err
-	}
-	calls, err := sc.SetAll(r.refs, true)
-	if err != nil {
-		sc.Close()
-		return err
-	}
-	t.remaps.Add(uint64(calls))
-
-	// Retire the previous generation instead of unmapping it immediately:
-	// a concurrent lookup that just passed its version check may still be
-	// dereferencing the old base. By the time two further creates have
-	// happened (two poll intervals at minimum), any such lookup has long
-	// finished; only then is the area reclaimed.
 	if t.sc != nil {
-		t.retired = append(t.retired, t.sc)
-		if len(t.retired) > 2 {
-			t.retired[0].Close()
-			t.retired = t.retired[1:]
+		// Retire first, so the old and the new generation never hold
+		// their pages at the same time. The queued create has already
+		// moved the traditional version past the published one, so no
+		// lookup that checks the version from here on reads the old
+		// range; one that checked earlier reads zero pages (empty
+		// buckets) and must discard its answer. See the Table doc.
+		t.sc = nil
+		if err := blank(t.live); err != nil {
+			return err
 		}
 	}
-	t.sc = sc
+	a, err := t.areaFor(1 << r.gd)
+	if err != nil {
+		return err
+	}
+	sc := core.ShortcutAt(t.pool, a.base, 1<<r.gd)
+	calls, err := sc.SetAll(r.refs, true)
+	t.remaps.Add(uint64(calls))
+	if err != nil {
+		_ = blank(a)
+		return err
+	}
+	t.sc, t.live = sc, a
 	t.creates.Add(1)
 	t.publish(r.version)
 	return nil
+}
+
+// blank lays one read-only anonymous mapping over the whole of a: its
+// pages read as zeros, hold no memory, and count as a single mapping.
+func blank(a area) error {
+	return sys.MapZeroFixed(a.base, a.slots<<pageShift)
+}
+
+// areaFor returns the smallest reserved range of at least slots pages,
+// reserving a new one when none fits. With the live generation retired
+// every range is free, so directories that halve and double again reuse
+// their old ranges instead of reserving more.
+func (t *Table) areaFor(slots int) (area, error) {
+	best := -1
+	for i, a := range t.areas {
+		if a.slots >= slots && (best < 0 || a.slots < t.areas[best].slots) {
+			best = i
+		}
+	}
+	if best >= 0 {
+		return t.areas[best], nil
+	}
+	base, err := sys.ReserveAnon(slots << pageShift)
+	if err != nil {
+		return area{}, err
+	}
+	a := area{base: base, slots: slots}
+	t.areas = append(t.areas, a)
+	return a, nil
+}
+
+// unmapAreas releases every reserved range.
+func (t *Table) unmapAreas() error {
+	var firstErr error
+	for _, a := range t.areas {
+		if err := sys.Unmap(a.base, a.slots<<pageShift); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	t.areas = nil
+	t.sc = nil
+	return firstErr
 }
 
 func (t *Table) publish(version uint64) {
@@ -394,12 +451,11 @@ func (t *Table) InsertBatch(keys, values []uint64) error {
 // made once for the whole batch instead of once per key, which is the
 // per-lookup overhead a batch amortizes. Holding one published state across
 // the batch relies on the table's concurrency model (see the Table doc):
-// the fast path is only entered on a version match, which implies the
-// maintenance queue is drained, and with the writer quiescent — or
-// excluded by external synchronization — for the duration of the call, no
-// create can be enqueued that would retire the pinned shortcut area. A
-// batch racing an unsynchronized writer is undefined, exactly as a single
-// Lookup racing Insert already is.
+// with the writer quiescent — or excluded by external synchronization —
+// for the duration of the call, no create can retire the pinned
+// generation. A batch racing an unsynchronized writer may read a retired
+// generation, which answers every key with a miss; such a batch must be
+// validated and discarded, exactly as a single Lookup racing Insert.
 func (t *Table) LookupBatch(keys []uint64, out []uint64) []bool {
 	ok := make([]bool, len(keys))
 	if len(keys) == 0 {
@@ -414,11 +470,7 @@ func (t *Table) LookupBatch(keys []uint64, out []uint64) []bool {
 	}
 	st := t.published.Load()
 	if st != nil && st.version == t.tradVer.Load() && t.loadFanIn() <= t.cfg.FanInThreshold {
-		for i, k := range keys {
-			slot := hashfn.DirIndex(hashfn.Hash(k), st.gd)
-			out[i], ok[i] = bucket.ViewAddr(st.base + uintptr(slot)<<pageShift).Lookup(k)
-		}
-		t.scLookups.Add(uint64(len(keys)))
+		t.lookupBatchVia(st, keys, out, ok)
 		return ok
 	}
 	for i, k := range keys {
@@ -426,6 +478,15 @@ func (t *Table) LookupBatch(keys []uint64, out []uint64) []bool {
 	}
 	t.tradLookups.Add(uint64(len(keys)))
 	return ok
+}
+
+// lookupBatchVia answers every key through the shortcut directory st.
+func (t *Table) lookupBatchVia(st *scState, keys, out []uint64, ok []bool) {
+	for i, k := range keys {
+		slot := hashfn.DirIndex(hashfn.Hash(k), st.gd)
+		out[i], ok[i] = bucket.ViewAddr(st.base + uintptr(slot)<<pageShift).Lookup(k)
+	}
+	t.scLookups.Add(uint64(len(keys)))
 }
 
 // lookupVia answers through the in-sync shortcut directory st.
@@ -531,10 +592,15 @@ func (t *Table) UsingShortcut() bool {
 func (t *Table) AvgFanIn() float64 { return t.loadFanIn() }
 
 // WaitSync blocks until the shortcut directory is in sync or the timeout
-// elapses, reporting success.
+// elapses, reporting success. It wakes the mapper instead of waiting for
+// its next poll.
 func (t *Table) WaitSync(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for !t.InSync() {
+		select {
+		case t.kick <- struct{}{}:
+		default:
+		}
 		if time.Now().After(deadline) {
 			return false
 		}
@@ -560,18 +626,5 @@ func (t *Table) Stats() Stats {
 func (t *Table) Close() error {
 	t.stopOnce.Do(func() { close(t.stop) })
 	<-t.done
-	var firstErr error
-	for _, r := range t.retired {
-		if err := r.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	t.retired = nil
-	if t.sc != nil {
-		if err := t.sc.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		t.sc = nil
-	}
-	return firstErr
+	return t.unmapAreas()
 }

@@ -240,8 +240,8 @@ func TestConcurrentLookupsDuringMapperReplay(t *testing.T) {
 	// issues its own lookups) plus the mapper thread. Here readers race
 	// against the *mapper* while it is still replaying a burst of
 	// directory modifications — exercising the version check, the atomic
-	// publication of new shortcut generations, and the deferred unmap of
-	// retired ones. Run with -race.
+	// publication of new shortcut generations, and the retirement of old
+	// ones. Run with -race.
 	tbl := newTable(t, Config{PollInterval: 2 * time.Millisecond})
 	const n = 60000
 	// Writer phase: create a large backlog of maintenance requests.
@@ -288,22 +288,25 @@ func (e valueErr) Error() string { return "wrong value" }
 func errValue(k, v uint64) error { return valueErr{k, v} }
 
 func TestSupersededUpdates(t *testing.T) {
-	// With a slow mapper, doublings arrive while updates are still queued;
-	// the mapper must drop the superseded ones and still converge.
-	tbl := newTable(t, Config{PollInterval: 50 * time.Millisecond})
-	for k := uint64(0); k < 50000; k++ {
-		tbl.Insert(k, k)
-	}
-	if !tbl.WaitSync(10 * time.Second) {
+	// Three doublings and their splits queue up before the mapper drains
+	// them at once: only the last create is built, every request before it
+	// is superseded, and the shortcut still converges.
+	tbl := newTable(t, Config{PollInterval: time.Hour})
+	next := grow(t, tbl, 1, 3)
+	queued := tbl.TradVersion() - tbl.ShortcutVersion()
+	if !tbl.WaitSync(5 * time.Second) {
 		t.Fatal("never synced")
 	}
 	s := tbl.Stats()
-	if s.UpdatesSuperseded == 0 {
-		t.Log("no updates were superseded (mapper kept up); acceptable but unusual")
+	if s.CreatesApplied != 2 {
+		t.Fatalf("creates applied = %d, want 2 (the initial one and the last)", s.CreatesApplied)
 	}
-	for k := uint64(0); k < 50000; k += 97 {
-		if v, ok := tbl.Lookup(k); !ok || v != k {
-			t.Fatalf("Lookup(%d) = %d,%v", k, v, ok)
+	if s.UpdatesSuperseded < 2 || s.UpdatesSuperseded+s.UpdatesApplied+1 != queued {
+		t.Fatalf("superseded %d + applied %d + 1 create != %d queued", s.UpdatesSuperseded, s.UpdatesApplied, queued)
+	}
+	for k := uint64(1); k < next; k++ {
+		if v, ok := tbl.LookupShortcut(k); !ok || v != k {
+			t.Fatalf("LookupShortcut(%d) = %d,%v", k, v, ok)
 		}
 	}
 }
