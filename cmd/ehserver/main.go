@@ -95,7 +95,7 @@ func main() {
 	migrationBatch := flag.Int("migration-batch", 0, "entries migrated per access for -kind hti (default 64)")
 	globalDepth := flag.Int("global-depth", -1, "initial EH directory depth (overrides -capacity's derivation)")
 	mergeLoad := flag.Float64("merge-load-factor", 0, "enable bucket coalescing on delete below this load factor (EH kinds)")
-	poll := flag.Duration("poll", 0, "Shortcut-EH mapper poll interval (default 25ms)")
+	poll := flag.Duration("poll", 0, "Shortcut-EH mapper tick: bounds how long readers see a stale shortcut (default 25ms)")
 	fanIn := flag.Float64("fanin", 0, "Shortcut-EH fan-in threshold for shortcut routing (default 8)")
 	adaptive := flag.Bool("adaptive", false, "Shortcut-EH: measure both access paths online instead of the fixed fan-in threshold")
 	syncMaint := flag.Bool("sync-maintenance", false, "Shortcut-EH: apply shortcut maintenance on the writer instead of the mapper thread")

@@ -37,7 +37,7 @@ func main() {
 	n := flag.Int("n", 1_000_000, "entries to load")
 	reads := flag.Int("reads", 1_000_000, "hit-only lookups to fire")
 	deletes := flag.Float64("deletes", 0, "fraction of entries to delete after the read phase")
-	poll := flag.Duration("poll", vmshortcut.DefaultPollInterval, "mapper poll interval (shortcut-eh)")
+	poll := flag.Duration("poll", vmshortcut.DefaultPollInterval, "mapper tick: bounds how long readers see a stale shortcut (shortcut-eh)")
 	seed := flag.Uint64("seed", 42, "keyspace seed")
 	hist := flag.Bool("hist", false, "print a read-latency histogram")
 	batch := flag.Int("batch", 0, "run load and read phases through InsertBatch/LookupBatch in chunks of this size (0 = single ops)")

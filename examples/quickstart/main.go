@@ -35,8 +35,9 @@ func main() {
 	fmt.Printf("directory: global depth %d, %d buckets, avg fan-in %.2f\n",
 		st.GlobalDepth, st.Buckets, st.AvgFanIn)
 
-	// The mapper thread replays directory modifications asynchronously;
-	// wait for the shortcut to catch up (usually a poll interval or two).
+	// The mapper thread replays directory modifications asynchronously,
+	// and only once someone reads: with no lookup during the load it has
+	// parked. WaitSync wakes it, and it builds the shortcut once.
 	if idx.WaitSync(5 * time.Second) {
 		fmt.Println("shortcut directory is in sync — lookups take the page-table path")
 	} else {

@@ -91,9 +91,11 @@ func AblationThreshold(cfg Fig4Config) (*harness.Table, error) {
 	return t, nil
 }
 
-// AblationPollInterval measures how the mapper's polling frequency trades
-// insertion-side overhead against time-to-sync after an insert burst
-// (paper §4.1 empirically picks 25ms).
+// AblationPollInterval loads a table with no reader under each mapper
+// tick interval and times the insert burst and the WaitSync after it
+// (paper §4.1 empirically picks 25ms). With no reader the mapper parks, so
+// the interval only bounds the lag readers see: every row builds one
+// generation at WaitSync, and the columns measure the tick's own cost.
 func AblationPollInterval(entries int, intervals []time.Duration) (*harness.Table, error) {
 	if entries <= 0 {
 		entries = 500_000

@@ -1,8 +1,8 @@
 // Package fifo implements the concurrent lock-free FIFO queue that
 // coordinates the asynchronous maintenance of the shortcut directory
 // (paper §4.1): the main thread pushes maintenance requests as soon as the
-// traditional directory is modified, and the mapper thread polls and drains
-// the queue at a fixed frequency.
+// traditional directory is modified, and the mapper thread drains the
+// queue on its tick and whenever a reader or WaitSync wakes it.
 //
 // The queue is an intrusive Vyukov-style MPSC queue: any number of
 // producers may Push concurrently; a single consumer Pops. All operations

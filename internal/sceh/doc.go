@@ -27,6 +27,20 @@
 //     and build a new one from a snapshot of all slot refs) — every
 //     request queued before it, an older create included, is superseded.
 //
+// The mapper replays only when a reader needs the shortcut. Every tick
+// (Config.PollInterval) moves the queue into a pending list and drops what
+// a later create supersedes, so the list holds at most one create and the
+// updates after it. The tick replays that list only if a lookup fell back
+// to the traditional directory since the previous tick; otherwise the
+// mapper parks. A lookup that falls back while the mapper is parked wakes
+// it at once, and WaitSync always does. A write-only bulk load therefore
+// issues no mmap until its first reader or WaitSync, and then builds one
+// generation instead of one per doubling. Close discards the backlog.
+//
+// A failed create or update retires the live generation: lookups use the
+// traditional directory until a later create succeeds, and
+// Stats.MapperFailures counts the failure.
+//
 // A retired generation is not unmapped: one read-only anonymous mapping
 // replaces its whole range before the next generation is built, so the
 // two never hold pages at once. The range stays reserved until Close, and

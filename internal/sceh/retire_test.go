@@ -3,6 +3,7 @@ package sceh
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"regexp"
@@ -397,6 +398,9 @@ func TestFailedCreateFallsBackUntilNextCreate(t *testing.T) {
 			if got := tbl.Stats().CreatesApplied; got != creates {
 				t.Fatalf("creates applied went %d -> %d across a failed create", creates, got)
 			}
+			if got := tbl.Stats().MapperFailures; got != 1 {
+				t.Fatalf("MapperFailures = %d, want 1", got)
+			}
 			check("after the failed create")
 
 			// Splits without a doubling replay no update: still out of sync.
@@ -418,6 +422,93 @@ func TestFailedCreateFallsBackUntilNextCreate(t *testing.T) {
 			// The next create rebuilds a generation that agrees with the
 			// traditional directory.
 			growBy(1)
+			if !tbl.WaitSync(5 * time.Second) {
+				t.Fatal("no recovery after the next create")
+			}
+			for k, v := range model {
+				if got, ok := tbl.LookupShortcut(k); !ok || got != v {
+					t.Fatalf("LookupShortcut(%d) = %d,%v, want %d", k, got, ok, v)
+				}
+			}
+			check("after recovery")
+		})
+	}
+}
+
+// TestFailedUpdateRetiresGeneration fails the kth mmap of an update replay.
+// The slot that failed still maps its bucket from before the split, so the
+// table must retire the live generation instead of publishing a later
+// update over the hole: it answers every key through the traditional
+// directory and stays out of sync until the next doubling's create.
+func TestFailedUpdateRetiresGeneration(t *testing.T) {
+	for _, nth := range []int{1, 2, 5} {
+		t.Run(fmt.Sprintf("mmap_%d", nth), func(t *testing.T) {
+			// Pre-sized pool and an hour-long poll, as in the create test:
+			// every mmap is the mapper's, replayed only when WaitSync kicks.
+			p, err := pool.New(pool.Config{InitialPages: 1 << 12, ShrinkThresholdPages: 1 << 12, MaxPages: 1 << 14})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { p.Close() })
+			tbl, err := New(p, Config{PollInterval: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { tbl.Close() })
+			model := map[uint64]uint64{}
+			next := uint64(1)
+			insert := func(k uint64) {
+				if err := tbl.Insert(k, k); err != nil {
+					t.Fatal(err)
+				}
+				model[k] = k
+			}
+			// splitBy queues n updates and no create.
+			splitBy := func(n int) {
+				gd, splits := tbl.EH().GlobalDepth(), tbl.EH().Splits
+				for ; tbl.EH().Splits < splits+n; next++ {
+					insert(next)
+				}
+				if tbl.EH().GlobalDepth() != gd {
+					t.Fatal("the splits doubled the directory")
+				}
+			}
+			check := func(when string) {
+				t.Helper()
+				for k, v := range model {
+					if got, ok := tbl.Lookup(k); !ok || got != v {
+						t.Fatalf("%s: Lookup(%d) = %d,%v, want %d", when, k, got, ok, v)
+					}
+				}
+			}
+			for gd := tbl.EH().GlobalDepth() + 7; tbl.EH().GlobalDepth() < gd; next++ {
+				insert(next)
+			}
+			if !tbl.WaitSync(5 * time.Second) {
+				t.Fatal("never synced")
+			}
+
+			splitBy(8)
+			sys.SetFaultHook(failingHook(sys.OpMapShared, nth))
+			synced := tbl.WaitSync(50 * time.Millisecond)
+			sys.SetFaultHook(nil)
+			if synced || tbl.InSync() || tbl.UsingShortcut() {
+				t.Fatal("in sync after a failed update")
+			}
+			if got := tbl.Stats().MapperFailures; got != 1 {
+				t.Fatalf("MapperFailures = %d, want 1", got)
+			}
+			check("after the failed update")
+
+			splitBy(4)
+			if tbl.WaitSync(20*time.Millisecond) || tbl.InSync() {
+				t.Fatal("an update published over the failed one")
+			}
+			check("after later updates")
+
+			for gd := tbl.EH().GlobalDepth() + 1; tbl.EH().GlobalDepth() < gd; next++ {
+				insert(next)
+			}
 			if !tbl.WaitSync(5 * time.Second) {
 				t.Fatal("no recovery after the next create")
 			}

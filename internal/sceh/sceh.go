@@ -25,9 +25,13 @@ var pageShift = uint(log2(sys.PageSize()))
 type Config struct {
 	// EH configures the underlying traditional extendible hash table.
 	EH eh.Config
-	// PollInterval is the mapper thread's queue polling frequency.
-	// Default 25ms (paper §4.1: "empirically determined 25ms to work
-	// well"). Tests and benchmarks shorten it.
+	// PollInterval is the mapper thread's tick. Every tick prunes the
+	// queue; it replays only if a lookup fell back to the traditional
+	// directory since the previous tick, and otherwise parks the mapper
+	// until the next fallback wakes it. The interval therefore bounds the
+	// lag readers see, not how often the shortcut is rebuilt. Default 25ms
+	// (paper §4.1: "empirically determined 25ms to work well"). Tests and
+	// benchmarks shorten it.
 	PollInterval time.Duration
 	// FanInThreshold routes lookups through the shortcut only while the
 	// average directory fan-in is at most this. Default 8 (paper §4.1).
@@ -88,6 +92,7 @@ type Stats struct {
 	CreatesApplied     uint64 // create requests replayed
 	UpdatesSuperseded  uint64 // update and create requests dropped due to a newer create
 	Remaps             uint64 // mmap calls issued by the mapper
+	MapperFailures     uint64 // failed creates and updates; each leaves no live generation
 }
 
 // area is a reserved virtual range that shortcut generations are built in.
@@ -109,12 +114,12 @@ type area struct {
 //
 // An optimistic reader that validates afterwards (the facade's seqlock
 // path) may also run beside the writer, because of two guarantees. A
-// pending create means the traditional version is ahead of the published
+// pending request means the traditional version is ahead of the published
 // one, so no lookup that passes the version check afterwards routes
-// through the generation the create retires. And a retired generation's
-// range is never unmapped before Close: it reads as all-zero pages, which
-// are empty buckets, so a reader that passed the check earlier gets a miss
-// that its validation discards.
+// through the generation a create, or a failed update, retires. And a
+// retired generation's range is never unmapped before Close: it reads as
+// all-zero pages, which are empty buckets, so a reader that passed the
+// check earlier gets a miss that its validation discards.
 type Table struct {
 	cfg  Config
 	pool *pool.Pool
@@ -127,14 +132,16 @@ type Table struct {
 	published atomic.Pointer[scState]
 
 	// mapper-owned state
-	sc    *core.Shortcut // live generation; nil until a create succeeds
-	live  area           // the range sc is built in
-	areas []area         // every reserved range, the live one included
+	sc      *core.Shortcut // live generation; nil until a create succeeds
+	live    area           // the range sc is built in
+	areas   []area         // every reserved range, the live one included
+	pending []request      // pruned backlog: at most one create, then updates
 
 	stopOnce sync.Once
 	stop     chan struct{}
 	done     chan struct{}
-	kick     chan struct{} // WaitSync wakes the mapper through it
+	kick     chan struct{} // WaitSync and woken readers replay through it
+	parked   atomic.Bool   // the mapper holds a backlog until a reader needs it
 
 	scLookups   atomic.Uint64
 	tradLookups atomic.Uint64
@@ -142,6 +149,7 @@ type Table struct {
 	creates     atomic.Uint64
 	superseded  atomic.Uint64
 	remaps      atomic.Uint64
+	failures    atomic.Uint64
 
 	// adaptive-routing state (see lookupAdaptive)
 	adaptN      atomic.Uint64
@@ -234,57 +242,87 @@ func (t *Table) onEvent(e eh.Event) {
 	t.tradVer.Store(req.version)
 }
 
-// mapperLoop is the mapper thread: it polls the request queue at the
-// configured frequency, and whenever WaitSync kicks it, and replays pending
-// modifications into the shortcut directory (paper §4.1).
+// mapperLoop is the mapper thread (paper §4.1). It replays the backlog
+// into the shortcut directory only when a reader needs it: on a tick that
+// follows a fallback lookup, and at once when WaitSync or a fallback
+// reader kicks it. A tick with no fallback since the previous one prunes
+// the queue and parks, so a write-only burst issues no mmap at all and
+// the first reader after it builds one generation, not one per doubling.
 func (t *Table) mapperLoop() {
-	// The mapper performs a continuous stream of mmap syscalls and is the
-	// thread TLB shootdowns penalize; pin it to an OS thread like the
-	// paper's dedicated mapper thread.
+	// The mapper performs bursts of mmap syscalls and is the thread TLB
+	// shootdowns penalize; pin it to an OS thread like the paper's
+	// dedicated mapper thread.
 	runtime.LockOSThread()
 	defer runtime.UnlockOSThread()
 	defer close(t.done)
 	ticker := time.NewTicker(t.cfg.PollInterval)
 	defer ticker.Stop()
+	// Every fallback lookup bumps tradLookups, so a tick that sees it move
+	// knows a reader wanted the shortcut since the previous tick.
+	fallbacks := t.tradLookups.Load()
 	for {
 		select {
 		case <-t.stop:
-			// Final drain so WaitSync during shutdown can still succeed.
-			t.drainAndApply()
+			// Close replays nothing: no reader is left to use it.
 			return
 		case <-ticker.C:
-			t.drainAndApply()
+			t.prune()
+			if n := t.tradLookups.Load(); n != fallbacks {
+				fallbacks = n
+				t.replay()
+			} else if len(t.pending) > 0 {
+				t.parked.Store(true)
+			}
 		case <-t.kick:
-			t.drainAndApply()
+			t.prune()
+			t.replay()
 		}
 	}
 }
 
-// drainAndApply replays the pending requests from the last create on.
-// Every request older than that create became outdated the moment the
-// directory was rebuilt from a newer snapshot, so it is dropped, mirroring
-// the paper's "pop all pending update requests" before pushing a create.
-func (t *Table) drainAndApply() {
-	reqs := t.queue.Drain()
-	from := 0
-	for i, r := range reqs {
+// prune moves the queue into the pending list. A create drops every
+// request before it: they became outdated the moment the directory was
+// rebuilt from a newer snapshot, mirroring the paper's "pop all pending
+// update requests" before pushing a create.
+func (t *Table) prune() {
+	for _, r := range t.queue.Drain() {
 		if r.create {
-			from = i
+			t.superseded.Add(uint64(len(t.pending)))
+			t.pending = nil
 		}
+		t.pending = append(t.pending, r)
 	}
-	t.superseded.Add(uint64(from))
-	for _, r := range reqs[from:] {
+}
+
+// replay applies the pending list and unparks the mapper.
+func (t *Table) replay() {
+	t.parked.Store(false)
+	for _, r := range t.pending {
 		t.apply(r)
+	}
+	t.pending = nil
+}
+
+// wake restarts a parked mapper. Lookups call it only when they fall back
+// to the traditional directory, so the in-sync path never pays for it.
+func (t *Table) wake() {
+	if t.parked.Load() && t.parked.CompareAndSwap(true, false) {
+		select {
+		case t.kick <- struct{}{}:
+		default:
+		}
 	}
 }
 
 // apply replays one request and publishes the resulting shortcut state.
+// A failed create or update leaves no live generation: lookups keep using
+// the traditional directory, and no update remaps or publishes until a
+// later create succeeds from a fresh snapshot.
 func (t *Table) apply(r request) {
 	if r.create {
-		// A failed create leaves no live generation: lookups keep using
-		// the traditional directory, and no update remaps or publishes
-		// until a later create succeeds from a fresh snapshot.
-		_ = t.applyCreate(r)
+		if t.applyCreate(r) != nil {
+			t.failures.Add(1)
+		}
 		return
 	}
 	if t.sc == nil {
@@ -293,17 +331,13 @@ func (t *Table) apply(r request) {
 	// Remap the two slot ranges onto the split buckets. Every slot in a
 	// range maps onto the same physical page, so the calls cannot
 	// coalesce — this is the fan-in situation of paper §3.2.
-	for s := r.lo0; s < r.hi0; s++ {
-		if err := t.sc.Set(int(s), r.ref0, true); err != nil {
-			return
-		}
-		t.remaps.Add(1)
-	}
-	for s := r.lo1; s < r.hi1; s++ {
-		if err := t.sc.Set(int(s), r.ref1, true); err != nil {
-			return
-		}
-		t.remaps.Add(1)
+	if t.remap(r.lo0, r.hi0, r.ref0) != nil || t.remap(r.lo1, r.hi1, r.ref1) != nil {
+		// A slot that failed still maps its bucket from before the split,
+		// so publishing any later version would route lookups past the
+		// keys that moved.
+		t.failures.Add(1)
+		_ = t.retire()
+		return
 	}
 	t.updates.Add(1)
 	// MAP_POPULATE installed the page-table entries during the remaps, so
@@ -312,19 +346,35 @@ func (t *Table) apply(r request) {
 	t.publish(r.version)
 }
 
+// remap points slots [lo, hi) of the live generation at ref.
+func (t *Table) remap(lo, hi uint64, ref pool.Ref) error {
+	for s := lo; s < hi; s++ {
+		if err := t.sc.Set(int(s), ref, true); err != nil {
+			return err
+		}
+		t.remaps.Add(1)
+	}
+	return nil
+}
+
+// retire drops the live generation. The request being replayed has
+// already moved the traditional version past the published one, so no
+// lookup that checks the version from here on reads the old range; one
+// that checked earlier reads zero pages (empty buckets) and must discard
+// its answer. See the Table doc.
+func (t *Table) retire() error {
+	t.sc = nil
+	return blank(t.live)
+}
+
 // applyCreate retires the current shortcut directory and builds a new one
 // from the snapshot in r (paper §4.1, directory doubling). On error no
 // generation is live.
 func (t *Table) applyCreate(r request) error {
 	if t.sc != nil {
 		// Retire first, so the old and the new generation never hold
-		// their pages at the same time. The queued create has already
-		// moved the traditional version past the published one, so no
-		// lookup that checks the version from here on reads the old
-		// range; one that checked earlier reads zero pages (empty
-		// buckets) and must discard its answer. See the Table doc.
-		t.sc = nil
-		if err := blank(t.live); err != nil {
+		// their pages at the same time.
+		if err := t.retire(); err != nil {
 			return err
 		}
 	}
@@ -428,6 +478,7 @@ func (t *Table) Lookup(key uint64) (uint64, bool) {
 		}
 	}
 	t.tradLookups.Add(1)
+	t.wake()
 	return t.eh.Lookup(key)
 }
 
@@ -477,6 +528,7 @@ func (t *Table) LookupBatch(keys []uint64, out []uint64) []bool {
 		out[i], ok[i] = t.eh.Lookup(k)
 	}
 	t.tradLookups.Add(uint64(len(keys)))
+	t.wake()
 	return ok
 }
 
@@ -592,11 +644,20 @@ func (t *Table) UsingShortcut() bool {
 func (t *Table) AvgFanIn() float64 { return t.loadFanIn() }
 
 // WaitSync blocks until the shortcut directory is in sync or the timeout
-// elapses, reporting success. It wakes the mapper instead of waiting for
-// its next poll.
+// elapses, reporting success. It wakes the mapper, parked or not, instead
+// of waiting for its next tick. Once Close has begun it returns false: the
+// mapper replays nothing more.
 func (t *Table) WaitSync(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
-	for !t.InSync() {
+	for {
+		select {
+		case <-t.stop:
+			return false
+		default:
+		}
+		if t.InSync() {
+			return true
+		}
 		select {
 		case t.kick <- struct{}{}:
 		default:
@@ -606,7 +667,6 @@ func (t *Table) WaitSync(timeout time.Duration) bool {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	return true
 }
 
 // Stats returns a snapshot of the table's counters.
@@ -618,11 +678,13 @@ func (t *Table) Stats() Stats {
 		CreatesApplied:     t.creates.Load(),
 		UpdatesSuperseded:  t.superseded.Load(),
 		Remaps:             t.remaps.Load(),
+		MapperFailures:     t.failures.Load(),
 	}
 }
 
-// Close stops the mapper thread and releases all shortcut virtual areas.
-// The underlying pool and its bucket pages belong to the caller.
+// Close stops the mapper thread, discarding its backlog unreplayed, and
+// releases all shortcut virtual areas. The underlying pool and its bucket
+// pages belong to the caller.
 func (t *Table) Close() error {
 	t.stopOnce.Do(func() { close(t.stop) })
 	<-t.done

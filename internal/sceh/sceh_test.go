@@ -238,19 +238,21 @@ func TestDelete(t *testing.T) {
 func TestConcurrentLookupsDuringMapperReplay(t *testing.T) {
 	// The paper's concurrency model: one writer goroutine (which also
 	// issues its own lookups) plus the mapper thread. Here readers race
-	// against the *mapper* while it is still replaying a burst of
-	// directory modifications — exercising the version check, the atomic
+	// against the *mapper* while it replays a burst of directory
+	// modifications — exercising the version check, the atomic
 	// publication of new shortcut generations, and the retirement of old
 	// ones. Run with -race.
 	tbl := newTable(t, Config{PollInterval: 2 * time.Millisecond})
 	const n = 60000
-	// Writer phase: create a large backlog of maintenance requests.
+	// Writer phase: no lookups, so the mapper prunes the backlog and
+	// parks instead of replaying it.
 	for k := uint64(0); k < n; k++ {
 		if err := tbl.Insert(k, k); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Reader phase: writer is quiet, mapper is (likely) still replaying.
+	// Reader phase: the writer is quiet, and the readers' first fallbacks
+	// wake the mapper, which replays while they keep looking up.
 	errs := make(chan error, 4)
 	for r := 0; r < 4; r++ {
 		go func(seed int64) {

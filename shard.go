@@ -376,6 +376,7 @@ func (s *sharded) Stats() Stats {
 		agg.CreatesApplied += st.CreatesApplied
 		agg.UpdatesSuperseded += st.UpdatesSuperseded
 		agg.Remaps += st.Remaps
+		agg.MapperFailures += st.MapperFailures
 		agg.TradVersion += st.TradVersion
 		agg.ShortcutVersion += st.ShortcutVersion
 		agg.InSync = agg.InSync && st.InSync

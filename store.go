@@ -180,6 +180,7 @@ type Stats struct {
 	CreatesApplied     uint64
 	UpdatesSuperseded  uint64
 	Remaps             uint64
+	MapperFailures     uint64 // failed creates and updates (see sceh.Stats)
 	TradVersion        uint64
 	ShortcutVersion    uint64
 	InSync             bool
@@ -361,8 +362,9 @@ func WithMergeLoadFactor(f float64) Option {
 	}
 }
 
-// WithPollInterval sets the mapper thread's queue polling frequency
-// (KindShortcutEH). Default DefaultPollInterval (25ms, paper §4.1).
+// WithPollInterval sets the mapper thread's tick (KindShortcutEH), which
+// bounds how long readers see a stale shortcut; with no reader the mapper
+// parks. Default DefaultPollInterval (25ms, paper §4.1).
 func WithPollInterval(d time.Duration) Option {
 	return func(o *storeOptions) {
 		if d <= 0 {
@@ -819,6 +821,7 @@ func scehStats(st *Stats, t *sceh.Table, s sceh.Stats) {
 	st.CreatesApplied = s.CreatesApplied
 	st.UpdatesSuperseded = s.UpdatesSuperseded
 	st.Remaps = s.Remaps
+	st.MapperFailures = s.MapperFailures
 	st.TradVersion = t.TradVersion()
 	st.ShortcutVersion = t.ShortcutVersion()
 	st.InSync = t.InSync()

@@ -73,6 +73,5 @@ func RestoreExtendibleHashing(p *Pool, cfg ExtendibleConfig, r io.Reader) (*Exte
 	return eh.Restore(p, cfg, r)
 }
 
-// DefaultPollInterval is the paper's empirically chosen mapper polling
-// frequency (§4.1).
+// DefaultPollInterval is the paper's empirically chosen mapper tick (§4.1).
 const DefaultPollInterval = 25 * time.Millisecond
