@@ -445,11 +445,10 @@ func BenchmarkYCSB(b *testing.B) {
 
 // --- Facade batch operations vs loops of single calls. ---
 
-// BenchmarkBatchVsSingle compares InsertBatch/LookupBatch against loops of
-// single calls through the same Store surface. The batch variants amortize
-// interface dispatch, the closed-store check, and (for Shortcut-EH) the
-// per-lookup routing decision, so their per-op cost must not exceed the
-// single-call loop's.
+// BenchmarkBatchVsSingle compares all-PUT and all-GET ApplyBatch calls
+// against loops of single calls through the same Store surface. A batch
+// pays the closed-store check and the Stats accounting once, but runs
+// every entry through the index's single operation.
 func BenchmarkBatchVsSingle(b *testing.B) {
 	const batch = 1024
 	const probeCount = 1 << 15 // multiple of batch
@@ -464,19 +463,20 @@ func BenchmarkBatchVsSingle(b *testing.B) {
 				}
 			}
 		})
-		b.Run(name+"/InsertBatch", func(b *testing.B) {
+		b.Run(name+"/InsertApply", func(b *testing.B) {
 			idx := openBenchStore(b, name)
-			keys := make([]uint64, batch)
-			vals := make([]uint64, batch)
+			var (
+				ob  OpBatch
+				res OpResults
+			)
 			b.ReportAllocs()
 			b.ResetTimer()
 			harness.Chunks(b.N, batch, func(lo, hi int) {
-				k, v := keys[:hi-lo], vals[:hi-lo]
-				for i := range k {
-					k[i] = workload.Key(4, uint64(lo+i))
-					v[i] = uint64(lo + i)
+				ob.Reset()
+				for i := lo; i < hi; i++ {
+					ob.Put(workload.Key(4, uint64(i)), uint64(i))
 				}
-				if err := idx.InsertBatch(k, v); err != nil {
+				if err := idx.ApplyBatch(&ob, &res); err != nil {
 					b.Fatal(err)
 				}
 			})
@@ -511,9 +511,12 @@ func BenchmarkBatchVsSingle(b *testing.B) {
 				}
 			}
 		})
-		b.Run(name+"/LookupBatch", func(b *testing.B) {
+		b.Run(name+"/LookupApply", func(b *testing.B) {
 			idx, probes := loaded(b)
-			out := make([]uint64, batch)
+			var (
+				ob  OpBatch
+				res OpResults
+			)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for done := 0; done < b.N; done += batch {
@@ -524,7 +527,14 @@ func BenchmarkBatchVsSingle(b *testing.B) {
 				if done+len(k) > b.N {
 					k = k[:b.N-done]
 				}
-				for _, ok := range idx.LookupBatch(k, out[:len(k)]) {
+				ob.Reset()
+				for _, key := range k {
+					ob.Get(key)
+				}
+				if err := idx.ApplyBatch(&ob, &res); err != nil {
+					b.Fatal(err)
+				}
+				for _, ok := range res.Found {
 					if !ok {
 						b.Fatal("miss")
 					}
@@ -562,8 +572,8 @@ func openShardedBench(b *testing.B, shards int) Store {
 }
 
 // BenchmarkShardedInsertBatch measures concurrent batched insertion: every
-// parallel goroutine claims a disjoint key range and pushes 1024-entry
-// batches. One op is one batch. With shards=1 all writers serialize on the
+// parallel goroutine claims a disjoint key range and pushes 1024-PUT
+// ApplyBatch calls. One op is one batch. With shards=1 all writers serialize on the
 // single write lock; higher shard counts stripe the lock and fan each
 // batch out across shard goroutines.
 func BenchmarkShardedInsertBatch(b *testing.B) {
@@ -575,15 +585,17 @@ func BenchmarkShardedInsertBatch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
-				keys := make([]uint64, batch)
-				vals := make([]uint64, batch)
+				var (
+					ob  OpBatch
+					res OpResults
+				)
 				for pb.Next() {
 					base := next.Add(batch) - batch
-					for i := range keys {
-						keys[i] = workload.Key(6, base+uint64(i))
-						vals[i] = base + uint64(i)
+					ob.Reset()
+					for i := uint64(0); i < batch; i++ {
+						ob.Put(workload.Key(6, base+i), base+i)
 					}
-					if err := s.InsertBatch(keys, vals); err != nil {
+					if err := s.ApplyBatch(&ob, &res); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -617,8 +629,8 @@ func BenchmarkShardedInsert(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedLookupBatch measures concurrent batched lookups against
-// a preloaded store. Reads already scale under the single RW lock, so this
+// BenchmarkShardedLookupBatch measures concurrent 1024-GET ApplyBatch
+// calls against a preloaded store. Reads already scale under the single RW lock, so this
 // isolates what sharding adds on the read path (independent per-shard
 // routing decisions and cache-local directories).
 func BenchmarkShardedLookupBatch(b *testing.B) {
@@ -627,15 +639,16 @@ func BenchmarkShardedLookupBatch(b *testing.B) {
 	for _, shards := range shardCounts() {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			s := openShardedBench(b, shards)
-			keys := make([]uint64, batch)
-			vals := make([]uint64, batch)
+			var (
+				load OpBatch
+				res  OpResults
+			)
 			harness.Chunks(n, batch, func(lo, hi int) {
-				k, v := keys[:hi-lo], vals[:hi-lo]
-				for i := range k {
-					k[i] = workload.Key(6, uint64(lo+i))
-					v[i] = uint64(lo + i)
+				load.Reset()
+				for i := lo; i < hi; i++ {
+					load.Put(workload.Key(6, uint64(i)), uint64(i))
 				}
-				if err := s.InsertBatch(k, v); err != nil {
+				if err := s.ApplyBatch(&load, &res); err != nil {
 					b.Fatal(err)
 				}
 			})
@@ -646,14 +659,20 @@ func BenchmarkShardedLookupBatch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
-				probe := make([]uint64, batch)
-				out := make([]uint64, batch)
+				var (
+					ob  OpBatch
+					res OpResults
+				)
 				for pb.Next() {
 					base := cursor.Add(batch)
-					for i := range probe {
-						probe[i] = workload.Key(6, (base+uint64(i)*2654435761)%n)
+					ob.Reset()
+					for i := uint64(0); i < batch; i++ {
+						ob.Get(workload.Key(6, (base+i*2654435761)%n))
 					}
-					for _, ok := range s.LookupBatch(probe, out) {
+					if err := s.ApplyBatch(&ob, &res); err != nil {
+						b.Fatal(err)
+					}
+					for _, ok := range res.Found {
 						if !ok {
 							b.Fatal("miss")
 						}

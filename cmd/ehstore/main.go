@@ -30,6 +30,7 @@ import (
 	"vmshortcut"
 	"vmshortcut/internal/harness"
 	"vmshortcut/internal/workload"
+	"vmshortcut/wal"
 )
 
 func main() {
@@ -40,7 +41,7 @@ func main() {
 	poll := flag.Duration("poll", vmshortcut.DefaultPollInterval, "mapper tick: bounds how long readers see a stale shortcut (shortcut-eh)")
 	seed := flag.Uint64("seed", 42, "keyspace seed")
 	hist := flag.Bool("hist", false, "print a read-latency histogram")
-	batch := flag.Int("batch", 0, "run load and read phases through InsertBatch/LookupBatch in chunks of this size (0 = single ops)")
+	batch := flag.Int("batch", 0, "run load and read phases through ApplyBatch, this many PUTs or GETs per call (0 = single ops)")
 	shards := flag.Int("shards", 1, "hash-partition the keyspace across this many independent shards")
 	workers := flag.Int("workers", 1, "goroutines driving the load and read phases (>1 requires -shards > 1 or implies a shared-lock store)")
 	trace := flag.String("trace", "", "replay an operation trace file instead of the generated workload (I/L/D lines)")
@@ -58,6 +59,9 @@ func main() {
 	}
 	if *hist && *workers > 1 {
 		log.Fatal("-hist records per-op latencies and requires -workers=1")
+	}
+	if *walDir != "" && *batch > wal.MaxRecordPairs {
+		log.Fatalf("-batch %d: a durable batch is one WAL record, at most %d entries", *batch, wal.MaxRecordPairs)
 	}
 	opts := []vmshortcut.Option{
 		vmshortcut.WithPollInterval(*poll),
@@ -108,17 +112,17 @@ func main() {
 	start := time.Now()
 	harness.ParallelChunks(*n, *workers, func(w, wlo, whi int) {
 		if *batch > 0 {
-			keys := make([]uint64, *batch)
-			vals := make([]uint64, *batch)
+			var (
+				b   vmshortcut.OpBatch
+				res vmshortcut.OpResults
+			)
 			harness.Chunks(whi-wlo, *batch, func(clo, chi int) {
-				lo := wlo + clo
-				k, v := keys[:chi-clo], vals[:chi-clo]
-				for i := range k {
-					k[i] = workload.Key(*seed, uint64(lo+i))
-					v[i] = uint64(lo + i)
+				b.Reset()
+				for i := wlo + clo; i < wlo+chi; i++ {
+					b.Put(workload.Key(*seed, uint64(i)), uint64(i))
 				}
-				if err := idx.InsertBatch(k, v); err != nil {
-					log.Fatalf("insert batch [%d,%d): %v", lo, lo+len(k), err)
+				if err := idx.ApplyBatch(&b, &res); err != nil {
+					log.Fatalf("insert batch [%d,%d): %v", wlo+clo, wlo+chi, err)
 				}
 			})
 			return
@@ -148,23 +152,28 @@ func main() {
 		wseed := *seed + uint64(w)*0x9E3779B97F4A7C15
 		count := whi - wlo
 		if *batch > 0 {
-			keys := make([]uint64, 0, *batch)
-			out := make([]uint64, *batch)
+			var (
+				b   vmshortcut.OpBatch
+				res vmshortcut.OpResults
+			)
 			flush := func() {
-				for _, ok := range idx.LookupBatch(keys, out) {
+				if err := idx.ApplyBatch(&b, &res); err != nil {
+					log.Fatalf("lookup batch: %v", err)
+				}
+				for _, ok := range res.Found {
 					if !ok {
 						workerMisses[w]++
 					}
 				}
-				keys = keys[:0]
+				b.Reset()
 			}
 			workload.LookupStream(wseed, *n, count, func(i int) {
-				keys = append(keys, workload.Key(*seed, uint64(i)))
-				if len(keys) == *batch {
+				b.Get(workload.Key(*seed, uint64(i)))
+				if b.Len() == *batch {
 					flush()
 				}
 			})
-			if len(keys) > 0 {
+			if b.Len() > 0 {
 				flush()
 			}
 			return

@@ -19,8 +19,8 @@
 //
 //   - The index layer: six uint64→uint64 indexes behind one constructor,
 //     Open(kind, opts...). Every kind is served through the uniform Store
-//     surface: the Index operations, InsertBatch/LookupBatch for
-//     amortized hot loops, Stats, WaitSync, and an idempotent Close.
+//     surface: the Index operations, ApplyBatch for ordered mixed
+//     batches, Stats, WaitSync, and an idempotent Close.
 //
 //   - The simulation layer (vmsim): a deterministic software MMU — 4-level
 //     page table, two-level TLB, three-level cache model — used by the
@@ -131,8 +131,8 @@
 // The server and client packages put a Store on the network: a TCP
 // server speaking a length-prefixed binary protocol with full
 // pipelining, whose per-connection coalescer gathers pipelined requests
-// into InsertBatch/LookupBatch/DeleteBatch calls — the once-per-batch
-// routing decision and the sharded fan-out, exploited per round trip.
+// into one ApplyBatch call — one lock acquisition, one sharded fan-out
+// and one WAL record per round trip.
 // cmd/ehserver is the standalone daemon (every Open option as a flag),
 // cmd/ehload the YCSB load generator that records throughput and HDR
 // latency percentiles to BENCH_server.json.

@@ -158,17 +158,18 @@ func parseSnapName(name string) (uint64, bool) {
 }
 
 // durableStore wraps an inner store (sharded or not) with the WAL and the
-// snapshot layer. The ordering contract per mutation batch: inserts apply
-// to the inner store first and then append one log record (a record is
-// only ever logged for a batch the store accepted, so replay cannot
-// re-fail a rejected insert — e.g. a radix key out of range); deletes log
-// first and apply after (they cannot fail, and their result slice has no
-// error channel, so nothing may be applied ahead of its record). Under
-// FsyncAlways the append has fsynced before it returns, so a batch is
-// only acknowledged once durable. Concurrent
-// mutations of the same key have no defined order (exactly as on a
-// non-durable concurrent store); the log serializes them in some valid
-// order and recovery reproduces that one.
+// snapshot layer. Every mutation reaches the log through the one append
+// path, AppendBatch, as one record. The ordering contract: ApplyBatch — and
+// Insert, a one-PUT ApplyBatch — applies to the inner store first and
+// then appends (a record is only ever logged for a batch the store
+// accepted, so replay cannot re-fail a rejected insert — e.g. a radix key
+// out of range); Delete logs first and applies after (it cannot fail, and
+// its signature has no error channel, so nothing may be applied ahead of
+// its record). Under FsyncAlways the append has fsynced before it returns,
+// so a mutation is only acknowledged once durable. Concurrent mutations of
+// the same key have no defined order (exactly as on a non-durable
+// concurrent store); the log serializes them in some valid order and
+// recovery reproduces that one.
 type durableStore struct {
 	inner Store
 	log   *wal.Log
@@ -280,7 +281,7 @@ func restoreNewestSnapshot(dir string, into Store) (uint64, error) {
 			if _, err := f.Seek(0, 0); err != nil {
 				return false, err
 			}
-			if _, err := persist.Restore(f, into.InsertBatch); err != nil {
+			if _, err := persist.RestoreInto(f, into); err != nil {
 				return false, fmt.Errorf("vmshortcut: restoring %s: %w", path, err)
 			}
 			return true, nil
@@ -299,49 +300,46 @@ func (d *durableStore) Kind() Kind { return d.inner.Kind() }
 
 func (d *durableStore) Lookup(key uint64) (uint64, bool) { return d.inner.Lookup(key) }
 
-func (d *durableStore) LookupBatch(keys []uint64, out []uint64) []bool {
-	return d.inner.LookupBatch(keys, out)
-}
-
 func (d *durableStore) Len() int { return d.inner.Len() }
 
 func (d *durableStore) Range(fn func(key, value uint64) bool) { d.inner.Range(fn) }
 
 func (d *durableStore) WaitSync(timeout time.Duration) bool { return d.inner.WaitSync(timeout) }
 
+// Insert is a one-PUT ApplyBatch: apply, then log.
 func (d *durableStore) Insert(key, value uint64) error {
-	k := [1]uint64{key}
-	v := [1]uint64{value}
-	return d.InsertBatch(k[:], v[:])
+	var b op.Batch
+	b.Put(key, value)
+	var res op.Results
+	return d.ApplyBatch(&b, &res)
 }
 
+// Delete logs a one-DEL record before it applies — the reverse of
+// ApplyBatch. A delete cannot fail on the inner store, so replaying a DEL
+// record for an unapplied delete is harmless; and the signature has no
+// error channel, which is exactly why the mutation must not happen ahead
+// of its record here. On append failure nothing is applied and Delete
+// reports false. Caveat, shared with every non-atomic log: a record
+// whose fsync failed may still be on disk, and recovery will apply it —
+// an unacknowledged delete may take effect after a crash. The log is
+// fail-stop (the first I/O error is sticky and every later mutation
+// fails loudly), so the window is one record.
 func (d *durableStore) Delete(key uint64) bool {
-	k := [1]uint64{key}
-	return d.DeleteBatch(k[:])[0]
-}
-
-func (d *durableStore) InsertBatch(keys, values []uint64) error {
-	if len(keys) == 0 {
-		return nil
-	}
 	if d.closed.Load() {
-		return ErrClosed
+		return false
 	}
+	var buf [12]byte
+	payload := op.AppendKeysPayload(buf[:0], []uint64{key})
 	d.mu.RLock()
-	err := d.inner.InsertBatch(keys, values)
-	var lsn uint64
-	if err == nil {
-		lsn, err = d.log.AppendPut(keys, values)
-		if err == nil {
-			d.stampLSN(lsn, 0)
-			// Still under the read lock: the bg.Add inside is thereby
-			// ordered before any Close (which needs the write lock
-			// first), so Close's bg.Wait cannot race the Add.
-			d.maybeSnapshot(lsn)
-		}
+	defer d.mu.RUnlock()
+	lsn, err := d.log.AppendBatch(wal.OpDel, payload)
+	if err != nil {
+		return false
 	}
-	d.mu.RUnlock()
-	return err
+	ok := d.inner.Delete(key)
+	d.stampLSN(lsn, 0)
+	d.maybeSnapshot(lsn) // under the read lock; see ApplyBatch
+	return ok
 }
 
 // ApplyBatch applies the mixed batch to the inner store and then appends
@@ -351,10 +349,10 @@ func (d *durableStore) InsertBatch(keys, values []uint64) error {
 // exactly once otherwise). A batch with no mutations is not logged.
 //
 // Ordering: apply-then-log for the whole batch. ApplyBatch — unlike
-// DeleteBatch — has an error channel, so the delete side no longer needs
-// the log-first ordering: on any failure (a rejected insert, an append
-// error) the whole batch fails as a unit and the caller acknowledges
-// nothing, which keeps "acknowledged ⇒ durable" intact. The flip side,
+// Delete — has an error channel, so its DEL entries need no log-first
+// ordering: on any failure (a rejected insert, an append error) the
+// whole batch fails as a unit and the caller acknowledges nothing, which
+// keeps "acknowledged ⇒ durable" intact. The flip side,
 // shared with every failed append on this log, is that a FAILED batch
 // may have taken effect in memory without a record; the log is fail-stop
 // (the first I/O error is sticky), so that window is one batch. And as
@@ -379,8 +377,7 @@ func (d *durableStore) ApplyBatch(b *op.Batch, res *op.Results) error {
 	// Validate the record BEFORE applying: rejecting after the apply
 	// would leave mutations live in memory with no record and no sticky
 	// log error — silent divergence a crash would then surface as loss.
-	// (The keys/values paths split oversized batches across records; one
-	// mixed batch is one record by design, so it must fit.)
+	// One batch is one record by design, so it must fit.
 	if b.Len() > wal.MaxRecordPairs {
 		res.Reset(b.Len())
 		return fmt.Errorf("vmshortcut: ApplyBatch: %d entries exceed one WAL record's capacity (%d); split the batch",
@@ -414,7 +411,10 @@ func (d *durableStore) ApplyBatch(b *op.Batch, res *op.Results) error {
 	}
 	b.SetLSN(lsn)
 	d.stampLSN(lsn, b.TraceID())
-	d.maybeSnapshot(lsn) // under the read lock; see InsertBatch
+	// Still under the read lock: the bg.Add inside is thereby ordered
+	// before any Close (which needs the write lock first), so Close's
+	// bg.Wait cannot race the Add.
+	d.maybeSnapshot(lsn)
 	return nil
 }
 
@@ -425,35 +425,6 @@ func (d *durableStore) stampLSN(lsn, traceID uint64) {
 	if d.lsnTraces != nil {
 		d.lsnTraces.Put(lsn, traceID, time.Now().UnixNano())
 	}
-}
-
-func (d *durableStore) DeleteBatch(keys []uint64) []bool {
-	if len(keys) == 0 || d.closed.Load() {
-		return make([]bool, len(keys))
-	}
-	d.mu.RLock()
-	// Log before applying — the reverse of the insert path. A delete
-	// cannot fail on the inner store, so replaying a DEL record for an
-	// unapplied delete is harmless; and the Delete signature has no
-	// error channel, which is exactly why the mutation must not happen
-	// ahead of its record here. On append failure nothing is applied and
-	// all-false is returned. Caveat, shared with every non-atomic log:
-	// a failed append can still leave a durable prefix of the batch's
-	// records (a flushed chunk of a split batch, or a flushed record
-	// whose fsync failed), which recovery will apply — i.e. an
-	// UNacknowledged operation may take partial effect after a crash.
-	// The log is fail-stop (the first I/O error is sticky and every
-	// later mutation fails loudly), so the window is one batch.
-	lsn, err := d.log.AppendDelete(keys)
-	if err != nil {
-		d.mu.RUnlock()
-		return make([]bool, len(keys))
-	}
-	oks := d.inner.DeleteBatch(keys)
-	d.stampLSN(lsn, 0)
-	d.maybeSnapshot(lsn) // under the read lock; see InsertBatch
-	d.mu.RUnlock()
-	return oks
 }
 
 // maybeSnapshot triggers the automatic snapshot once the log has grown

@@ -1,6 +1,7 @@
 package vmshortcut
 
 import (
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -44,18 +45,18 @@ func TestDurableRecoverFromWAL(t *testing.T) {
 				want[i] = i * 2
 			}
 			// Batch mutations, overwrites, and deletes must all replay.
-			// InsertBatch and DeleteBatch log PUTBATCH and DELBATCH
+			// Uniform PUT and DEL batches log PUTBATCH and DELBATCH
 			// records, the same-kind layouts no request frame carries
 			// any more: replay must keep reading them.
 			keys := []uint64{10, 20, 30}
 			vals := []uint64{111, 222, 333}
-			if err := s.InsertBatch(keys, vals); err != nil {
+			if err := putBatch(s, keys, vals); err != nil {
 				t.Fatal(err)
 			}
 			for i, k := range keys {
 				want[k] = vals[i]
 			}
-			for _, ok := range s.DeleteBatch([]uint64{5, 15, 25}) {
+			for _, ok := range delBatch(s, []uint64{5, 15, 25}) {
 				if !ok {
 					t.Fatal("delete missed")
 				}
@@ -577,6 +578,117 @@ func TestDurableOptionValidation(t *testing.T) {
 	if _, ok := AsDurable(s); ok {
 		t.Fatal("AsDurable succeeded on a store without WithWAL")
 	}
+}
+
+// singleOpLog is the segment a log holds after a durable Insert of
+// (0x0102030405060708, 0x1112131415161718), a Delete of that key, and an
+// Insert of (7, 70), with FsyncOff and a clean Close: three records, one
+// PUTBATCH, one DELBATCH, one PUTBATCH, each carrying one entry. The bytes
+// were written by the log's former per-kind append calls (AppendPut,
+// AppendDelete); the single ops now reach the log through AppendBatch and
+// must keep writing them exactly.
+const singleOpLog = "1d000000182f6bdc0100000000000000060100000008070605040302011817161514131211" +
+	"150000008dbcf8830200000000000000070100000008070605040302011d000000d5a30d2f" +
+	"0300000000000000060100000007000000000000004600000000000000"
+
+// TestDurableSingleOpRecordsGolden pins the on-disk record of the durable
+// single operations byte for byte.
+func TestDurableSingleOpRecordsGolden(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(KindHT, WithWAL(dir), WithFsync(FsyncOff))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Insert(0x0102030405060708, 0x1112131415161718); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Delete(0x0102030405060708) {
+		t.Fatal("Delete missed the inserted key")
+	}
+	if err := s.Insert(7, 70); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "wal-0000000000000001.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hex.EncodeToString(got) != singleOpLog {
+		t.Fatalf("log bytes\n got %x\nwant %s", got, singleOpLog)
+	}
+}
+
+// TestDurableRecoversSingleOpLog replays a log in the former per-kind
+// layout and keeps appending to it.
+func TestDurableRecoversSingleOpLog(t *testing.T) {
+	dir := t.TempDir()
+	seg, err := hex.DecodeString(singleOpLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "wal-0000000000000001.log"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts := []Option{WithWAL(dir), WithFsync(FsyncOff)}
+	s, err := Open(KindEH, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifyEntries(t, s, map[uint64]uint64{7: 70})
+	if got := s.Stats().WALRecords; got != 3 {
+		t.Fatalf("WALRecords = %d, want 3", got)
+	}
+	if err := s.Insert(8, 80); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(KindEH, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	verifyEntries(t, s, map[uint64]uint64{7: 70, 8: 80})
+}
+
+// TestDurableDeleteLogsFirst pins Delete's log-first order: when the log
+// refuses the record, Delete reports false and the key stays — in memory
+// and after recovery.
+func TestDurableDeleteLogsFirst(t *testing.T) {
+	dir := t.TempDir()
+	opts := []Option{WithWAL(dir), WithFsync(FsyncAlways)}
+	s, err := Open(KindHT, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Insert(1, 10); err != nil {
+		t.Fatal(err)
+	}
+	d := s.(*durableStore)
+	if err := d.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Delete(1) {
+		t.Fatal("Delete reported success on a closed log")
+	}
+	if v, ok := d.inner.Lookup(1); !ok || v != 10 {
+		t.Fatalf("key gone after a refused Delete: %d, %v", v, ok)
+	}
+	if err := s.Close(); err != nil && !errors.Is(err, wal.ErrClosed) {
+		t.Fatal(err)
+	}
+	if s.Delete(1) {
+		t.Fatal("Delete reported success on a closed store")
+	}
+	s, err = Open(KindHT, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	verifyEntries(t, s, map[uint64]uint64{1: 10})
 }
 
 // TestDurableClosedOps pins the lifecycle: operations after Close fail the

@@ -32,9 +32,10 @@ func ExampleOpen() {
 	// Output: 68644 true true
 }
 
-// ExampleOpen_batch loads and reads through the batch operations, which
-// amortize per-call overhead and, for Shortcut-EH, make the shortcut
-// routing decision once per batch.
+// ExampleOpen_batch loads and reads through ApplyBatch, the one batch
+// call: an ordered mix of PUT, GET and DEL entries that takes a
+// concurrent store's lock once and, on a durable store, becomes one WAL
+// record.
 func ExampleOpen_batch() {
 	idx, err := vmshortcut.Open(vmshortcut.KindShortcutEH,
 		vmshortcut.WithPollInterval(time.Millisecond))
@@ -43,21 +44,27 @@ func ExampleOpen_batch() {
 	}
 	defer idx.Close()
 
-	keys := make([]uint64, 10_000)
-	vals := make([]uint64, len(keys))
-	for i := range keys {
-		keys[i] = uint64(i + 1)
-		vals[i] = uint64(i+1) * 10
+	var (
+		b   vmshortcut.OpBatch
+		res vmshortcut.OpResults
+	)
+	for k := uint64(1); k <= 10_000; k++ {
+		b.Put(k, k*10)
 	}
-	if err := idx.InsertBatch(keys, vals); err != nil {
+	if err := idx.ApplyBatch(&b, &res); err != nil {
 		panic(err)
 	}
 	idx.WaitSync(5 * time.Second)
 
-	out := make([]uint64, len(keys))
-	ok := idx.LookupBatch(keys, out)
-	fmt.Println(idx.Len(), out[41], ok[41])
-	// Output: 10000 420 true
+	b.Reset()
+	b.Get(42)
+	b.Del(42)
+	b.Get(42)
+	if err := idx.ApplyBatch(&b, &res); err != nil {
+		panic(err)
+	}
+	fmt.Println(idx.Len(), res.Vals[0], res.Found[0], res.Found[1], res.Found[2])
+	// Output: 9999 420 true true false
 }
 
 // ExampleOpen_sharded hash-partitions the keyspace across four shards —
@@ -81,13 +88,15 @@ func ExampleOpen_sharded() {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			keys := make([]uint64, perWriter)
-			vals := make([]uint64, perWriter)
-			for i := range keys {
-				keys[i] = uint64(w*perWriter + i)
-				vals[i] = keys[i] * 2
+			var (
+				b   vmshortcut.OpBatch
+				res vmshortcut.OpResults
+			)
+			for i := 0; i < perWriter; i++ {
+				k := uint64(w*perWriter + i)
+				b.Put(k, k*2)
 			}
-			if err := idx.InsertBatch(keys, vals); err != nil {
+			if err := idx.ApplyBatch(&b, &res); err != nil {
 				panic(err)
 			}
 		}(w)

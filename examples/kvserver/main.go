@@ -68,8 +68,8 @@ func main() {
 	}
 	fmt.Printf("GET 1 -> %d (found=%v)\n", v, found)
 
-	// One MIXEDBATCH frame = one ApplyBatch against the store; an
-	// all-PUT batch runs as one InsertBatch inside it.
+	// One MIXEDBATCH frame = one ApplyBatch against the store, and one
+	// WAL record on a durable one.
 	err = cl.Do(func(c *client.Conn) error {
 		var m client.MixedBatch
 		for i := 0; i < 1000; i++ {
@@ -88,8 +88,8 @@ func main() {
 	}
 
 	// A pipelined burst: the server's coalescer gathers the GET run into
-	// a single LookupBatch, so Shortcut-EH's routing decision is made
-	// once for the whole run.
+	// a single ApplyBatch, so the store's lock is taken once for the whole
+	// run.
 	err = cl.Do(func(c *client.Conn) error {
 		p := c.Pipeline()
 		for i := 0; i < 500; i++ {
@@ -120,7 +120,7 @@ func main() {
 	}
 	fmt.Printf("server: %d ops, %d coalesced batches carrying %d ops\n",
 		st.Server.Ops, st.Server.CoalescedBatches, st.Server.CoalescedOps)
-	fmt.Printf("store:  %d entries, batch calls insert/lookup/delete = %d/%d/%d, in_sync=%v\n",
+	fmt.Printf("store:  %d entries, batch runs insert/lookup/delete = %d/%d/%d, in_sync=%v\n",
 		st.Store.Entries, st.Store.InsertBatches, st.Store.LookupBatches,
 		st.Store.DeleteBatches, st.Store.InSync)
 

@@ -1,6 +1,7 @@
 package vmshortcut
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -224,26 +225,24 @@ func TestClosedBatchPathsDoNotAllocate(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	keys := []uint64{1, 2, 3}
-	out := make([]uint64, 3)
-	if n := testing.AllocsPerRun(100, func() {
-		found := s.LookupBatch(keys, out)
-		for i := range found {
-			if found[i] {
-				t.Error("closed LookupBatch reported a hit")
-			}
-		}
-	}); n != 0 {
-		t.Fatalf("closed LookupBatch allocates %.1f times per call, want 0", n)
+	var gets, dels op.Batch
+	for k := uint64(1); k <= 3; k++ {
+		gets.Get(k)
+		dels.Del(k)
 	}
-	if n := testing.AllocsPerRun(100, func() {
-		found := s.DeleteBatch(keys)
-		for i := range found {
-			if found[i] {
-				t.Error("closed DeleteBatch reported a hit")
+	var res op.Results
+	for _, b := range []*op.Batch{&gets, &dels} {
+		if n := testing.AllocsPerRun(100, func() {
+			if err := s.ApplyBatch(b, &res); !errors.Is(err, ErrClosed) {
+				t.Errorf("closed ApplyBatch = %v, want ErrClosed", err)
 			}
+			for i := range res.Found {
+				if res.Found[i] {
+					t.Error("closed ApplyBatch reported a hit")
+				}
+			}
+		}); n != 0 {
+			t.Fatalf("closed ApplyBatch allocates %.1f times per call, want 0", n)
 		}
-	}); n != 0 {
-		t.Fatalf("closed DeleteBatch allocates %.1f times per call, want 0", n)
 	}
 }

@@ -193,34 +193,6 @@ func (t *Table) Lookup(key uint64) (uint64, bool) {
 	return bucket.ViewAddr(t.dir[idx]).Lookup(key)
 }
 
-// InsertBatch upserts every (keys[i], values[i]) pair; semantically a loop
-// of Insert calls with the per-call overhead amortized.
-func (t *Table) InsertBatch(keys, values []uint64) error {
-	if len(keys) != len(values) {
-		return fmt.Errorf("eh: InsertBatch: %d keys, %d values", len(keys), len(values))
-	}
-	for i, k := range keys {
-		if err := t.Insert(k, values[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LookupBatch looks up every key, writing values into out (which must
-// have length at least len(keys)) and returning per-key presence. The
-// directory depth is loaded once for the whole batch — inserts may not run
-// concurrently, so it cannot change mid-batch.
-func (t *Table) LookupBatch(keys []uint64, out []uint64) []bool {
-	ok := make([]bool, len(keys))
-	gd := t.gd
-	for i, k := range keys {
-		idx := hashfn.DirIndex(hashfn.Hash(k), gd)
-		out[i], ok[i] = bucket.ViewAddr(t.dir[idx]).Lookup(k)
-	}
-	return ok
-}
-
 // Range calls fn for every stored entry until fn returns false. Each
 // distinct bucket is visited once even when several directory slots fan in
 // to it. Iteration order is unspecified. fn must not mutate the table.
@@ -254,32 +226,6 @@ func (t *Table) Delete(key uint64) bool {
 		return true
 	}
 	return false
-}
-
-// DeleteBatch removes every key, returning per-key presence. Like
-// LookupBatch, the directory depth is loaded once for the whole batch —
-// deletes without merging never change the directory shape.
-func (t *Table) DeleteBatch(keys []uint64) []bool {
-	ok := make([]bool, len(keys))
-	gd := t.gd
-	for i, k := range keys {
-		idx := hashfn.DirIndex(hashfn.Hash(k), gd)
-		if bucket.ViewAddr(t.dir[idx]).Delete(k) {
-			t.count--
-			ok[i] = true
-		}
-	}
-	return ok
-}
-
-// DeleteAndMergeBatch removes every key through DeleteAndMerge, so
-// underfull buckets coalesce when Config.MergeLoadFactor enables it.
-func (t *Table) DeleteAndMergeBatch(keys []uint64) []bool {
-	ok := make([]bool, len(keys))
-	for i, k := range keys {
-		ok[i] = t.DeleteAndMerge(k)
-	}
-	return ok
 }
 
 // split splits the bucket referenced by directory slot idx, doubling the

@@ -32,7 +32,7 @@ type ShardScaleConfig struct {
 	// Fixed once for the whole sweep, so rows differ only in the axis
 	// under test, not in offered load.
 	Workers int
-	// Batch is the InsertBatch/LookupBatch chunk size per worker.
+	// Batch is the entries per ApplyBatch call of each worker.
 	// Default 1024.
 	Batch int
 	Seed  uint64
@@ -113,18 +113,19 @@ func shardScaleOne(cfg ShardScaleConfig, shards int) (ShardScaleRow, error) {
 	errs := make([]error, cfg.Workers)
 	start := time.Now()
 	harness.ParallelChunks(cfg.Entries, cfg.Workers, func(w, lo, hi int) {
-		keys := make([]uint64, cfg.Batch)
-		vals := make([]uint64, cfg.Batch)
+		var (
+			b   vmshortcut.OpBatch
+			res vmshortcut.OpResults
+		)
 		harness.Chunks(hi-lo, cfg.Batch, func(clo, chi int) {
 			if errs[w] != nil {
 				return
 			}
-			k, v := keys[:chi-clo], vals[:chi-clo]
-			for i := range k {
-				k[i] = workload.Key(cfg.Seed, uint64(lo+clo+i))
-				v[i] = uint64(lo + clo + i)
+			b.Reset()
+			for i := lo + clo; i < lo+chi; i++ {
+				b.Put(workload.Key(cfg.Seed, uint64(i)), uint64(i))
 			}
-			errs[w] = s.InsertBatch(k, v)
+			errs[w] = s.ApplyBatch(&b, &res)
 		})
 	})
 	insertDur := time.Since(start)
@@ -140,14 +141,20 @@ func shardScaleOne(cfg ShardScaleConfig, shards int) (ShardScaleRow, error) {
 	missesBy := make([]int, cfg.Workers) // per-worker slot: no shared counter
 	start = time.Now()
 	harness.ParallelChunks(cfg.Entries, cfg.Workers, func(w, lo, hi int) {
-		keys := make([]uint64, cfg.Batch)
-		out := make([]uint64, cfg.Batch)
+		var (
+			b   vmshortcut.OpBatch
+			res vmshortcut.OpResults
+		)
 		harness.Chunks(hi-lo, cfg.Batch, func(clo, chi int) {
-			k := keys[:chi-clo]
-			for i := range k {
-				k[i] = workload.Key(cfg.Seed, uint64(lo+clo+i))
+			b.Reset()
+			for i := lo + clo; i < lo+chi; i++ {
+				b.Get(workload.Key(cfg.Seed, uint64(i)))
 			}
-			for _, ok := range s.LookupBatch(k, out[:len(k)]) {
+			if err := s.ApplyBatch(&b, &res); err != nil {
+				errs[w] = err
+				return
+			}
+			for _, ok := range res.Found {
 				if !ok {
 					missesBy[w]++
 				}
@@ -155,6 +162,11 @@ func shardScaleOne(cfg ShardScaleConfig, shards int) (ShardScaleRow, error) {
 		})
 	})
 	lookupDur := time.Since(start)
+	for _, err := range errs {
+		if err != nil {
+			return ShardScaleRow{}, err
+		}
+	}
 	misses := 0
 	for _, m := range missesBy {
 		misses += m

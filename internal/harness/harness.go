@@ -28,9 +28,8 @@ func (s Scale) N(paperCount int) int {
 }
 
 // Chunks partitions [0, n) into consecutive [lo, hi) spans of at most
-// batch elements — the iteration shape of the facade's InsertBatch and
-// LookupBatch drivers. A batch of 0 or less yields the whole range at
-// once.
+// batch elements — the iteration shape of the facade's ApplyBatch
+// drivers. A batch of 0 or less yields the whole range at once.
 func Chunks(n, batch int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return

@@ -6,8 +6,6 @@
 package ht
 
 import (
-	"fmt"
-
 	"vmshortcut/internal/hashfn"
 )
 
@@ -135,41 +133,6 @@ func (t *Table) Insert(key, value uint64) error {
 	}
 	t.count++
 	return nil
-}
-
-// InsertBatch upserts every (keys[i], values[i]) pair. Semantically
-// identical to a loop of Insert calls; hot loading loops use it to
-// amortize per-call dispatch overhead.
-func (t *Table) InsertBatch(keys, values []uint64) error {
-	if len(keys) != len(values) {
-		return fmt.Errorf("ht: InsertBatch: %d keys, %d values", len(keys), len(values))
-	}
-	for i, k := range keys {
-		if err := t.Insert(k, values[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LookupBatch looks up every key, writing values into out (which must
-// have length at least len(keys)) and returning per-key presence.
-func (t *Table) LookupBatch(keys []uint64, out []uint64) []bool {
-	ok := make([]bool, len(keys))
-	for i, k := range keys {
-		out[i], ok[i] = t.Lookup(k)
-	}
-	return ok
-}
-
-// DeleteBatch removes every key, returning per-key presence; semantically
-// a loop of Delete calls with the per-call overhead amortized.
-func (t *Table) DeleteBatch(keys []uint64) []bool {
-	ok := make([]bool, len(keys))
-	for i, k := range keys {
-		ok[i] = t.Delete(k)
-	}
-	return ok
 }
 
 // Range calls fn for every stored entry until fn returns false. Iteration

@@ -8,8 +8,6 @@
 package hti
 
 import (
-	"fmt"
-
 	"vmshortcut/internal/hashfn"
 )
 
@@ -301,33 +299,6 @@ func (t *Table) Lookup(key uint64) (uint64, bool) {
 	return second.lookup(key)
 }
 
-// InsertBatch upserts every (keys[i], values[i]) pair. Each element still
-// counts as one access for the incremental-migration contract: a resize in
-// progress moves one batch of entries per element, exactly as a loop of
-// Insert calls would.
-func (t *Table) InsertBatch(keys, values []uint64) error {
-	if len(keys) != len(values) {
-		return fmt.Errorf("hti: InsertBatch: %d keys, %d values", len(keys), len(values))
-	}
-	for i, k := range keys {
-		if err := t.Insert(k, values[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LookupBatch looks up every key, writing values into out (which must
-// have length at least len(keys)) and returning per-key presence. Each
-// element counts as one access for migration purposes.
-func (t *Table) LookupBatch(keys []uint64, out []uint64) []bool {
-	ok := make([]bool, len(keys))
-	for i, k := range keys {
-		out[i], ok[i] = t.Lookup(k)
-	}
-	return ok
-}
-
 // Range calls fn for every stored entry until fn returns false. Unlike
 // Lookup, Range is a pure read: it does not advance the incremental
 // migration, so it can run while a resize is in progress without moving
@@ -360,15 +331,4 @@ func (t *Table) Delete(key uint64) bool {
 		return t.migrating.delete(key)
 	}
 	return false
-}
-
-// DeleteBatch removes every key, returning per-key presence. Each element
-// counts as one access for the incremental-migration contract, exactly as
-// a loop of Delete calls would.
-func (t *Table) DeleteBatch(keys []uint64) []bool {
-	ok := make([]bool, len(keys))
-	for i, k := range keys {
-		ok[i] = t.Delete(k)
-	}
-	return ok
 }

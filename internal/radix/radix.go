@@ -151,40 +151,6 @@ func (m *Map) Insert(key, value uint64) error { return m.Set(key, value) }
 // interface expects.
 func (m *Map) Lookup(key uint64) (uint64, bool) { return m.Get(key) }
 
-// InsertBatch stores every (keys[i], values[i]) pair; semantically a loop
-// of Set calls with the per-call overhead amortized.
-func (m *Map) InsertBatch(keys, values []uint64) error {
-	if len(keys) != len(values) {
-		return fmt.Errorf("radix: InsertBatch: %d keys, %d values", len(keys), len(values))
-	}
-	for i, k := range keys {
-		if err := m.Set(k, values[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LookupBatch looks up every key, writing values into out (which must
-// have length at least len(keys)) and returning per-key presence.
-func (m *Map) LookupBatch(keys []uint64, out []uint64) []bool {
-	ok := make([]bool, len(keys))
-	for i, k := range keys {
-		out[i], ok[i] = m.Get(k)
-	}
-	return ok
-}
-
-// DeleteBatch removes every key, returning per-key presence; semantically
-// a loop of Delete calls with the per-call overhead amortized.
-func (m *Map) DeleteBatch(keys []uint64) []bool {
-	ok := make([]bool, len(keys))
-	for i, k := range keys {
-		ok[i] = m.Delete(k)
-	}
-	return ok
-}
-
 // Get returns the value stored for key, routed through the shortcut when
 // available — a single implicit indirection.
 func (m *Map) Get(key uint64) (uint64, bool) {

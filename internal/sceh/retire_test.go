@@ -70,21 +70,11 @@ func grow(t *testing.T, tbl *Table, next uint64, doublings uint) uint64 {
 }
 
 // staleReads looks up keys 1..n through the pinned, possibly retired
-// generation st on both shortcut read paths and returns how many hit.
+// generation st and returns how many hit.
 func staleReads(tbl *Table, st *scState, n uint64) int {
-	keys := make([]uint64, n)
-	for i := range keys {
-		keys[i] = uint64(i) + 1
-	}
-	out := make([]uint64, n)
-	ok := make([]bool, n)
-	tbl.lookupBatchVia(st, keys, out, ok)
 	hits := 0
-	for i, k := range keys {
+	for k := uint64(1); k <= n; k++ {
 		if _, found := tbl.lookupVia(st, k); found {
-			hits++
-		}
-		if ok[i] {
 			hits++
 		}
 	}
@@ -93,9 +83,9 @@ func staleReads(tbl *Table, st *scState, n uint64) int {
 
 // TestStaleGenerationSurvivesDoublings pins the generation an optimistic
 // reader could hold — the published state, loaded before any writer
-// moved — across three doublings, then reads through it on both shortcut
-// read paths. Such a reader's answers are discarded by its validation;
-// what this test pins down is that the read itself never faults.
+// moved — across three doublings, then reads through it. Such a reader's
+// answers are discarded by its validation; what this test pins down is
+// that the read itself never faults.
 func TestStaleGenerationSurvivesDoublings(t *testing.T) {
 	// One table, each doubling replayed before the next.
 	t.Run("table", func(t *testing.T) {

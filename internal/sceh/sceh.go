@@ -482,65 +482,6 @@ func (t *Table) Lookup(key uint64) (uint64, bool) {
 	return t.eh.Lookup(key)
 }
 
-// InsertBatch upserts every (keys[i], values[i]) pair into the traditional
-// directory; shortcut maintenance is enqueued per modification as usual.
-func (t *Table) InsertBatch(keys, values []uint64) error {
-	if len(keys) != len(values) {
-		return fmt.Errorf("sceh: InsertBatch: %d keys, %d values", len(keys), len(values))
-	}
-	for i, k := range keys {
-		if err := t.eh.Insert(k, values[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LookupBatch looks up every key, writing values into out (which must have
-// length at least len(keys)) and returning per-key presence. The routing
-// decision — published-state load, version comparison, fan-in check — is
-// made once for the whole batch instead of once per key, which is the
-// per-lookup overhead a batch amortizes. Holding one published state across
-// the batch relies on the table's concurrency model (see the Table doc):
-// with the writer quiescent — or excluded by external synchronization —
-// for the duration of the call, no create can retire the pinned
-// generation. A batch racing an unsynchronized writer may read a retired
-// generation, which answers every key with a miss; such a batch must be
-// validated and discarded, exactly as a single Lookup racing Insert.
-func (t *Table) LookupBatch(keys []uint64, out []uint64) []bool {
-	ok := make([]bool, len(keys))
-	if len(keys) == 0 {
-		return ok
-	}
-	if t.cfg.DisableShortcut || t.cfg.AdaptiveRouting {
-		// Adaptive routing samples per lookup; keep its bookkeeping exact.
-		for i, k := range keys {
-			out[i], ok[i] = t.Lookup(k)
-		}
-		return ok
-	}
-	st := t.published.Load()
-	if st != nil && st.version == t.tradVer.Load() && t.loadFanIn() <= t.cfg.FanInThreshold {
-		t.lookupBatchVia(st, keys, out, ok)
-		return ok
-	}
-	for i, k := range keys {
-		out[i], ok[i] = t.eh.Lookup(k)
-	}
-	t.tradLookups.Add(uint64(len(keys)))
-	t.wake()
-	return ok
-}
-
-// lookupBatchVia answers every key through the shortcut directory st.
-func (t *Table) lookupBatchVia(st *scState, keys, out []uint64, ok []bool) {
-	for i, k := range keys {
-		slot := hashfn.DirIndex(hashfn.Hash(k), st.gd)
-		out[i], ok[i] = bucket.ViewAddr(st.base + uintptr(slot)<<pageShift).Lookup(k)
-	}
-	t.scLookups.Add(uint64(len(keys)))
-}
-
 // lookupVia answers through the in-sync shortcut directory st.
 func (t *Table) lookupVia(st *scState, key uint64) (uint64, bool) {
 	h := hashfn.Hash(key)
@@ -597,16 +538,6 @@ func (t *Table) Delete(key uint64) bool {
 		return t.eh.DeleteAndMerge(key)
 	}
 	return t.eh.Delete(key)
-}
-
-// DeleteBatch removes every key, returning per-key presence — the delete
-// counterpart of InsertBatch, with the merge-vs-plain decision made once
-// for the whole batch instead of once per key.
-func (t *Table) DeleteBatch(keys []uint64) []bool {
-	if t.cfg.EH.MergeLoadFactor > 0 {
-		return t.eh.DeleteAndMergeBatch(keys)
-	}
-	return t.eh.DeleteBatch(keys)
 }
 
 // Len returns the number of stored entries.

@@ -291,6 +291,10 @@ type PrimaryReplCounters struct {
 	// SyncTimeouts counts writes acknowledged after the synchronous-
 	// replication wait degraded (follower too slow or disconnected).
 	SyncTimeouts uint64 `json:"sync_timeouts"`
+	// UnattachedAcks counts writes acknowledged under synchronous
+	// replication while no follower was attached: degraded acks that
+	// carry no failover guarantee.
+	UnattachedAcks uint64 `json:"unattached_acks"`
 	// ChainHead is the primary's live chain digest (hex), present only
 	// with a chained WAL.
 	ChainHead string `json:"chain_head,omitempty"`

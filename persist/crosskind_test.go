@@ -37,8 +37,13 @@ func TestSnapshotCrossKindPortability(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: Open: %v", kind, err)
 		}
-		if err := src.InsertBatch(keys, vals); err != nil {
-			t.Fatalf("%v: InsertBatch: %v", kind, err)
+		var b vmshortcut.OpBatch
+		for i, k := range keys {
+			b.Put(k, vals[i])
+		}
+		var res vmshortcut.OpResults
+		if err := src.ApplyBatch(&b, &res); err != nil {
+			t.Fatalf("%v: ApplyBatch: %v", kind, err)
 		}
 		var buf bytes.Buffer
 		if err := persist.Snapshot(&buf, src); err != nil {
@@ -58,7 +63,7 @@ func TestSnapshotCrossKindPortability(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v→%v: Open: %v", from, to, err)
 			}
-			n, err := persist.Restore(bytes.NewReader(snaps[from]), dst.InsertBatch)
+			n, err := persist.RestoreInto(bytes.NewReader(snaps[from]), dst)
 			if err != nil {
 				t.Fatalf("%v→%v: Restore: %v", from, to, err)
 			}

@@ -23,6 +23,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"vmshortcut/internal/op"
 )
 
 // Magic identifies and versions the snapshot stream format.
@@ -98,6 +100,30 @@ func Snapshot(w io.Writer, src Source) error {
 // target cannot tolerate a partial restore. It returns the pair count.
 func Restore(r io.Reader, apply func(keys, values []uint64) error) (uint64, error) {
 	return scan(r, apply)
+}
+
+// Target is what RestoreInto restores into: the one batch call.
+// vmshortcut.Store satisfies it.
+type Target interface {
+	ApplyBatch(b *op.Batch, res *op.Results) error
+}
+
+// RestoreInto restores a snapshot from r into dst, one all-PUT ApplyBatch
+// per chunk of pairs, so a durable target logs one record per chunk
+// rather than one per pair. Restore's caveats apply.
+func RestoreInto(r io.Reader, dst Target) (uint64, error) {
+	var (
+		b   op.Batch
+		res op.Results
+	)
+	return Restore(r, func(keys, values []uint64) error {
+		b.Reset()
+		b.Grow(len(keys))
+		for i, k := range keys {
+			b.Put(k, values[i])
+		}
+		return dst.ApplyBatch(&b, &res)
+	})
 }
 
 // Verify reads the whole stream and checks its structure and CRC without

@@ -548,16 +548,16 @@ func (f *Follower) restoreSnapshot(hdr []byte, br *bufio.Reader, buf *[]byte) (u
 	}
 	f.logf("repl: full sync: restoring %d-byte snapshot through LSN %d", size, snapLSN)
 	fr := &snapFrameReader{br: br, buf: buf, touch: f.touch}
-	if _, err := persist.Restore(fr, f.cfg.Store.InsertBatch); err != nil {
+	if _, err := persist.RestoreInto(fr, f.cfg.Store); err != nil {
 		return 0, f.fatal(fmt.Errorf("repl: restoring snapshot: %w", err))
 	}
 	if err := fr.drain(); err != nil {
 		return 0, err
 	}
 	if f.rep != nil {
-		// The snapshot's pairs entered through InsertBatch, which on a
-		// durable store logs them locally; the local log position now
-		// corresponds to the primary's snapLSN.
+		// The snapshot's pairs entered through ApplyBatch, which on a
+		// durable store logs one record per chunk locally; the local log
+		// position now corresponds to the primary's snapLSN.
 		f.base = snapLSN - f.rep.LastLSN()
 		if err := writeReplBase(f.cfg.BaseDir, replBase{Base: f.base, Primary: f.cfg.Primary}); err != nil {
 			return 0, f.fatal(fmt.Errorf("repl: writing %s: %w", replBaseName, err))

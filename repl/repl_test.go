@@ -4,6 +4,7 @@
 package repl_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -355,8 +356,46 @@ func TestDurableReplicaRestartResumes(t *testing.T) {
 	}
 }
 
+// TestUnattachedAcksCounted pins the degraded-ack counter of synchronous
+// replication: every write acknowledged while no follower is attached
+// counts once, on the counters and on the metrics endpoint, and writes an
+// attached follower acknowledged do not count.
+func TestUnattachedAcksCounted(t *testing.T) {
+	const n = 20
+	primary := startNode(t, t.TempDir(), true, "", repl.FollowerConfig{})
+	pc := mustDial(t, primary.addr)
+	for k := uint64(1); k <= n; k++ {
+		if err := pc.Put(k, k); err != nil {
+			t.Fatalf("Put(%d): %v", k, err)
+		}
+	}
+	if got := primary.source.Counters().UnattachedAcks; got != n {
+		t.Fatalf("UnattachedAcks = %d after %d unreplicated writes, want %d", got, n, n)
+	}
+	var prom bytes.Buffer
+	if err := primary.metrics.Registry().WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("eh_repl_unattached_acks_total %d\n", n); !strings.Contains(prom.String(), want) {
+		t.Fatalf("metrics lack %q", want)
+	}
+
+	startNode(t, "", false, primary.addr, repl.FollowerConfig{})
+	waitFor(t, "follower attached", func() bool { return primary.source.Counters().Followers == 1 })
+	for k := uint64(n + 1); k <= 2*n; k++ {
+		if err := pc.Put(k, k); err != nil {
+			t.Fatalf("Put(%d): %v", k, err)
+		}
+	}
+	c := primary.source.Counters()
+	if c.UnattachedAcks != n || c.SyncTimeouts != 0 {
+		t.Fatalf("with a follower attached: UnattachedAcks = %d (want %d), SyncTimeouts = %d (want 0)",
+			c.UnattachedAcks, n, c.SyncTimeouts)
+	}
+}
+
 // TestSameKindRecordsShip pins why the same-kind batch codes outlive
-// their request frames: a durable store's InsertBatch and DeleteBatch log
+// their request frames: a durable store's uniform PUT and DEL batches log
 // PUTBATCH (0x06) and DELBATCH (0x07) records, and logs holding them must
 // still ship to, and apply on, a follower.
 func TestSameKindRecordsShip(t *testing.T) {
@@ -365,12 +404,26 @@ func TestSameKindRecordsShip(t *testing.T) {
 	for i := range keys {
 		keys[i] = uint64(i) + 1
 	}
-	if err := primary.store.InsertBatch(keys, keys); err != nil {
+	var (
+		b   vmshortcut.OpBatch
+		res vmshortcut.OpResults
+	)
+	for _, k := range keys {
+		b.Put(k, k)
+	}
+	if err := primary.store.ApplyBatch(&b, &res); err != nil {
 		t.Fatal(err)
 	}
-	for _, ok := range primary.store.DeleteBatch(keys[:10]) {
+	b.Reset()
+	for _, k := range keys[:10] {
+		b.Del(k)
+	}
+	if err := primary.store.ApplyBatch(&b, &res); err != nil {
+		t.Fatal(err)
+	}
+	for _, ok := range res.Found {
 		if !ok {
-			t.Fatal("DeleteBatch missed a key")
+			t.Fatal("DEL batch missed a key")
 		}
 	}
 
@@ -659,11 +712,10 @@ func TestChainedStreamDetectsTamper(t *testing.T) {
 		t.Fatalf("fatal error = %q, want a chain digest mismatch", got)
 	}
 	// The honest record applied; the altered one did not.
-	var out [1]uint64
-	if oks := st.LookupBatch([]uint64{1}, out[:]); !oks[0] || out[0] != 10 {
-		t.Fatalf("honest record not applied: %v %d", oks[0], out[0])
+	if v, ok := st.Lookup(1); !ok || v != 10 {
+		t.Fatalf("honest record not applied: %v %d", ok, v)
 	}
-	if oks := st.LookupBatch([]uint64{2}, out[:]); oks[0] {
+	if _, ok := st.Lookup(2); ok {
 		t.Fatal("altered record was applied")
 	}
 	if c := f.Counters(); c.RecordsApplied != 1 {

@@ -61,6 +61,7 @@ type Source struct {
 	bytesShipped     atomic.Uint64
 	snapshotsShipped atomic.Uint64
 	syncTimeouts     atomic.Uint64
+	unattachedAcks   atomic.Uint64
 
 	// ackLagMS is the append-to-ack time lag of the most recently
 	// acknowledged record, milliseconds (-1 until measurable — requires
@@ -132,7 +133,9 @@ func (s *Source) bumpAcks() {
 // carries no failover guarantee. There are two kinds. The wait can hit
 // SyncTimeout: WaitShipped returns false and the ack is counted in
 // SyncTimeouts (eh_repl_sync_timeouts_total). Or no follower is attached
-// at all: WaitShipped returns true at once and nothing counts the ack.
+// at all: WaitShipped returns true at once and the ack is counted in
+// UnattachedAcks (eh_repl_unattached_acks_total). Calls after Close
+// return true uncounted.
 // A primary that is killed sends no ack after the kill, so a follower
 // stream torn down by the kill cannot turn a pending write into a
 // degraded ack.
@@ -141,6 +144,9 @@ func (s *Source) WaitShipped(lsn uint64) bool {
 	for {
 		s.mu.Lock()
 		if s.closed || len(s.followers) == 0 {
+			if !s.closed {
+				s.unattachedAcks.Add(1)
+			}
 			s.mu.Unlock()
 			return true
 		}
@@ -178,6 +184,7 @@ func (s *Source) Counters() *wire.PrimaryReplCounters {
 		BytesShipped:     s.bytesShipped.Load(),
 		SnapshotsShipped: s.snapshotsShipped.Load(),
 		SyncTimeouts:     s.syncTimeouts.Load(),
+		UnattachedAcks:   s.unattachedAcks.Load(),
 	}
 	pc.LagMS = s.ackLagMS.Load()
 	s.mu.Lock()

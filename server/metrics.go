@@ -178,6 +178,9 @@ func (m *Metrics) bindServer(s *Server) {
 		reg.CounterFunc("eh_repl_sync_timeouts_total",
 			"Writes acknowledged after the sync-replication wait degraded.",
 			func() uint64 { return rs.Counters().SyncTimeouts })
+		reg.CounterFunc("eh_repl_unattached_acks_total",
+			"Writes acknowledged under sync replication with no follower attached.",
+			func() uint64 { return rs.Counters().UnattachedAcks })
 		reg.GaugeFunc("eh_repl_lag_records",
 			"Records the slowest connected follower has not yet acknowledged.",
 			func() float64 { return float64(rs.Counters().LagRecords) })

@@ -62,7 +62,7 @@ type Config struct {
 	// expected.
 	//
 	// Durability rides on the store, not the server: with a store opened
-	// via WithWAL, every InsertBatch/DeleteBatch returns only after the
+	// via WithWAL, every mutating ApplyBatch returns only after the
 	// mutation is logged (and, under FsyncAlways, fsynced), and the
 	// server writes a response only after the store call returns — so a
 	// client that has read its ack holds a durable write, and the

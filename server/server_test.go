@@ -93,8 +93,8 @@ func TestSingleOpsRoundTrip(t *testing.T) {
 
 // TestPipelinedRunsCoalesce is the acceptance check for the coalescer:
 // pipelined single-op frames of one kind must reach the store as
-// InsertBatch/LookupBatch/DeleteBatch calls, visible in the store's
-// batch-op counters, with every response still correct and in order.
+// multi-entry runs of one ApplyBatch call, visible in the store's batch
+// counters, with every response still correct and in order.
 func TestPipelinedRunsCoalesce(t *testing.T) {
 	srv, st, addr := startServer(t, server.Config{BatchWindow: coalesceWindow})
 	c, err := client.DialConn(addr)

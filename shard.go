@@ -28,10 +28,9 @@ type sharded struct {
 	kind   Kind
 	shards []Store
 
-	// Caller-facing batch counters: one increment per InsertBatch /
-	// LookupBatch / DeleteBatch call on this store. Stats reports these
-	// instead of the sum of the shards' counters, which would count every
-	// fan-out sub-batch.
+	// Caller-facing batch counters: the same-kind runs of the batches
+	// ApplyBatch received. Stats reports these instead of the sum of the
+	// shards' counters, which would count every fan-out sub-batch.
 	insertBatches atomic.Uint64
 	lookupBatches atomic.Uint64
 	deleteBatches atomic.Uint64
@@ -89,7 +88,7 @@ func openSharded(kind Kind, o *storeOptions) (Store, error) {
 func (s *sharded) Kind() Kind { return s.kind }
 
 // shardOf routes a key to its shard. The same key always routes to the
-// same shard, on both the single and the batch paths.
+// same shard, on both the single and the batch path.
 func (s *sharded) shardOf(key uint64) int { return hashfn.ShardOf(key, len(s.shards)) }
 
 func (s *sharded) Insert(key, value uint64) error {
@@ -110,39 +109,6 @@ func (s *sharded) Len() int {
 		total += sh.Len()
 	}
 	return total
-}
-
-// split partitions keys by shard in two passes: count, then scatter. All
-// sub-batches are slices of two flat backing arrays laid out in shard
-// order, so the allocation count is constant in the shard count — no
-// append growth, no per-shard make. pos records each key's original
-// position so batch lookups can gather results back in caller order;
-// counts feeds fanOut.
-func (s *sharded) split(keys []uint64) (byShard [][]uint64, pos [][]int, counts []int) {
-	n := len(s.shards)
-	counts = make([]int, n)
-	route := make([]uint32, len(keys))
-	for i, k := range keys {
-		sh := s.shardOf(k)
-		route[i] = uint32(sh)
-		counts[sh]++
-	}
-	flatK := make([]uint64, len(keys))
-	flatP := make([]int, len(keys))
-	byShard = make([][]uint64, n)
-	pos = make([][]int, n)
-	off := 0
-	for sh, c := range counts {
-		byShard[sh] = flatK[off : off : off+c]
-		pos[sh] = flatP[off : off : off+c]
-		off += c
-	}
-	for i, k := range keys {
-		sh := route[i]
-		byShard[sh] = append(byShard[sh], k)
-		pos[sh] = append(pos[sh], i)
-	}
-	return byShard, pos, counts
 }
 
 // fanOut runs fn for every shard whose sub-batch is non-empty (per
@@ -186,89 +152,13 @@ func (s *sharded) fanOut(counts []int, total int, fn func(sh int)) {
 	wg.Wait()
 }
 
-// InsertBatch splits the batch by shard and upserts the sub-batches in
-// parallel, one goroutine per hit shard, so each shard's index sees one
-// contiguous batch (Shortcut-EH makes its routing decision once per
-// sub-batch). The first error in shard order is returned; the other
-// sub-batches still run to completion.
-func (s *sharded) InsertBatch(keys, values []uint64) error {
-	if len(keys) != len(values) {
-		return fmt.Errorf("vmshortcut: InsertBatch: %d keys but %d values", len(keys), len(values))
-	}
-	s.insertBatches.Add(1)
-	byShard, pos, counts := s.split(keys)
-	flatV := make([]uint64, len(keys))
-	valsByShard := make([][]uint64, len(s.shards))
-	off := 0
-	for sh, ps := range pos {
-		vs := flatV[off : off+len(ps)]
-		for j, i := range ps {
-			vs[j] = values[i]
-		}
-		valsByShard[sh] = vs
-		off += len(ps)
-	}
-	errs := make([]error, len(s.shards))
-	s.fanOut(counts, len(keys), func(sh int) {
-		errs[sh] = s.shards[sh].InsertBatch(byShard[sh], valsByShard[sh])
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LookupBatch splits the probe set by shard, looks the sub-batches up in
-// parallel, and gathers values and presence back into caller order. Each
-// goroutine writes only its own shard's disjoint positions of out and the
-// result slice, so no synchronization beyond the final join is needed.
-func (s *sharded) LookupBatch(keys []uint64, out []uint64) []bool {
-	s.lookupBatches.Add(1)
-	oks := make([]bool, len(keys))
-	byShard, pos, counts := s.split(keys)
-	flatOut := make([]uint64, len(keys)) // sliced per shard; ranges disjoint
-	subOuts := make([][]uint64, len(s.shards))
-	off := 0
-	for sh, ks := range byShard {
-		subOuts[sh] = flatOut[off : off+len(ks)]
-		off += len(ks)
-	}
-	s.fanOut(counts, len(keys), func(sh int) {
-		subOks := s.shards[sh].LookupBatch(byShard[sh], subOuts[sh])
-		for j, i := range pos[sh] {
-			out[i] = subOuts[sh][j]
-			oks[i] = subOks[j]
-		}
-	})
-	return oks
-}
-
-// DeleteBatch splits the keys by shard, deletes the sub-batches in
-// parallel, and gathers per-key presence back into caller order — the
-// delete counterpart of LookupBatch, with the same disjoint-write
-// guarantee: each goroutine writes only its own shard's positions.
-func (s *sharded) DeleteBatch(keys []uint64) []bool {
-	s.deleteBatches.Add(1)
-	oks := make([]bool, len(keys))
-	byShard, pos, counts := s.split(keys)
-	s.fanOut(counts, len(keys), func(sh int) {
-		subOks := s.shards[sh].DeleteBatch(byShard[sh])
-		for j, i := range pos[sh] {
-			oks[i] = subOks[j]
-		}
-	})
-	return oks
-}
-
 // ApplyBatch splits a mixed batch across the shards in ONE pass — each
 // entry is routed by its key, so the per-key operation order of the
 // caller's batch is preserved inside the owning shard's sub-batch — fans
 // the per-shard sub-batches out in parallel, and gathers the per-entry
 // outcomes back into caller order. The batch counters count the
-// caller-facing batch's same-kind runs once, like the other batch paths;
-// the per-shard sub-batches are not double counted. The first shard
+// caller-facing batch's same-kind runs once; the per-shard sub-batches
+// are not double counted. The first shard
 // error (in shard order) fails the whole batch, per the ApplyBatch
 // unit-failure contract.
 func (s *sharded) ApplyBatch(b *op.Batch, res *op.Results) error {

@@ -27,10 +27,12 @@ func openShardedSCEH(tb testing.TB, shards int, extra ...Option) Store {
 }
 
 // TestShardRoutingStability checks that the batch and single operation
-// paths agree on shard placement: every key inserted through InsertBatch
-// must be found by a single Lookup (which routes independently), deleted
-// by a single Delete, and re-found by LookupBatch — any routing divergence
-// shows up as a miss against a different shard.
+// paths agree on shard placement: every key inserted through an all-PUT
+// ApplyBatch must be found by a single Lookup (which routes
+// independently), deleted by a single Delete, and re-found by an all-GET
+// ApplyBatch — any routing divergence shows up as a miss against a
+// different shard. Both batches are far above shardFanOutMin, so they take
+// the goroutine fan-out.
 func TestShardRoutingStability(t *testing.T) {
 	const n, shards = 20000, 5
 	s := openShardedSCEH(t, shards)
@@ -41,8 +43,8 @@ func TestShardRoutingStability(t *testing.T) {
 		keys[i] = uint64(i) * 2654435761 // spread keys; routing must not care
 		vals[i] = uint64(i) + 7
 	}
-	if err := s.InsertBatch(keys, vals); err != nil {
-		t.Fatalf("InsertBatch: %v", err)
+	if err := putBatch(s, keys, vals); err != nil {
+		t.Fatalf("PUT batch: %v", err)
 	}
 	if got := s.Len(); got != n {
 		t.Fatalf("Len = %d, want %d", got, n)
@@ -60,24 +62,24 @@ func TestShardRoutingStability(t *testing.T) {
 			t.Fatalf("single Delete(%d) missed a batch-inserted key", k)
 		}
 	}
-	out := make([]uint64, n)
-	oks := s.LookupBatch(keys, out)
+	res := getBatch(s, keys)
 	for i := range keys {
 		want := i >= n/2
-		if oks[i] != want {
-			t.Fatalf("LookupBatch presence[%d] = %v, want %v", i, oks[i], want)
+		if res.Found[i] != want {
+			t.Fatalf("GET batch presence[%d] = %v, want %v", i, res.Found[i], want)
 		}
-		if want && out[i] != vals[i] {
-			t.Fatalf("LookupBatch out[%d] = %d, want %d", i, out[i], vals[i])
+		if want && res.Vals[i] != vals[i] {
+			t.Fatalf("GET batch value[%d] = %d, want %d", i, res.Vals[i], vals[i])
 		}
 	}
 }
 
-// TestShardedDeleteBatch checks the delete fan-out: per-key presence comes
-// back in caller order across shard boundaries, duplicates within one
-// batch resolve in order (first occurrence deletes, second misses), and
-// the Stats batch counters count caller-facing calls exactly once — not
-// the per-shard sub-batches of the fan-out.
+// TestShardedDeleteBatch checks the delete fan-out of an all-DEL
+// ApplyBatch: per-key presence comes back in caller order across shard
+// boundaries, duplicates within one batch resolve in order (first
+// occurrence deletes, second misses), and the Stats batch counters count
+// caller-facing batches exactly once — not the per-shard sub-batches of
+// the fan-out.
 func TestShardedDeleteBatch(t *testing.T) {
 	const n, shards = 10000, 4
 	s := openShardedSCEH(t, shards)
@@ -88,8 +90,8 @@ func TestShardedDeleteBatch(t *testing.T) {
 		keys[i] = uint64(i)*7919 + 3
 		vals[i] = uint64(i)
 	}
-	if err := s.InsertBatch(keys, vals); err != nil {
-		t.Fatalf("InsertBatch: %v", err)
+	if err := putBatch(s, keys, vals); err != nil {
+		t.Fatalf("PUT batch: %v", err)
 	}
 
 	// Delete the even positions plus a duplicate and a never-inserted key.
@@ -98,17 +100,17 @@ func TestShardedDeleteBatch(t *testing.T) {
 		dels = append(dels, keys[i])
 	}
 	dels = append(dels, keys[0], 1) // duplicate; absent key
-	oks := s.DeleteBatch(dels)
+	oks := delBatch(s, dels)
 	for i := 0; i < n/2; i++ {
 		if !oks[i] {
-			t.Fatalf("DeleteBatch[%d] (key %d) = false, want true", i, dels[i])
+			t.Fatalf("DEL batch[%d] (key %d) = false, want true", i, dels[i])
 		}
 	}
 	if oks[n/2] || oks[n/2+1] {
 		t.Fatalf("duplicate/absent keys reported deleted: %v %v", oks[n/2], oks[n/2+1])
 	}
 	if got := s.Len(); got != n/2 {
-		t.Fatalf("Len after DeleteBatch = %d, want %d", got, n/2)
+		t.Fatalf("Len after DEL batch = %d, want %d", got, n/2)
 	}
 	// Odd positions survive, even positions are gone — on the single path,
 	// so batch deletion and single routing agree on shard placement.
@@ -126,9 +128,6 @@ func TestShardedDeleteBatch(t *testing.T) {
 	}
 }
 
-// TestShardOfCoversAllShards checks the routing hash is total and spreads:
-// every shard index is produced, results stay in range, and the function
-// is deterministic.
 // TestShardedApplyBatch drives a large mixed batch through a sharded
 // store: the one-pass split must route every entry to its key's shard
 // with per-key order preserved, fan out in parallel, and gather results
@@ -177,6 +176,9 @@ func TestShardedApplyBatch(t *testing.T) {
 	}
 }
 
+// TestShardOfCoversAllShards checks the routing hash is total and spreads:
+// every shard index is produced, results stay in range, and the function
+// is deterministic.
 func TestShardOfCoversAllShards(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 7, 16} {
 		hit := make([]int, n)
@@ -254,14 +256,11 @@ type stubStore struct {
 	closed   atomic.Bool
 }
 
-func (s *stubStore) Insert(key, value uint64) error            { return nil }
-func (s *stubStore) Lookup(key uint64) (uint64, bool)          { return 0, false }
-func (s *stubStore) Delete(key uint64) bool                    { return false }
-func (s *stubStore) Len() int                                  { return 0 }
-func (s *stubStore) InsertBatch(keys, values []uint64) error   { return nil }
-func (s *stubStore) LookupBatch(k []uint64, o []uint64) []bool { return make([]bool, len(k)) }
-func (s *stubStore) DeleteBatch(k []uint64) []bool             { return make([]bool, len(k)) }
-func (s *stubStore) Range(fn func(key, value uint64) bool)     {}
+func (s *stubStore) Insert(key, value uint64) error        { return nil }
+func (s *stubStore) Lookup(key uint64) (uint64, bool)      { return 0, false }
+func (s *stubStore) Delete(key uint64) bool                { return false }
+func (s *stubStore) Len() int                              { return 0 }
+func (s *stubStore) Range(fn func(key, value uint64) bool) {}
 func (s *stubStore) ApplyBatch(b *OpBatch, res *OpResults) error {
 	res.Reset(b.Len())
 	return nil
@@ -317,8 +316,8 @@ func TestShardedLifecycle(t *testing.T) {
 	if got := s.Len(); got != 0 {
 		t.Fatalf("Len after Close = %d", got)
 	}
-	if err := s.InsertBatch([]uint64{1}, []uint64{2}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("InsertBatch after Close = %v, want ErrClosed", err)
+	if err := putBatch(s, []uint64{1, 5}, []uint64{2, 6}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("PUT batch after Close = %v, want ErrClosed", err)
 	}
 	if st := s.Stats(); st.Entries != 0 || st.Kind != KindShortcutEH {
 		t.Fatalf("Stats after Close = %+v", st)
@@ -349,7 +348,7 @@ func TestShardedConcurrentWriters(t *testing.T) {
 					keys[i] = base + uint64(i)
 					vals[i] = base + uint64(i) + 1
 				}
-				if err := s.InsertBatch(keys, vals); err != nil {
+				if err := putBatch(s, keys, vals); err != nil {
 					t.Errorf("writer %d: %v", w, err)
 				}
 				return

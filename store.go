@@ -87,34 +87,23 @@ func ParseKind(name string) (Kind, error) {
 var ErrClosed = errors.New("vmshortcut: store closed")
 
 // Store is the uniform surface of every index kind: the Index operations,
-// batch variants that amortize per-call overhead, one observability struct,
-// and an idempotent lifecycle. Open is the only constructor.
+// one mixed-batch call, one observability struct, and an idempotent
+// lifecycle. Open is the only constructor.
 //
 // Unless the Store was opened with WithConcurrency, mutations must come
 // from a single goroutine, mirroring the paper's single-writer model.
 type Store interface {
 	Index
 
-	// InsertBatch upserts every (keys[i], values[i]) pair; len(keys) must
-	// equal len(values).
-	InsertBatch(keys, values []uint64) error
-	// LookupBatch looks up every key, writing values into out — which must
-	// have length at least len(keys) — and returns per-key presence.
-	LookupBatch(keys []uint64, out []uint64) []bool
-	// DeleteBatch removes every key and returns per-key presence, so the
-	// delete path is symmetric with insert/lookup for batch-shaped callers
-	// (the network server's pipelined DEL path).
-	DeleteBatch(keys []uint64) []bool
-
 	// ApplyBatch executes an ordered mixed-operation batch — the serving
 	// stack's one shared representation (OpBatch) — writing per-entry
 	// outcomes into res (sized and zeroed by the call): presence and
 	// value for GET entries, presence for DEL entries, acceptance for PUT
-	// entries. Entries are applied in order (maximal same-kind runs go
-	// through the native batch paths, so a uniform batch is exactly an
-	// InsertBatch/LookupBatch/DeleteBatch — and counts in the same Stats
-	// counters), a concurrent store takes its lock once for the whole
-	// batch, a sharded store splits the batch per shard in one pass, and
+	// entries. It is the only batch call: an all-PUT batch bulk-loads, an
+	// all-GET batch probes many keys. Entries are applied in order, each
+	// through the index's single operation; a concurrent store takes its
+	// lock once for the whole batch, a sharded store splits the batch per
+	// shard in one pass and fans large batches out across goroutines, and
 	// a durable store appends ONE log record for the whole batch,
 	// zero-copy from the batch's wire payload.
 	//
@@ -123,9 +112,9 @@ type Store interface {
 	// every entry as failed and acknowledge none of them — on a durable
 	// store, entries may then have taken effect in memory without being
 	// logged, exactly the unacknowledged one-batch window the WAL's
-	// fail-stop contract already documents. Batches larger than
-	// wal.MaxRecordPairs may be rejected by durable stores; the wire
-	// layer's frame bounds keep served batches far below that.
+	// fail-stop contract already documents. Durable stores reject batches
+	// larger than wal.MaxRecordPairs; the wire layer's frame bounds keep
+	// served batches far below that.
 	ApplyBatch(b *OpBatch, res *OpResults) error
 
 	// Range calls fn for every stored (key, value) entry until fn returns
@@ -198,12 +187,14 @@ type Stats struct {
 	SnapshotLSN uint64
 	DurableLSN  uint64
 
-	// Batch-operation counters at the Store surface (every kind): how many
-	// InsertBatch/LookupBatch/DeleteBatch calls this store has served. A
-	// sharded store counts each caller-facing batch once — the per-shard
-	// sub-batches of the fan-out are not double counted. The network
-	// server's coalescer is verified through these: pipelined requests must
-	// reach the store as batches, not single ops.
+	// Batch counters at the Store surface (every kind): how many
+	// multi-entry runs of consecutive GET, PUT and DEL entries the store's
+	// ApplyBatch calls have carried (op.CountRuns; a lone entry between
+	// entries of other kinds is no run). A sharded store counts each
+	// caller-facing batch's runs once — the per-shard sub-batches of the
+	// fan-out are not double counted. The network server's coalescer is
+	// verified through these: pipelined requests must reach the store as
+	// batches, not single ops.
 	InsertBatches uint64
 	LookupBatches uint64
 	DeleteBatches uint64
@@ -429,9 +420,8 @@ func WithSeqlockRetryHist(h *obs.Hist) Option {
 // each with its own lock stripe and (unless WithPool injects a shared one)
 // its own page pool, so writers to different shards proceed in parallel
 // instead of serializing on WithConcurrency's single lock. Single
-// operations route by key hash; InsertBatch/LookupBatch split the batch by
-// shard and fan the per-shard sub-batches out across goroutines, so
-// Shortcut-EH's once-per-batch routing decision is preserved per shard.
+// operations route by key hash; ApplyBatch splits the batch by shard in
+// one pass and fans the per-shard sub-batches out across goroutines.
 // Stats aggregates across shards, WaitSync and Close fan out and drain.
 //
 // n > 1 implies WithConcurrency: the sharded store is always safe for
@@ -451,85 +441,40 @@ func WithShards(n int) Option {
 	}
 }
 
-// closedFalse backs the all-false presence results a closed store hands
-// out of LookupBatch/DeleteBatch. The results are immutable by contract
-// (nothing was looked up or deleted), so one shared read-only arena
-// replaces the former make([]bool, n) per call; a batch larger than the
-// arena — far beyond any coalesced frame — still allocates.
-var closedFalse [4096]bool
-
-// zeroFound returns an all-false []bool of length n, allocation-free
-// for any batch the serve path produces. Callers must treat the result
-// as read-only.
-func zeroFound(n int) []bool {
-	if n <= len(closedFalse) {
-		return closedFalse[:n:n]
-	}
-	return make([]bool, n)
-}
-
-// batchIndex is the contract every internal index implementation satisfies
+// rangeIndex is the contract every internal index implementation satisfies
 // natively; the store wrapper adds lifecycle and observability on top.
-type batchIndex interface {
+type rangeIndex interface {
 	Index
-	InsertBatch(keys, values []uint64) error
-	LookupBatch(keys []uint64, out []uint64) []bool
-	DeleteBatch(keys []uint64) []bool
 	Range(fn func(key, value uint64) bool)
 }
 
-// applyRuns executes a mixed batch against an index as maximal same-kind
-// runs, in entry order: each run becomes one native batch call (one
-// routing decision, per the paper's amortization), and a single-entry
-// run uses the single-op path so a lone pipelined request costs what it
-// did before batching existed. Results land at the entries' caller-order
-// positions. It returns how many multi-entry runs of each kind ran (the
-// store's batch counters count exactly those, keeping their meaning from
-// the same-kind era) and the first insert error; later runs still
-// execute, but per the ApplyBatch contract the whole batch then fails as
-// a unit.
-func applyRuns(idx batchIndex, b *op.Batch, res *op.Results) (runs [3]uint64, firstErr error) {
+// applyEntries executes a mixed batch against an index one entry at a
+// time, in order, each through the index's single operation, and writes
+// the outcome straight into res at the entry's position. It returns the
+// batch's multi-entry same-kind runs per kind (op.CountRuns: what the
+// store's batch counters count) and the first insert error; later entries
+// still execute, but per the ApplyBatch contract the whole batch then
+// fails as a unit.
+func applyEntries(idx rangeIndex, b *op.Batch, res *op.Results) (runs [3]uint64, firstErr error) {
 	kinds, keys, vals := b.Kinds(), b.Keys(), b.Vals()
 	res.Reset(len(kinds))
-	runs = op.CountRuns(kinds) // the one shared "what counts as a batch" definition
-	for i := 0; i < len(kinds); {
-		j := i + 1
-		for j < len(kinds) && kinds[j] == kinds[i] {
-			j++
-		}
-		switch kinds[i] {
+	for i, k := range kinds {
+		switch k {
 		case op.Get:
-			if j-i == 1 {
-				res.Vals[i], res.Found[i] = idx.Lookup(keys[i])
-			} else {
-				copy(res.Found[i:j], idx.LookupBatch(keys[i:j], res.Vals[i:j]))
-			}
+			res.Vals[i], res.Found[i] = idx.Lookup(keys[i])
 		case op.Put:
-			var err error
-			if j-i == 1 {
-				err = idx.Insert(keys[i], vals[i])
-			} else {
-				err = idx.InsertBatch(keys[i:j], vals[i:j])
-			}
-			if err != nil {
+			if err := idx.Insert(keys[i], vals[i]); err != nil {
 				if firstErr == nil {
 					firstErr = err
 				}
 			} else {
-				for k := i; k < j; k++ {
-					res.Found[k] = true
-				}
+				res.Found[i] = true
 			}
 		case op.Del:
-			if j-i == 1 {
-				res.Found[i] = idx.Delete(keys[i])
-			} else {
-				copy(res.Found[i:j], idx.DeleteBatch(keys[i:j]))
-			}
+			res.Found[i] = idx.Delete(keys[i])
 		}
-		i = j
 	}
-	return runs, firstErr
+	return op.CountRuns(kinds), firstErr
 }
 
 // effectiveLoadFactor mirrors the 0.35 default every implementation fills
@@ -834,14 +779,12 @@ type mergingEH struct{ *eh.Table }
 
 func (m mergingEH) Delete(key uint64) bool { return m.Table.DeleteAndMerge(key) }
 
-func (m mergingEH) DeleteBatch(keys []uint64) []bool { return m.Table.DeleteAndMergeBatch(keys) }
-
-// lockedIndex serializes a batchIndex for WithConcurrency. Reads take the
+// lockedIndex serializes a rangeIndex for WithConcurrency. Reads take the
 // shared lock unless the implementation mutates on read (KindHTI's
-// incremental migration), and batch operations amortize the lock to one
-// acquisition. It also owns the authoritative closed check: the flag is
-// read under the lock, so close() cannot release the underlying memory
-// while an operation is mid-flight.
+// incremental migration), and ApplyBatch takes the lock once per batch.
+// It also owns the authoritative closed check: the flag is read under the
+// lock, so close() cannot release the underlying memory while an
+// operation is mid-flight.
 //
 // On top of the lock it layers the pure-GET seqlock fast path. seq is a
 // seqlock sequence counter: every mutating path bumps it entering and
@@ -853,7 +796,7 @@ func (m mergingEH) DeleteBatch(keys []uint64) []bool { return m.Table.DeleteAndM
 // unmapped under one.
 type lockedIndex struct {
 	mu          sync.RWMutex
-	idx         batchIndex
+	idx         rangeIndex
 	readMutates bool
 	readSafe    bool
 	closed      bool
@@ -964,33 +907,6 @@ func (l *lockedIndex) Len() int {
 	return l.idx.Len()
 }
 
-func (l *lockedIndex) InsertBatch(keys, values []uint64) error {
-	l.beginWrite()
-	defer l.endWrite()
-	if l.closed {
-		return ErrClosed
-	}
-	return l.idx.InsertBatch(keys, values)
-}
-
-func (l *lockedIndex) LookupBatch(keys []uint64, out []uint64) []bool {
-	l.rlock()
-	defer l.runlock()
-	if l.closed {
-		return zeroFound(len(keys))
-	}
-	return l.idx.LookupBatch(keys, out)
-}
-
-func (l *lockedIndex) DeleteBatch(keys []uint64) []bool {
-	l.beginWrite()
-	defer l.endWrite()
-	if l.closed {
-		return zeroFound(len(keys))
-	}
-	return l.idx.DeleteBatch(keys)
-}
-
 // applyBatch executes a mixed batch under ONE lock acquisition — the
 // write lock when the batch mutates (or reads migrate, KindHTI), the
 // read lock for a pure-GET batch — so a coalesced pipeline round pays
@@ -1017,7 +933,7 @@ func (l *lockedIndex) applyBatch(b *op.Batch, res *op.Results) ([3]uint64, error
 		res.Reset(b.Len())
 		return [3]uint64{}, ErrClosed
 	}
-	runs, err := applyRuns(l.idx, b, res)
+	runs, err := applyEntries(l.idx, b, res)
 	if b.Mutations() == 0 {
 		// GET entries served under the lock — including KindHTI's, whose
 		// migrating reads hold the write lock.
@@ -1090,11 +1006,11 @@ func (l *lockedIndex) Range(fn func(key, value uint64) bool) {
 	l.idx.Range(fn)
 }
 
-// store implements Store: one batchIndex plus kind-specific lifecycle and
+// store implements Store: one rangeIndex plus kind-specific lifecycle and
 // observability hooks.
 type store struct {
 	kind       Kind
-	idx        batchIndex
+	idx        rangeIndex
 	pool       *Pool
 	ownsPool   bool
 	under      any                      // concrete table for the As* escape hatches
@@ -1103,7 +1019,7 @@ type store struct {
 	stats      func() Stats
 	lck        *lockedIndex // set with WithConcurrency; owns close ordering
 
-	// Batch-call counters surfaced through Stats; atomics so concurrent
+	// Batch-run counters surfaced through Stats; atomics so concurrent
 	// stores count without widening any lock's critical section.
 	insertBatches atomic.Uint64
 	lookupBatches atomic.Uint64
@@ -1143,30 +1059,6 @@ func (s *store) Len() int {
 	return s.idx.Len()
 }
 
-func (s *store) InsertBatch(keys, values []uint64) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	s.insertBatches.Add(1)
-	return s.idx.InsertBatch(keys, values)
-}
-
-func (s *store) LookupBatch(keys []uint64, out []uint64) []bool {
-	if s.closed.Load() {
-		return zeroFound(len(keys))
-	}
-	s.lookupBatches.Add(1)
-	return s.idx.LookupBatch(keys, out)
-}
-
-func (s *store) DeleteBatch(keys []uint64) []bool {
-	if s.closed.Load() {
-		return zeroFound(len(keys))
-	}
-	s.deleteBatches.Add(1)
-	return s.idx.DeleteBatch(keys)
-}
-
 func (s *store) ApplyBatch(b *op.Batch, res *op.Results) error {
 	if s.closed.Load() {
 		res.Reset(b.Len())
@@ -1177,7 +1069,7 @@ func (s *store) ApplyBatch(b *op.Batch, res *op.Results) error {
 	if s.lck != nil {
 		runs, err = s.lck.applyBatch(b, res)
 	} else {
-		runs, err = applyRuns(s.idx, b, res)
+		runs, err = applyEntries(s.idx, b, res)
 	}
 	s.lookupBatches.Add(runs[op.Get])
 	s.insertBatches.Add(runs[op.Put])

@@ -5,7 +5,45 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"vmshortcut/internal/op"
 )
+
+// applyUniform applies keys as one batch of k entries (vals is read for
+// Put only) and returns the per-entry results.
+func applyUniform(s Store, k op.Kind, keys, vals []uint64) (OpResults, error) {
+	var b OpBatch
+	b.Grow(len(keys))
+	for i, key := range keys {
+		var v uint64
+		if k == op.Put {
+			v = vals[i]
+		}
+		b.Add(k, key, v)
+	}
+	var res OpResults
+	err := s.ApplyBatch(&b, &res)
+	return res, err
+}
+
+// putBatch upserts the pairs through one all-PUT ApplyBatch.
+func putBatch(s Store, keys, vals []uint64) error {
+	_, err := applyUniform(s, op.Put, keys, vals)
+	return err
+}
+
+// getBatch looks the keys up through one all-GET ApplyBatch.
+func getBatch(s Store, keys []uint64) OpResults {
+	res, _ := applyUniform(s, op.Get, keys, nil)
+	return res
+}
+
+// delBatch deletes the keys through one all-DEL ApplyBatch and returns
+// per-key presence.
+func delBatch(s Store, keys []uint64) []bool {
+	res, _ := applyUniform(s, op.Del, keys, nil)
+	return res.Found
+}
 
 // openKinds enumerates every kind with the options that make it openable
 // in a test (radix needs a capacity; shortcut-EH syncs fast with a short
@@ -49,8 +87,8 @@ func TestOpenConformance(t *testing.T) {
 				keys = append(keys, k)
 				vals = append(vals, k*2+1)
 			}
-			if err := s.InsertBatch(keys, vals); err != nil {
-				t.Fatalf("InsertBatch: %v", err)
+			if err := putBatch(s, keys, vals); err != nil {
+				t.Fatalf("PUT batch: %v", err)
 			}
 			if s.Len() != n {
 				t.Fatalf("Len = %d, want %d", s.Len(), n)
@@ -64,15 +102,14 @@ func TestOpenConformance(t *testing.T) {
 			for i := range all {
 				all[i] = uint64(i)
 			}
-			out := make([]uint64, n)
-			ok := s.LookupBatch(all, out)
+			res := getBatch(s, all)
 			for i, k := range all {
 				v1, ok1 := s.Lookup(k)
 				if !ok1 || v1 != k*2+1 {
 					t.Fatalf("Lookup(%d) = %d,%v", k, v1, ok1)
 				}
-				if !ok[i] || out[i] != v1 {
-					t.Fatalf("LookupBatch[%d] = %d,%v, want %d", i, out[i], ok[i], v1)
+				if !res.Found[i] || res.Vals[i] != v1 {
+					t.Fatalf("GET batch[%d] = %d,%v, want %d", i, res.Vals[i], res.Found[i], v1)
 				}
 			}
 			if _, miss := s.Lookup(n + 1); miss && s.Kind() != KindRadix {
@@ -87,26 +124,26 @@ func TestOpenConformance(t *testing.T) {
 				t.Fatalf("Len after delete = %d", s.Len())
 			}
 
-			// DeleteBatch agrees with single deletes: present keys report
+			// A DEL batch agrees with single deletes: present keys report
 			// true (including a duplicate that is gone by its second
 			// occurrence), already-deleted keys false.
 			dels := []uint64{7, 8, 5, 7}
 			wantOK := []bool{true, true, false, false}
-			delOK := s.DeleteBatch(dels)
+			delOK := delBatch(s, dels)
 			for i := range dels {
 				if delOK[i] != wantOK[i] {
-					t.Fatalf("DeleteBatch[%d] (key %d) = %v, want %v", i, dels[i], delOK[i], wantOK[i])
+					t.Fatalf("DEL batch[%d] (key %d) = %v, want %v", i, dels[i], delOK[i], wantOK[i])
 				}
 			}
 			if s.Len() != n-3 {
-				t.Fatalf("Len after DeleteBatch = %d, want %d", s.Len(), n-3)
+				t.Fatalf("Len after DEL batch = %d, want %d", s.Len(), n-3)
 			}
 			if _, ok := s.Lookup(7); ok {
-				t.Fatal("key 7 still present after DeleteBatch")
+				t.Fatal("key 7 still present after DEL batch")
 			}
 
 			// Stats carries the kind, the live entry count, and the batch
-			// call counters everywhere.
+			// run counters everywhere: each uniform batch is one run.
 			st := s.Stats()
 			if st.Kind.String() != name || st.Entries != n-3 {
 				t.Fatalf("Stats = {Kind:%s Entries:%d}, want {%s %d}", st.Kind, st.Entries, name, n-3)
@@ -136,10 +173,10 @@ func TestApplyBatchConformance(t *testing.T) {
 		b.Get(1)     // 5: miss
 		b.Del(1)     // 6: miss
 		for k := uint64(100); k < 140; k++ {
-			b.Put(k, k*2) // a long uniform run: one InsertBatch
+			b.Put(k, k*2) // a long uniform run: one PUT batch in Stats
 		}
 		for k := uint64(100); k < 140; k++ {
-			b.Get(k) // a long uniform run: one LookupBatch
+			b.Get(k) // a long uniform run: one GET batch in Stats
 		}
 		var res OpResults
 		if err := s.ApplyBatch(&b, &res); err != nil {
@@ -160,8 +197,7 @@ func TestApplyBatchConformance(t *testing.T) {
 					res.Found[put], res.Found[get], res.Vals[get])
 			}
 		}
-		// The uniform runs went through the native batch paths: visible
-		// in the batch counters exactly like a same-kind batch call.
+		// The multi-entry runs show in the batch counters.
 		st := s.Stats()
 		if st.InsertBatches == 0 || st.LookupBatches == 0 {
 			t.Fatalf("multi-entry runs did not count as batches: %+v", st)
@@ -204,20 +240,34 @@ func TestApplyBatchClosed(t *testing.T) {
 
 // TestApplyBatchUnitFailure pins the unit-failure contract: a rejected
 // insert (radix key out of range) fails the whole batch with the insert
-// error, even though other entries executed.
+// error, even though the other entries executed — the entries after it
+// included, whose results are filled in as usual.
 func TestApplyBatchUnitFailure(t *testing.T) {
-	s, err := Open(KindRadix, WithCapacity(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	var b OpBatch
-	b.Put(1, 10)
-	b.Put(1<<40, 1) // out of the radix key-space bound
-	b.Get(1)
-	var res OpResults
-	if err := s.ApplyBatch(&b, &res); err == nil {
-		t.Fatal("ApplyBatch accepted an out-of-range radix insert")
+	for _, opts := range [][]Option{nil, {WithConcurrency(true)}, {WithShards(2)}} {
+		s, err := Open(KindRadix, append([]Option{WithCapacity(16)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		var b OpBatch
+		b.Put(1, 10)
+		b.Put(1<<40, 1) // out of the radix key-space bound
+		b.Get(1)
+		b.Put(2, 20)
+		b.Get(2)
+		b.Get(3)
+		var res OpResults
+		if err := s.ApplyBatch(&b, &res); err == nil {
+			t.Fatal("ApplyBatch accepted an out-of-range radix insert")
+		}
+		wantFound := []bool{true, false, true, true, true, false}
+		wantVals := []uint64{0, 0, 10, 0, 20, 0}
+		for i := range wantFound {
+			if res.Found[i] != wantFound[i] || res.Vals[i] != wantVals[i] {
+				t.Fatalf("%d options: entry %d = (%v, %d), want (%v, %d)",
+					len(opts), i, res.Found[i], res.Vals[i], wantFound[i], wantVals[i])
+			}
+		}
 	}
 }
 
@@ -267,14 +317,14 @@ func TestStoreClose(t *testing.T) {
 			if err := s.Insert(3, 4); !errors.Is(err, ErrClosed) {
 				t.Fatalf("Insert after Close = %v, want ErrClosed", err)
 			}
-			if err := s.InsertBatch([]uint64{3}, []uint64{4}); !errors.Is(err, ErrClosed) {
-				t.Fatalf("InsertBatch after Close = %v, want ErrClosed", err)
+			if err := putBatch(s, []uint64{3, 5}, []uint64{4, 6}); !errors.Is(err, ErrClosed) {
+				t.Fatalf("PUT batch after Close = %v, want ErrClosed", err)
 			}
 			if _, ok := s.Lookup(1); ok {
 				t.Fatal("Lookup after Close reported present")
 			}
-			if ok := s.LookupBatch([]uint64{1}, make([]uint64, 1)); ok[0] {
-				t.Fatal("LookupBatch after Close reported present")
+			if res := getBatch(s, []uint64{1, 1}); res.Found[0] {
+				t.Fatal("GET batch after Close reported present")
 			}
 			if s.Delete(1) || s.Len() != 0 {
 				t.Fatal("Delete/Len after Close not inert")
@@ -283,15 +333,6 @@ func TestStoreClose(t *testing.T) {
 				t.Fatalf("Stats after Close = %+v", st)
 			}
 		})
-	}
-}
-
-// TestBatchLengthMismatch checks the error is reported, not panicked.
-func TestBatchLengthMismatch(t *testing.T) {
-	for name, s := range openKinds(t, 100) {
-		if err := s.InsertBatch([]uint64{1, 2}, []uint64{1}); err == nil {
-			t.Fatalf("%s: InsertBatch length mismatch accepted", name)
-		}
 	}
 }
 
@@ -340,13 +381,12 @@ func TestOpenConcurrency(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					out := make([]uint64, 64)
 					keys := make([]uint64, 64)
 					for i := range keys {
 						keys[i] = uint64(i * 7 % n)
 					}
 					for r := 0; r < 50; r++ {
-						s.LookupBatch(keys, out)
+						getBatch(s, keys)
 					}
 				}()
 			}
@@ -388,13 +428,12 @@ func TestConcurrentCloseUnderFire(t *testing.T) {
 				go func(r int) {
 					defer wg.Done()
 					keys := make([]uint64, 256)
-					out := make([]uint64, 256)
 					for i := range keys {
 						keys[i] = uint64((i * 31) % n)
 					}
 					for i := 0; ; i++ {
 						if i%2 == 0 {
-							s.LookupBatch(keys, out)
+							getBatch(s, keys)
 						} else if _, ok := s.Lookup(uint64(r)); !ok {
 							return // closed observed
 						}
@@ -479,13 +518,13 @@ func TestOpenShortcutRouting(t *testing.T) {
 	}
 	before := st.ShortcutLookups
 	keys := make([]uint64, 1024)
-	out := make([]uint64, 1024)
 	for i := range keys {
 		keys[i] = uint64(i + 1)
 	}
-	for i, ok := range s.LookupBatch(keys, out) {
-		if !ok || out[i] != keys[i] {
-			t.Fatalf("LookupBatch[%d] = %d,%v", i, out[i], ok)
+	res := getBatch(s, keys)
+	for i, ok := range res.Found {
+		if !ok || res.Vals[i] != keys[i] {
+			t.Fatalf("GET batch[%d] = %d,%v", i, res.Vals[i], ok)
 		}
 	}
 	if got := s.Stats().ShortcutLookups; got != before+1024 {

@@ -20,11 +20,11 @@ func buildChainedLog(t *testing.T) string {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 6; i++ {
-		if _, err := l.AppendPut([]uint64{i, i + 100}, []uint64{i * 3, i * 7}); err != nil {
+		if _, err := appendPut(l, []uint64{i, i + 100}, []uint64{i * 3, i * 7}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := l.AppendDelete([]uint64{101, 102}); err != nil {
+	if _, err := appendDel(l, []uint64{101, 102}); err != nil {
 		t.Fatal(err)
 	}
 	var b op.Batch
@@ -209,7 +209,7 @@ func TestChainReanchorsAfterCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 20; i++ {
-		if _, err := l.AppendPut([]uint64{i}, []uint64{i}); err != nil {
+		if _, err := appendPut(l, []uint64{i}, []uint64{i}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -56,7 +56,7 @@ func (g *gatedSync) awaitStart(t *testing.T) int {
 func appendAsync(l *Log, key uint64) <-chan error {
 	done := make(chan error, 1)
 	go func() {
-		_, err := l.AppendPut([]uint64{key}, []uint64{key})
+		_, err := appendPut(l, []uint64{key}, []uint64{key})
 		done <- err
 	}()
 	return done
@@ -265,7 +265,7 @@ func TestFailedSyncIsFailStop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := l.AppendPut([]uint64{9}, []uint64{9}); err != nil { // record 1, durable
+		if _, err := appendPut(l, []uint64{9}, []uint64{9}); err != nil { // record 1, durable
 			t.Fatal(err)
 		}
 		g := gateSyncs(t, 2)
@@ -296,7 +296,7 @@ func TestFailedSyncIsFailStop(t *testing.T) {
 		if n := g.calls.Load(); n != 2 {
 			t.Errorf("sync %d failed: %d syncs were issued, want no retry after the failure", failed, n)
 		}
-		if _, err := l.AppendPut([]uint64{5}, []uint64{5}); !errors.Is(err, boom) {
+		if _, err := appendPut(l, []uint64{5}, []uint64{5}); !errors.Is(err, boom) {
 			t.Errorf("sync %d failed: a later append got %v, want the sticky sync error", failed, err)
 		}
 		if err := l.Sync(); !errors.Is(err, boom) {
@@ -332,7 +332,7 @@ func TestTwoWritersOverlapTheirSyncs(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := uint64(0); i < perWriter; i++ {
-					if _, err := l.AppendPut([]uint64{i}, []uint64{i}); err != nil {
+					if _, err := appendPut(l, []uint64{i}, []uint64{i}); err != nil {
 						t.Error(err)
 						return
 					}
@@ -366,7 +366,7 @@ func TestNoPreallocationStillWorks(t *testing.T) {
 			t.Fatalf("%v: %v", errno, err)
 		}
 		for i := uint64(1); i <= 20; i++ {
-			if _, err := l.AppendPut([]uint64{i}, []uint64{i}); err != nil {
+			if _, err := appendPut(l, []uint64{i}, []uint64{i}); err != nil {
 				t.Fatalf("%v: append %d: %v", errno, i, err)
 			}
 		}
@@ -396,7 +396,7 @@ func TestNoPreallocationStillWorks(t *testing.T) {
 		if len(got) != 20 {
 			t.Fatalf("%v: replayed %d records, want 20", errno, len(got))
 		}
-		if lsn, err := l2.AppendPut([]uint64{21}, []uint64{21}); err != nil || lsn != 21 {
+		if lsn, err := appendPut(l2, []uint64{21}, []uint64{21}); err != nil || lsn != 21 {
 			t.Fatalf("%v: append after reopen = %d, %v", errno, lsn, err)
 		}
 		l2.Close()
@@ -433,7 +433,7 @@ func BenchmarkAppendAlways(b *testing.B) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < n; i++ {
-						if _, err := l.AppendPut(keys, vals); err != nil {
+						if _, err := appendPut(l, keys, vals); err != nil {
 							b.Error(err)
 							return
 						}

@@ -74,7 +74,7 @@ func FuzzOpenSegment(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Open on a damaged final segment must repair, got %v", err)
 		}
-		lsn, err := l.AppendDelete([]uint64{1})
+		lsn, err := appendDel(l, []uint64{1})
 		if err != nil {
 			t.Fatalf("append after repair: %v", err)
 		}

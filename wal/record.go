@@ -41,11 +41,9 @@ const (
 	OpMixed = op.CodeMixedBatch
 )
 
-// MaxRecordPairs caps the elements one record may carry. AppendPut and
-// AppendDelete split larger batches across several records (still
-// covered by one fsync), so the cap bounds replay buffers without
-// bounding caller batches. It equals op.MaxElems, so any batch the wire
-// layer accepts fits one record.
+// MaxRecordPairs caps the elements one record may carry, which bounds
+// replay buffers. It equals op.MaxElems, so any batch the wire layer
+// accepts fits one record.
 const MaxRecordPairs = op.MaxElems
 
 // recordHeaderSize is the fixed prefix: u32 payloadLen + u32 crc.

@@ -52,14 +52,14 @@ func TestTailCatchUpThenLive(t *testing.T) {
 	}
 	defer l.Close()
 	for i := uint64(1); i <= 5; i++ {
-		if _, err := l.AppendPut([]uint64{i}, []uint64{i * 10}); err != nil {
+		if _, err := appendPut(l, []uint64{i}, []uint64{i * 10}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Appends racing the tail exercise the live path.
 	go func() {
 		for i := uint64(6); i <= 20; i++ {
-			l.AppendPut([]uint64{i}, []uint64{i * 10})
+			appendPut(l, []uint64{i}, []uint64{i * 10})
 		}
 	}()
 	recs, err := collectTail(t, l, 0, 20)
@@ -90,7 +90,7 @@ func TestTailResumeFromMidLog(t *testing.T) {
 	}
 	defer l.Close()
 	for i := uint64(1); i <= 10; i++ {
-		if _, err := l.AppendDelete([]uint64{i}); err != nil {
+		if _, err := appendDel(l, []uint64{i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,13 +113,13 @@ func TestTailAcrossRotation(t *testing.T) {
 	defer l.Close()
 	const n = 50
 	for i := uint64(1); i <= n/2; i++ {
-		if _, err := l.AppendPut([]uint64{i}, []uint64{i}); err != nil {
+		if _, err := appendPut(l, []uint64{i}, []uint64{i}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	go func() {
 		for i := uint64(n/2 + 1); i <= n; i++ {
-			l.AppendPut([]uint64{i}, []uint64{i})
+			appendPut(l, []uint64{i}, []uint64{i})
 		}
 	}()
 	recs, err := collectTail(t, l, 0, n)
@@ -143,7 +143,7 @@ func TestTailCompactedPosition(t *testing.T) {
 	}
 	defer l.Close()
 	for i := uint64(1); i <= 30; i++ {
-		if _, err := l.AppendPut([]uint64{i}, []uint64{i}); err != nil {
+		if _, err := appendPut(l, []uint64{i}, []uint64{i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,7 +173,7 @@ func TestTailEndsOnClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendPut([]uint64{1}, []uint64{2}); err != nil {
+	if _, err := appendPut(l, []uint64{1}, []uint64{2}); err != nil {
 		t.Fatal(err)
 	}
 	var got []uint64
@@ -208,7 +208,7 @@ func TestTailFromBeyondEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if _, err := l.AppendPut([]uint64{1}, []uint64{2}); err != nil {
+	if _, err := appendPut(l, []uint64{1}, []uint64{2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Tail(5, nil, func(TailRecord) error { return nil }); err == nil {
@@ -223,7 +223,7 @@ func TestTailCallbackErrorStops(t *testing.T) {
 	}
 	defer l.Close()
 	for i := uint64(1); i <= 3; i++ {
-		if _, err := l.AppendPut([]uint64{i}, []uint64{i}); err != nil {
+		if _, err := appendPut(l, []uint64{i}, []uint64{i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -270,7 +270,7 @@ func TestTailManyConcurrent(t *testing.T) {
 	for w := 0; w < 4; w++ {
 		go func(w int) {
 			for i := 0; i < n/4; i++ {
-				l.AppendPut([]uint64{uint64(w)}, []uint64{uint64(i)})
+				appendPut(l, []uint64{uint64(w)}, []uint64{uint64(i)})
 			}
 		}(w)
 	}
@@ -315,7 +315,7 @@ func TestTailFollowsPreallocatedSegments(t *testing.T) {
 			defer wg.Done()
 			for i := uint64(0); i < perWriter; i++ {
 				// The value repeats the key, so a record proves itself.
-				if _, err := l.AppendPut([]uint64{w<<32 | i}, []uint64{w<<32 | i}); err != nil {
+				if _, err := appendPut(l, []uint64{w<<32 | i}, []uint64{w<<32 | i}); err != nil {
 					t.Error(err)
 					return
 				}

@@ -1,13 +1,13 @@
 // Package wal is the durability subsystem's write-ahead log: an
 // append-only, CRC32-checked, length-prefixed record log over rotating
-// segment files. Each record carries a whole PUT or DEL batch, so the
+// segment files. Each record carries a whole operation batch, so the
 // store's batch-oriented hot path — the server's coalescer, the sharded
 // fan-out — costs one log append (and, with FsyncAlways, one shared
 // sync) per batch, not per operation.
 //
 // # Durability policies
 //
-// FsyncAlways syncs before Append returns, with group commit: a sync
+// FsyncAlways syncs before AppendBatch returns, with group commit: a sync
 // leader flushes everything appended so far and syncs outside the log
 // lock, so appends continue meanwhile, and every appender whose record
 // that flush covered waits on the published durable position instead of
@@ -91,7 +91,7 @@ const maxSyncs = 2
 type FsyncMode int
 
 const (
-	// FsyncAlways syncs before Append returns (group-committed): an
+	// FsyncAlways syncs before AppendBatch returns (group-committed): an
 	// acknowledged append survives any crash.
 	FsyncAlways FsyncMode = iota
 	// FsyncInterval syncs on a background ticker: a crash loses at most
@@ -198,7 +198,6 @@ type Log struct {
 	bw      *bufio.Writer
 	segs    []segment // in LSN order; the last one is active
 	lastLSN uint64    // newest appended record
-	pbuf    []byte    // payload scratch for the keys/values append path
 	err     error     // sticky I/O error; the log is dead once set
 	closed  bool
 
@@ -483,32 +482,17 @@ func (l *Log) rotateLocked() error {
 	return l.openSegmentLocked(l.lastLSN + 1)
 }
 
-// AppendPut appends one PUT batch — len(values) must equal len(keys) —
-// and returns the LSN of its (last) record. With FsyncAlways the record
-// is on stable storage when AppendPut returns.
-func (l *Log) AppendPut(keys, values []uint64) (uint64, error) {
-	if len(keys) != len(values) {
-		return 0, fmt.Errorf("wal: AppendPut: %d keys, %d values", len(keys), len(values))
-	}
-	return l.append(OpPut, keys, values)
-}
-
-// AppendDelete appends one DEL batch and returns the LSN of its (last)
-// record, with the same durability contract as AppendPut.
-func (l *Log) AppendDelete(keys []uint64) (uint64, error) {
-	return l.append(OpDel, keys, nil)
-}
-
 // AppendBatch appends one record whose payload is an already-encoded
 // batch payload in the internal/op layout, under its batch code (OpPut,
 // OpDel, or OpMixed — a mixed payload may contain GET entries, which
-// replay ignores). This is the serving stack's zero-copy path: the bytes
-// a batch frame arrived with are the bytes the log writes, with only the
-// (lsn, code) prefix added — no re-encoding between the socket and the
-// fsync. The payload must be structurally valid for its code (the wire
-// layer's decode, or op.Batch.Payload, guarantees that); its element
-// count must be at most MaxRecordPairs. The configured sync policy
-// applies exactly as for AppendPut.
+// replay ignores), and returns the record's LSN. It is the log's only
+// append path, and a zero-copy one: the bytes a batch frame arrived with
+// are the bytes the log writes, with only the (lsn, code) prefix added —
+// no re-encoding between the socket and the fsync. The payload must be
+// structurally valid for its code (the wire layer's decode,
+// op.Batch.Payload, or op.AppendPairsPayload/AppendKeysPayload guarantee
+// that); its element count must be at most MaxRecordPairs. With
+// FsyncAlways the record is on stable storage when AppendBatch returns.
 func (l *Log) AppendBatch(code byte, payload []byte) (uint64, error) {
 	if !validCode(code) {
 		return 0, fmt.Errorf("wal: AppendBatch: invalid batch code 0x%02x", code)
@@ -533,46 +517,6 @@ func (l *Log) AppendBatch(code byte, payload []byte) (uint64, error) {
 	l.lastLSN = lsn
 	if l.opts.Chained {
 		l.chain.Extend(lsn, code, payload) // cannot gap: lsn tracks the chain position
-	}
-	l.mu.Unlock()
-	l.wakeTailers()
-	return lsn, l.maybeSync(lsn)
-}
-
-// append writes the batch as one record (several when it exceeds
-// MaxRecordPairs — still covered by a single fsync) and applies the
-// configured sync policy. This is the keys/values convenience path; the
-// payload is encoded through the same op codec AppendBatch's callers
-// used, into a scratch buffer the log reuses.
-func (l *Log) append(code byte, keys, values []uint64) (uint64, error) {
-	l.mu.Lock()
-	if err := l.appendableLocked(); err != nil {
-		l.mu.Unlock()
-		return 0, err
-	}
-	var lsn uint64
-	for len(keys) > 0 {
-		n := len(keys)
-		if n > MaxRecordPairs {
-			n = MaxRecordPairs
-		}
-		if code == OpPut {
-			l.pbuf = op.AppendPairsPayload(l.pbuf[:0], keys[:n], values[:n])
-			values = values[n:]
-		} else {
-			l.pbuf = op.AppendKeysPayload(l.pbuf[:0], keys[:n])
-		}
-		keys = keys[n:]
-		lsn = l.lastLSN + 1
-		if err := l.writeRecordLocked(lsn, code, l.pbuf); err != nil {
-			l.err = err
-			l.mu.Unlock()
-			return 0, err
-		}
-		l.lastLSN = lsn
-		if l.opts.Chained {
-			l.chain.Extend(lsn, code, l.pbuf)
-		}
 	}
 	l.mu.Unlock()
 	l.wakeTailers()

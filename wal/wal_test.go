@@ -14,6 +14,17 @@ import (
 	"vmshortcut/internal/op"
 )
 
+// appendPut logs the pairs as one PUT record, the record a store's
+// all-PUT ApplyBatch writes.
+func appendPut(l *Log, keys, values []uint64) (uint64, error) {
+	return l.AppendBatch(OpPut, op.AppendPairsPayload(nil, keys, values))
+}
+
+// appendDel logs the keys as one DEL record.
+func appendDel(l *Log, keys []uint64) (uint64, error) {
+	return l.AppendBatch(OpDel, op.AppendKeysPayload(nil, keys))
+}
+
 // rec is one replayed record, for collection-based assertions.
 type rec struct {
 	lsn    uint64
@@ -53,14 +64,14 @@ func TestAppendReplayRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lsn, err := l.AppendPut([]uint64{1, 2, 3}, []uint64{10, 20, 30}); err != nil || lsn != 1 {
-		t.Fatalf("AppendPut = %d, %v", lsn, err)
+	if lsn, err := appendPut(l, []uint64{1, 2, 3}, []uint64{10, 20, 30}); err != nil || lsn != 1 {
+		t.Fatalf("appendPut = %d, %v", lsn, err)
 	}
-	if lsn, err := l.AppendDelete([]uint64{2}); err != nil || lsn != 2 {
-		t.Fatalf("AppendDelete = %d, %v", lsn, err)
+	if lsn, err := appendDel(l, []uint64{2}); err != nil || lsn != 2 {
+		t.Fatalf("appendDel = %d, %v", lsn, err)
 	}
-	if lsn, err := l.AppendPut([]uint64{0}, []uint64{99}); err != nil || lsn != 3 {
-		t.Fatalf("AppendPut = %d, %v", lsn, err)
+	if lsn, err := appendPut(l, []uint64{0}, []uint64{99}); err != nil || lsn != 3 {
+		t.Fatalf("appendPut = %d, %v", lsn, err)
 	}
 	st := l.Stats()
 	if st.LastLSN != 3 || st.SyncedLSN != 3 || st.Segments != 1 {
@@ -91,7 +102,7 @@ func TestAppendReplayRoundtrip(t *testing.T) {
 		}
 	}
 	// Appends continue from the replayed position.
-	if lsn, err := l2.AppendDelete([]uint64{7}); err != nil || lsn != 4 {
+	if lsn, err := appendDel(l2, []uint64{7}); err != nil || lsn != 4 {
 		t.Fatalf("post-replay append = %d, %v", lsn, err)
 	}
 }
@@ -131,10 +142,10 @@ func TestTornTailEveryOffset(t *testing.T) {
 	mixed.Del(k(9))
 	var boundaries []int // logical size after each complete record
 	for i, app := range []func() (uint64, error){
-		func() (uint64, error) { return l.AppendPut([]uint64{k(1), k(2)}, []uint64{k(11), k(22)}) },
-		func() (uint64, error) { return l.AppendDelete([]uint64{k(2), k(3), k(4)}) },
+		func() (uint64, error) { return appendPut(l, []uint64{k(1), k(2)}, []uint64{k(11), k(22)}) },
+		func() (uint64, error) { return appendDel(l, []uint64{k(2), k(3), k(4)}) },
 		func() (uint64, error) { return l.AppendBatch(OpMixed, mixed.AppendPayload(nil)) },
-		func() (uint64, error) { return l.AppendPut([]uint64{k(5)}, []uint64{k(55)}) },
+		func() (uint64, error) { return appendPut(l, []uint64{k(5)}, []uint64{k(55)}) },
 	} {
 		if _, err := app(); err != nil {
 			t.Fatalf("append %d: %v", i, err)
@@ -192,7 +203,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 			}
 			// The log stays appendable, the new record lands right behind
 			// the last intact one, and it survives a reopen.
-			newLSN, err := l2.AppendPut([]uint64{100}, []uint64{200})
+			newLSN, err := appendPut(l2, []uint64{100}, []uint64{200})
 			if err != nil {
 				t.Fatalf("%s after %d: append after repair: %v", name, cut, err)
 			}
@@ -230,7 +241,7 @@ func TestRotationAndCompact(t *testing.T) {
 	}
 	const n = 50
 	for i := uint64(1); i <= n; i++ {
-		if _, err := l.AppendPut([]uint64{i}, []uint64{i * 10}); err != nil {
+		if _, err := appendPut(l, []uint64{i}, []uint64{i * 10}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -284,7 +295,7 @@ func TestUntruncatedSealedSegment(t *testing.T) {
 		}
 		const n = 20
 		for i := uint64(1); i <= n; i++ {
-			if _, err := l.AppendPut([]uint64{i}, []uint64{i}); err != nil {
+			if _, err := appendPut(l, []uint64{i}, []uint64{i}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -330,7 +341,7 @@ func TestCorruptMiddleSegmentFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 20; i++ {
-		if _, err := l.AppendPut([]uint64{i}, []uint64{i}); err != nil {
+		if _, err := appendPut(l, []uint64{i}, []uint64{i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -366,7 +377,7 @@ func TestMissingMiddleSegmentFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 30; i++ {
-		if _, err := l.AppendPut([]uint64{i}, []uint64{i}); err != nil {
+		if _, err := appendPut(l, []uint64{i}, []uint64{i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -413,7 +424,7 @@ func TestEmptySegmentSeedsLSNFromName(t *testing.T) {
 	if got := l.Stats().LastLSN; got != 100 {
 		t.Fatalf("LastLSN = %d, want 100 (from the segment name)", got)
 	}
-	lsn, err := l.AppendPut([]uint64{1}, []uint64{1})
+	lsn, err := appendPut(l, []uint64{1}, []uint64{1})
 	if err != nil || lsn != 101 {
 		t.Fatalf("first append = %d, %v, want LSN 101", lsn, err)
 	}
@@ -455,7 +466,7 @@ func TestGroupCommitSharesFsyncs(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for i := 0; i < perWorker; i++ {
-					if _, err := l.AppendPut([]uint64{uint64(w)}, []uint64{uint64(i)}); err != nil {
+					if _, err := appendPut(l, []uint64{uint64(w)}, []uint64{uint64(i)}); err != nil {
 						t.Errorf("append: %v", err)
 						return
 					}
@@ -476,43 +487,23 @@ func TestGroupCommitSharesFsyncs(t *testing.T) {
 	}
 }
 
-// TestLargeBatchSplits checks that a batch beyond MaxRecordPairs lands as
-// several records that replay back to the same pairs.
-func TestLargeBatchSplits(t *testing.T) {
+// TestAppendBatchRejectsOversized checks that a payload counting more
+// than MaxRecordPairs elements is refused before anything is written, and
+// that the refusal is not a sticky log error: the next append lands at
+// the LSN the refused one would have taken.
+func TestAppendBatchRejectsOversized(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{Mode: FsyncOff}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := MaxRecordPairs + 100
-	keys := make([]uint64, n)
-	vals := make([]uint64, n)
-	for i := range keys {
-		keys[i] = uint64(i)
-		vals[i] = uint64(i) * 2
+	defer l.Close()
+	keys := make([]uint64, MaxRecordPairs+1)
+	if _, err := l.AppendBatch(OpDel, op.AppendKeysPayload(nil, keys)); err == nil {
+		t.Fatal("AppendBatch accepted an oversized payload")
 	}
-	lsn, err := l.AppendPut(keys, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lsn != 2 {
-		t.Fatalf("last LSN = %d, want 2 (two records)", lsn)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var gotK, gotV []uint64
-	l2, err := Open(dir, Options{}, func(_ uint64, b *op.Batch) error {
-		gotK = append(gotK, b.Keys()...)
-		gotV = append(gotV, b.Vals()...)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if !equalU64(gotK, keys) || !equalU64(gotV, vals) {
-		t.Fatalf("split batch did not replay identically (%d pairs back)", len(gotK))
+	if lsn, err := appendDel(l, keys[:MaxRecordPairs]); err != nil || lsn != 1 {
+		t.Fatalf("full-size append after the refusal = %d, %v; want LSN 1", lsn, err)
 	}
 }
 
@@ -533,7 +524,7 @@ func TestConcurrentAppends(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				key := uint64(w*perWorker + i)
-				if _, err := l.AppendPut([]uint64{key}, []uint64{key}); err != nil {
+				if _, err := appendPut(l, []uint64{key}, []uint64{key}); err != nil {
 					t.Errorf("append: %v", err)
 					return
 				}
@@ -571,14 +562,14 @@ func TestIntervalModeSyncsAndCloses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendPut([]uint64{1}, []uint64{1}); err != nil {
+	if _, err := appendPut(l, []uint64{1}, []uint64{1}); err != nil {
 		t.Fatal(err)
 	}
 	// Close performs the final sync and must stop the ticker goroutine.
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendPut([]uint64{2}, []uint64{2}); !errors.Is(err, ErrClosed) {
+	if _, err := appendPut(l, []uint64{2}, []uint64{2}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("append after Close = %v, want ErrClosed", err)
 	}
 	var got []rec
@@ -623,7 +614,7 @@ func TestRecordEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendPut([]uint64{0x1122334455667788}, []uint64{0x99}); err != nil {
+	if _, err := appendPut(l, []uint64{0x1122334455667788}, []uint64{0x99}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
