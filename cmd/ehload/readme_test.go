@@ -109,18 +109,25 @@ func flagUses(line string) []flagUse {
 	return uses
 }
 
-// TestREADMEFlagsExist fails when a README command line passes ehserver
-// or ehload a flag the binary does not define — a flag deleted from the
-// code but still shown in the documentation.
-func TestREADMEFlagsExist(t *testing.T) {
+// binaryFlags builds ehserver and ehload and returns the flags each
+// defines.
+func binaryFlags(t *testing.T) map[string]map[string]bool {
+	t.Helper()
 	server := filepath.Join(t.TempDir(), "ehserver")
 	if out, err := exec.Command("go", "build", "-o", server, "../ehserver").CombinedOutput(); err != nil {
 		t.Fatalf("building ehserver: %v\n%s", err, out)
 	}
-	defined := map[string]map[string]bool{
+	return map[string]map[string]bool{
 		"ehserver": definedFlags(t, server),
 		"ehload":   definedFlags(t, buildEhload(t)),
 	}
+}
+
+// TestREADMEFlagsExist fails when a README command line passes ehserver
+// or ehload a flag the binary does not define — a flag deleted from the
+// code but still shown in the documentation.
+func TestREADMEFlagsExist(t *testing.T) {
+	defined := binaryFlags(t)
 	checked := map[string]int{}
 	for _, line := range readmeCommandLines(t) {
 		for _, u := range flagUses(line) {
@@ -133,5 +140,22 @@ func TestREADMEFlagsExist(t *testing.T) {
 	// The parser must actually be finding the README's command lines.
 	if checked["ehserver"] == 0 || checked["ehload"] == 0 {
 		t.Fatalf("found no README flags to check: %v", checked)
+	}
+}
+
+// TestREADMEMentionsEveryFlag is the converse: it fails when ehserver or
+// ehload defines a flag the README never mentions as "-name".
+func TestREADMEMentionsEveryFlag(t *testing.T) {
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for bin, flags := range binaryFlags(t) {
+		for f := range flags {
+			mention := regexp.MustCompile(`(^|[^\w-])-` + regexp.QuoteMeta(f) + `($|[^\w-])`)
+			if !mention.Match(readme) {
+				t.Errorf("%s defines -%s, which the README never mentions", bin, f)
+			}
+		}
 	}
 }

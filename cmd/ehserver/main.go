@@ -94,7 +94,6 @@ func main() {
 	tableBytes := flag.Int("table-bytes", 0, "fixed directory size for -kind ch")
 	migrationBatch := flag.Int("migration-batch", 0, "entries migrated per access for -kind hti (default 64)")
 	globalDepth := flag.Int("global-depth", -1, "initial EH directory depth (overrides -capacity's derivation)")
-	mergeLoad := flag.Float64("merge-load-factor", 0, "enable bucket coalescing on delete below this load factor (EH kinds)")
 	poll := flag.Duration("poll", 0, "Shortcut-EH mapper tick: bounds how long readers see a stale shortcut (default 25ms)")
 	fanIn := flag.Float64("fanin", 0, "Shortcut-EH fan-in threshold for shortcut routing (default 8)")
 	adaptive := flag.Bool("adaptive", false, "Shortcut-EH: measure both access paths online instead of the fixed fan-in threshold")
@@ -150,9 +149,6 @@ func main() {
 	}
 	if *globalDepth >= 0 {
 		opts = append(opts, vmshortcut.WithInitialGlobalDepth(uint(*globalDepth)))
-	}
-	if *mergeLoad > 0 {
-		opts = append(opts, vmshortcut.WithMergeLoadFactor(*mergeLoad))
 	}
 	if *poll > 0 {
 		opts = append(opts, vmshortcut.WithPollInterval(*poll))

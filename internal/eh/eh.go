@@ -44,12 +44,6 @@ type Config struct {
 	MaxGlobalDepth uint
 	// InitialGlobalDepth pre-sizes the directory (0 = single slot).
 	InitialGlobalDepth uint
-	// MergeLoadFactor enables bucket coalescing through DeleteAndMerge:
-	// after a delete leaves a bucket at or below this occupancy, it merges
-	// with its buddy if the combined bucket stays within MaxLoadFactor,
-	// and the directory is halved when possible. 0 (default) disables
-	// merging, matching the paper's prototype.
-	MergeLoadFactor float64
 }
 
 func (c *Config) fill() {
@@ -68,25 +62,21 @@ var ErrDirectoryLimit = errors.New("eh: directory reached MaxGlobalDepth")
 // It is not safe for concurrent mutation; the paper's design has a single
 // writer thread (lookups through sceh coordinate via version numbers).
 type Table struct {
-	pool       *pool.Pool
-	dir        []uintptr // window address of each slot's bucket page
-	refs       []pool.Ref
-	gd         uint
-	buckets    int
-	count      int
-	version    uint64
-	maxFill    int
-	mergeBelow int // merge trigger in entries; 0 disables
-	mergeFill  int // max combined entries for a merged bucket
-	cfg        Config
-	onEvent    func(Event)
+	pool    *pool.Pool
+	dir     []uintptr // window address of each slot's bucket page
+	refs    []pool.Ref
+	gd      uint
+	buckets int
+	count   int
+	version uint64
+	maxFill int
+	cfg     Config
+	onEvent func(Event)
 
-	// Splits, Doubles, Merges, and Halves count structural modifications
-	// (recorded in EXPERIMENTS.md).
+	// Splits and Doubles count structural modifications; their sum is
+	// the directory version.
 	Splits  int
 	Doubles int
-	Merges  int
-	Halves  int
 }
 
 // New creates a table with a single empty bucket — the paper's starting
@@ -103,10 +93,6 @@ func New(p *pool.Pool, cfg Config) (*Table, error) {
 	}
 	if t.maxFill > bucket.Capacity {
 		t.maxFill = bucket.Capacity
-	}
-	if cfg.MergeLoadFactor > 0 {
-		t.mergeBelow = int(cfg.MergeLoadFactor * float64(bucket.Capacity))
-		t.mergeFill = t.maxFill
 	}
 	ref, err := p.Alloc()
 	if err != nil {
@@ -217,8 +203,9 @@ func (t *Table) Range(fn func(key, value uint64) bool) {
 	}
 }
 
-// Delete removes key and reports whether it was present. Buckets are not
-// merged (the classical scheme leaves coalescing optional).
+// Delete removes key and reports whether it was present. Buckets never
+// merge and the directory never halves, as in the paper's prototype: a
+// table only grows until it is discarded.
 func (t *Table) Delete(key uint64) bool {
 	idx := hashfn.DirIndex(hashfn.Hash(key), t.gd)
 	if bucket.ViewAddr(t.dir[idx]).Delete(key) {

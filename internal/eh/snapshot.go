@@ -106,10 +106,6 @@ func Restore(p *pool.Pool, cfg Config, r io.Reader) (*Table, error) {
 	if t.maxFill < 1 {
 		t.maxFill = 1
 	}
-	if cfg.MergeLoadFactor > 0 {
-		t.mergeBelow = int(cfg.MergeLoadFactor * float64(bucket.Capacity))
-		t.mergeFill = t.maxFill
-	}
 	seen := map[uint32]bool{}
 	for i, pi := range idx {
 		if int(pi) >= distinct {

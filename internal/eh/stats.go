@@ -45,7 +45,7 @@ type MemStats struct {
 	MinLocalDepth  uint
 	MaxLocalDepth  uint
 	BytesPerEntry  float64
-	StructuralMods uint64 // version: splits + doubles (+ merges + halves)
+	StructuralMods uint64 // version: splits + doubles
 }
 
 // Stats scans the directory and returns shape and footprint statistics.

@@ -1,7 +1,7 @@
 // Package integration_test crosses module boundaries: pool ↔ core ↔ sceh
-// interactions that no single package test exercises — pool shrinking
-// underneath live shortcuts, syscall failures during mapper replay, and
-// full-stack churn.
+// interactions that no single package test exercises — pages freed and
+// recycled underneath live shortcuts, syscall failures during mapper
+// replay, and full-stack churn.
 package integration_test
 
 import (
@@ -23,9 +23,8 @@ import (
 // versions are respected, no lookup may ever observe a wrong value.
 func TestShortcutSurvivesPoolChurn(t *testing.T) {
 	p, err := pool.New(pool.Config{
-		GrowChunkPages:       4,
-		ShrinkThresholdPages: 8, // aggressive shrinking
-		MaxPages:             1 << 16,
+		GrowChunkPages: 4,
+		MaxPages:       1 << 16,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -71,9 +70,8 @@ func TestMapperSurvivesSyscallFaults(t *testing.T) {
 	// MapShared faults then only ever hit the mapper's remap path, not
 	// pool growth (growth failures are pool_test territory).
 	p, err := pool.New(pool.Config{
-		InitialPages:         1 << 13,
-		ShrinkThresholdPages: 1 << 13,
-		MaxPages:             1 << 16,
+		InitialPages: 1 << 13,
+		MaxPages:     1 << 16,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -136,13 +134,12 @@ func TestMapperSurvivesSyscallFaults(t *testing.T) {
 	}
 }
 
-// TestManyShortcutsOneShrinkingPool stresses several independent shortcut
-// nodes aliasing one pool whose tail keeps being truncated and regrown.
-func TestManyShortcutsOneShrinkingPool(t *testing.T) {
+// TestManyShortcutsOneChurningPool stresses several independent shortcut
+// nodes aliasing one pool whose pages keep being freed and reallocated.
+func TestManyShortcutsOneChurningPool(t *testing.T) {
 	p, err := pool.New(pool.Config{
-		GrowChunkPages:       2,
-		ShrinkThresholdPages: 4,
-		MaxPages:             1 << 12,
+		GrowChunkPages: 2,
+		MaxPages:       1 << 12,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -175,8 +172,8 @@ func TestManyShortcutsOneShrinkingPool(t *testing.T) {
 
 	rng := workload.NewRNG(1)
 	for round := 0; round < 200; round++ {
-		// Free one node's pages entirely (its shortcut slots become
-		// stale and must be cleared first), then reallocate.
+		// Clear one node's shortcut slots, free its pages, then
+		// reallocate them.
 		i := rng.Intn(nodes)
 		for s := 0; s < slots; s++ {
 			if err := scs[i].ClearSlot(s); err != nil {

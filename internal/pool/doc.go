@@ -1,10 +1,12 @@
 // Package pool implements the self-managed pool of physical pages that
 // memory rewiring requires (paper §2.1). The pool is represented by a
-// single main-memory file created with memfd_create. It resizes on demand
-// at page granularity via ftruncate, keeps a FIFO queue of free page
-// offsets for reuse, and maintains a stable virtual window (v_pool) that
-// maps linearly onto the entire file so every physical page is always
-// addressable.
+// single main-memory file created with memfd_create. It grows on demand
+// via ftruncate and never shrinks before Close, keeps a FIFO queue of free
+// page offsets for reuse, and maintains a stable virtual window (v_pool)
+// that maps linearly onto the entire file so every physical page is always
+// addressable. Because the file only grows, a freed page never lies past
+// EOF, and a stale mapping of it reads whatever the page holds now
+// instead of faulting.
 //
 // All physical memory of nodes that a shortcut may ever point to must be
 // allocated from this pool: a shortcut directory slot is populated by

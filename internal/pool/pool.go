@@ -23,9 +23,6 @@ type Config struct {
 	// GrowChunkPages is the minimum number of pages added per ftruncate
 	// grow, amortising syscalls. Default 64.
 	GrowChunkPages int
-	// ShrinkThresholdPages: the file tail is only truncated away while the
-	// file is larger than this. Default 1024 pages (4 MiB).
-	ShrinkThresholdPages int
 	// MaxPages caps the pool (and sizes the stable virtual window).
 	// Default 1<<22 pages (16 GiB of virtual space, costing nothing
 	// until backed).
@@ -37,9 +34,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.GrowChunkPages <= 0 {
 		c.GrowChunkPages = 64
-	}
-	if c.ShrinkThresholdPages <= 0 {
-		c.ShrinkThresholdPages = 1024
 	}
 	if c.MaxPages <= 0 {
 		c.MaxPages = 1 << 22
@@ -56,9 +50,8 @@ func (c *Config) fill() {
 type Stats struct {
 	FilePages  int // current size of the main-memory file in pages
 	UsedPages  int // pages handed out and not yet freed
-	FreePages  int // pages in the free queue (plus reclaimable tail)
+	FreePages  int // pages in the free queue
 	Grows      int // ftruncate calls that grew the file
-	Shrinks    int // ftruncate calls that shrank the file
 	Allocs     int // total Alloc'd pages over the pool lifetime
 	Frees      int // total freed pages over the pool lifetime
 	PeakPages  int // high-water mark of FilePages
@@ -276,9 +269,9 @@ func (p *Pool) takeRunLocked(run Ref, n int) {
 	p.free = kept
 }
 
-// Free returns a page to the pool. If the freed page sits at the file tail
-// and the file is above the shrink threshold, the tail is truncated away
-// (paper §2.1); otherwise the offset is queued for reuse.
+// Free queues page r for reuse. The file never shrinks: a freed page stays
+// mapped and readable, through the window and through any shortcut slot
+// still mapped onto it, until Close.
 func (p *Pool) Free(r Ref) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -293,7 +286,6 @@ func (p *Pool) Free(r Ref) error {
 	p.stats.Frees++
 	p.free = append(p.free, r)
 	p.isFree[pageIndex(r)] = true
-	p.maybeShrinkLocked()
 	return nil
 }
 
@@ -305,56 +297,6 @@ func (p *Pool) FreeN(refs []Ref) error {
 		}
 	}
 	return nil
-}
-
-// maybeShrinkLocked truncates free pages off the file tail when the pool
-// is above the shrink threshold. To avoid syscall thrash under
-// alloc/free churn (shrink one page, regrow a chunk, repeat), the whole
-// free tail run is truncated in one ftruncate, and only when it exceeds
-// twice the grow chunk; one grow chunk of slack is kept.
-func (p *Pool) maybeShrinkLocked() {
-	if p.pages <= p.cfg.ShrinkThresholdPages {
-		return
-	}
-	ps := int64(sys.PageSize())
-	// Length of the contiguous free run ending at the file tail; it is 0,
-	// and this returns at once, whenever the last page is in use.
-	run := 0
-	for run < p.pages && p.isFree[p.pages-1-run] {
-		run++
-	}
-	slack := p.cfg.GrowChunkPages
-	if run < 2*slack {
-		return
-	}
-	cut := run - slack
-	if p.pages-cut < p.cfg.ShrinkThresholdPages {
-		cut = p.pages - p.cfg.ShrinkThresholdPages
-	}
-	if cut <= 0 {
-		return
-	}
-	newPages := p.pages - cut
-	// Detach the window region beyond the new EOF first: a mapped page
-	// past EOF would SIGBUS on access.
-	addr := p.window + uintptr(int64(newPages)*ps)
-	if err := sys.MapAnonFixed(addr, cut*int(ps)); err != nil {
-		return
-	}
-	if err := sys.Ftruncate(p.fd, int64(newPages)*ps); err != nil {
-		return
-	}
-	limit := Ref(int64(newPages) * ps)
-	kept := p.free[:0]
-	for _, r := range p.free {
-		if r < limit {
-			kept = append(kept, r)
-		}
-	}
-	p.free = kept
-	p.isFree = p.isFree[:newPages]
-	p.pages = newPages
-	p.stats.Shrinks++
 }
 
 // Page returns the byte view of page r through the stable window.

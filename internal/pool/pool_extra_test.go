@@ -47,10 +47,9 @@ func TestFreeN(t *testing.T) {
 	}
 }
 
-// TestFreeAboveShrinkThresholdAllocatesNothing frees pages of a file past
-// the shrink threshold whose last page is in use: no call may build
+// TestFreeAllocatesNothing frees pages of a large file: no call may build
 // anything per free page, so the free path allocates nothing.
-func TestFreeAboveShrinkThresholdAllocatesNothing(t *testing.T) {
+func TestFreeAllocatesNothing(t *testing.T) {
 	p := newTestPool(t, Config{InitialPages: 4096, MaxPages: 1 << 13})
 	refs, err := p.AllocN(4096)
 	if err != nil {
@@ -68,13 +67,13 @@ func TestFreeAboveShrinkThresholdAllocatesNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Free allocated %.2f times per call, want 0", allocs)
 	}
-	if s := p.Stats(); s.Shrinks != 0 || s.FreePages != i {
+	if s := p.Stats(); s.FilePages != 4096 || s.FreePages != i {
 		t.Fatalf("stats = %+v after %d frees", s, i)
 	}
 }
 
 func TestAllocContiguousReusesFreeRun(t *testing.T) {
-	p := newTestPool(t, Config{GrowChunkPages: 4, ShrinkThresholdPages: 1 << 20, MaxPages: 256})
+	p := newTestPool(t, Config{GrowChunkPages: 4, MaxPages: 256})
 	ps := sys.PageSize()
 
 	// Build a fragmented free list: allocate 12, free a contiguous run of

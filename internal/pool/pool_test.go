@@ -79,39 +79,8 @@ func TestFreeRecyclesAndZeroes(t *testing.T) {
 	}
 }
 
-func TestShrinkTruncatesTail(t *testing.T) {
-	p := newTestPool(t, Config{GrowChunkPages: 1, ShrinkThresholdPages: 2, MaxPages: 64})
-	refs, err := p.AllocN(16)
-	if err != nil {
-		t.Fatalf("AllocN: %v", err)
-	}
-	before := p.Stats()
-	if before.FilePages < 16 {
-		t.Fatalf("file should hold >= 16 pages, has %d", before.FilePages)
-	}
-	// Free from the tail inward: the file should shrink down to the
-	// threshold (2 pages) plus whatever is still used.
-	for i := len(refs) - 1; i >= 4; i-- {
-		if err := p.Free(refs[i]); err != nil {
-			t.Fatalf("Free: %v", err)
-		}
-	}
-	after := p.Stats()
-	if after.Shrinks == 0 {
-		t.Fatal("expected at least one shrink")
-	}
-	if after.FilePages >= before.FilePages {
-		t.Fatalf("file did not shrink: %d -> %d", before.FilePages, after.FilePages)
-	}
-	// Remaining pages must still be readable and hold their data.
-	p.Page(refs[0])[5] = 42
-	if p.Page(refs[0])[5] != 42 {
-		t.Fatal("surviving page lost data after shrink")
-	}
-}
-
 func TestFreeMiddleGoesToQueue(t *testing.T) {
-	p := newTestPool(t, Config{GrowChunkPages: 1, ShrinkThresholdPages: 1, MaxPages: 64})
+	p := newTestPool(t, Config{GrowChunkPages: 1, MaxPages: 64})
 	refs, _ := p.AllocN(4)
 	if err := p.Free(refs[1]); err != nil {
 		t.Fatalf("Free: %v", err)
@@ -240,7 +209,7 @@ func TestStatsAccounting(t *testing.T) {
 // that the pool never double-hands-out a live page and that used+free
 // accounting stays consistent.
 func TestQuickAllocFreeInvariant(t *testing.T) {
-	p := newTestPool(t, Config{GrowChunkPages: 2, ShrinkThresholdPages: 4, MaxPages: 512})
+	p := newTestPool(t, Config{GrowChunkPages: 2, MaxPages: 512})
 	live := map[Ref]byte{}
 	seq := byte(0)
 

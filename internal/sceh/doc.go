@@ -43,8 +43,13 @@
 //
 // A retired generation is not unmapped: one read-only anonymous mapping
 // replaces its whole range before the next generation is built, so the
-// two never hold pages at once. The range stays reserved until Close, and
-// a later create that fits is built in it.
+// two never hold pages at once. The range stays reserved until Close. The
+// directory never halves, so each create is deeper than every earlier one
+// and gets a fresh range.
+//
+// No non-test code truncates or unmaps a page that a shortcut generation
+// can map. A split returns the old bucket page to the pool's free queue,
+// buckets never merge, and the pool's file only grows until Close.
 //
 // Both directories carry version numbers. The shortcut's version advances
 // only after the page-table population of the replayed request completes,

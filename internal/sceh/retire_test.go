@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"vmshortcut/internal/eh"
 	"vmshortcut/internal/hashfn"
 	"vmshortcut/internal/pool"
 	"vmshortcut/internal/sys"
@@ -143,35 +142,36 @@ func TestStaleGenerationSurvivesDoublings(t *testing.T) {
 			}
 		})
 	})
-	// Merges free bucket pages and the pool truncates its file tail, and
-	// halvings rebuild smaller generations into the retired ranges.
-	t.Run("merge_shrink", func(t *testing.T) {
+	// Deleting every key frees no bucket page and shrinks no file, so
+	// a reader that pinned the live generation reads empty buckets.
+	t.Run("delete_all", func(t *testing.T) {
 		inChild(t, func(t *testing.T) {
-			p, err := pool.New(pool.Config{GrowChunkPages: 2, ShrinkThresholdPages: 4, MaxPages: 1 << 16})
+			p, err := pool.New(pool.Config{GrowChunkPages: 2, MaxPages: 1 << 16})
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { p.Close() })
-			tbl, err := New(p, Config{PollInterval: time.Millisecond, EH: eh.Config{MergeLoadFactor: 0.2}})
+			tbl, err := New(p, Config{PollInterval: time.Millisecond})
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { tbl.Close() })
-			st := tbl.published.Load()
 			next := grow(t, tbl, 1, 3)
 			if !tbl.WaitSync(5 * time.Second) {
 				t.Fatal("never synced")
 			}
+			st := tbl.published.Load()
 			for k := uint64(1); k < next; k++ {
-				tbl.Delete(k)
+				if !tbl.Delete(k) {
+					t.Fatalf("Delete(%d) = false", k)
+				}
 			}
-			if !tbl.WaitSync(5 * time.Second) {
-				t.Fatal("never synced")
+			if hits := staleReads(tbl, st, next); hits != 0 {
+				t.Fatalf("pinned generation answered %d hits after deleting every key, want 0", hits)
 			}
-			if tbl.EH().Halves == 0 || p.Stats().Shrinks == 0 {
-				t.Fatalf("halves %d, pool shrinks %d: want both", tbl.EH().Halves, p.Stats().Shrinks)
+			if s := p.Stats(); s.FilePages != s.PeakPages {
+				t.Fatalf("pool file %d pages, peak %d: the file shrank", s.FilePages, s.PeakPages)
 			}
-			staleReads(tbl, st, next)
 		})
 	})
 }
@@ -262,48 +262,6 @@ func TestRetiredRangesHoldNoMemory(t *testing.T) {
 	}
 }
 
-// TestHalveDoubleCyclesReuseRetiredRanges grows and empties a merging
-// table 50 times. Each create reuses a retired range that fits, so the
-// retired address space stays below twice the largest directory and the
-// process's mapping count stays flat.
-func TestHalveDoubleCyclesReuseRetiredRanges(t *testing.T) {
-	tbl := newTable(t, Config{EH: eh.Config{MergeLoadFactor: 0.2}})
-	const n = 3000
-	maxSlots, baseline := 0, 0
-	for cycle := 0; cycle < 50; cycle++ {
-		for k := uint64(1); k <= n; k++ {
-			if err := tbl.Insert(k, k); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !tbl.WaitSync(5 * time.Second) {
-			t.Fatal("never synced")
-		}
-		if s := 1 << tbl.EH().GlobalDepth(); s > maxSlots {
-			maxSlots = s
-		}
-		for k := uint64(1); k <= n; k++ {
-			tbl.Delete(k)
-		}
-		if !tbl.WaitSync(5 * time.Second) {
-			t.Fatal("never synced")
-		}
-		if retired := checkRetired(t, tbl); retired >= 2*maxSlots {
-			t.Fatalf("cycle %d: %d retired slots, largest directory %d", cycle, retired, maxSlots)
-		}
-		maps := len(readSmaps(t))
-		if cycle == 1 {
-			baseline = maps
-		}
-		if cycle > 1 && maps > baseline+16 {
-			t.Fatalf("cycle %d: %d mappings, %d after cycle 1", cycle, maps, baseline)
-		}
-	}
-	if tbl.EH().Halves == 0 {
-		t.Fatal("no halvings")
-	}
-}
-
 // failingHook fails the nth call (counting from 1) of op, and nothing else.
 func failingHook(op sys.Op, nth int) func(sys.Op) error {
 	calls := 0
@@ -338,10 +296,10 @@ func TestFailedCreateFallsBackUntilNextCreate(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			// A pre-sized pool never grows or shrinks, so every mmap below
-			// is the mapper's; the hour-long poll means the mapper drains
-			// only when WaitSync kicks it.
-			p, err := pool.New(pool.Config{InitialPages: 1 << 12, ShrinkThresholdPages: 1 << 12, MaxPages: 1 << 14})
+			// A pre-sized pool never grows, so every mmap below is the
+			// mapper's; the hour-long poll means the mapper drains only
+			// when WaitSync kicks it.
+			p, err := pool.New(pool.Config{InitialPages: 1 << 12, MaxPages: 1 << 14})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -435,7 +393,7 @@ func TestFailedUpdateRetiresGeneration(t *testing.T) {
 		t.Run(fmt.Sprintf("mmap_%d", nth), func(t *testing.T) {
 			// Pre-sized pool and an hour-long poll, as in the create test:
 			// every mmap is the mapper's, replayed only when WaitSync kicks.
-			p, err := pool.New(pool.Config{InitialPages: 1 << 12, ShrinkThresholdPages: 1 << 12, MaxPages: 1 << 14})
+			p, err := pool.New(pool.Config{InitialPages: 1 << 12, MaxPages: 1 << 14})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -216,18 +216,7 @@ func (t *Table) onEvent(e eh.Event) {
 			lo0:     ev.Lo0, hi0: ev.Hi0, ref0: ev.Ref0,
 			lo1: ev.Lo1, hi1: ev.Hi1, ref1: ev.Ref1,
 		}
-	case eh.MergeEvent:
-		// A merge remaps one slot range onto the coalesced bucket; the
-		// second range of the request stays empty.
-		req = request{
-			version: ev.Version,
-			lo0:     ev.Lo, hi0: ev.Hi, ref0: ev.Ref,
-		}
 	case eh.DoubleEvent:
-		req = request{create: true, version: ev.Version, gd: ev.GlobalDepth, refs: ev.Refs}
-	case eh.HalveEvent:
-		// Halving shrinks the directory: rebuild the shortcut from the
-		// snapshot, exactly like a doubling.
 		req = request{create: true, version: ev.Version, gd: ev.GlobalDepth, refs: ev.Refs}
 	}
 	t.storeFanIn(t.eh.AvgFanIn())
@@ -401,20 +390,10 @@ func blank(a area) error {
 	return sys.MapZeroFixed(a.base, a.slots<<pageShift)
 }
 
-// areaFor returns the smallest reserved range of at least slots pages,
-// reserving a new one when none fits. With the live generation retired
-// every range is free, so directories that halve and double again reuse
-// their old ranges instead of reserving more.
+// areaFor reserves a new range of slots pages. The directory only
+// doubles, so every create is deeper than every earlier range and no
+// retired range could hold it; retired ranges stay blank until Close.
 func (t *Table) areaFor(slots int) (area, error) {
-	best := -1
-	for i, a := range t.areas {
-		if a.slots >= slots && (best < 0 || a.slots < t.areas[best].slots) {
-			best = i
-		}
-	}
-	if best >= 0 {
-		return t.areas[best], nil
-	}
 	base, err := sys.ReserveAnon(slots << pageShift)
 	if err != nil {
 		return area{}, err
@@ -529,16 +508,10 @@ func (t *Table) LookupShortcut(key uint64) (uint64, bool) {
 	return bucket.ViewAddr(st.base + uintptr(slot)<<pageShift).Lookup(key)
 }
 
-// Delete removes key. With merging disabled (the paper's configuration)
-// bucket contents are shared physical pages and no shortcut maintenance is
-// needed; with Config.EH.MergeLoadFactor set, merges and halvings are
-// replayed like any other directory modification.
-func (t *Table) Delete(key uint64) bool {
-	if t.cfg.EH.MergeLoadFactor > 0 {
-		return t.eh.DeleteAndMerge(key)
-	}
-	return t.eh.Delete(key)
-}
+// Delete removes key. Buckets never merge (the paper's configuration),
+// and bucket contents are shared physical pages, so a delete needs no
+// shortcut maintenance.
+func (t *Table) Delete(key uint64) bool { return t.eh.Delete(key) }
 
 // Len returns the number of stored entries.
 func (t *Table) Len() int { return t.eh.Len() }

@@ -421,41 +421,3 @@ func TestAdaptiveRoutingFallsBackWhenStale(t *testing.T) {
 		t.Fatalf("stale shortcut used %d times", s.ShortcutLookups)
 	}
 }
-
-func TestMergingRepliesThroughShortcut(t *testing.T) {
-	// With merging enabled, deletes trigger merges and halvings that the
-	// mapper must replay; lookups through the shortcut stay correct
-	// through grow-then-shrink cycles.
-	tbl := newTable(t, Config{EH: eh.Config{MergeLoadFactor: 0.1}})
-	const n = 30000
-	for k := uint64(1); k <= n; k++ {
-		tbl.Insert(k, k)
-	}
-	gdGrown := tbl.EH().GlobalDepth()
-	for k := uint64(1); k <= n; k++ {
-		if k%5 != 0 {
-			if !tbl.Delete(k) {
-				t.Fatalf("Delete(%d) failed", k)
-			}
-		}
-	}
-	if tbl.EH().Merges == 0 {
-		t.Fatal("no merges under 80% deletion")
-	}
-	if !tbl.WaitSync(10 * time.Second) {
-		t.Fatalf("never synced after merges: trad=%d sc=%d",
-			tbl.TradVersion(), tbl.ShortcutVersion())
-	}
-	if tbl.EH().GlobalDepth() >= gdGrown {
-		t.Logf("directory did not halve (gd %d); acceptable if depth histogram blocks it", gdGrown)
-	}
-	for k := uint64(1); k <= n; k++ {
-		v, ok := tbl.Lookup(k)
-		if k%5 == 0 && (!ok || v != k) {
-			t.Fatalf("survivor %d = %d,%v", k, v, ok)
-		}
-		if k%5 != 0 && ok {
-			t.Fatalf("deleted key %d visible", k)
-		}
-	}
-}

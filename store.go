@@ -158,8 +158,8 @@ type Stats struct {
 	LoadFactor     float64
 	AvgFanIn       float64
 	// StructuralMods counts structure-changing events: splits + doublings
-	// (+ merges + halvings) for the EH kinds, rehashes for KindHT, resizes
-	// for KindHTI, leaf allocations + frees for KindRadix.
+	// for the EH kinds, rehashes for KindHT, resizes for KindHTI, leaf
+	// allocations + frees for KindRadix.
 	StructuralMods uint64
 
 	// Shortcut maintenance and routing (KindShortcutEH only).
@@ -229,7 +229,6 @@ type storeOptions struct {
 	migrationBatch  int
 	initialGD       uint
 	initialGDSet    bool
-	mergeLoadFactor float64
 	pollInterval    time.Duration
 	fanInThreshold  float64
 	adaptiveRouting bool
@@ -338,18 +337,6 @@ func WithInitialGlobalDepth(d uint) Option {
 	return func(o *storeOptions) {
 		o.initialGD = d
 		o.initialGDSet = true
-	}
-}
-
-// WithMergeLoadFactor enables bucket coalescing on delete for the EH kinds
-// (0, the default, matches the paper's no-merge prototype).
-func WithMergeLoadFactor(f float64) Option {
-	return func(o *storeOptions) {
-		if f < 0 || f >= 1 {
-			o.fail("vmshortcut: WithMergeLoadFactor(%v): need 0 <= f < 1", f)
-			return
-		}
-		o.mergeLoadFactor = f
 	}
 }
 
@@ -499,10 +486,7 @@ func (o *storeOptions) openBytes() int {
 // ehConfig assembles the extendible-hashing config shared by KindEH and
 // KindShortcutEH.
 func (o *storeOptions) ehConfig() eh.Config {
-	cfg := eh.Config{
-		MaxLoadFactor:   o.maxLoadFactor,
-		MergeLoadFactor: o.mergeLoadFactor,
-	}
+	cfg := eh.Config{MaxLoadFactor: o.maxLoadFactor}
 	switch {
 	case o.initialGDSet:
 		cfg.InitialGlobalDepth = o.initialGD
@@ -650,11 +634,7 @@ func openStore(kind Kind, o *storeOptions) (*store, error) {
 		if err != nil {
 			return fail(err)
 		}
-		if o.mergeLoadFactor > 0 {
-			s.idx = mergingEH{t}
-		} else {
-			s.idx = t
-		}
+		s.idx = t
 		s.under = t
 		s.stats = func() Stats {
 			st := ehShapeStats(t.Stats())
@@ -772,12 +752,6 @@ func scehStats(st *Stats, t *sceh.Table, s sceh.Stats) {
 	st.InSync = t.InSync()
 	st.UsingShortcut = t.UsingShortcut()
 }
-
-// mergingEH routes deletes through bucket coalescing when
-// WithMergeLoadFactor enabled it for KindEH.
-type mergingEH struct{ *eh.Table }
-
-func (m mergingEH) Delete(key uint64) bool { return m.Table.DeleteAndMerge(key) }
 
 // lockedIndex serializes a rangeIndex for WithConcurrency. Reads take the
 // shared lock unless the implementation mutates on read (KindHTI's
