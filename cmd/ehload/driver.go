@@ -1,16 +1,4 @@
-// Package bench is the reusable server-benchmark driver and experiment
-// machinery shared by cmd/ehload (one ad-hoc run) and cmd/ehbench (the
-// reproducible experiment grid): preload a keyspace over the wire, drive
-// a YCSB mix over N pipelined connections with every response verified,
-// and report throughput plus an HDR latency histogram in the
-// BENCH_server.json schema (Report).
-//
-// The package also owns the grid side of the story: experiments.json
-// parsing and cross-product expansion (grid.go), in-process cell
-// execution with warmup and repeats (runner.go), grouped mean/std
-// summaries, CSV artifacts and the BENCH_history.json trajectory
-// (summary.go), and the regression gate (compare.go).
-package bench
+package main
 
 import (
 	"fmt"
@@ -38,13 +26,8 @@ type Config struct {
 	Pipeline  int
 	BatchMode string // BatchNone | BatchMixed
 	Load      int    // keyspace entries preloaded before the measured run
-	// Warmup drives the workload for this long after the preload and
-	// discards the results, so the measured run starts against warmed
-	// caches, a settled shortcut directory, and resident WAL segments.
-	Warmup   time.Duration
-	Duration time.Duration
-	Ops      int // fixed op budget per connection instead of Duration (0 = use Duration)
-	Seed     uint64
+	Duration  time.Duration
+	Seed      uint64
 	// AdminAddr is the server's admin HTTP address. When set, the driver
 	// scrapes /metrics immediately before and after the measured drive and
 	// reports the server-side window delta (counters and per-stage latency
@@ -57,35 +40,6 @@ type Config struct {
 	SampleRate float64
 }
 
-// DistName is the distribution label runs are reported under.
-func (c Config) DistName() string {
-	if c.Mix.Zipf {
-		return "zipfian"
-	}
-	return "uniform"
-}
-
-// Validate rejects configurations the driver cannot run. The commands
-// layer their own flag-specific messages on top; this is the shared
-// floor so a malformed experiments.json cell fails before dialing.
-func (c Config) Validate() error {
-	switch {
-	case c.Load <= 0:
-		return fmt.Errorf("bench: load must be positive: reads need a non-empty keyspace")
-	case c.Conns <= 0 || c.Pipeline <= 0:
-		return fmt.Errorf("bench: conns and pipeline must be positive")
-	case c.Ops < 0:
-		return fmt.Errorf("bench: ops must be non-negative")
-	case c.Ops == 0 && c.Duration <= 0:
-		return fmt.Errorf("bench: duration must be positive when ops is 0 (the run would never stop)")
-	case c.BatchMode != BatchNone && c.BatchMode != BatchMixed:
-		return fmt.Errorf("bench: unknown batch mode %q", c.BatchMode)
-	case c.SampleRate < 0 || c.SampleRate > 1:
-		return fmt.Errorf("bench: sample rate must be in [0, 1]")
-	}
-	return nil
-}
-
 // workerResult is one connection's tally.
 type workerResult struct {
 	ops      uint64
@@ -94,13 +48,9 @@ type workerResult struct {
 	hist     obs.HDR
 }
 
-// Run executes one benchmark: preload, optional warmup, then the
-// measured drive, finishing with a server/store stats snapshot.
+// Run executes one benchmark: preload, then the measured drive,
+// finishing with a server/store stats snapshot.
 func Run(cfg Config) (*Report, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-
 	// Preload [0, load) across the connections, one MIXEDBATCH frame of
 	// PUTs per chunk.
 	loadStart := time.Now()
@@ -109,20 +59,9 @@ func Run(cfg Config) (*Report, error) {
 	}
 	loadDur := time.Since(loadStart)
 
-	var warmupDur time.Duration
-	if cfg.Warmup > 0 {
-		wcfg := cfg
-		wcfg.Duration, wcfg.Ops = cfg.Warmup, 0
-		warmupStart := time.Now()
-		if _, _, err := drive(wcfg); err != nil {
-			return nil, fmt.Errorf("warmup: %w", err)
-		}
-		warmupDur = time.Since(warmupStart)
-	}
-
 	// Bracket exactly the measured drive with /metrics scrapes: the delta
 	// is the server's view of the same window the client-side histogram
-	// covers, with the preload and warmup already behind both snapshots.
+	// covers, with the preload already behind both snapshots.
 	var scrapeBefore *obs.Scrape
 	if cfg.AdminAddr != "" {
 		var err error
@@ -145,12 +84,15 @@ func Run(cfg Config) (*Report, error) {
 		serverDelta = newServerDelta(scrapeBefore, scrapeAfter)
 	}
 
+	dist := "uniform"
+	if cfg.Mix.Zipf {
+		dist = "zipfian"
+	}
 	rep := &Report{
-		Bench: "server", Addr: cfg.Addr, Mix: cfg.Mix.Name, Dist: cfg.DistName(),
+		Bench: "server", Addr: cfg.Addr, Mix: cfg.Mix.Name, Dist: dist,
 		Conns: cfg.Conns, Pipeline: cfg.Pipeline,
 		BatchMode: cfg.BatchMode,
 		Loaded:    cfg.Load, Seed: cfg.Seed, Sample: cfg.SampleRate,
-		WarmupS:   warmupDur.Seconds(),
 		DurationS: elapsed.Seconds(),
 		LoadS:     loadDur.Seconds(),
 		OpCounts:  map[string]uint64{},
@@ -196,16 +138,14 @@ func Run(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// drive runs cfg.Conns workers until the duration elapses (or each
-// worker's op budget runs out) and returns their tallies.
+// drive runs cfg.Conns workers until the duration elapses and returns
+// their tallies.
 func drive(cfg Config) ([]*workerResult, time.Duration, error) {
 	results := make([]*workerResult, cfg.Conns)
 	errs := make([]error, cfg.Conns)
 	var stop atomic.Bool
-	if cfg.Ops == 0 {
-		timer := time.AfterFunc(cfg.Duration, func() { stop.Store(true) })
-		defer timer.Stop()
-	}
+	timer := time.AfterFunc(cfg.Duration, func() { stop.Store(true) })
+	defer timer.Stop()
 	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Conns; w++ {
@@ -287,10 +227,10 @@ type expected struct {
 	idx  uint64 // global key index
 }
 
-// worker drives one connection until the stop flag (or its op budget) is
-// reached. Each worker owns a disjoint insert range: its generator's
-// fresh local indexes are strided across workers, so no worker ever reads
-// a key another worker is concurrently inserting.
+// worker drives one connection until the stop flag is set. Each worker
+// owns a disjoint insert range: its generator's fresh local indexes are
+// strided across workers, so no worker ever reads a key another worker is
+// concurrently inserting.
 func worker(cfg Config, w int, stop *atomic.Bool) (*workerResult, error) {
 	c, err := client.DialConn(cfg.Addr)
 	if err != nil {
@@ -330,9 +270,8 @@ func worker(cfg Config, w int, stop *atomic.Bool) (*workerResult, error) {
 		exp = append(exp, expected{read: read, idx: idx})
 	}
 
-	budget := cfg.Ops
 	var results []client.Result
-	for !stop.Load() && (cfg.Ops == 0 || budget > 0) {
+	for !stop.Load() {
 		exp = exp[:0]
 		for i := 0; i < cfg.Pipeline; i++ {
 			op := gen.Next()
@@ -362,7 +301,6 @@ func worker(cfg Config, w int, stop *atomic.Bool) (*workerResult, error) {
 		}
 		res.hist.Record(uint64(time.Since(start).Nanoseconds()))
 		res.ops += uint64(len(results))
-		budget -= len(results)
 		for i, r := range results {
 			e := exp[i]
 			switch {

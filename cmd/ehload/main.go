@@ -3,8 +3,8 @@
 // (A/B/C/D/F, zipfian or uniform) over N client connections with deep
 // pipelining, verifying every response, and reports throughput plus an
 // HDR latency histogram (p50/p95/p99) both on stdout and as
-// BENCH_server.json. The driver itself lives in internal/bench, shared
-// with cmd/ehbench's experiment grid.
+// BENCH_server.json. With -admin-addr the report and the summary also
+// carry the server's own view of the measured window.
 //
 // Latency is recorded per pipelined round trip: one Flush of -pipeline
 // operations is one sample, which is the unit of work the protocol (and
@@ -46,14 +46,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"strings"
 	"time"
 
-	"vmshortcut/internal/bench"
-	"vmshortcut/internal/obs"
 	"vmshortcut/internal/workload"
 )
 
@@ -65,14 +62,11 @@ func main() {
 	pipeline := flag.Int("pipeline", 32, "operations in flight per connection round trip")
 	batch := flag.String("batch", "0", "'mixed' submits each round trip as one MIXEDBATCH frame; 0 = pipelined single-op frames")
 	load := flag.Int("load", 100_000, "keyspace entries preloaded before the measured run")
-	warmup := flag.Duration("warmup", 0, "drive the workload for this long after the preload and discard the results, so the measured run starts warm")
 	duration := flag.Duration("duration", 10*time.Second, "measured run length")
-	ops := flag.Int("ops", 0, "fixed op budget per connection instead of -duration (0 = use -duration)")
 	seed := flag.Uint64("seed", 42, "keyspace and workload seed")
 	out := flag.String("out", "BENCH_server.json", "benchmark JSON output path (empty = none)")
 	adminAddr := flag.String("admin-addr", "", "server admin HTTP address (its -admin flag); scrapes /metrics around the measured run and embeds the server-side stage breakdown in the report")
 	sample := flag.Float64("sample", 0, "trace-sampling probability per pipelined round trip, 0..1; sampled traces land in the server's flight recorder (its /tracez admin endpoint)")
-	statsDelta := flag.Bool("stats-delta", false, "print the server-side delta for the measured window (ops, coalesced batches, rejects, per-stage latency); requires -admin-addr")
 	restartCheck := flag.Bool("restart-check", false, "crash-recovery verification instead of a benchmark: start the server (-server-cmd), write acknowledged keys, kill -9 mid-run, restart, verify nothing acknowledged was lost")
 	serverCmd := flag.String("server-cmd", "", "server command line managed by -restart-check; must include -wal-dir (split on whitespace, no shell quoting)")
 	failoverCheck := flag.Bool("failover-check", false, "replication-failover verification instead of a benchmark: start a primary (-primary-cmd, which must run -repl-sync) and a follower (-follower-cmd), write acknowledged keys, kill -9 the primary mid-run, promote the follower, verify nothing acknowledged was lost")
@@ -123,50 +117,32 @@ func main() {
 	if *conns <= 0 || *pipeline <= 0 {
 		usageError("-conns and -pipeline must be positive")
 	}
-	if *ops < 0 {
-		usageError("-ops must be non-negative")
-	}
-	if *ops == 0 && *duration <= 0 {
-		usageError("-duration must be positive when -ops is 0 (the run would never stop)")
-	}
-	if *warmup < 0 {
-		usageError("-warmup must be non-negative")
-	}
-	if *statsDelta && *adminAddr == "" {
-		usageError("-stats-delta requires -admin-addr: the delta comes from /metrics scrapes")
+	if *duration <= 0 {
+		usageError("-duration must be positive")
 	}
 	if *sample < 0 || *sample > 1 {
 		usageError("-sample must be in [0, 1], got %v", *sample)
 	}
-	batchMode := bench.BatchNone
+	batchMode := BatchNone
 	switch strings.ToLower(*batch) {
-	case "", "0", bench.BatchNone:
-	case bench.BatchMixed:
-		batchMode = bench.BatchMixed
+	case "", "0", BatchNone:
+	case BatchMixed:
+		batchMode = BatchMixed
 	default:
 		usageError("-batch must be 'mixed' or 0, got %q", *batch)
 	}
-	cfg := bench.Config{
+	cfg := Config{
 		Addr: *addr, Mix: mix, Conns: *conns,
 		Pipeline: *pipeline, BatchMode: batchMode, Load: *load,
-		Warmup: *warmup, Duration: *duration, Ops: *ops, Seed: *seed,
+		Duration: *duration, Seed: *seed,
 		AdminAddr: *adminAddr, SampleRate: *sample,
 	}
 
-	report, err := bench.Run(cfg)
+	report, err := Run(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	report.WriteSummary(os.Stdout)
-	if *statsDelta {
-		// A missing delta means the scrapes did not bracket the run after
-		// all; reporting zeros here would read as "the server did nothing",
-		// which is exactly the wrong conclusion. Fail loudly instead.
-		if report.ServerDelta == nil {
-			log.Fatalf("-stats-delta: no server delta in the report: the /metrics scrapes against %s did not produce one", *adminAddr)
-		}
-		writeStatsDelta(os.Stdout, report.ServerDelta)
-	}
 	if *out != "" {
 		blob, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
@@ -179,28 +155,6 @@ func main() {
 	}
 	if report.Errors > 0 {
 		log.Fatalf("%d errors during the run", report.Errors)
-	}
-}
-
-// writeStatsDelta prints the -stats-delta block: the server's own view
-// of exactly the measured window, from /metrics scrapes bracketing it.
-// The caller has already established sd is non-nil; a scrape failure
-// aborts the run inside bench.Run instead of reaching here.
-func writeStatsDelta(w io.Writer, sd *bench.ServerDelta) {
-	fmt.Fprintln(w, "server delta (measured window):")
-	fmt.Fprintf(w, "  ops=%d frames=%d coalesced_batches=%d coalesced_ops=%d errors=%d rejects=%d slow_ops=%d\n",
-		sd.Ops, sd.Frames, sd.CoalescedBatches, sd.CoalescedOps, sd.Errors, sd.Rejects, sd.SlowOps)
-	if sd.FastpathSeqlock+sd.FastpathLocked > 0 {
-		fmt.Fprintf(w, "  read_fastpath seqlock=%d locked=%d\n", sd.FastpathSeqlock, sd.FastpathLocked)
-	}
-	for s := obs.Stage(0); s < obs.NumStages; s++ {
-		sw, ok := sd.Stages[s.String()]
-		if !ok {
-			continue
-		}
-		fmt.Fprintf(w, "  stage %-13s count=%-9d mean %-10s p50 %-10s p99 %s\n",
-			s, sw.Count, time.Duration(sw.MeanNS).Round(time.Nanosecond),
-			time.Duration(sw.P50NS), time.Duration(sw.P99NS))
 	}
 }
 

@@ -40,7 +40,6 @@ func TestFlagValidation(t *testing.T) {
 		{"batch malformed", []string{"-batch", "banana"}, "-batch"},
 		{"batch negative", []string{"-batch", "-5"}, "-batch"},
 		{"load zero", []string{"-load", "0"}, "-load"},
-		{"ops negative", []string{"-ops", "-1"}, "-ops"},
 		{"duration zero without ops", []string{"-duration", "0s"}, "-duration"},
 		{"unknown mix", []string{"-mix", "Z"}, "mix"},
 		{"unknown dist", []string{"-dist", "pareto"}, "distribution"},

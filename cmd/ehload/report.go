@@ -1,4 +1,4 @@
-package bench
+package main
 
 import (
 	"fmt"
@@ -30,7 +30,6 @@ type Report struct {
 	// Sample is the trace-sampling probability the workers ran with
 	// (omitted when sampling was off).
 	Sample     float64 `json:"sample,omitempty"`
-	WarmupS    float64 `json:"warmup_seconds,omitempty"`
 	DurationS  float64 `json:"duration_seconds"`
 	Ops        uint64  `json:"ops"`
 	Errors     uint64  `json:"errors"`
@@ -70,8 +69,8 @@ type LatencyNS struct {
 	Max     uint64  `json:"max"`
 }
 
-// WriteSummary prints the human-readable run summary ehload has always
-// emitted.
+// WriteSummary prints the human-readable run summary, with the server's
+// view of the measured window when the report carries one.
 func (r *Report) WriteSummary(w io.Writer) {
 	fmt.Fprintf(w, "mix %s (%s)  conns=%d pipeline=%d batch=%s  loaded=%d\n",
 		r.Mix, r.Dist, r.Conns, r.Pipeline, r.BatchMode, r.Loaded)
@@ -95,12 +94,12 @@ func (r *Report) WriteSummary(w io.Writer) {
 		if sd.FastpathSeqlock+sd.FastpathLocked > 0 {
 			fmt.Fprintf(w, "read fastpath: seqlock %d / locked %d\n", sd.FastpathSeqlock, sd.FastpathLocked)
 		}
-		fmt.Fprintf(w, "server stage p99:")
 		for s := obs.Stage(0); s < obs.NumStages; s++ {
 			if sw, ok := sd.Stages[s.String()]; ok {
-				fmt.Fprintf(w, "  %s %s", s, time.Duration(sw.P99NS))
+				fmt.Fprintf(w, "  stage %-13s count=%-9d mean %-10s p50 %-10s p99 %s\n",
+					s, sw.Count, time.Duration(sw.MeanNS).Round(time.Nanosecond),
+					time.Duration(sw.P50NS), time.Duration(sw.P99NS))
 			}
 		}
-		fmt.Fprintln(w)
 	}
 }

@@ -1,4 +1,4 @@
-package bench
+package main
 
 import (
 	"encoding/json"
@@ -16,7 +16,7 @@ func fullReport() *Report {
 	return &Report{
 		Bench: "server", Addr: "127.0.0.1:1", Mix: "A", Dist: "zipfian",
 		Conns: 4, Pipeline: 32, BatchMode: BatchMixed,
-		Loaded: 1000, Seed: 42, WarmupS: 0.25, DurationS: 1.5,
+		Loaded: 1000, Seed: 42, DurationS: 1.5,
 		Ops: 123456, Errors: 0, Throughput: 82304.0,
 		LoadS: 0.1, LoadRate: 10000,
 		Latency:  LatencyNS{Samples: 100, Mean: 1000.5, Min: 10, P50: 900, P95: 2000, P99: 3000, Max: 9999},
@@ -40,7 +40,7 @@ var reportKeys = []string{
 	"conns", "dist", "durability", "duration_seconds", "errors",
 	"latency_ns", "load_ops_per_sec", "load_seconds", "loaded", "mix",
 	"op_counts", "ops", "pipeline", "replication", "seed",
-	"server", "store", "throughput_ops_per_sec", "warmup_seconds",
+	"server", "store", "throughput_ops_per_sec",
 }
 
 var latencyKeys = []string{"max", "mean", "min", "p50", "p95", "p99", "samples"}
@@ -94,11 +94,10 @@ func TestReportSchemaRoundTrip(t *testing.T) {
 }
 
 // TestReportOmitsEmptyOptionals pins the omitempty contract: a plain
-// memory-only, non-warmup run reports no warmup_seconds and no
-// replication section.
+// memory-only run reports no replication section.
 func TestReportOmitsEmptyOptionals(t *testing.T) {
 	r := fullReport()
-	r.BatchMode, r.WarmupS, r.Replication = BatchNone, 0, nil
+	r.BatchMode, r.Replication = BatchNone, nil
 	blob, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +106,7 @@ func TestReportOmitsEmptyOptionals(t *testing.T) {
 	if err := json.Unmarshal(blob, &m); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{"batch", "warmup_seconds", "replication"} {
+	for _, k := range []string{"batch", "replication"} {
 		if _, ok := m[k]; ok {
 			t.Errorf("key %q present in a run that has nothing to report under it", k)
 		}

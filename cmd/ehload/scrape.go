@@ -1,4 +1,4 @@
-package bench
+package main
 
 import (
 	"fmt"
@@ -12,7 +12,7 @@ import (
 // scraping the admin /metrics endpoint immediately before and after the
 // measured drive and differencing. Counters are exact window deltas;
 // stage percentiles are windowed (before-buckets subtracted from
-// after-buckets), so a long preload or warmup cannot pollute them.
+// after-buckets), so a long preload cannot pollute them.
 type ServerDelta struct {
 	Ops              uint64 `json:"ops"`
 	Frames           uint64 `json:"frames"`

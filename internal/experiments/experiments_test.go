@@ -444,8 +444,7 @@ func TestShardScaleTinyRuns(t *testing.T) {
 }
 
 // TestShardScaleProcsGrid crosses the GOMAXPROCS axis with shard counts
-// — the library-level twin of cmd/ehbench's scaling sweep — and checks
-// the sweep restores the scheduler setting it mutated.
+// and checks the sweep restores the scheduler setting it mutated.
 func TestShardScaleProcsGrid(t *testing.T) {
 	before := runtime.GOMAXPROCS(0)
 	rows, err := ShardScale(ShardScaleConfig{

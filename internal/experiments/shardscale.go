@@ -24,9 +24,8 @@ type ShardScaleConfig struct {
 	// baseline every other row is normalized against.
 	Shards []int
 	// Procs lists GOMAXPROCS settings to sweep; each value is crossed
-	// with every shard count, the same procs×shards grid cmd/ehbench
-	// sweeps at the service level. 0 keeps the runtime's current
-	// setting. Default {0} — a plain shard sweep.
+	// with every shard count. 0 keeps the runtime's current setting.
+	// Default {0} — a plain shard sweep.
 	Procs []int
 	// Workers is the number of driving goroutines. Default GOMAXPROCS.
 	// Fixed once for the whole sweep, so rows differ only in the axis

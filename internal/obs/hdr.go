@@ -4,9 +4,8 @@
 // form), counter/gauge registries that render Prometheus text exposition
 // and JSON, the serving pipeline's per-stage histogram set, a per-batch
 // stage trace for slow-operation logging, and a parser for the
-// Prometheus exposition — so a scraper (internal/bench, ehload
-// -stats-delta) can diff two scrapes and recover windowed percentiles
-// per stage.
+// Prometheus exposition — so a scraper (ehload -admin-addr) can diff
+// two scrapes and recover windowed percentiles per stage.
 //
 // Everything on the record path is allocation-free: histograms are
 // fixed-size bucket arrays, counters are single atomics, and the striped
