@@ -85,18 +85,15 @@ func main() {
 	chained := flag.Bool("chained", false, "maintain a tamper-evidence SHA-256 hash chain over the WAL (requires -wal-dir); with -replica-of, verify the primary's stream per record")
 	replTrace := flag.Bool("repl-trace", false, "request trace metadata on the replication stream: per-record trace IDs and append timestamps flow downstream, apply spans flow back (requires -replica-of and a trace-aware primary)")
 
-	// Store shape: every Open option. Zero/negative defaults mean "not
-	// set" and defer to the implementation's defaults.
+	// Store shape: the Open options a deployment picks. Zero/negative
+	// defaults mean "not set" and defer to the implementation's defaults.
 	kindName := flag.String("kind", "shortcut-eh", "index kind: shortcut-eh | eh | ht | hti | ch | radix")
 	shards := flag.Int("shards", 1, "hash-partition the keyspace across this many independent shards")
 	capacity := flag.Int("capacity", 0, "pre-size for this many entries (required for -kind radix: the exclusive key bound)")
 	maxLoad := flag.Float64("max-load-factor", 0, "occupancy threshold triggering growth/splits (default 0.35)")
 	tableBytes := flag.Int("table-bytes", 0, "fixed directory size for -kind ch")
-	migrationBatch := flag.Int("migration-batch", 0, "entries migrated per access for -kind hti (default 64)")
 	globalDepth := flag.Int("global-depth", -1, "initial EH directory depth (overrides -capacity's derivation)")
 	poll := flag.Duration("poll", 0, "Shortcut-EH mapper tick: bounds how long readers see a stale shortcut (default 25ms)")
-	fanIn := flag.Float64("fanin", 0, "Shortcut-EH fan-in threshold for shortcut routing (default 8)")
-	adaptive := flag.Bool("adaptive", false, "Shortcut-EH: measure both access paths online instead of the fixed fan-in threshold")
 	syncMaint := flag.Bool("sync-maintenance", false, "Shortcut-EH: apply shortcut maintenance on the writer instead of the mapper thread")
 	noShortcut := flag.Bool("no-shortcut", false, "route every read through the traditional pointer path")
 	flag.Parse()
@@ -128,7 +125,6 @@ func main() {
 		// The server runs one goroutine per connection; shards=1 still
 		// needs the readers-writer wrapper.
 		vmshortcut.WithConcurrency(true),
-		vmshortcut.WithAdaptiveRouting(*adaptive),
 		vmshortcut.WithSynchronousMaintenance(*syncMaint),
 		vmshortcut.WithDisableShortcut(*noShortcut),
 		vmshortcut.WithSeqlockRetryHist(metrics.Registry().Hist(
@@ -144,17 +140,11 @@ func main() {
 	if *tableBytes > 0 {
 		opts = append(opts, vmshortcut.WithTableBytes(*tableBytes))
 	}
-	if *migrationBatch > 0 {
-		opts = append(opts, vmshortcut.WithMigrationBatch(*migrationBatch))
-	}
 	if *globalDepth >= 0 {
 		opts = append(opts, vmshortcut.WithInitialGlobalDepth(uint(*globalDepth)))
 	}
 	if *poll > 0 {
 		opts = append(opts, vmshortcut.WithPollInterval(*poll))
-	}
-	if *fanIn > 0 {
-		opts = append(opts, vmshortcut.WithFanInThreshold(*fanIn))
 	}
 	// lsnTraces maps appended LSNs back to trace IDs and append times; the
 	// durable layer stamps it, the replication source reads it back for

@@ -61,9 +61,8 @@
 //	defer idx.Close()
 //	idx.Insert(1, 42)
 //
-// Functional options (WithCapacity, WithPollInterval, WithFanInThreshold,
-// WithAdaptiveRouting, WithConcurrency, WithShards, ...) tune the chosen
-// kind; options that do not apply to a kind are ignored so one option set
+// Functional options (WithCapacity, WithPollInterval, WithConcurrency,
+// WithShards, ...) tune the chosen kind; options that do not apply to a kind are ignored so one option set
 // can drive a sweep over all of them. Open is the only constructor;
 // AsShortcutEH, AsExtendibleHashing and AsRadixMap reach the concrete
 // table behind an open store.
@@ -84,10 +83,9 @@
 // Under either option, pure-GET traffic takes a lock-free fast path:
 // writers bump a per-shard sequence counter (odd while mutating), and
 // readers run optimistic seqlock passes that they keep only if the
-// counter did not move. Each index kind carries a readSafe capability
-// bit recording whether its Lookup is free of side effects; kinds that
-// mutate on read (KindHTI migrates entries on access) clear it and keep
-// the locked path, so the fast path can never run a read that writes.
+// counter did not move. Kinds that mutate on read (KindHTI migrates
+// entries on access) keep the locked path, so the fast path can never
+// run a read that writes.
 // Stats reports how GETs were served (FastpathSeqlockReads /
 // FastpathLockedReads).
 //

@@ -55,7 +55,20 @@
 // only after the page-table population of the replayed request completes,
 // so an in-sync shortcut never takes a page fault. Lookups route through
 // the shortcut only when (a) the versions match and (b) the average fan-in
-// is at most FanInThreshold (paper §3.2: high fan-in thrashes the TLB).
+// is at most the paper's fixed threshold of 8 (§4.1; §3.2: high fan-in
+// thrashes the TLB). The threshold is not a knob. The writer decides (b)
+// when it enqueues each request, since fan-in moves only on the splits
+// and doublings that bump the version, and the mapper publishes that
+// decision with the version. A lookup therefore loads one published
+// state, tests its routable bit and compares its version with the
+// traditional one.
+//
+// The crossover fan-in is host-dependent: virtualized TLBs shift it well
+// below the paper's 8–16. An adaptive router that timed both paths online
+// was once an alternative to the fixed threshold. It was removed: on a
+// 2-CPU VM (2^18 keys, one and two readers) it was slower than both the
+// fixed threshold and the traditional path in every round, and the shared
+// sample counter it bumped on every lookup kept it from scaling.
 //
 // # Concurrency
 //

@@ -49,8 +49,8 @@ func TestParkWriteOnlyLoad(t *testing.T) {
 			s.UpdatesSuperseded, pruned, s.UpdatesApplied, queued)
 	}
 	for k := uint64(1); k < next; k++ {
-		if v, ok := tbl.LookupShortcut(k); !ok || v != k {
-			t.Fatalf("LookupShortcut(%d) = %d,%v", k, v, ok)
+		if v, ok := lookupShortcut(tbl, k); !ok || v != k {
+			t.Fatalf("lookupShortcut(%d) = %d,%v", k, v, ok)
 		}
 	}
 }
@@ -73,8 +73,8 @@ func TestParkFallbackWakes(t *testing.T) {
 		t.Fatalf("%d fallbacks, %d creates: want 1 and 2", s.TraditionalLookups, s.CreatesApplied)
 	}
 	for k := uint64(1); k < next; k++ {
-		if v, ok := tbl.LookupShortcut(k); !ok || v != k {
-			t.Fatalf("LookupShortcut(%d) = %d,%v", k, v, ok)
+		if v, ok := lookupShortcut(tbl, k); !ok || v != k {
+			t.Fatalf("lookupShortcut(%d) = %d,%v", k, v, ok)
 		}
 	}
 }

@@ -70,10 +70,10 @@ func grow(t *testing.T, tbl *Table, next uint64, doublings uint) uint64 {
 
 // staleReads looks up keys 1..n through the pinned, possibly retired
 // generation st and returns how many hit.
-func staleReads(tbl *Table, st *scState, n uint64) int {
+func staleReads(st *scState, n uint64) int {
 	hits := 0
 	for k := uint64(1); k <= n; k++ {
-		if _, found := tbl.lookupVia(st, k); found {
+		if _, found := st.lookup(k); found {
 			hits++
 		}
 	}
@@ -103,7 +103,7 @@ func TestStaleGenerationSurvivesDoublings(t *testing.T) {
 			}
 			// Every later generation is larger, so the pinned range was
 			// retired and never reused: it must answer only misses.
-			if hits := staleReads(tbl, st, next); hits != 0 {
+			if hits := staleReads(st, next); hits != 0 {
 				t.Fatalf("retired generation answered %d hits, want 0", hits)
 			}
 		})
@@ -136,7 +136,7 @@ func TestStaleGenerationSurvivesDoublings(t *testing.T) {
 				if !s.t.WaitSync(5 * time.Second) {
 					t.Fatal("never synced")
 				}
-				if hits := staleReads(s.t, pinned[i], k); hits != 0 {
+				if hits := staleReads(pinned[i], k); hits != 0 {
 					t.Fatalf("shard %d: retired generation answered %d hits, want 0", i, hits)
 				}
 			}
@@ -166,7 +166,7 @@ func TestStaleGenerationSurvivesDoublings(t *testing.T) {
 					t.Fatalf("Delete(%d) = false", k)
 				}
 			}
-			if hits := staleReads(tbl, st, next); hits != 0 {
+			if hits := staleReads(st, next); hits != 0 {
 				t.Fatalf("pinned generation answered %d hits after deleting every key, want 0", hits)
 			}
 			if s := p.Stats(); s.FilePages != s.PeakPages {
@@ -252,7 +252,7 @@ func TestRetiredRangesHoldNoMemory(t *testing.T) {
 		}
 	}
 	for _, st := range pinned {
-		staleReads(tbl, st, 64)
+		staleReads(st, 64)
 	}
 	if len(tbl.areas) != 9 {
 		t.Fatalf("%d reserved ranges after 8 doublings, want 9", len(tbl.areas))
@@ -374,8 +374,8 @@ func TestFailedCreateFallsBackUntilNextCreate(t *testing.T) {
 				t.Fatal("no recovery after the next create")
 			}
 			for k, v := range model {
-				if got, ok := tbl.LookupShortcut(k); !ok || got != v {
-					t.Fatalf("LookupShortcut(%d) = %d,%v, want %d", k, got, ok, v)
+				if got, ok := lookupShortcut(tbl, k); !ok || got != v {
+					t.Fatalf("lookupShortcut(%d) = %d,%v, want %d", k, got, ok, v)
 				}
 			}
 			check("after recovery")
@@ -461,8 +461,8 @@ func TestFailedUpdateRetiresGeneration(t *testing.T) {
 				t.Fatal("no recovery after the next create")
 			}
 			for k, v := range model {
-				if got, ok := tbl.LookupShortcut(k); !ok || got != v {
-					t.Fatalf("LookupShortcut(%d) = %d,%v, want %d", k, got, ok, v)
+				if got, ok := lookupShortcut(tbl, k); !ok || got != v {
+					t.Fatalf("lookupShortcut(%d) = %d,%v, want %d", k, got, ok, v)
 				}
 			}
 			check("after recovery")

@@ -2,7 +2,6 @@ package sceh
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -33,15 +32,6 @@ type Config struct {
 	// (paper §4.1: "empirically determined 25ms to work well"). Tests and
 	// benchmarks shorten it.
 	PollInterval time.Duration
-	// FanInThreshold routes lookups through the shortcut only while the
-	// average directory fan-in is at most this. Default 8 (paper §4.1).
-	FanInThreshold float64
-	// AdaptiveRouting replaces the fixed fan-in threshold with online
-	// measurement: the router periodically times a window of lookups on
-	// each access path and prefers the faster one. The fan-in crossover
-	// is host-dependent (virtualized TLBs shift it far below the paper's
-	// 8–16), so measuring beats guessing on unknown hardware.
-	AdaptiveRouting bool
 	// Synchronous applies maintenance requests on the writer goroutine
 	// immediately instead of via the mapper thread. Ablation only: it
 	// exposes the full remap + TLB-shootdown cost to insertions.
@@ -51,19 +41,15 @@ type Config struct {
 	DisableShortcut bool
 }
 
-func (c *Config) fill() {
-	if c.PollInterval <= 0 {
-		c.PollInterval = 25 * time.Millisecond
-	}
-	if c.FanInThreshold <= 0 {
-		c.FanInThreshold = 8
-	}
-}
+// fanInThreshold is the largest average directory fan-in at which lookups
+// may take the shortcut (paper §4.1; see the package doc).
+const fanInThreshold = 8
 
 // request is one maintenance request on the queue.
 type request struct {
-	create  bool
-	version uint64
+	create   bool
+	version  uint64
+	routable bool // lookups may use the shortcut once it reflects version
 
 	// update fields: remap [lo0,hi0) onto ref0 and [lo1,hi1) onto ref1.
 	lo0, hi0 uint64
@@ -77,11 +63,13 @@ type request struct {
 }
 
 // scState is the atomically published snapshot lookups read: the in-sync
-// shortcut directory base, its depth, and the version it reflects.
+// shortcut directory base, its depth, the version it reflects, and whether
+// lookups may route through it at that version.
 type scState struct {
-	base    uintptr
-	gd      uint
-	version uint64
+	base     uintptr
+	gd       uint
+	version  uint64
+	routable bool
 }
 
 // Stats exposes counters for the experiments.
@@ -127,7 +115,6 @@ type Table struct {
 
 	queue   *fifo.Queue[request]
 	tradVer atomic.Uint64
-	fanIn   atomic.Uint64 // float64 bits of the current average fan-in
 
 	published atomic.Pointer[scState]
 
@@ -150,25 +137,14 @@ type Table struct {
 	superseded  atomic.Uint64
 	remaps      atomic.Uint64
 	failures    atomic.Uint64
-
-	// adaptive-routing state (see lookupAdaptive)
-	adaptN      atomic.Uint64
-	adaptT0     atomic.Int64
-	adaptSCNS   atomic.Int64
-	adaptPrefSC atomic.Bool
 }
-
-// Adaptive routing window sizes: every adaptPeriod lookups, one sample
-// window per path is timed and the preference re-decided.
-const (
-	adaptPeriod = 1 << 14
-	adaptSample = 1 << 9
-)
 
 // New creates a Shortcut-EH table over the given page pool and starts its
 // mapper thread (unless cfg.Synchronous).
 func New(p *pool.Pool, cfg Config) (*Table, error) {
-	cfg.fill()
+	if cfg.PollInterval <= 0 {
+		cfg.PollInterval = 25 * time.Millisecond
+	}
 	inner, err := eh.New(p, cfg.EH)
 	if err != nil {
 		return nil, err
@@ -182,17 +158,17 @@ func New(p *pool.Pool, cfg Config) (*Table, error) {
 		done:  make(chan struct{}),
 		kick:  make(chan struct{}, 1),
 	}
-	t.storeFanIn(inner.AvgFanIn())
 	t.tradVer.Store(inner.Version()) // pre-sized directories start above 0
 	inner.SetEventFunc(t.onEvent)
 
 	// Build the initial shortcut synchronously so lookups can use it from
 	// the start.
 	if err := t.applyCreate(request{
-		create:  true,
-		version: inner.Version(),
-		gd:      inner.GlobalDepth(),
-		refs:    inner.Refs(),
+		create:   true,
+		version:  inner.Version(),
+		routable: t.routable(),
+		gd:       inner.GlobalDepth(),
+		refs:     inner.Refs(),
 	}); err != nil {
 		t.unmapAreas()
 		return nil, fmt.Errorf("sceh: building initial shortcut: %w", err)
@@ -219,7 +195,7 @@ func (t *Table) onEvent(e eh.Event) {
 	case eh.DoubleEvent:
 		req = request{create: true, version: ev.Version, gd: ev.GlobalDepth, refs: ev.Refs}
 	}
-	t.storeFanIn(t.eh.AvgFanIn())
+	req.routable = t.routable()
 	if t.cfg.Synchronous {
 		t.tradVer.Store(req.version)
 		t.apply(req)
@@ -229,6 +205,13 @@ func (t *Table) onEvent(e eh.Event) {
 	// Publish the new traditional version last: once lookups observe it,
 	// the shortcut is considered stale until the mapper catches up.
 	t.tradVer.Store(req.version)
+}
+
+// routable reports whether lookups may take a shortcut that reflects the
+// directory as it stands now. Writer goroutine only: it reads the EH
+// directory, which the mapper must not.
+func (t *Table) routable() bool {
+	return !t.cfg.DisableShortcut && t.eh.AvgFanIn() <= fanInThreshold
 }
 
 // mapperLoop is the mapper thread (paper §4.1). It replays the backlog
@@ -332,7 +315,7 @@ func (t *Table) apply(r request) {
 	// MAP_POPULATE installed the page-table entries during the remaps, so
 	// the version can advance immediately (paper §4.1: populate before
 	// bumping the version).
-	t.publish(r.version)
+	t.publish(r)
 }
 
 // remap points slots [lo, hi) of the live generation at ref.
@@ -380,7 +363,7 @@ func (t *Table) applyCreate(r request) error {
 	}
 	t.sc, t.live = sc, a
 	t.creates.Add(1)
-	t.publish(r.version)
+	t.publish(r)
 	return nil
 }
 
@@ -416,8 +399,10 @@ func (t *Table) unmapAreas() error {
 	return firstErr
 }
 
-func (t *Table) publish(version uint64) {
-	t.published.Store(&scState{base: t.sc.Base(), gd: uint(log2(t.sc.Slots())), version: version})
+// publish makes the live generation, as of r, the state lookups read.
+func (t *Table) publish(r request) {
+	gd := uint(log2(t.sc.Slots()))
+	t.published.Store(&scState{base: t.sc.Base(), gd: gd, version: r.version, routable: r.routable})
 }
 
 func log2(n int) int {
@@ -429,10 +414,6 @@ func log2(n int) int {
 	return l
 }
 
-func (t *Table) storeFanIn(f float64) { t.fanIn.Store(math.Float64bits(f)) }
-
-func (t *Table) loadFanIn() float64 { return math.Float64frombits(t.fanIn.Load()) }
-
 // Insert upserts (key, value). Directory modifications are applied to the
 // traditional directory synchronously and to the shortcut asynchronously.
 func (t *Table) Insert(key, value uint64) error {
@@ -440,71 +421,31 @@ func (t *Table) Insert(key, value uint64) error {
 }
 
 // Lookup returns the value stored for key. It routes through the shortcut
-// directory when it is in sync and the fan-in permits (or, with
-// AdaptiveRouting, when the shortcut path measured faster), and through
-// the traditional directory otherwise.
+// directory when the published shortcut is routable and in sync, and
+// through the traditional directory otherwise.
 func (t *Table) Lookup(key uint64) (uint64, bool) {
-	if !t.cfg.DisableShortcut {
-		st := t.published.Load()
-		if st != nil && st.version == t.tradVer.Load() {
-			if t.cfg.AdaptiveRouting {
-				if t.adaptWantShortcut() {
-					return t.lookupVia(st, key)
-				}
-			} else if t.loadFanIn() <= t.cfg.FanInThreshold {
-				return t.lookupVia(st, key)
-			}
-		}
+	if st := t.route(); st != nil {
+		t.scLookups.Add(1)
+		return st.lookup(key)
 	}
 	t.tradLookups.Add(1)
 	t.wake()
 	return t.eh.Lookup(key)
 }
 
-// lookupVia answers through the in-sync shortcut directory st.
-func (t *Table) lookupVia(st *scState, key uint64) (uint64, bool) {
-	h := hashfn.Hash(key)
-	slot := hashfn.DirIndex(h, st.gd)
-	t.scLookups.Add(1)
-	return bucket.ViewAddr(st.base + uintptr(slot)<<pageShift).Lookup(key)
-}
-
-// adaptWantShortcut implements the measuring router: lookups 0..adaptSample
-// of each period run via the shortcut, the next adaptSample via the
-// traditional directory, both windows are wall-clock timed, and the rest
-// of the period follows the winner. Timing is approximate under
-// concurrency — windows may interleave with inserts — but the decision
-// re-converges every period.
-func (t *Table) adaptWantShortcut() bool {
-	n := t.adaptN.Add(1) % adaptPeriod
-	switch {
-	case n == 1:
-		t.adaptT0.Store(time.Now().UnixNano())
-		return true
-	case n < adaptSample:
-		return true
-	case n == adaptSample:
-		now := time.Now().UnixNano()
-		t.adaptSCNS.Store(now - t.adaptT0.Load())
-		t.adaptT0.Store(now)
-		return false
-	case n < 2*adaptSample:
-		return false
-	case n == 2*adaptSample:
-		now := time.Now().UnixNano()
-		t.adaptPrefSC.Store(now-t.adaptT0.Load() >= t.adaptSCNS.Load())
-		return t.adaptPrefSC.Load()
-	default:
-		return t.adaptPrefSC.Load()
-	}
-}
-
-// LookupShortcut forces the shortcut path (benchmarks; caller must ensure
-// the table is in sync, e.g. via WaitSync).
-func (t *Table) LookupShortcut(key uint64) (uint64, bool) {
+// route returns the published state if it is routable and in sync, and
+// nil otherwise.
+func (t *Table) route() *scState {
 	st := t.published.Load()
-	h := hashfn.Hash(key)
-	slot := hashfn.DirIndex(h, st.gd)
+	if st == nil || !st.routable || st.version != t.tradVer.Load() {
+		return nil
+	}
+	return st
+}
+
+// lookup reads key's bucket through the shortcut directory st describes.
+func (st *scState) lookup(key uint64) (uint64, bool) {
+	slot := hashfn.DirIndex(hashfn.Hash(key), st.gd)
 	return bucket.ViewAddr(st.base + uintptr(slot)<<pageShift).Lookup(key)
 }
 
@@ -540,12 +481,7 @@ func (t *Table) ShortcutVersion() uint64 {
 func (t *Table) InSync() bool { return t.ShortcutVersion() == t.tradVer.Load() }
 
 // UsingShortcut reports whether the next lookup would take the shortcut.
-func (t *Table) UsingShortcut() bool {
-	return !t.cfg.DisableShortcut && t.InSync() && t.loadFanIn() <= t.cfg.FanInThreshold
-}
-
-// AvgFanIn returns the current average directory fan-in.
-func (t *Table) AvgFanIn() float64 { return t.loadFanIn() }
+func (t *Table) UsingShortcut() bool { return t.route() != nil }
 
 // WaitSync blocks until the shortcut directory is in sync or the timeout
 // elapses, reporting success. It wakes the mapper, parked or not, instead

@@ -63,7 +63,7 @@ func TestInsertLookupThroughShortcut(t *testing.T) {
 			tbl.TradVersion(), tbl.ShortcutVersion())
 	}
 	if !tbl.UsingShortcut() {
-		t.Fatalf("should use shortcut: fan-in=%f", tbl.AvgFanIn())
+		t.Fatalf("should use shortcut: fan-in=%f", tbl.EH().AvgFanIn())
 	}
 	for k := uint64(0); k < n; k++ {
 		v, ok := tbl.Lookup(k)
@@ -91,7 +91,7 @@ func TestShortcutAndTraditionalAgree(t *testing.T) {
 	}
 	for k := uint64(0); k < n; k++ {
 		key := k*2654435761 + 1
-		sv, sok := tbl.LookupShortcut(key)
+		sv, sok := lookupShortcut(tbl, key)
 		tv, tok := tbl.EH().Lookup(key)
 		if sok != tok || sv != tv {
 			t.Fatalf("key %d: shortcut (%d,%v) != traditional (%d,%v)", key, sv, sok, tv, tok)
@@ -172,7 +172,12 @@ func TestDisableShortcut(t *testing.T) {
 	for k := uint64(0); k < 5000; k++ {
 		tbl.Insert(k, k)
 	}
-	tbl.WaitSync(5 * time.Second)
+	if !tbl.WaitSync(5 * time.Second) {
+		t.Fatal("never synced")
+	}
+	if tbl.UsingShortcut() {
+		t.Fatal("disabled shortcut reported as in use")
+	}
 	for k := uint64(0); k < 5000; k++ {
 		if _, ok := tbl.Lookup(k); !ok {
 			t.Fatalf("key %d lost", k)
@@ -190,8 +195,8 @@ func TestFanInThresholdRouting(t *testing.T) {
 	if !tbl.WaitSync(5 * time.Second) {
 		t.Fatal("never synced")
 	}
-	if tbl.AvgFanIn() != 64 {
-		t.Fatalf("fan-in = %f, want 64", tbl.AvgFanIn())
+	if f := tbl.EH().AvgFanIn(); f != 64 {
+		t.Fatalf("fan-in = %f, want 64", f)
 	}
 	if tbl.UsingShortcut() {
 		t.Fatal("fan-in 64 must route traditionally")
@@ -202,6 +207,32 @@ func TestFanInThresholdRouting(t *testing.T) {
 	}
 	if s := tbl.Stats(); s.ShortcutLookups != 0 {
 		t.Fatal("shortcut used despite fan-in")
+	}
+
+	// Splits alone, with no doubling, bring the fan-in under the
+	// threshold. Only update requests carry that change, so the state
+	// they publish must turn routing on.
+	for k := uint64(2); k <= 2000; k++ {
+		tbl.Insert(k, k*2)
+	}
+	if gd := tbl.EH().GlobalDepth(); gd != 6 {
+		t.Fatalf("global depth = %d, want 6 (no doubling)", gd)
+	}
+	if f := tbl.EH().AvgFanIn(); f > fanInThreshold {
+		t.Fatalf("fan-in = %f, want <= %d", f, fanInThreshold)
+	}
+	if !tbl.WaitSync(5 * time.Second) {
+		t.Fatal("never synced after splits")
+	}
+	if !tbl.UsingShortcut() {
+		t.Fatalf("fan-in %f must route through the shortcut", tbl.EH().AvgFanIn())
+	}
+	before := tbl.Stats().ShortcutLookups
+	if v, ok := tbl.Lookup(1000); !ok || v != 2000 {
+		t.Fatalf("Lookup(1000) = %d,%v", v, ok)
+	}
+	if got := tbl.Stats().ShortcutLookups; got != before+1 {
+		t.Fatalf("shortcut lookups %d -> %d, want one more", before, got)
 	}
 }
 
@@ -222,7 +253,7 @@ func TestDelete(t *testing.T) {
 		t.Fatal("delete desynced the directory")
 	}
 	for k := uint64(0); k < 10000; k++ {
-		_, ok := tbl.LookupShortcut(k)
+		_, ok := lookupShortcut(tbl, k)
 		if k%2 == 0 && ok {
 			t.Fatalf("deleted key %d visible through shortcut", k)
 		}
@@ -307,8 +338,8 @@ func TestSupersededUpdates(t *testing.T) {
 		t.Fatalf("superseded %d + applied %d + 1 create != %d queued", s.UpdatesSuperseded, s.UpdatesApplied, queued)
 	}
 	for k := uint64(1); k < next; k++ {
-		if v, ok := tbl.LookupShortcut(k); !ok || v != k {
-			t.Fatalf("LookupShortcut(%d) = %d,%v", k, v, ok)
+		if v, ok := lookupShortcut(tbl, k); !ok || v != k {
+			t.Fatalf("lookupShortcut(%d) = %d,%v", k, v, ok)
 		}
 	}
 }
@@ -369,55 +400,13 @@ func TestQuickModelEquivalence(t *testing.T) {
 	}
 }
 
+// lookupShortcut forces the shortcut path; the table must be in sync.
+func lookupShortcut(tbl *Table, key uint64) (uint64, bool) {
+	return tbl.published.Load().lookup(key)
+}
+
 // ehInitial builds an eh.Config with the given initial global depth.
 func ehInitial(gd uint) (c eh.Config) {
 	c.InitialGlobalDepth = gd
 	return
-}
-
-func TestAdaptiveRoutingCorrectAndSamplesBothPaths(t *testing.T) {
-	tbl := newTable(t, Config{AdaptiveRouting: true})
-	const n = 30000
-	for k := uint64(1); k <= n; k++ {
-		tbl.Insert(k, k*3)
-	}
-	if !tbl.WaitSync(5 * time.Second) {
-		t.Fatal("never synced")
-	}
-	// Enough lookups to cross several adaptation periods.
-	for round := 0; round < 5; round++ {
-		for k := uint64(1); k <= n; k++ {
-			v, ok := tbl.Lookup(k)
-			if !ok || v != k*3 {
-				t.Fatalf("adaptive Lookup(%d) = %d,%v", k, v, ok)
-			}
-		}
-	}
-	s := tbl.Stats()
-	if s.ShortcutLookups == 0 || s.TraditionalLookups == 0 {
-		t.Fatalf("adaptive router never sampled both paths: %+v", s)
-	}
-	// The steady-state path must dominate the sampling windows.
-	total := s.ShortcutLookups + s.TraditionalLookups
-	if s.ShortcutLookups < total/10 && s.TraditionalLookups < total/10 {
-		t.Fatalf("no dominant path emerged: %+v", s)
-	}
-}
-
-func TestAdaptiveRoutingFallsBackWhenStale(t *testing.T) {
-	tbl := newTable(t, Config{AdaptiveRouting: true, PollInterval: time.Hour})
-	for k := uint64(1); k <= 20000; k++ {
-		tbl.Insert(k, k)
-	}
-	if tbl.InSync() {
-		t.Skip("table unexpectedly in sync")
-	}
-	for k := uint64(1); k <= 20000; k++ {
-		if v, ok := tbl.Lookup(k); !ok || v != k {
-			t.Fatalf("stale adaptive Lookup(%d) = %d,%v", k, v, ok)
-		}
-	}
-	if s := tbl.Stats(); s.ShortcutLookups != 0 {
-		t.Fatalf("stale shortcut used %d times", s.ShortcutLookups)
-	}
 }

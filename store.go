@@ -226,12 +226,9 @@ type storeOptions struct {
 	capacity        int
 	maxLoadFactor   float64
 	tableBytes      int
-	migrationBatch  int
 	initialGD       uint
 	initialGDSet    bool
 	pollInterval    time.Duration
-	fanInThreshold  float64
-	adaptiveRouting bool
 	synchronous     bool
 	disableShortcut bool
 	concurrent      bool
@@ -319,18 +316,6 @@ func WithTableBytes(n int) Option {
 	}
 }
 
-// WithMigrationBatch sets how many entries KindHTI migrates per access
-// while a resize is in progress. Default 64.
-func WithMigrationBatch(n int) Option {
-	return func(o *storeOptions) {
-		if n <= 0 {
-			o.fail("vmshortcut: WithMigrationBatch(%d): must be positive", n)
-			return
-		}
-		o.migrationBatch = n
-	}
-}
-
 // WithInitialGlobalDepth pre-sizes the EH directory (KindEH,
 // KindShortcutEH); it takes precedence over the depth WithCapacity derives.
 func WithInitialGlobalDepth(d uint) Option {
@@ -351,24 +336,6 @@ func WithPollInterval(d time.Duration) Option {
 		}
 		o.pollInterval = d
 	}
-}
-
-// WithFanInThreshold routes KindShortcutEH lookups through the shortcut
-// only while the average directory fan-in is at most f. Default 8.
-func WithFanInThreshold(f float64) Option {
-	return func(o *storeOptions) {
-		if f <= 0 {
-			o.fail("vmshortcut: WithFanInThreshold(%v): must be positive", f)
-			return
-		}
-		o.fanInThreshold = f
-	}
-}
-
-// WithAdaptiveRouting replaces KindShortcutEH's fixed fan-in threshold
-// with online measurement of both access paths.
-func WithAdaptiveRouting(on bool) Option {
-	return func(o *storeOptions) { o.adaptiveRouting = on }
 }
 
 // WithSynchronousMaintenance applies KindShortcutEH's shortcut maintenance
@@ -601,9 +568,8 @@ func openStore(kind Kind, o *storeOptions) (*store, error) {
 
 	case KindHTI:
 		t := hti.New(hti.Config{
-			MaxLoadFactor:  o.maxLoadFactor,
-			InitialBytes:   o.openBytes(),
-			MigrationBatch: o.migrationBatch,
+			MaxLoadFactor: o.maxLoadFactor,
+			InitialBytes:  o.openBytes(),
 		})
 		s.idx = t
 		s.stats = func() Stats {
@@ -646,8 +612,6 @@ func openStore(kind Kind, o *storeOptions) (*store, error) {
 		cfg := sceh.Config{
 			EH:              o.ehConfig(),
 			PollInterval:    o.pollInterval,
-			FanInThreshold:  o.fanInThreshold,
-			AdaptiveRouting: o.adaptiveRouting,
 			Synchronous:     o.synchronous,
 			DisableShortcut: o.disableShortcut,
 		}
@@ -699,11 +663,7 @@ func openStore(kind Kind, o *storeOptions) (*store, error) {
 		lck := &lockedIndex{
 			idx:         s.idx,
 			readMutates: kind == KindHTI,
-			// readSafe is the per-kind capability bit for the seqlock fast
-			// path: every kind whose reads are pure qualifies; KindHTI's
-			// reads migrate entries and must keep the locked path.
-			readSafe:  kind != KindHTI,
-			retryHist: o.seqlockHist,
+			retryHist:   o.seqlockHist,
 		}
 		s.idx = lck
 		s.lck = lck
@@ -772,7 +732,6 @@ type lockedIndex struct {
 	mu          sync.RWMutex
 	idx         rangeIndex
 	readMutates bool
-	readSafe    bool
 	closed      bool
 
 	seq        atomic.Uint64
@@ -891,7 +850,7 @@ func (l *lockedIndex) Len() int {
 // builds always take the lock.
 func (l *lockedIndex) applyBatch(b *op.Batch, res *op.Results) ([3]uint64, error) {
 	pureGet := b.Mutations() == 0 && !l.readMutates
-	if pureGet && b.Len() > 0 && !raceEnabled && l.readSafe {
+	if pureGet && b.Len() > 0 && !raceEnabled {
 		if l.seqlockGets(b.Keys(), res) {
 			return op.CountRuns(b.Kinds()), nil
 		}
