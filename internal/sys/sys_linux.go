@@ -4,6 +4,7 @@ package sys
 
 import (
 	"os"
+	"sync"
 	"syscall"
 	"unsafe"
 )
@@ -226,13 +227,33 @@ func fileControl(f *os.File, op string, call func(fd int) error) error {
 	if err != nil {
 		return err
 	}
-	cerr := error(os.ErrClosed)
-	rc.Control(func(fd uintptr) {
-		for cerr = call(int(fd)); cerr == syscall.EINTR; cerr = call(int(fd)) {
-		}
-	})
+	fc := fileCalls.Get().(*fileCall)
+	fc.call, fc.err = call, os.ErrClosed
+	rc.Control(fc.run)
+	cerr := fc.err
+	fc.call, fc.err = nil, nil
+	fileCalls.Put(fc)
 	if cerr != nil {
 		return &os.PathError{Op: op, Path: f.Name(), Err: cerr}
 	}
 	return nil
 }
+
+// fileCall carries one fileControl call and its result through
+// RawConn.Control. Control takes its func through an interface, so a
+// closure built per call would move to the heap with the error it
+// writes; run is bound once, when the pool makes the fileCall.
+type fileCall struct {
+	call func(fd int) error
+	err  error
+	run  func(fd uintptr)
+}
+
+var fileCalls = sync.Pool{New: func() any {
+	fc := new(fileCall)
+	fc.run = func(fd uintptr) {
+		for fc.err = fc.call(int(fd)); fc.err == syscall.EINTR; fc.err = fc.call(int(fd)) {
+		}
+	}
+	return fc
+}}

@@ -39,9 +39,9 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"vmshortcut/internal/op"
 )
@@ -248,27 +248,10 @@ func DecodeReplSpan(p []byte) (traceID, lsn, spanNS uint64, err error) {
 		binary.LittleEndian.Uint64(p[16:]), nil
 }
 
-// ReadReplFrame reads one frame with the stream bound (MaxReplFrame)
-// instead of the request bound. Same contract as ReadFrame otherwise.
-func ReadReplFrame(r io.Reader, buf []byte) (tag byte, payload, newBuf []byte, err error) {
-	var hdr [HeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, buf, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
-	if n < 1 || n > MaxReplFrame {
-		return 0, nil, buf, fmt.Errorf("wire: stream frame length %d out of range [1, %d]", n, MaxReplFrame)
-	}
-	tag = hdr[4]
-	body := int(n) - 1
-	if cap(buf) < body {
-		buf = make([]byte, body)
-	}
-	payload = buf[:body]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, buf, fmt.Errorf("wire: short stream frame body: %w", err)
-	}
-	return tag, payload, buf, nil
+// ReadReplFrame is ReadFrame on a replication stream: the length bound
+// is MaxReplFrame instead of MaxFrame, and nothing else differs.
+func ReadReplFrame(r *bufio.Reader, buf []byte) (tag byte, payload, newBuf []byte, err error) {
+	return readFrame(r, buf, MaxReplFrame)
 }
 
 // PrimaryReplCounters is the primary-side replication section of a STATS

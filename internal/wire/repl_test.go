@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"strings"
@@ -137,10 +138,10 @@ func TestDecodeReplRejectsMalformed(t *testing.T) {
 func TestReadReplFrameAdmitsOversizedRecords(t *testing.T) {
 	payload := make([]byte, MaxFrame+20)
 	frame := AppendFrame(nil, ReplSnapChunk, payload)
-	if _, _, _, err := ReadFrame(bytes.NewReader(frame), nil); err == nil {
+	if _, _, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame)), nil); err == nil {
 		t.Fatal("request-path reader accepted an oversized frame")
 	}
-	tag, p, _, err := ReadReplFrame(bytes.NewReader(frame), nil)
+	tag, p, _, err := ReadReplFrame(bufio.NewReader(bytes.NewReader(frame)), nil)
 	if err != nil {
 		t.Fatalf("ReadReplFrame: %v", err)
 	}
@@ -152,7 +153,7 @@ func TestReadReplFrameAdmitsOversizedRecords(t *testing.T) {
 	huge[1] = 0xFF
 	huge[2] = 0xFF
 	huge[3] = 0x7F
-	if _, _, _, err := ReadReplFrame(bytes.NewReader(huge), nil); err == nil {
+	if _, _, _, err := ReadReplFrame(bufio.NewReader(bytes.NewReader(huge)), nil); err == nil {
 		t.Fatal("ReadReplFrame accepted an unbounded length")
 	}
 }

@@ -45,6 +45,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -343,20 +344,34 @@ func boolByte(b bool) byte {
 	return 0
 }
 
-// ReadFrame reads one frame from r, reusing buf for the payload when it
-// fits. It returns the tag, the payload (valid until the next call that
-// reuses buf), the possibly grown buffer, and the first error. A length
-// below 1 or above MaxFrame is rejected before any payload is read.
-func ReadFrame(r io.Reader, buf []byte) (tag byte, payload, newBuf []byte, err error) {
-	var hdr [HeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// ReadFrame reads one request-path frame from r, reusing buf for the
+// payload when it fits. It returns the tag, the payload (valid until the
+// next call that reuses buf), the possibly grown buffer, and the first
+// error. The header is read in place from r's buffer, so a caller that
+// keeps its buf allocates nothing per frame; a body larger than r's
+// buffer reads through it. A length below 1 or above MaxFrame fails with
+// nothing consumed; a header cut short by the end of the stream is
+// io.ErrUnexpectedEOF.
+func ReadFrame(r *bufio.Reader, buf []byte) (tag byte, payload, newBuf []byte, err error) {
+	return readFrame(r, buf, MaxFrame)
+}
+
+// readFrame is ReadFrame with the length bound as a parameter: MaxFrame
+// on the request path, MaxReplFrame on a replication stream.
+func readFrame(r *bufio.Reader, buf []byte, limit uint32) (tag byte, payload, newBuf []byte, err error) {
+	hdr, err := r.Peek(HeaderSize)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, nil, buf, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
-	if n < 1 || n > MaxFrame {
-		return 0, nil, buf, fmt.Errorf("wire: frame length %d out of range [1, %d]", n, MaxFrame)
+	n := binary.LittleEndian.Uint32(hdr)
+	if n < 1 || n > limit {
+		return 0, nil, buf, fmt.Errorf("wire: frame length %d out of range [1, %d]", n, limit)
 	}
 	tag = hdr[4]
+	r.Discard(HeaderSize)
 	body := int(n) - 1
 	if cap(buf) < body {
 		buf = make([]byte, body)

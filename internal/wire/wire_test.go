@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"io"
 	"strings"
 	"testing"
 
@@ -12,7 +14,7 @@ import (
 // roundTrip feeds an encoded frame back through ReadFrame.
 func roundTrip(t *testing.T, frame []byte) (byte, []byte) {
 	t.Helper()
-	tag, payload, _, err := ReadFrame(bytes.NewReader(frame), nil)
+	tag, payload, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame)), nil)
 	if err != nil {
 		t.Fatalf("ReadFrame: %v", err)
 	}
@@ -94,22 +96,79 @@ func TestResponseFrameRoundTrips(t *testing.T) {
 	}
 }
 
+// TestReadFrameRejectsBadLengths pins the frame reader's failures: a
+// length outside [1, MaxFrame] fails with nothing consumed — no body byte,
+// not even the header — a stream that ends between frames is io.EOF, one
+// that ends inside a header is io.ErrUnexpectedEOF (as io.ReadFull
+// reports it), and one that ends inside a body is a short-body error.
 func TestReadFrameRejectsBadLengths(t *testing.T) {
-	zero := make([]byte, HeaderSize) // length 0
-	if _, _, _, err := ReadFrame(bytes.NewReader(zero), nil); err == nil {
-		t.Fatal("length 0 accepted")
+	for _, n := range []uint32{0, MaxFrame + 1} {
+		bad := binary.LittleEndian.AppendUint32(nil, n)
+		bad = append(bad, OpGet, 1, 2, 3, 4, 5, 6, 7, 8)
+		br := bufio.NewReader(bytes.NewReader(bad))
+		if _, _, _, err := ReadFrame(br, nil); err == nil {
+			t.Fatalf("length %d accepted", n)
+		}
+		if br.Buffered() != len(bad) {
+			t.Fatalf("length %d: %d of %d bytes left after the error, want all", n, br.Buffered(), len(bad))
+		}
 	}
-	huge := make([]byte, HeaderSize)
-	binary.LittleEndian.PutUint32(huge, MaxFrame+1)
-	if _, _, _, err := ReadFrame(bytes.NewReader(huge), nil); err == nil {
-		t.Fatal("oversized length accepted")
+	if _, _, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(nil)), nil); err != io.EOF {
+		t.Fatalf("empty stream: %v, want io.EOF", err)
+	}
+	frame := AppendKey(nil, OpGet, 1)
+	for cut := 1; cut < HeaderSize; cut++ {
+		_, _, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame[:cut])), nil)
+		if err != io.ErrUnexpectedEOF {
+			t.Fatalf("header cut at %d bytes: %v, want io.ErrUnexpectedEOF", cut, err)
+		}
 	}
 	// Truncated body: header promises 9 payload bytes, stream has 2.
-	short := AppendKey(nil, OpGet, 1)[:HeaderSize+2]
-	if _, _, _, err := ReadFrame(bytes.NewReader(short), nil); err == nil {
+	short := frame[:HeaderSize+2]
+	if _, _, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(short)), nil); err == nil {
 		t.Fatal("truncated body accepted")
 	} else if !strings.Contains(err.Error(), "short frame body") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// TestReadFrameLargerThanConnBuffer reads a MIXEDBATCH frame whose body
+// exceeds the 64 KiB connection buffer, followed by a small frame: the
+// body reads through the buffer intact and the next frame stays aligned.
+func TestReadFrameLargerThanConnBuffer(t *testing.T) {
+	var b op.Batch
+	for i := range uint64(8000) {
+		if i%3 == 0 {
+			b.Put(i, ^i)
+		} else {
+			b.Get(i)
+		}
+	}
+	stream := AppendMixedBatch(nil, &b)
+	if len(stream) <= 64<<10 {
+		t.Fatalf("frame is %d bytes, want more than the 64 KiB buffer", len(stream))
+	}
+	stream = AppendKey(stream, OpDel, 42)
+	br := bufio.NewReaderSize(bytes.NewReader(stream), 64<<10)
+	tag, p, _, err := ReadFrame(br, nil)
+	if err != nil || tag != OpMixedBatch {
+		t.Fatalf("large frame: tag 0x%02x, %v", tag, err)
+	}
+	var got op.Batch
+	if err := DecodeBatch(tag, p, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != b.Len() {
+		t.Fatalf("decoded %d entries, want %d", got.Len(), b.Len())
+	}
+	for i := range b.Len() {
+		if got.Kinds()[i] != b.Kinds()[i] || got.Keys()[i] != b.Keys()[i] || got.Vals()[i] != b.Vals()[i] {
+			t.Fatalf("entry %d differs after the read", i)
+		}
+	}
+	tag, p, _, err = ReadFrame(br, nil)
+	if err != nil || tag != OpDel || Uint64(p, 0) != 42 {
+		t.Fatalf("frame after the large one: tag 0x%02x %x, %v", tag, p, err)
 	}
 }
 
@@ -134,7 +193,7 @@ func TestDecodeBatchRejectsMalformedPayloads(t *testing.T) {
 func TestReadFrameReusesBuffer(t *testing.T) {
 	frame := AppendPut(nil, 1, 2)
 	buf := make([]byte, 64)
-	_, payload, newBuf, err := ReadFrame(bytes.NewReader(frame), buf)
+	_, payload, newBuf, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame)), buf)
 	if err != nil {
 		t.Fatal(err)
 	}

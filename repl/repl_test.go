@@ -4,6 +4,7 @@
 package repl_test
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -653,7 +654,7 @@ func TestChainedStreamDetectsTamper(t *testing.T) {
 		}
 		defer c.Close()
 		var buf []byte
-		tag, payload, _, err := wire.ReadReplFrame(c, buf)
+		tag, payload, _, err := wire.ReadReplFrame(bufio.NewReader(c), buf)
 		if err != nil || tag != wire.OpReplSync {
 			served <- fmt.Errorf("handshake: tag 0x%02x, %v", tag, err)
 			return

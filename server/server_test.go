@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -219,7 +220,7 @@ func TestBatchFrames(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: connection not closed: %v", name, err)
 		}
-		tag, msg, _, err := wire.ReadFrame(bytes.NewReader(reply), nil)
+		tag, msg, _, err := wire.ReadFrame(bufio.NewReader(bytes.NewReader(reply)), nil)
 		if err != nil || tag != wire.StatusErr || !strings.Contains(string(msg), "unknown opcode") {
 			t.Fatalf("%s: reply = tag 0x%02x %q (%v), want a StatusErr unknown-opcode frame", name, tag, msg, err)
 		}

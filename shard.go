@@ -34,6 +34,8 @@ type sharded struct {
 	insertBatches atomic.Uint64
 	lookupBatches atomic.Uint64
 	deleteBatches atomic.Uint64
+
+	scratch sync.Pool // of *applyScratch, reused across ApplyBatch calls
 }
 
 // openSharded builds the n sub-stores behind WithShards(n). Each shard
@@ -111,30 +113,77 @@ func (s *sharded) Len() int {
 	return total
 }
 
-// fanOut runs fn for every shard whose sub-batch is non-empty (per
-// counts). Small batches (or a batch that routed entirely to one shard)
-// run on the calling goroutine; otherwise one goroutine is spawned per
-// additional shard and the first hit shard runs on the caller — the
-// caller would only block on wg.Wait anyway, so this saves one spawn per
-// batch.
-func (s *sharded) fanOut(counts []int, total int, fn func(sh int)) {
+// applyScratch is the routing state of one ApplyBatch call: each entry's
+// shard, the per-shard sub-batches and their results, the caller
+// positions that map them back, and the per-shard errors. Sub-batches
+// never outlive the call — the durable layer logs the caller's batch, not
+// these — so calls recycle their scratch through sharded.scratch instead
+// of allocating it per batch.
+type applyScratch struct {
+	counts []int
+	route  []uint32
+	flatP  []int
+	pos    [][]int
+	sub    []op.Batch
+	subRes []op.Results
+	errs   []error
+}
+
+// getScratch returns a scratch for a batch of n entries, its per-call
+// fields emptied.
+func (s *sharded) getScratch(n int) *applyScratch {
+	ns := len(s.shards)
+	sc, _ := s.scratch.Get().(*applyScratch)
+	if sc == nil {
+		sc = &applyScratch{
+			counts: make([]int, ns),
+			pos:    make([][]int, ns),
+			sub:    make([]op.Batch, ns),
+			subRes: make([]op.Results, ns),
+			errs:   make([]error, ns),
+		}
+	}
+	if cap(sc.route) < n {
+		sc.route = make([]uint32, n)
+		sc.flatP = make([]int, n)
+	}
+	sc.route, sc.flatP = sc.route[:n], sc.flatP[:n]
+	clear(sc.counts)
+	clear(sc.errs)
+	for sh := range sc.sub {
+		sc.sub[sh].Reset()
+	}
+	return sc
+}
+
+// applyShard runs shard sh's sub-batch.
+func (s *sharded) applyShard(sc *applyScratch, sh int) {
+	sc.errs[sh] = s.shards[sh].ApplyBatch(&sc.sub[sh], &sc.subRes[sh])
+}
+
+// fanOut applies every non-empty sub-batch. Small batches (or a batch that
+// routed entirely to one shard) run on the calling goroutine; otherwise
+// one goroutine is spawned per additional shard and the first hit shard
+// runs on the caller — the caller would only block on wg.Wait anyway, so
+// this saves one spawn per batch.
+func (s *sharded) fanOut(sc *applyScratch, total int) {
 	hit := 0
-	for _, c := range counts {
+	for _, c := range sc.counts {
 		if c > 0 {
 			hit++
 		}
 	}
 	if hit <= 1 || total < shardFanOutMin {
-		for sh, c := range counts {
+		for sh, c := range sc.counts {
 			if c > 0 {
-				fn(sh)
+				s.applyShard(sc, sh)
 			}
 		}
 		return
 	}
 	var wg sync.WaitGroup
 	inline := -1
-	for sh, c := range counts {
+	for sh, c := range sc.counts {
 		if c == 0 {
 			continue
 		}
@@ -145,10 +194,10 @@ func (s *sharded) fanOut(counts []int, total int, fn func(sh int)) {
 		wg.Add(1)
 		go func(sh int) {
 			defer wg.Done()
-			fn(sh)
+			s.applyShard(sc, sh)
 		}(sh)
 	}
-	fn(inline)
+	s.applyShard(sc, inline)
 	wg.Wait()
 }
 
@@ -168,45 +217,38 @@ func (s *sharded) ApplyBatch(b *op.Batch, res *op.Results) error {
 		return nil
 	}
 	kinds, keys, vals := b.Kinds(), b.Keys(), b.Vals()
-	ns := len(s.shards)
-	counts := make([]int, ns)
-	route := make([]uint32, n)
+	sc := s.getScratch(n)
+	defer s.scratch.Put(sc)
 	for i, k := range keys {
 		sh := s.shardOf(k)
-		route[i] = uint32(sh)
-		counts[sh]++
+		sc.route[i] = uint32(sh)
+		sc.counts[sh]++
 	}
-	sub := make([]op.Batch, ns)
-	flatP := make([]int, n)
-	pos := make([][]int, ns)
 	off := 0
-	for sh, c := range counts {
-		sub[sh].Grow(c)
-		pos[sh] = flatP[off : off : off+c]
+	for sh, c := range sc.counts {
+		sc.sub[sh].Grow(c)
+		sc.pos[sh] = sc.flatP[off : off : off+c]
 		off += c
 	}
 	for i, k := range keys {
-		sh := route[i]
-		sub[sh].Add(kinds[i], k, vals[i])
-		pos[sh] = append(pos[sh], i)
+		sh := sc.route[i]
+		sc.sub[sh].Add(kinds[i], k, vals[i])
+		sc.pos[sh] = append(sc.pos[sh], i)
 	}
 	runs := op.CountRuns(kinds)
 	s.lookupBatches.Add(runs[op.Get])
 	s.insertBatches.Add(runs[op.Put])
 	s.deleteBatches.Add(runs[op.Del])
 
-	subRes := make([]op.Results, ns)
-	errs := make([]error, ns)
-	s.fanOut(counts, n, func(sh int) {
-		errs[sh] = s.shards[sh].ApplyBatch(&sub[sh], &subRes[sh])
-	})
-	for sh := range pos {
-		for j, i := range pos[sh] {
-			res.Found[i] = subRes[sh].Found[j]
-			res.Vals[i] = subRes[sh].Vals[j]
+	s.fanOut(sc, n)
+	for sh, pos := range sc.pos {
+		sub := &sc.subRes[sh]
+		for j, i := range pos {
+			res.Found[i] = sub.Found[j]
+			res.Vals[i] = sub.Vals[j]
 		}
 	}
-	for _, err := range errs {
+	for _, err := range sc.errs {
 		if err != nil {
 			return err
 		}

@@ -201,6 +201,10 @@ type Log struct {
 	err     error     // sticky I/O error; the log is dead once set
 	closed  bool
 
+	// pre is writeRecordLocked's record prefix, under mu: a local array
+	// would move to the heap on every record, since bw.Write lets it go.
+	pre [recordHeaderSize + payloadPrefixSize]byte
+
 	// Chained-hash state (Options.Chained), under mu. The chain tracks
 	// lastLSN exactly: every appended record extends it.
 	chain       Chain
@@ -552,7 +556,7 @@ func (l *Log) writeRecordLocked(lsn uint64, code byte, payload []byte) error {
 	// u8 code. The CRC covers lsn, code, and payload ("everything after
 	// the crc field"), computed incrementally so the payload is not
 	// copied to be summed.
-	var pre [recordHeaderSize + payloadPrefixSize]byte
+	pre := &l.pre
 	payloadLen := payloadPrefixSize + len(payload)
 	binary.LittleEndian.PutUint32(pre[0:], uint32(payloadLen))
 	binary.LittleEndian.PutUint64(pre[8:], lsn)
@@ -671,7 +675,8 @@ func (l *Log) syncFile(f *os.File) error {
 // Caller holds syncMu.
 func (l *Log) publishLocked(cur uint64, err error) {
 	if err != nil {
-		l.syncErr.CompareAndSwap(nil, &err)
+		sticky := err // only a failed sync moves an error to the heap
+		l.syncErr.CompareAndSwap(nil, &sticky)
 	}
 	if l.syncErr.Load() == nil && cur > l.synced.Load() {
 		l.synced.Store(cur)
