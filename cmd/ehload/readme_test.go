@@ -2,25 +2,72 @@ package main
 
 import (
 	"bufio"
+	"fmt"
 	"os"
 	"os/exec"
 	"path"
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// definedFlags runs bin -h and returns the names of the flags it lists.
-func definedFlags(t *testing.T, bin string) map[string]bool {
+// checkedBinaries are the commands whose README usage the tests below
+// check against their -h output.
+var checkedBinaries = []string{"ehserver", "ehload", "ehstore", "shortcutbench"}
+
+var (
+	helpOnce sync.Once
+	helpText map[string]string
+	helpErr  error
+)
+
+// binaryHelp builds every checked binary once per test binary and returns
+// what each prints for -h.
+func binaryHelp(t *testing.T) map[string]string {
 	t.Helper()
-	out, _ := exec.Command(bin, "-h").CombinedOutput() // only the flag list matters, not the exit status
-	flags := map[string]bool{}
-	for _, m := range regexp.MustCompile(`(?m)^  -([\w-]+)`).FindAllStringSubmatch(string(out), -1) {
-		flags[m[1]] = true
+	helpOnce.Do(func() {
+		dir := t.TempDir()
+		args := []string{"build", "-o", dir + string(filepath.Separator), "."}
+		for _, bin := range checkedBinaries {
+			if bin != "ehload" {
+				args = append(args, "../"+bin)
+			}
+		}
+		if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
+			helpErr = fmt.Errorf("building %v: %v\n%s", checkedBinaries, err, out)
+			return
+		}
+		helpText = map[string]string{}
+		for _, bin := range checkedBinaries {
+			out, _ := exec.Command(filepath.Join(dir, bin), "-h").CombinedOutput() // only the text matters, not the exit status
+			helpText[bin] = string(out)
+		}
+	})
+	if helpErr != nil {
+		t.Fatal(helpErr)
 	}
-	if len(flags) == 0 {
-		t.Fatalf("%s -h listed no flags:\n%s", bin, out)
+	return helpText
+}
+
+// flagLine matches one flag of -h output: its name and, for a flag that
+// takes a value, the value's type.
+var flagLine = regexp.MustCompile(`(?m)^  -([\w-]+)(?: (\S+))?`)
+
+// binaryFlags returns, per checked binary, each flag it defines and
+// whether the flag takes a value.
+func binaryFlags(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	flags := map[string]map[string]bool{}
+	for bin, help := range binaryHelp(t) {
+		flags[bin] = map[string]bool{}
+		for _, m := range flagLine.FindAllStringSubmatch(help, -1) {
+			flags[bin][m[1]] = m[2] != ""
+		}
+		if len(flags[bin]) == 0 {
+			t.Fatalf("%s -h listed no flags:\n%s", bin, help)
+		}
 	}
 	return flags
 }
@@ -61,26 +108,31 @@ func readmeCommandLines(t *testing.T) []string {
 	return lines
 }
 
-// flagUse is one "-name" a command line passes to a binary.
-type flagUse struct{ bin, flag string }
+// command is one binary invocation on a README command line: the
+// binary's name and the words passed to it.
+type command struct {
+	bin  string
+	args []string
+}
 
 var flagToken = regexp.MustCompile(`^--?([A-Za-z][\w-]*)(=.*)?$`)
 
-// flagUses finds, in one shell command line, every flag token and the
-// binary it is passed to. A binary is the word in command position: at
-// the start of the line, after a shell separator, right after an opening
-// quote (ehload's -server-cmd "ehserver ..." style), or the package
-// after "go run". Tokens after a "#" are a comment.
-func flagUses(line string) []flagUse {
-	var uses []flagUse
-	stack := []string{""} // binary of the current (possibly quoted) command
+// commands finds, in one shell command line, every binary invocation. A
+// binary is the word in command position: at the start of the line,
+// after a shell separator, right after an opening quote (ehload's
+// -server-cmd "ehserver ..." style), or the package after "go run". The
+// words of a quoted command belong to it, not to the command around it.
+// Tokens after a "#" are a comment.
+func commands(line string) []command {
+	var cmds []command
+	stack := []int{-1} // index in cmds of the current (possibly quoted) command
 	cmdPos := true
 	for _, tok := range strings.Fields(line) {
 		if strings.HasPrefix(tok, "#") {
 			break
 		}
 		if strings.HasPrefix(tok, `"`) || strings.HasPrefix(tok, "'") {
-			stack = append(stack, "")
+			stack = append(stack, -1)
 			cmdPos = true
 			tok = tok[1:]
 		}
@@ -88,17 +140,17 @@ func flagUses(line string) []flagUse {
 		tok = strings.TrimRight(tok, `"'`)
 		switch {
 		case tok == "&&" || tok == "||" || tok == "|" || tok == ";" || tok == "&":
-			stack[len(stack)-1] = ""
+			stack[len(stack)-1] = -1
 			cmdPos = true
 		case cmdPos && (tok == "go" || tok == "run"):
 			// "go run <package>": the package names the binary
 		case cmdPos:
-			stack[len(stack)-1] = path.Base(tok)
+			cmds = append(cmds, command{bin: path.Base(tok)})
+			stack[len(stack)-1] = len(cmds) - 1
 			cmdPos = false
 		default:
-			bin := stack[len(stack)-1]
-			if m := flagToken.FindStringSubmatch(tok); m != nil && (bin == "ehserver" || bin == "ehload") {
-				uses = append(uses, flagUse{bin, m[1]})
+			if i := stack[len(stack)-1]; i >= 0 {
+				cmds[i].args = append(cmds[i].args, tok)
 			}
 		}
 		if closes {
@@ -106,45 +158,86 @@ func flagUses(line string) []flagUse {
 			cmdPos = false
 		}
 	}
-	return uses
+	return cmds
 }
 
-// binaryFlags builds ehserver and ehload and returns the flags each
-// defines.
-func binaryFlags(t *testing.T) map[string]map[string]bool {
-	t.Helper()
-	server := filepath.Join(t.TempDir(), "ehserver")
-	if out, err := exec.Command("go", "build", "-o", server, "../ehserver").CombinedOutput(); err != nil {
-		t.Fatalf("building ehserver: %v\n%s", err, out)
-	}
-	return map[string]map[string]bool{
-		"ehserver": definedFlags(t, server),
-		"ehload":   definedFlags(t, buildEhload(t)),
-	}
-}
-
-// TestREADMEFlagsExist fails when a README command line passes ehserver
-// or ehload a flag the binary does not define — a flag deleted from the
-// code but still shown in the documentation.
+// TestREADMEFlagsExist fails when a README command line passes a checked
+// binary a flag it does not define — a flag deleted from the code but
+// still shown in the documentation.
 func TestREADMEFlagsExist(t *testing.T) {
 	defined := binaryFlags(t)
 	checked := map[string]int{}
 	for _, line := range readmeCommandLines(t) {
-		for _, u := range flagUses(line) {
-			checked[u.bin]++
-			if !defined[u.bin][u.flag] {
-				t.Errorf("README runs %s with -%s, which it does not define:\n\t%s", u.bin, u.flag, line)
+		for _, c := range commands(line) {
+			flags, ok := defined[c.bin]
+			if !ok {
+				continue
+			}
+			for _, arg := range c.args {
+				m := flagToken.FindStringSubmatch(arg)
+				if m == nil {
+					continue
+				}
+				checked[c.bin]++
+				if _, ok := flags[m[1]]; !ok {
+					t.Errorf("README runs %s with -%s, which it does not define:\n\t%s", c.bin, m[1], line)
+				}
 			}
 		}
 	}
 	// The parser must actually be finding the README's command lines.
-	if checked["ehserver"] == 0 || checked["ehload"] == 0 {
-		t.Fatalf("found no README flags to check: %v", checked)
+	for _, bin := range checkedBinaries {
+		if checked[bin] == 0 {
+			t.Fatalf("found no README flags to check for %s: %v", bin, checked)
+		}
 	}
 }
 
-// TestREADMEMentionsEveryFlag is the converse: it fails when ehserver or
-// ehload defines a flag the README never mentions as "-name".
+// experimentsLine is where shortcutbench's -h lists its experiments.
+var experimentsLine = regexp.MustCompile(`(?m)^experiments: (.+)$`)
+
+// TestREADMEExperimentsExist fails when a README command line runs
+// shortcutbench with an experiment the binary does not accept.
+func TestREADMEExperimentsExist(t *testing.T) {
+	help := binaryHelp(t)["shortcutbench"]
+	m := experimentsLine.FindStringSubmatch(help)
+	if m == nil {
+		t.Fatalf("shortcutbench -h lists no experiments:\n%s", help)
+	}
+	accepted := map[string]bool{}
+	for _, name := range strings.Fields(m[1]) {
+		accepted[name] = true
+	}
+	takesValue := binaryFlags(t)["shortcutbench"]
+	runs := 0
+	for _, line := range readmeCommandLines(t) {
+		for _, c := range commands(line) {
+			if c.bin != "shortcutbench" {
+				continue
+			}
+			for i := 0; i < len(c.args); i++ {
+				if f := flagToken.FindStringSubmatch(c.args[i]); f != nil {
+					if takesValue[f[1]] && f[2] == "" {
+						i++ // the flag's value
+					}
+					continue
+				}
+				runs++
+				if !accepted[c.args[i]] {
+					t.Errorf("README runs shortcutbench %s, which is not one of its experiments (%s):\n\t%s",
+						c.args[i], m[1], line)
+				}
+				break
+			}
+		}
+	}
+	if runs == 0 {
+		t.Fatal("found no README shortcutbench experiment to check")
+	}
+}
+
+// TestREADMEMentionsEveryFlag is the converse: it fails when a checked
+// binary defines a flag the README never mentions as "-name".
 func TestREADMEMentionsEveryFlag(t *testing.T) {
 	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
 	if err != nil {

@@ -29,6 +29,7 @@ import (
 
 	"vmshortcut"
 	"vmshortcut/internal/harness"
+	"vmshortcut/internal/obs"
 	"vmshortcut/internal/workload"
 	"vmshortcut/wal"
 )
@@ -143,7 +144,7 @@ func main() {
 			time.Since(start).Round(time.Millisecond))
 	}
 
-	var latencies harness.Histogram
+	var latencies obs.HDR
 	start = time.Now()
 	workerMisses := make([]int, *workers)
 	harness.ParallelChunks(*reads, *workers, func(w, wlo, whi int) {
@@ -201,7 +202,9 @@ func main() {
 		float64(*reads)/readDur.Seconds(), misses)
 
 	if *hist {
-		latencies.Render(os.Stdout, "read latency [ns]")
+		fmt.Printf("latency: samples %d  mean %.1f  min %d  p50 %d  p99 %d  p99.9 %d  max %d  [ns]\n",
+			latencies.Count(), latencies.Mean(), latencies.Min(),
+			latencies.Percentile(50), latencies.Percentile(99), latencies.Percentile(99.9), latencies.Max())
 	}
 
 	if *deletes > 0 {

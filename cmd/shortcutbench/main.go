@@ -16,8 +16,7 @@
 //	fig7a    insertion of N entries into all five indexes
 //	fig7b    hit-only lookups after fig7a (runs both)
 //	fig8     mixed workload: shortcut desync and catch-up trace
-//	ablate   coalescing, routing threshold, poll interval, sync maintenance
-//	shards   sharded-store scaling: parallel batched ops vs the single lock
+//	ablate   coalescing, poll interval, sync maintenance, 2 MB pages (vmsim)
 //	all      everything above
 //
 // Flags scale the workloads; the defaults run in seconds on a laptop. Use
@@ -29,7 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
+	"strings"
 	"time"
 
 	"vmshortcut/internal/experiments"
@@ -50,6 +49,11 @@ func main() {
 		nested     = flag.Bool("nested", false, "simulate nested paging (EPT) in the vmsim variants")
 		seed       = flag.Uint64("seed", 42, "workload seed")
 	)
+	flag.Usage = func() {
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: shortcutbench [flags] <experiment>\nexperiments: %s\n",
+			strings.Join(experimentNames, " "))
+		flag.PrintDefaults()
+	}
 	flag.Parse()
 	if *paperscale {
 		*accesses = 10_000_000
@@ -88,6 +92,9 @@ func (r runner) simConfig() vmsim.Config {
 	return vmsim.Config{NestedPaging: r.nested}
 }
 
+// experimentNames lists every experiment run accepts.
+var experimentNames = []string{"fig2", "table1", "fig4", "fig5", "fig7a", "fig7b", "fig7", "fig8", "ablate", "all"}
+
 func (r runner) run(exp string) error {
 	switch exp {
 	case "fig2":
@@ -104,17 +111,15 @@ func (r runner) run(exp string) error {
 		return r.fig8()
 	case "ablate":
 		return r.ablate()
-	case "shards":
-		return r.shards()
 	case "all":
-		for _, e := range []string{"fig2", "table1", "fig4", "fig5", "fig7", "fig8", "ablate", "shards"} {
+		for _, e := range []string{"fig2", "table1", "fig4", "fig5", "fig7", "fig8", "ablate"} {
 			if err := r.run(e); err != nil {
 				return fmt.Errorf("%s: %w", e, err)
 			}
 		}
 		return nil
 	}
-	return fmt.Errorf("unknown experiment %q", exp)
+	return fmt.Errorf("unknown experiment %q (want one of: %s)", exp, strings.Join(experimentNames, " "))
 }
 
 func (r runner) renderSeries(title, x string, series []harness.Series) {
@@ -263,41 +268,12 @@ func (r runner) fig8() error {
 	return nil
 }
 
-// shards sweeps the procs×shards grid on the concurrent sharded store —
-// not a paper figure (the prototype is single-writer); it measures how
-// far the WithShards fan-out scales batched mutation past the
-// single-lock wrapper, and whether the scaling holds as scheduler
-// parallelism grows. On a single-CPU box the procs axis collapses to
-// one value and the table reduces to the plain shard sweep.
-func (r runner) shards() error {
-	var procs []int
-	for n := 1; n <= runtime.NumCPU(); n *= 2 {
-		procs = append(procs, n)
-	}
-	rows, err := experiments.ShardScale(experiments.ShardScaleConfig{
-		Entries: r.entries / 2, Seed: r.seed, Procs: procs,
-	})
-	if err != nil {
-		return err
-	}
-	r.renderTable(experiments.ShardScaleRender(rows))
-	return nil
-}
-
 func (r runner) ablate() error {
 	coal, err := experiments.AblationCoalesce(1 << 14)
 	if err != nil {
 		return err
 	}
 	r.renderTable(coal)
-
-	thr, err := experiments.AblationThreshold(experiments.Fig4Config{
-		Slots: r.slots / 4, Accesses: r.accesses / 4, Seed: r.seed,
-	})
-	if err != nil {
-		return err
-	}
-	r.renderTable(thr)
 
 	poll, err := experiments.AblationPollInterval(r.entries/4, nil)
 	if err != nil {
@@ -316,15 +292,5 @@ func (r runner) ablate() error {
 		return err
 	}
 	r.renderTable(huge)
-
-	if experiments.HugePagesAvailable() {
-		hreal, err := experiments.AblationHugePagesReal(0, r.accesses, r.seed)
-		if err != nil {
-			return err
-		}
-		r.renderTable(hreal)
-	} else {
-		fmt.Println("\n(real huge-page ablation skipped: set vm.nr_hugepages to enable)")
-	}
 	return nil
 }

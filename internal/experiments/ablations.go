@@ -66,31 +66,6 @@ func AblationCoalesce(slots int) (*harness.Table, error) {
 	return t, nil
 }
 
-// AblationThreshold derives the optimal fan-in routing threshold from the
-// Figure 4 data: for each fan-in it reports which access path is faster,
-// locating the crossover the paper pins at 8–16.
-func AblationThreshold(cfg Fig4Config) (*harness.Table, error) {
-	series, err := Fig4(cfg)
-	if err != nil {
-		return nil, err
-	}
-	trad, short := series[0], series[1]
-	t := harness.NewTable("Ablation: fan-in routing threshold (derived from Figure 4)")
-	for i := range trad.Points {
-		faster := "shortcut"
-		if trad.Points[i].Y < short.Points[i].Y {
-			faster = "traditional"
-		}
-		t.AddRow(
-			"fan-in", trad.Points[i].X,
-			"traditional [ms]", fmt.Sprintf("%.2f", trad.Points[i].Y),
-			"shortcut [ms]", fmt.Sprintf("%.2f", short.Points[i].Y),
-			"faster path", faster,
-		)
-	}
-	return t, nil
-}
-
 // AblationPollInterval loads a table with no reader under each mapper
 // tick interval and times the insert burst and the WaitSync after it
 // (paper §4.1 empirically picks 25ms). With no reader the mapper parks, so

@@ -1,13 +1,13 @@
 // Package experiments implements one driver per table and figure of the
-// paper's evaluation, plus the ablations DESIGN.md calls out. Every driver
-// is callable from both cmd/shortcutbench and the root benchmark suite,
-// and returns its results as harness tables/series so the caller decides
-// how to render them.
+// paper's evaluation, plus the ablations, for cmd/shortcutbench. Every
+// driver returns its results as harness tables or series, so the caller
+// decides how to render them.
 //
 // Hardware-bound experiments (Table 1, Figures 2, 4, 5) come in two
 // variants: a real-backend run (actual mmap/memfd rewiring, wall-clock
-// time) and a vmsim run (deterministic simulated nanoseconds). The paper's
-// shapes should hold in both; EXPERIMENTS.md records the comparison.
+// time) and a vmsim run (deterministic simulated nanoseconds). The gates
+// in sim_test.go pin the simulated shapes exactly; the real runs move
+// with the host.
 package experiments
 
 import (
@@ -26,9 +26,6 @@ func readWord(addr uintptr) uint64 {
 
 // sink prevents the compiler from eliding measured loads.
 var sink uint64
-
-// Sink exposes the accumulated sink so callers can keep it alive.
-func Sink() uint64 { return sink }
 
 // leafSet allocates n contiguous leaf pages from a fresh pool sized for
 // the experiment and returns the pool and the page refs.

@@ -204,17 +204,31 @@ func statDir(path string) (bool, error) {
 	return st.Mode&syscall.S_IFDIR != 0, nil
 }
 
+// File is an open file with its syscall.RawConn taken once, so that
+// Fallocate and Fdatasync reach its descriptor without allocating: every
+// (*os.File).SyscallConn call allocates a new RawConn.
+type File struct {
+	*os.File
+	rc syscall.RawConn
+}
+
+// NewFile wraps the open file f for Fallocate and Fdatasync.
+func NewFile(f *os.File) File {
+	rc, _ := f.SyscallConn() // fails only for a nil *os.File
+	return File{File: f, rc: rc}
+}
+
 // Fallocate reserves real blocks for the first size bytes of f and extends
 // the file to size (fallocate mode 0); the new bytes read as zeros. Writes
 // inside the reservation neither allocate nor change the file size, so a
 // later Fdatasync has only data to flush.
-func Fallocate(f *os.File, size int64) error {
+func Fallocate(f File, size int64) error {
 	return fileControl(f, "fallocate", func(fd int) error { return syscall.Fallocate(fd, 0, 0, size) })
 }
 
 // Fdatasync flushes f's data, and only the metadata needed to read it
 // back, to stable storage.
-func Fdatasync(f *os.File) error {
+func Fdatasync(f File) error {
 	return fileControl(f, "fdatasync", syscall.Fdatasync)
 }
 
@@ -222,14 +236,10 @@ func Fdatasync(f *os.File) error {
 // stays referenced for the duration, so a concurrent Close cannot hand
 // its number to another file under the syscall; on a file closed before
 // the call the error is os.ErrClosed.
-func fileControl(f *os.File, op string, call func(fd int) error) error {
-	rc, err := f.SyscallConn()
-	if err != nil {
-		return err
-	}
+func fileControl(f File, op string, call func(fd int) error) error {
 	fc := fileCalls.Get().(*fileCall)
 	fc.call, fc.err = call, os.ErrClosed
-	rc.Control(fc.run)
+	f.rc.Control(fc.run)
 	cerr := fc.err
 	fc.call, fc.err = nil, nil
 	fileCalls.Put(fc)

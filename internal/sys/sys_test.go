@@ -194,10 +194,11 @@ func TestWordsAlignment(t *testing.T) {
 }
 
 func TestFallocateAndFdatasync(t *testing.T) {
-	f, err := os.OpenFile(filepath.Join(t.TempDir(), "seg"), os.O_RDWR|os.O_CREATE, 0o644)
+	of, err := os.OpenFile(filepath.Join(t.TempDir(), "seg"), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
+	f := NewFile(of)
 	if _, err := f.Write([]byte("abc")); err != nil {
 		t.Fatal(err)
 	}

@@ -59,9 +59,11 @@ type Config struct {
 	// read during a walk must itself be translated through the host's
 	// page table, multiplying walk memory references. With 4-level guest
 	// and host tables a worst-case 2D walk is 24 references instead of 4.
-	// This is the knob that reproduces this repo's cloud-VM measurements
-	// (see EXPERIMENTS.md): TLB misses become so expensive that the
-	// shortcut's fan-in crossover drops below 2.
+	// It models a virtualized host, where TLB misses cost several times
+	// more. Whether that lowers the shortcut's fan-in crossover depends on
+	// the cache geometry: on the Figure 4 gate's machine in
+	// internal/experiments it drops from fan-in 4 to 2, while with 4-way
+	// caches the same sweep's crossover rises.
 	NestedPaging bool
 	// EPTLevels is the depth of the host page table for NestedPaging.
 	// Default 4.

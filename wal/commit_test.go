@@ -10,6 +10,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"vmshortcut/internal/sys"
 )
 
 // gatedSync replaces the log's fdatasync with one that announces each call
@@ -27,7 +29,7 @@ func gateSyncs(t *testing.T, n int) *gatedSync {
 		g.verdict[i] = make(chan error, 1)
 	}
 	prev := fdatasync
-	fdatasync = func(*os.File) error {
+	fdatasync = func(sys.File) error {
 		k := int(g.calls.Add(1))
 		if k > n {
 			return nil // beyond the scripted ones: Close's seal
@@ -316,7 +318,7 @@ func TestFailedSyncIsFailStop(t *testing.T) {
 // rate. (Sixteen writers cannot see this: they group either way.)
 func TestTwoWritersOverlapTheirSyncs(t *testing.T) {
 	prev := fdatasync
-	fdatasync = func(*os.File) error { time.Sleep(200 * time.Microsecond); return nil }
+	fdatasync = func(sys.File) error { time.Sleep(200 * time.Microsecond); return nil }
 	defer func() { fdatasync = prev }()
 	l, err := Open(t.TempDir(), Options{Mode: FsyncAlways}, nil)
 	if err != nil {
@@ -359,7 +361,7 @@ func TestTwoWritersOverlapTheirSyncs(t *testing.T) {
 func TestNoPreallocationStillWorks(t *testing.T) {
 	for _, errno := range []syscall.Errno{syscall.EOPNOTSUPP, syscall.ENOSPC} {
 		prev := fallocate
-		fallocate = func(*os.File, int64) error { return errno }
+		fallocate = func(sys.File, int64) error { return errno }
 		dir := t.TempDir()
 		l, err := Open(dir, Options{Mode: FsyncAlways, SegmentBytes: 256}, nil)
 		if err != nil {

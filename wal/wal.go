@@ -194,7 +194,7 @@ type Log struct {
 	opts Options
 
 	mu      sync.Mutex
-	f       *os.File // active segment
+	f       sys.File // active segment
 	bw      *bufio.Writer
 	segs    []segment // in LSN order; the last one is active
 	lastLSN uint64    // newest appended record
@@ -443,14 +443,15 @@ func (l *Log) openSegmentLocked(firstLSN uint64) error {
 }
 
 // setActiveLocked makes f, positioned at the active segment's logical end,
-// the file appends go to, and preallocates the rest of the segment: writes
-// below SegmentBytes then never move the file size, so a sync has no
-// metadata to journal. A filesystem that cannot (EOPNOTSUPP) or will not
-// (ENOSPC) reserve leaves a segment that grows on write — as correct, but
-// every sync then commits a size change.
+// the file appends go to (and syncs reach through one RawConn), and
+// preallocates the rest of the segment: writes below SegmentBytes then
+// never move the file size, so a sync has no metadata to journal. A
+// filesystem that cannot (EOPNOTSUPP) or will not (ENOSPC) reserve leaves
+// a segment that grows on write — as correct, but every sync then commits
+// a size change.
 func (l *Log) setActiveLocked(f *os.File) {
-	_ = fallocate(f, l.opts.SegmentBytes)
-	l.f = f
+	l.f = sys.NewFile(f)
+	_ = fallocate(l.f, l.opts.SegmentBytes)
 	l.bw = bufio.NewWriterSize(f, 64<<10)
 }
 
@@ -658,7 +659,7 @@ func (l *Log) flushAndSync() (uint64, error) {
 
 // syncFile is the one place the log syncs a segment: fdatasync, timed into
 // FsyncHist and counted in Stats.Syncs.
-func (l *Log) syncFile(f *os.File) error {
+func (l *Log) syncFile(f sys.File) error {
 	start := time.Now()
 	err := fdatasync(f)
 	l.opts.FsyncHist.RecordSince(start)

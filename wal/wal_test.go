@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"vmshortcut/internal/op"
+	"vmshortcut/internal/sys"
 )
 
 // appendPut logs the pairs as one PUT record, the record a store's
@@ -453,7 +454,7 @@ func TestEmptySegmentSeedsLSNFromName(t *testing.T) {
 // real device.
 func TestGroupCommitSharesFsyncs(t *testing.T) {
 	prev := fdatasync
-	fdatasync = func(*os.File) error { time.Sleep(time.Millisecond); return nil }
+	fdatasync = func(sys.File) error { time.Sleep(time.Millisecond); return nil }
 	defer func() { fdatasync = prev }()
 	for _, workers := range []int{16, 64} {
 		l, err := Open(t.TempDir(), Options{Mode: FsyncAlways}, nil)
