@@ -9,7 +9,6 @@ package vmshortcut
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -227,20 +226,13 @@ func BenchmarkFig5Remap(b *testing.B) {
 
 // --- Figure 7a: insertions. ---
 
-// openBenchStore opens one competitor by legend name via the facade; only
-// the requested kind is constructed so no unrelated pool or mapper thread
-// runs during the timed loop.
-func openBenchStore(b *testing.B, name string) Store {
+// openBenchStore opens one kind via the facade; only the requested kind is
+// constructed so no unrelated pool or mapper thread runs during the timed
+// loop. The HT, HTI and CH baselines are not Store kinds: shortcutbench
+// fig7 runs all five competitors.
+func openBenchStore(b *testing.B, kind Kind) Store {
 	b.Helper()
-	kind, err := ParseKind(strings.ToLower(name))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var opts []Option
-	if kind == KindCH {
-		opts = append(opts, WithTableBytes(32<<20))
-	}
-	s, err := Open(kind, opts...)
+	s, err := Open(kind)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -249,9 +241,9 @@ func openBenchStore(b *testing.B, name string) Store {
 }
 
 func BenchmarkFig7aInsert(b *testing.B) {
-	for _, name := range []string{"HT", "HTI", "CH", "EH", "Shortcut-EH"} {
-		b.Run(name, func(b *testing.B) {
-			idx := openBenchStore(b, name)
+	for _, kind := range Kinds() {
+		b.Run(kind.String(), func(b *testing.B) {
+			idx := openBenchStore(b, kind)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -267,9 +259,9 @@ func BenchmarkFig7aInsert(b *testing.B) {
 
 func BenchmarkFig7bLookup(b *testing.B) {
 	const n = 1 << 20
-	for _, name := range []string{"HT", "HTI", "CH", "EH", "Shortcut-EH"} {
-		b.Run(name, func(b *testing.B) {
-			idx := openBenchStore(b, name)
+	for _, kind := range Kinds() {
+		b.Run(kind.String(), func(b *testing.B) {
+			idx := openBenchStore(b, kind)
 			for i := 0; i < n; i++ {
 				if err := idx.Insert(workload.Key(1, uint64(i)), uint64(i)); err != nil {
 					b.Fatal(err)
@@ -452,9 +444,10 @@ func BenchmarkYCSB(b *testing.B) {
 func BenchmarkBatchVsSingle(b *testing.B) {
 	const batch = 1024
 	const probeCount = 1 << 15 // multiple of batch
-	for _, name := range []string{"HT", "HTI", "CH", "EH", "Shortcut-EH"} {
+	for _, kind := range Kinds() {
+		name := kind.String()
 		b.Run(name+"/InsertSingle", func(b *testing.B) {
-			idx := openBenchStore(b, name)
+			idx := openBenchStore(b, kind)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -464,7 +457,7 @@ func BenchmarkBatchVsSingle(b *testing.B) {
 			}
 		})
 		b.Run(name+"/InsertApply", func(b *testing.B) {
-			idx := openBenchStore(b, name)
+			idx := openBenchStore(b, kind)
 			var (
 				ob  OpBatch
 				res OpResults
@@ -484,7 +477,7 @@ func BenchmarkBatchVsSingle(b *testing.B) {
 
 		loaded := func(b *testing.B) (Store, []uint64) {
 			b.Helper()
-			idx := openBenchStore(b, name)
+			idx := openBenchStore(b, kind)
 			const n = 1 << 19
 			for i := 0; i < n; i++ {
 				if err := idx.Insert(workload.Key(4, uint64(i)), uint64(i)); err != nil {

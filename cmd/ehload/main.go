@@ -38,8 +38,8 @@
 //	       -server-cmd "ehserver -addr 127.0.0.1:16390 -kind eh -wal-dir /tmp/wal -fsync always"
 //	ehload -failover-check -addr 127.0.0.1:16395 -follower-addr 127.0.0.1:16396 \
 //	       -load 200000 -duration 2s \
-//	       -primary-cmd "ehserver -addr 127.0.0.1:16395 -kind ht -wal-dir /tmp/p -repl-sync" \
-//	       -follower-cmd "ehserver -addr 127.0.0.1:16396 -kind ht -wal-dir /tmp/f -replica-of 127.0.0.1:16395"
+//	       -primary-cmd "ehserver -addr 127.0.0.1:16395 -kind eh -wal-dir /tmp/p -repl-sync" \
+//	       -follower-cmd "ehserver -addr 127.0.0.1:16396 -kind eh -wal-dir /tmp/f -replica-of 127.0.0.1:16395"
 package main
 
 import (

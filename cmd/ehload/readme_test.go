@@ -11,6 +11,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"vmshortcut"
 )
 
 // checkedBinaries are the commands whose README usage the tests below
@@ -189,6 +191,43 @@ func TestREADMEFlagsExist(t *testing.T) {
 	for _, bin := range checkedBinaries {
 		if checked[bin] == 0 {
 			t.Fatalf("found no README flags to check for %s: %v", bin, checked)
+		}
+	}
+}
+
+// kindFlags names, per checked binary, the flag that selects an index kind.
+var kindFlags = map[string]string{"ehserver": "kind", "ehstore": "index"}
+
+// TestREADMEKindsParse fails when a README command line selects an index
+// kind that vmshortcut.ParseKind rejects — a kind deleted from Open but
+// still shown in the documentation.
+func TestREADMEKindsParse(t *testing.T) {
+	checked := map[string]int{}
+	for _, line := range readmeCommandLines(t) {
+		for _, c := range commands(line) {
+			name, ok := kindFlags[c.bin]
+			if !ok {
+				continue
+			}
+			for i, arg := range c.args {
+				m := flagToken.FindStringSubmatch(arg)
+				if m == nil || m[1] != name {
+					continue
+				}
+				value := strings.TrimPrefix(m[2], "=")
+				if m[2] == "" && i+1 < len(c.args) {
+					value = c.args[i+1]
+				}
+				checked[c.bin]++
+				if _, err := vmshortcut.ParseKind(value); err != nil {
+					t.Errorf("README runs %s -%s %s: %v\n\t%s", c.bin, name, value, err, line)
+				}
+			}
+		}
+	}
+	for bin, name := range kindFlags {
+		if checked[bin] == 0 {
+			t.Fatalf("found no README %s -%s to check: %v", bin, name, checked)
 		}
 	}
 }

@@ -28,20 +28,18 @@
 // Usage:
 //
 //	ehserver -addr :6380 -kind shortcut-eh -shards 4 -batch-window 0
-//	ehserver -kind ht -capacity 10000000
+//	ehserver -kind eh -capacity 10000000
 //	ehserver -kind eh -wal-dir /var/lib/ehserver -fsync always -snapshot-every 1000000
 package main
 
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -87,18 +85,17 @@ func main() {
 
 	// Store shape: the Open options a deployment picks. Zero/negative
 	// defaults mean "not set" and defer to the implementation's defaults.
-	kindName := flag.String("kind", "shortcut-eh", "index kind: shortcut-eh | eh | ht | hti | ch | radix")
+	kindName := flag.String("kind", "shortcut-eh", "index kind: shortcut-eh | eh")
 	shards := flag.Int("shards", 1, "hash-partition the keyspace across this many independent shards")
-	capacity := flag.Int("capacity", 0, "pre-size for this many entries (required for -kind radix: the exclusive key bound)")
+	capacity := flag.Int("capacity", 0, "pre-size for this many entries")
 	maxLoad := flag.Float64("max-load-factor", 0, "occupancy threshold triggering growth/splits (default 0.35)")
-	tableBytes := flag.Int("table-bytes", 0, "fixed directory size for -kind ch")
 	globalDepth := flag.Int("global-depth", -1, "initial EH directory depth (overrides -capacity's derivation)")
 	poll := flag.Duration("poll", 0, "Shortcut-EH mapper tick: bounds how long readers see a stale shortcut (default 25ms)")
 	syncMaint := flag.Bool("sync-maintenance", false, "Shortcut-EH: apply shortcut maintenance on the writer instead of the mapper thread")
 	noShortcut := flag.Bool("no-shortcut", false, "route every read through the traditional pointer path")
 	flag.Parse()
 
-	kind, err := parseKind(*kindName)
+	kind, err := vmshortcut.ParseKind(*kindName)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -136,9 +133,6 @@ func main() {
 	}
 	if *maxLoad > 0 {
 		opts = append(opts, vmshortcut.WithMaxLoadFactor(*maxLoad))
-	}
-	if *tableBytes > 0 {
-		opts = append(opts, vmshortcut.WithTableBytes(*tableBytes))
 	}
 	if *globalDepth >= 0 {
 		opts = append(opts, vmshortcut.WithInitialGlobalDepth(uint(*globalDepth)))
@@ -328,20 +322,4 @@ wait:
 	if err := store.Close(); err != nil {
 		log.Fatalf("close: %v", err)
 	}
-}
-
-// parseKind resolves an index kind, tolerating dashless spellings
-// ("shortcuteh" for "shortcut-eh") so scripted invocations do not need to
-// remember the canonical hyphenation.
-func parseKind(name string) (vmshortcut.Kind, error) {
-	if k, err := vmshortcut.ParseKind(name); err == nil {
-		return k, nil
-	}
-	stripped := strings.ReplaceAll(strings.ToLower(name), "-", "")
-	for _, k := range vmshortcut.Kinds() {
-		if strings.ReplaceAll(k.String(), "-", "") == stripped {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown index kind %q (want one of %v)", name, vmshortcut.Kinds())
 }

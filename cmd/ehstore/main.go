@@ -10,11 +10,11 @@
 // such a directory and exits: "snap" takes a point-in-time snapshot,
 // "compact" drops the WAL segments the newest snapshot covers. Snapshots
 // store plain (key, value) pairs, so they are portable across index
-// kinds — a keyspace written under -index eh restores into -index ht.
+// kinds — a keyspace written under -index eh restores into -index shortcut-eh.
 //
 // Usage:
 //
-//	ehstore [-index shortcut-eh|eh|ht|hti|ch] [-n 1000000] [-reads 1000000]
+//	ehstore [-index shortcut-eh|eh] [-n 1000000] [-reads 1000000]
 //	        [-deletes 0.1] [-poll 25ms] [-batch 0] [-shards 1] [-workers 1]
 //	ehstore -wal-dir /var/lib/ehstore -admin snap
 //	ehstore -wal-dir /var/lib/ehstore -admin compact
@@ -35,7 +35,7 @@ import (
 )
 
 func main() {
-	index := flag.String("index", "shortcut-eh", "index kind: shortcut-eh | eh | ht | hti | ch")
+	index := flag.String("index", "shortcut-eh", "index kind: shortcut-eh | eh")
 	n := flag.Int("n", 1_000_000, "entries to load")
 	reads := flag.Int("reads", 1_000_000, "hit-only lookups to fire")
 	deletes := flag.Float64("deletes", 0, "fraction of entries to delete after the read phase")
@@ -72,10 +72,6 @@ func main() {
 		// Multi-goroutine driving of an unsharded store needs the global
 		// readers-writer lock; say so rather than racing.
 		opts = append(opts, vmshortcut.WithConcurrency(true))
-	}
-	if kind == vmshortcut.KindCH {
-		// The paper's 10-bytes-per-entry directory budget for CH.
-		opts = append(opts, vmshortcut.WithTableBytes(*n*10))
 	}
 	if *walDir != "" {
 		mode, err := vmshortcut.ParseFsyncMode(*fsyncName)

@@ -17,8 +17,8 @@
 //     lookup resolves a single, hardware-accelerated indirection: the MMU
 //     walks the page table instead of the index chasing a pointer.
 //
-//   - The index layer: six uint64→uint64 indexes behind one constructor,
-//     Open(kind, opts...). Every kind is served through the uniform Store
+//   - The index layer: two uint64→uint64 indexes behind one constructor,
+//     Open(kind, opts...). Both kinds are served through the uniform Store
 //     surface: the Index operations, ApplyBatch for ordered mixed
 //     batches, Stats, WaitSync, and an idempotent Close.
 //
@@ -29,15 +29,8 @@
 //
 // # Index kinds
 //
-// The paper's four baselines and two shortcut-backed indexes:
+// Open serves the paper's index and the baseline it is built on:
 //
-//   - KindHT: one open-addressing hash table that doubles with a full
-//     stop-the-world rehash when the load factor threshold is exceeded.
-//   - KindHTI: Redis-style incremental rehashing — each access migrates a
-//     batch of entries to the new table, so growth never stalls a single
-//     operation for long (reads mutate, which matters for concurrency).
-//   - KindCH: chained hashing over a fixed-size directory with 128-byte
-//     overflow buckets and no rehashing (the paper grants it 1 GB).
 //   - KindEH: classical extendible hashing — a pointer directory indexed
 //     by the hash's most significant bits over 4 KB buckets; a bucket
 //     split doubles the directory when local depth reaches global depth.
@@ -47,9 +40,12 @@
 //     A mapper thread maintains the shortcut asynchronously; lookups
 //     route through it whenever it is in sync and the directory fan-in is
 //     low enough for the TLB.
-//   - KindRadix: a sparse direct-mapped shortcut index over a bounded key
-//     space — a second application of the same rewiring primitive, with
-//     synchronous maintenance.
+//
+// The paper's other Figure 7 baselines — HT (open addressing, full
+// rehash), HTI (Redis-style incremental rehash) and CH (chained hashing
+// over a fixed directory) — live in internal/ht, internal/hti and
+// internal/ch, and only the experiment runner (internal/experiments)
+// builds them.
 //
 // # Quickstart
 //
@@ -62,9 +58,9 @@
 //	idx.Insert(1, 42)
 //
 // Functional options (WithCapacity, WithPollInterval, WithConcurrency,
-// WithShards, ...) tune the chosen kind; options that do not apply to a kind are ignored so one option set
-// can drive a sweep over all of them. Open is the only constructor;
-// AsShortcutEH, AsExtendibleHashing and AsRadixMap reach the concrete
+// WithShards, ...) tune the chosen kind; options that do not apply to a
+// kind are ignored so one option set can drive both. Open is the only
+// constructor; AsShortcutEH and AsExtendibleHashing reach the concrete
 // table behind an open store.
 //
 // # Concurrency
@@ -83,11 +79,8 @@
 // Under either option, pure-GET traffic takes a lock-free fast path:
 // writers bump a per-shard sequence counter (odd while mutating), and
 // readers run optimistic seqlock passes that they keep only if the
-// counter did not move. Kinds that mutate on read (KindHTI migrates
-// entries on access) keep the locked path, so the fast path can never
-// run a read that writes.
-// Stats reports how GETs were served (FastpathSeqlockReads /
-// FastpathLockedReads).
+// counter did not move. Stats reports how GETs were served
+// (FastpathSeqlockReads / FastpathLockedReads).
 //
 // All rewired memory lives outside the Go heap; the garbage collector
 // never observes it. Linux is required for the rewiring layer (memfd +
@@ -122,7 +115,7 @@
 // and replaying the WAL tail, truncating a torn final record. Snapshots
 // are taken automatically every WithSnapshotEvery(n) records, or
 // explicitly through the Durable surface (AsDurable: Snapshot,
-// CompactWAL), and store plain pairs — they restore into any kind.
+// CompactWAL), and store plain pairs — they restore into either kind.
 //
 // # Serving
 //

@@ -162,10 +162,10 @@ func parseSnapName(name string) (uint64, bool) {
 // path, AppendBatch, as one record. The ordering contract: ApplyBatch — and
 // Insert, a one-PUT ApplyBatch — applies to the inner store first and
 // then appends (a record is only ever logged for a batch the store
-// accepted, so replay cannot re-fail a rejected insert — e.g. a radix key
-// out of range); Delete logs first and applies after (it cannot fail, and
-// its signature has no error channel, so nothing may be applied ahead of
-// its record). Under FsyncAlways the append has fsynced before it returns,
+// accepted, so replay cannot re-fail a rejected insert — e.g. one an
+// exhausted page pool refused); Delete logs first and applies after (it
+// cannot fail, and its signature has no error channel, so nothing may be
+// applied ahead of its record). Under FsyncAlways the append has fsynced before it returns,
 // so a mutation is only acknowledged once durable. Concurrent mutations of
 // the same key have no defined order (exactly as on a non-durable
 // concurrent store); the log serializes them in some valid order and

@@ -26,8 +26,8 @@ func verifyEntries(t *testing.T, s Store, want map[uint64]uint64) {
 }
 
 // TestDurableRecoverFromWAL covers the pure log-replay path: no snapshot,
-// close, reopen, identical keyspace — across all six kinds and the
-// sharded store, since replay exercises each kind's batch paths.
+// close, reopen, identical keyspace — across both kinds, since replay
+// exercises each kind's batch paths.
 func TestDurableRecoverFromWAL(t *testing.T) {
 	for _, kind := range Kinds() {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -91,8 +91,8 @@ func TestDurableApplyBatchRecovery(t *testing.T) {
 		name string
 		open func(dir string) (Store, error)
 	}{
-		{"ht", func(dir string) (Store, error) {
-			return Open(KindHT, WithWAL(dir), WithFsync(FsyncAlways))
+		{"eh", func(dir string) (Store, error) {
+			return Open(KindEH, WithWAL(dir), WithFsync(FsyncAlways))
 		}},
 		{"shortcut-eh", func(dir string) (Store, error) {
 			return Open(KindShortcutEH, WithWAL(dir), WithFsync(FsyncAlways))
@@ -162,7 +162,7 @@ func TestDurableApplyBatchRecovery(t *testing.T) {
 // and no sticky log error, silent divergence a crash would surface as
 // data loss.
 func TestDurableApplyBatchRejectsOversizedBeforeApply(t *testing.T) {
-	s, err := Open(KindHT, WithWAL(t.TempDir()), WithFsync(FsyncOff))
+	s, err := Open(KindEH, WithWAL(t.TempDir()), WithFsync(FsyncOff))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestDurableCrashRecovery(t *testing.T) {
 func TestDurableTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 	opts := []Option{WithWAL(dir), WithFsync(FsyncAlways)}
-	s, err := Open(KindHT, opts...)
+	s, err := Open(KindEH, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestDurableTornTailRecovery(t *testing.T) {
 	}
 	f.Close()
 
-	s2, err := Open(KindHT, opts...)
+	s2, err := Open(KindEH, opts...)
 	if err != nil {
 		t.Fatalf("recovery over torn tail: %v", err)
 	}
@@ -389,7 +389,7 @@ func TestDurableAutoSnapshot(t *testing.T) {
 func TestDurableSkipsInvalidSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	opts := []Option{WithWAL(dir), WithFsync(FsyncAlways)}
-	s, err := Open(KindCH, opts...)
+	s, err := Open(KindEH, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestDurableSkipsInvalidSnapshot(t *testing.T) {
 			}
 		}
 	}
-	s2, err := Open(KindCH, opts...)
+	s2, err := Open(KindEH, opts...)
 	if err != nil {
 		t.Fatalf("recovery with corrupt snapshot: %v", err)
 	}
@@ -434,7 +434,7 @@ func TestDurableSkipsInvalidSnapshot(t *testing.T) {
 // durable wrapper is transparent (one concrete table behind it), and
 // only sharding removes the escape hatch.
 func TestDurableEscapeHatches(t *testing.T) {
-	s, err := Open(KindRadix, WithCapacity(10000), WithWAL(t.TempDir()))
+	s, err := Open(KindEH, WithWAL(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,12 +442,12 @@ func TestDurableEscapeHatches(t *testing.T) {
 	if err := s.Insert(7, 70); err != nil {
 		t.Fatal(err)
 	}
-	m, ok := AsRadixMap(s)
+	tbl, ok := AsExtendibleHashing(s)
 	if !ok {
-		t.Fatal("AsRadixMap failed on a durable KindRadix store")
+		t.Fatal("AsExtendibleHashing failed on a durable KindEH store")
 	}
-	if v, ok := m.Get(7); !ok || v != 70 {
-		t.Fatalf("concrete map Get(7) = %d, %v", v, ok)
+	if v, ok := tbl.Lookup(7); !ok || v != 70 {
+		t.Fatalf("concrete table Lookup(7) = %d, %v", v, ok)
 	}
 	sh, err := Open(KindShortcutEH, WithShards(2), WithWAL(t.TempDir()))
 	if err != nil {
@@ -466,7 +466,7 @@ func TestDurableEscapeHatches(t *testing.T) {
 // snapshot claims.
 func TestDurableSnapshotCoversOnlyDurableRecords(t *testing.T) {
 	live := t.TempDir()
-	s, err := Open(KindHT, WithWAL(live), WithFsync(FsyncOff))
+	s, err := Open(KindEH, WithWAL(live), WithFsync(FsyncOff))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +484,7 @@ func TestDurableSnapshotCoversOnlyDurableRecords(t *testing.T) {
 	}
 	crashed := t.TempDir()
 	copyDir(t, live, crashed)
-	s2, err := Open(KindHT, WithWAL(crashed), WithFsync(FsyncAlways))
+	s2, err := Open(KindEH, WithWAL(crashed), WithFsync(FsyncAlways))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +502,7 @@ func TestDurableSnapshotCoversOnlyDurableRecords(t *testing.T) {
 	want[1000] = 1
 	crashed2 := t.TempDir()
 	copyDir(t, crashed, crashed2)
-	s3, err := Open(KindHT, WithWAL(crashed2), WithFsync(FsyncAlways))
+	s3, err := Open(KindEH, WithWAL(crashed2), WithFsync(FsyncAlways))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +517,7 @@ func TestDurableSnapshotCoversOnlyDurableRecords(t *testing.T) {
 func TestDurableRecoveryHoleDetected(t *testing.T) {
 	dir := t.TempDir()
 	opts := []Option{WithWAL(dir), WithFsync(FsyncAlways), WithWALSegmentBytes(512)}
-	s, err := Open(KindHT, opts...)
+	s, err := Open(KindEH, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,30 +547,30 @@ func TestDurableRecoveryHoleDetected(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Open(KindHT, opts...); err == nil || !strings.Contains(err.Error(), "recovery hole") {
+	if _, err := Open(KindEH, opts...); err == nil || !strings.Contains(err.Error(), "recovery hole") {
 		t.Fatalf("Open over a snapshot/WAL hole = %v, want a recovery-hole error", err)
 	}
 }
 
 // TestDurableOptionValidation pins the option error paths.
 func TestDurableOptionValidation(t *testing.T) {
-	if _, err := Open(KindHT, WithWAL("")); err == nil {
+	if _, err := Open(KindEH, WithWAL("")); err == nil {
 		t.Fatal("WithWAL(\"\") accepted")
 	}
-	if _, err := Open(KindHT, WithWAL(t.TempDir()), WithFsync(FsyncMode(42))); err == nil {
+	if _, err := Open(KindEH, WithWAL(t.TempDir()), WithFsync(FsyncMode(42))); err == nil {
 		t.Fatal("unknown fsync mode accepted")
 	}
-	if _, err := Open(KindHT, WithWAL(t.TempDir()), WithSnapshotEvery(-1)); err == nil {
+	if _, err := Open(KindEH, WithWAL(t.TempDir()), WithSnapshotEvery(-1)); err == nil {
 		t.Fatal("negative WithSnapshotEvery accepted")
 	}
-	if _, err := Open(KindHT, WithWAL(t.TempDir()), WithWALSegmentBytes(0)); err == nil {
+	if _, err := Open(KindEH, WithWAL(t.TempDir()), WithWALSegmentBytes(0)); err == nil {
 		t.Fatal("zero WithWALSegmentBytes accepted")
 	}
 	if _, err := ParseFsyncMode("never"); err == nil {
 		t.Fatal("ParseFsyncMode accepted an unknown name")
 	}
 	// Non-durable stores do not expose the management surface.
-	s, err := Open(KindHT)
+	s, err := Open(KindEH)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -595,7 +595,7 @@ const singleOpLog = "1d000000182f6bdc0100000000000000060100000008070605040302011
 // single operations byte for byte.
 func TestDurableSingleOpRecordsGolden(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(KindHT, WithWAL(dir), WithFsync(FsyncOff))
+	s, err := Open(KindEH, WithWAL(dir), WithFsync(FsyncOff))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -660,7 +660,7 @@ func TestDurableRecoversSingleOpLog(t *testing.T) {
 func TestDurableDeleteLogsFirst(t *testing.T) {
 	dir := t.TempDir()
 	opts := []Option{WithWAL(dir), WithFsync(FsyncAlways)}
-	s, err := Open(KindHT, opts...)
+	s, err := Open(KindEH, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -683,7 +683,7 @@ func TestDurableDeleteLogsFirst(t *testing.T) {
 	if s.Delete(1) {
 		t.Fatal("Delete reported success on a closed store")
 	}
-	s, err = Open(KindHT, opts...)
+	s, err = Open(KindEH, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -694,7 +694,7 @@ func TestDurableDeleteLogsFirst(t *testing.T) {
 // TestDurableClosedOps pins the lifecycle: operations after Close fail the
 // same way the plain store's do.
 func TestDurableClosedOps(t *testing.T) {
-	s, err := Open(KindHT, WithWAL(t.TempDir()))
+	s, err := Open(KindEH, WithWAL(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 // tests cannot import it back.)
 func TestDurableZeroReencode(t *testing.T) {
 	dir := t.TempDir()
-	s, err := vmshortcut.Open(vmshortcut.KindHT,
+	s, err := vmshortcut.Open(vmshortcut.KindEH,
 		vmshortcut.WithWAL(dir), vmshortcut.WithFsync(vmshortcut.FsyncOff))
 	if err != nil {
 		t.Fatal(err)

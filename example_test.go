@@ -109,14 +109,11 @@ func ExampleOpen_sharded() {
 	// Output: 100000 199998 true true
 }
 
-// ExampleOpen_sweep runs the same workload over every hash-index kind
-// through the uniform Store surface — the facade makes the five
-// competitors of the paper's evaluation interchangeable.
+// ExampleOpen_sweep runs the same workload over both kinds through the
+// uniform Store surface — the facade makes EH and Shortcut-EH
+// interchangeable.
 func ExampleOpen_sweep() {
-	for _, kind := range []vmshortcut.Kind{
-		vmshortcut.KindHT, vmshortcut.KindHTI, vmshortcut.KindCH,
-		vmshortcut.KindEH, vmshortcut.KindShortcutEH,
-	} {
+	for _, kind := range vmshortcut.Kinds() {
 		idx, err := vmshortcut.Open(kind, vmshortcut.WithCapacity(10_000),
 			vmshortcut.WithPollInterval(time.Millisecond))
 		if err != nil {
@@ -133,31 +130,8 @@ func ExampleOpen_sweep() {
 		idx.Close()
 	}
 	// Output:
-	// ht 1000 1006 true
-	// hti 1000 1006 true
-	// ch 1000 1006 true
 	// eh 1000 1006 true
 	// shortcut-eh 1000 1006 true
-}
-
-// ExampleOpen_radix shows the sparse direct-mapped index; WithCapacity
-// bounds its key space. The concrete map stays reachable for Range.
-func ExampleOpen_radix() {
-	idx, err := vmshortcut.Open(vmshortcut.KindRadix, vmshortcut.WithCapacity(1_000_000))
-	if err != nil {
-		panic(err)
-	}
-	defer idx.Close()
-
-	idx.Insert(123_456, 42)
-	v, ok := idx.Lookup(123_456)
-	_, miss := idx.Lookup(123_457)
-
-	m, _ := vmshortcut.AsRadixMap(idx)
-	sum := uint64(0)
-	m.Range(func(k, val uint64) bool { sum += val; return true })
-	fmt.Println(v, ok, miss, idx.Len(), sum)
-	// Output: 42 true false 1 42
 }
 
 // ExampleNewShortcutNode shows the rewiring layer directly: a shortcut

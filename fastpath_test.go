@@ -24,33 +24,6 @@ func applyGets(t *testing.T, s Store, b *op.Batch, res *op.Results, keys ...uint
 	}
 }
 
-func TestHTIKeepsLockedPath(t *testing.T) {
-	// KindHTI reads migrate entries: readSafe is off, and every GET must
-	// be served under the lock.
-	s, err := Open(KindHTI, WithConcurrency(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := uint64(0); i < 32; i++ {
-		if err := s.Insert(i, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var b op.Batch
-	var res op.Results
-	for round := 0; round < 5; round++ {
-		applyGets(t, s, &b, &res, 1, 2, 3)
-	}
-	st := s.Stats()
-	if st.FastpathSeqlockReads != 0 {
-		t.Fatalf("KindHTI took a lock-free path: %+v", st)
-	}
-	if st.FastpathLockedReads == 0 {
-		t.Fatalf("KindHTI locked GETs not counted: %+v", st)
-	}
-}
-
 // TestFastpathNeverServesStaleReads is the linearizability spot-check
 // for the seqlock validation: writers hammer overwrites into a two-shard
 // store while readers sit on the seqlock path, and every read must
@@ -59,7 +32,7 @@ func TestHTIKeepsLockedPath(t *testing.T) {
 // increasing, so "stale after ack" is a single compare. Under -race the
 // seqlock pass is compiled out, so there it checks the locked path.
 func TestFastpathNeverServesStaleReads(t *testing.T) {
-	s, err := Open(KindHT, WithShards(2))
+	s, err := Open(KindEH, WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +188,7 @@ func TestSeqlockRetryHistRecords(t *testing.T) {
 }
 
 func TestClosedBatchPathsDoNotAllocate(t *testing.T) {
-	s, err := Open(KindHT, WithConcurrency(true))
+	s, err := Open(KindEH, WithConcurrency(true))
 	if err != nil {
 		t.Fatal(err)
 	}

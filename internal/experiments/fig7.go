@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"vmshortcut"
+	"vmshortcut/internal/ch"
 	"vmshortcut/internal/harness"
+	"vmshortcut/internal/ht"
+	"vmshortcut/internal/hti"
 	"vmshortcut/internal/vmsim"
 	"vmshortcut/internal/workload"
 )
@@ -14,31 +16,68 @@ import (
 // IndexNames lists the five competitors in the paper's legend order.
 var IndexNames = []string{"HT", "HTI", "CH", "EH", "Shortcut-EH"}
 
-// buildIndex constructs one competitor through the public Open facade,
-// sized for n insertions. Closing the returned store releases everything
-// Open created, including the page pool of the EH-backed kinds. The
-// structures themselves are deliberately NOT pre-sized (no WithCapacity):
-// the insertion experiments measure growth behavior from the paper's 4 KB
-// starting point.
-func buildIndex(name string, n int) (vmshortcut.Store, error) {
-	kind, err := vmshortcut.ParseKind(strings.ToLower(name))
-	if err != nil {
-		return nil, fmt.Errorf("unknown index %q: %w", name, err)
-	}
-	var opts []vmshortcut.Option
-	switch kind {
-	case vmshortcut.KindCH:
+// competitor is what the Figure 7 runner drives. Every competitor reaches
+// its concrete table through the same two calls (this interface, then an
+// embedded vmshortcut.Index), so no index pays the Store facade's
+// per-operation checks and none pays less than another.
+type competitor interface {
+	Insert(key, value uint64) error
+	Lookup(key uint64) (uint64, bool)
+	WaitSync(timeout time.Duration) bool
+	Close() error
+}
+
+// heapIndex adapts the Go-heap baselines (HT, HTI, CH): they have no
+// asynchronous maintenance and nothing to release.
+type heapIndex struct{ vmshortcut.Index }
+
+func (heapIndex) WaitSync(time.Duration) bool { return true }
+func (heapIndex) Close() error                { return nil }
+
+// tableIndex drives the concrete table behind an EH-kind store; the store
+// keeps the lifecycle (mapper thread, page pool).
+type tableIndex struct {
+	vmshortcut.Index
+	store vmshortcut.Store
+}
+
+func (t tableIndex) WaitSync(d time.Duration) bool { return t.store.WaitSync(d) }
+func (t tableIndex) Close() error                  { return t.store.Close() }
+
+// buildIndex constructs one competitor, by its IndexNames name, sized for
+// n insertions: HT, HTI and CH directly from their packages, EH and
+// Shortcut-EH through the public Open facade with a page pool sized for n.
+// The structures themselves are deliberately NOT pre-sized: the insertion
+// experiments measure growth behavior from the paper's 4 KB starting
+// point.
+func buildIndex(name string, n int) (competitor, error) {
+	kind := vmshortcut.KindEH
+	switch name {
+	case "HT":
+		return heapIndex{ht.New(ht.Config{})}, nil
+	case "HTI":
+		return heapIndex{hti.New(hti.Config{})}, nil
+	case "CH":
 		// The paper grants CH a fixed 1 GB table for 100M entries; keep
 		// the same bytes-per-entry ratio at any scale.
-		bytes := n * 10
-		if bytes < 4096 {
-			bytes = 4096
-		}
-		opts = append(opts, vmshortcut.WithTableBytes(bytes))
-	case vmshortcut.KindEH, vmshortcut.KindShortcutEH:
-		opts = append(opts, vmshortcut.WithPoolConfig(poolConfigFor(n)))
+		return heapIndex{ch.New(ch.Config{TableBytes: max(n*10, 4096)})}, nil
+	case "Shortcut-EH":
+		kind = vmshortcut.KindShortcutEH
+	case "EH":
+	default:
+		return nil, fmt.Errorf("unknown index %q (want one of %v)", name, IndexNames)
 	}
-	return vmshortcut.Open(kind, opts...)
+	s, err := vmshortcut.Open(kind, vmshortcut.WithPoolConfig(poolConfigFor(n)))
+	if err != nil {
+		return nil, err
+	}
+	var tbl vmshortcut.Index
+	if t, ok := vmshortcut.AsShortcutEH(s); ok {
+		tbl = t
+	} else {
+		tbl, _ = vmshortcut.AsExtendibleHashing(s)
+	}
+	return tableIndex{tbl, s}, nil
 }
 
 // poolConfigFor sizes a page pool for n entries at the 0.35 load factor

@@ -58,8 +58,14 @@ type Config struct {
 	// nested paging (Intel EPT / AMD NPT): every guest page-table entry
 	// read during a walk must itself be translated through the host's
 	// page table, multiplying walk memory references. With 4-level guest
-	// and host tables a worst-case 2D walk is 24 references instead of 4.
-	// It models a virtualized host, where TLB misses cost several times
+	// and host tables a hardware 2D walk is 24 references instead of 4:
+	// 4 guest entry reads, a 4-read host walk before each, and a last host
+	// walk for the data page's guest-physical address. The model charges
+	// 20 (4 guest + 16 host, counted in Stats.EPTRefs): it uses the data
+	// page's guest frame as its host frame, so that last host walk is not
+	// simulated. Adding it did not change which way the Figure 4 gate's
+	// crossover moves, and the gates in internal/experiments/sim_test.go
+	// are exact against the 20-reference walk. It models a virtualized host, where TLB misses cost several times
 	// more. Whether that lowers the shortcut's fan-in crossover depends on
 	// the cache geometry: on the Figure 4 gate's machine in
 	// internal/experiments it drops from fan-in 4 to 2, while with 4-way

@@ -2,17 +2,24 @@ package vmsim
 
 import "testing"
 
+// TestNestedPagingChargesEPTRefs pins what one cold 4 KB translation
+// costs under nested paging with no walk caches: 4 guest entry reads,
+// each behind a 4-level host walk (16 EPTRefs), and then the data access
+// itself — 21 memory references. The host walk of the data page's own
+// address is not modelled (see Config.NestedPaging).
 func TestNestedPagingChargesEPTRefs(t *testing.T) {
-	m := New(Config{NestedPaging: true})
+	m := New(Config{NestedPaging: true, PageWalkCache: false})
 	m.Map(5, 5)
 	m.MustAccess(5 << 12)
 	st := m.Stats()
-	if st.EPTRefs == 0 {
-		t.Fatal("no EPT references charged on a walk")
+	if st.Walks != 1 {
+		t.Fatalf("Walks = %d, want 1", st.Walks)
 	}
-	// One 4-level guest walk → 4 entry reads × 4 EPT levels = 16.
 	if st.EPTRefs != 16 {
 		t.Fatalf("EPTRefs = %d, want 16 for one full walk", st.EPTRefs)
+	}
+	if refs := st.L1Hits + st.L2Hits + st.L3Hits + st.DRAM; refs != 4+16+1 {
+		t.Fatalf("memory references = %d, want 4 guest + 16 host + 1 data", refs)
 	}
 }
 

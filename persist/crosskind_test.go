@@ -5,35 +5,43 @@ import (
 	"testing"
 
 	"vmshortcut"
+	"vmshortcut/internal/workload"
 	"vmshortcut/persist"
 )
 
 // TestSnapshotCrossKindPortability pins that a snapshot is a property of
 // the KEYSPACE, not of the index that produced it: a stream written from
-// one store kind restores into any other kind with identical contents.
-// This is what lets an operator change index implementations (or a
-// replica run a different kind than its primary) across a snapshot
-// boundary without a migration step.
+// one store kind (EH or Shortcut-EH) restores into the other with
+// identical contents. This is what lets an operator change index
+// implementations (or a replica run a different kind than its primary)
+// across a snapshot boundary without a migration step. Keys span the
+// full 64 bits: key 0, keys with the top bit set, and splitmix keys.
 func TestSnapshotCrossKindPortability(t *testing.T) {
-	// Keys must fit every kind's constraints; KindRadix bounds the key
-	// space by its capacity, so keep keys below it.
-	const capacity = 1 << 16
-	keys := make([]uint64, 0, 1000)
-	vals := make([]uint64, 0, 1000)
-	for i := uint64(0); i < 1000; i++ {
-		keys = append(keys, (i*7919)%capacity)
-		vals = append(vals, i^0xBEEF)
+	keys := []uint64{0, 1, 1 << 63, 1<<63 | 1, ^uint64(0)}
+	rng := workload.NewRNG(7)
+	for len(keys) < 10_005 {
+		keys = append(keys, rng.Next())
 	}
-	// %capacity can collide; keep last-write-wins expectations explicit.
+	vals := make([]uint64, len(keys))
+	for i, k := range keys {
+		vals[i] = k ^ 0xBEEF
+	}
 	want := make(map[uint64]uint64, len(keys))
+	topBit := 0
 	for i, k := range keys {
 		want[k] = vals[i]
+		if k>>63 != 0 {
+			topBit++
+		}
+	}
+	if len(want) < 10_000 || topBit < 1000 {
+		t.Fatalf("keyspace has %d distinct keys, %d with the top bit set", len(want), topBit)
 	}
 
 	kinds := vmshortcut.Kinds()
 	snaps := make(map[vmshortcut.Kind][]byte, len(kinds))
 	for _, kind := range kinds {
-		src, err := vmshortcut.Open(kind, vmshortcut.WithCapacity(capacity))
+		src, err := vmshortcut.Open(kind)
 		if err != nil {
 			t.Fatalf("%v: Open: %v", kind, err)
 		}
@@ -55,11 +63,11 @@ func TestSnapshotCrossKindPortability(t *testing.T) {
 		}
 	}
 
-	// Every snapshot restores into every kind — including itself — with
+	// Every snapshot restores into both kinds — its own included — with
 	// the same contents.
 	for _, from := range kinds {
 		for _, to := range kinds {
-			dst, err := vmshortcut.Open(to, vmshortcut.WithCapacity(capacity))
+			dst, err := vmshortcut.Open(to)
 			if err != nil {
 				t.Fatalf("%v→%v: Open: %v", from, to, err)
 			}

@@ -34,8 +34,7 @@ func TestRangeConformance(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer s.Close()
-				// Keys include 0 (the open-addressing special case) and
-				// stay below n for KindRadix's bound.
+				// Keys include 0.
 				for i := uint64(0); i < n; i++ {
 					if err := s.Insert(i, i*3); err != nil {
 						t.Fatal(err)

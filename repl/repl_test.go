@@ -82,7 +82,7 @@ func startNode(t *testing.T, dir string, syncMode bool, replicaOf string, fcfg r
 			opts = append(opts, vmshortcut.WithChainedWAL(true))
 		}
 	}
-	st, err := vmshortcut.Open(vmshortcut.KindHT, opts...)
+	st, err := vmshortcut.Open(vmshortcut.KindEH, opts...)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -692,7 +692,7 @@ func TestChainedStreamDetectsTamper(t *testing.T) {
 		}
 	}()
 
-	st, err := vmshortcut.Open(vmshortcut.KindHT, vmshortcut.WithConcurrency(true))
+	st, err := vmshortcut.Open(vmshortcut.KindEH, vmshortcut.WithConcurrency(true))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,13 +42,9 @@ type sharded struct {
 // gets a copy of the options with the concurrent wrapper forced on (the
 // per-shard lock stripes replacing WithConcurrency's single lock) and
 // every explicit size budget divided across the shards, so the total
-// stays what the caller asked for: the capacity hint, WithTableBytes'
-// directory, WithPoolConfig's page counts, and WithInitialGlobalDepth's
-// pre-sized directory (shrunk by log2 n). The exception is KindRadix,
-// whose capacity is the exclusive keyspace bound: hash-routing sends any
-// key in [0, cap) to any shard, so every shard must cover the full bound
-// (the virtual span is reserved lazily, so this costs address space, not
-// memory).
+// stays what the caller asked for: the capacity hint, WithPoolConfig's
+// page counts, and WithInitialGlobalDepth's pre-sized directory (shrunk by
+// log2 n).
 func openSharded(kind Kind, o *storeOptions) (Store, error) {
 	n := o.shards
 	shards := make([]Store, n)
@@ -56,11 +52,8 @@ func openSharded(kind Kind, o *storeOptions) (Store, error) {
 		so := *o
 		so.shards = 1
 		so.concurrent = true
-		if so.capacity > 0 && kind != KindRadix {
+		if so.capacity > 0 {
 			so.capacity = (o.capacity + n - 1) / n
-		}
-		if so.tableBytes > 0 {
-			so.tableBytes = (o.tableBytes + n - 1) / n
 		}
 		if so.initialGDSet {
 			if shift := uint(bits.Len(uint(n - 1))); so.initialGD > shift {

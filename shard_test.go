@@ -135,7 +135,7 @@ func TestShardedDeleteBatch(t *testing.T) {
 // unsharded store.
 func TestShardedApplyBatch(t *testing.T) {
 	s := openShardedSCEH(t, 4)
-	ref, err := Open(KindHT)
+	ref, err := Open(KindEH)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,8 +378,7 @@ func TestShardedConcurrentWriters(t *testing.T) {
 
 // TestShardedKindsConformance runs a small insert/lookup/delete workload
 // through every kind with sharding enabled — the sharded layer must be
-// kind-agnostic, including KindRadix where each shard keeps the full
-// keyspace bound.
+// kind-agnostic.
 func TestShardedKindsConformance(t *testing.T) {
 	const n = 5000
 	for _, kind := range Kinds() {
@@ -415,27 +414,9 @@ func TestShardedKindsConformance(t *testing.T) {
 }
 
 // TestShardedBudgetDivision checks that explicit size budgets are divided
-// across shards rather than multiplied by the shard count: KindCH's fixed
-// directory bytes and the EH kinds' pre-sized directory must total
-// roughly what the unsharded store would allocate.
+// across shards rather than multiplied by the shard count: the pre-sized
+// EH directory must total what the unsharded store would allocate.
 func TestShardedBudgetDivision(t *testing.T) {
-	const tableBytes = 1 << 20
-	single, err := Open(KindCH, WithTableBytes(tableBytes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer single.Close()
-	shardedCH, err := Open(KindCH, WithShards(4), WithTableBytes(tableBytes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shardedCH.Close()
-	got, want := shardedCH.Stats().DirectorySlots, single.Stats().DirectorySlots
-	// Per-shard rounding to the slot granularity gives a little slack.
-	if got < want || got > want+4*64 {
-		t.Fatalf("sharded CH directory totals %d slots, unsharded %d — the byte budget must divide, not multiply", got, want)
-	}
-
 	ehSharded, err := Open(KindEH, WithShards(4), WithInitialGlobalDepth(10))
 	if err != nil {
 		t.Fatal(err)
@@ -451,10 +432,10 @@ func TestShardedBudgetDivision(t *testing.T) {
 // passthrough (which must keep today's unsharded semantics and concrete
 // As* escape hatches).
 func TestWithShardsValidation(t *testing.T) {
-	if _, err := Open(KindHT, WithShards(0)); err == nil {
+	if _, err := Open(KindEH, WithShards(0)); err == nil {
 		t.Fatal("WithShards(0) was accepted")
 	}
-	if _, err := Open(KindHT, WithShards(-4)); err == nil {
+	if _, err := Open(KindEH, WithShards(-4)); err == nil {
 		t.Fatal("WithShards(-4) was accepted")
 	}
 	s, err := Open(KindShortcutEH, WithShards(1), WithPollInterval(time.Millisecond))

@@ -8,14 +8,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"vmshortcut/internal/ch"
 	"vmshortcut/internal/eh"
-	"vmshortcut/internal/ht"
-	"vmshortcut/internal/hti"
 	"vmshortcut/internal/obs"
 	"vmshortcut/internal/op"
 	"vmshortcut/internal/pool"
-	"vmshortcut/internal/radix"
 	"vmshortcut/internal/sceh"
 )
 
@@ -31,29 +27,22 @@ type OpBatch = op.Batch
 // (internal/op.Results): Found per entry, plus the value for GET hits.
 type OpResults = op.Results
 
-// Kind selects the index implementation behind Open.
+// Kind selects the index implementation behind Open. The paper's other
+// baselines (HT, HTI, CH) are in-process competitors of the Figure 7
+// runner only (internal/experiments), not Store kinds.
 type Kind int
 
 const (
-	// KindHT is the open-addressing hash table with a full doubling rehash.
-	KindHT Kind = iota
-	// KindHTI is the Redis-style incrementally rehashing table.
-	KindHTI
-	// KindCH is chained hashing over a fixed-size directory.
-	KindCH
 	// KindEH is classical extendible hashing over pool pages.
-	KindEH
+	KindEH Kind = iota
 	// KindShortcutEH is the paper's contribution: extendible hashing whose
 	// directory is additionally expressed as a page-table shortcut.
 	KindShortcutEH
-	// KindRadix is the sparse direct-mapped shortcut index over a bounded
-	// key space; it requires WithCapacity.
-	KindRadix
 
 	kindCount
 )
 
-var kindNames = [...]string{"ht", "hti", "ch", "eh", "shortcut-eh", "radix"}
+var kindNames = [...]string{"eh", "shortcut-eh"}
 
 // String returns the kind's canonical flag-style name.
 func (k Kind) String() string {
@@ -72,15 +61,14 @@ func Kinds() []Kind {
 	return out
 }
 
-// ParseKind maps a flag-style name ("ht", "hti", "ch", "eh", "shortcut-eh",
-// "radix") onto its Kind.
+// ParseKind maps a flag-style name ("eh", "shortcut-eh") onto its Kind.
 func ParseKind(name string) (Kind, error) {
 	for i, n := range kindNames {
 		if n == name {
 			return Kind(i), nil
 		}
 	}
-	return 0, fmt.Errorf("vmshortcut: unknown index kind %q", name)
+	return 0, fmt.Errorf("vmshortcut: unknown index kind %q (want one of %v)", name, kindNames)
 }
 
 // ErrClosed is returned by operations on a closed Store.
@@ -118,8 +106,7 @@ type Store interface {
 	ApplyBatch(b *OpBatch, res *OpResults) error
 
 	// Range calls fn for every stored (key, value) entry until fn returns
-	// false. Iteration order is unspecified (KindRadix iterates in key
-	// order; the hash kinds do not). fn must not mutate the store. Range
+	// false. Iteration order is unspecified. fn must not mutate the store. Range
 	// is a read: on a WithConcurrency store it holds the read lock for the
 	// whole iteration, and on other stores it must not race mutations —
 	// the snapshot layer (package persist) is its primary consumer.
@@ -130,7 +117,7 @@ type Store interface {
 	Stats() Stats
 	// WaitSync blocks until asynchronously maintained state (the shortcut
 	// directory of KindShortcutEH) has caught up, or the timeout elapses.
-	// Kinds without asynchronous maintenance are always in sync.
+	// KindEH has no asynchronous maintenance and is always in sync.
 	WaitSync(timeout time.Duration) bool
 	// Kind reports which implementation backs the store.
 	Kind() Kind
@@ -140,26 +127,21 @@ type Store interface {
 	Close() error
 }
 
-// Stats is the common observability struct of all kinds. Directory fields
-// are populated for the EH-backed kinds (and, reinterpreted, for
-// KindRadix); shortcut fields only for KindShortcutEH. Everything else is
-// zero-valued, per kind, by design.
+// Stats is the common observability struct of both kinds. Directory
+// fields are populated for both; shortcut fields only for KindShortcutEH.
+// Everything else is zero-valued, per kind, by design.
 type Stats struct {
 	Kind    Kind
 	Entries int
 
-	// Directory shape (KindEH, KindShortcutEH; for KindRadix
-	// DirectorySlots is the inner node's fan-out and Buckets the live leaf
-	// count; for KindCH DirectorySlots is the slot array and Buckets the
-	// overflow-bucket count).
+	// Directory shape of the extendible-hashing table (both kinds).
 	GlobalDepth    uint
 	DirectorySlots int
 	Buckets        int
 	LoadFactor     float64
 	AvgFanIn       float64
-	// StructuralMods counts structure-changing events: splits + doublings
-	// for the EH kinds, rehashes for KindHT, resizes for KindHTI, leaf
-	// allocations + frees for KindRadix.
+	// StructuralMods counts structure-changing events: bucket splits plus
+	// directory doublings.
 	StructuralMods uint64
 
 	// Shortcut maintenance and routing (KindShortcutEH only).
@@ -225,7 +207,6 @@ type storeOptions struct {
 	poolCfg         PoolConfig
 	capacity        int
 	maxLoadFactor   float64
-	tableBytes      int
 	initialGD       uint
 	initialGDSet    bool
 	pollInterval    time.Duration
@@ -248,7 +229,7 @@ type storeOptions struct {
 }
 
 // Option configures Open. Options that do not apply to the chosen kind are
-// ignored, so one option set can drive a sweep over several kinds.
+// ignored, so one option set can drive both kinds.
 type Option func(*storeOptions)
 
 func (o *storeOptions) fail(format string, args ...any) {
@@ -257,10 +238,9 @@ func (o *storeOptions) fail(format string, args ...any) {
 	}
 }
 
-// WithPool injects the physical page pool backing the index (KindEH,
-// KindShortcutEH, KindRadix). The caller keeps ownership: Close does not
-// close an injected pool. Without this option, Open creates and owns a
-// pool whenever the kind needs one.
+// WithPool injects the physical page pool backing the index. The caller
+// keeps ownership: Close does not close an injected pool. Without this
+// option, Open creates and owns one.
 func WithPool(p *Pool) Option {
 	return func(o *storeOptions) {
 		if p == nil {
@@ -277,11 +257,9 @@ func WithPoolConfig(cfg PoolConfig) Option {
 	return func(o *storeOptions) { o.poolCfg = cfg }
 }
 
-// WithCapacity pre-sizes the index for n entries, like make(map, n):
-// initial table bytes for KindHT/KindHTI, directory bytes for KindCH,
-// initial global depth for the EH kinds, and the auto-created pool's page
-// budget. For KindRadix, n is the exclusive key-space bound and is
-// required.
+// WithCapacity pre-sizes the index for n entries, like make(map, n): it
+// derives the directory's initial global depth and the auto-created
+// pool's page budget.
 func WithCapacity(n int) Option {
 	return func(o *storeOptions) {
 		if n <= 0 {
@@ -292,9 +270,8 @@ func WithCapacity(n int) Option {
 	}
 }
 
-// WithMaxLoadFactor sets the occupancy threshold that triggers growth
-// (KindHT, KindHTI) or bucket splits (KindEH, KindShortcutEH). Default
-// 0.35, the paper's parameter.
+// WithMaxLoadFactor sets the bucket occupancy that triggers a split.
+// Default 0.35, the paper's parameter.
 func WithMaxLoadFactor(f float64) Option {
 	return func(o *storeOptions) {
 		if f <= 0 || f >= 1 {
@@ -305,19 +282,8 @@ func WithMaxLoadFactor(f float64) Option {
 	}
 }
 
-// WithTableBytes fixes KindCH's directory size (the paper grants CH 1 GB).
-func WithTableBytes(n int) Option {
-	return func(o *storeOptions) {
-		if n <= 0 {
-			o.fail("vmshortcut: WithTableBytes(%d): must be positive", n)
-			return
-		}
-		o.tableBytes = n
-	}
-}
-
-// WithInitialGlobalDepth pre-sizes the EH directory (KindEH,
-// KindShortcutEH); it takes precedence over the depth WithCapacity derives.
+// WithInitialGlobalDepth pre-sizes the EH directory; it takes precedence
+// over the depth WithCapacity derives.
 func WithInitialGlobalDepth(d uint) Option {
 	return func(o *storeOptions) {
 		o.initialGD = d
@@ -344,16 +310,15 @@ func WithSynchronousMaintenance(on bool) Option {
 	return func(o *storeOptions) { o.synchronous = on }
 }
 
-// WithDisableShortcut routes every read through the traditional pointer
-// path (KindShortcutEH, KindRadix; ablations and baselines).
+// WithDisableShortcut routes every KindShortcutEH read through the
+// traditional pointer path (ablations and baselines).
 func WithDisableShortcut(on bool) Option {
 	return func(o *storeOptions) { o.disableShortcut = on }
 }
 
 // WithConcurrency makes the store safe for concurrent use, including a
 // Close racing in-flight operations: a readers-writer lock admits parallel
-// lookups (exclusive mutation) for every kind whose reads are pure;
-// KindHTI's reads migrate entries and therefore serialize fully.
+// lookups and exclusive mutation.
 //
 // One lock still serializes all writers. To scale mutation across cores,
 // combine with WithShards: the keyspace is then hash-partitioned across
@@ -364,8 +329,8 @@ func WithConcurrency(on bool) Option {
 
 // WithSeqlockRetryHist records, for every optimistic pure-GET read that
 // succeeded, how many seqlock validation retries it needed (0 = clean
-// first pass). Applies to WithConcurrency stores on read-safe kinds; a
-// sharded store records every shard into the same histogram.
+// first pass). Applies to WithConcurrency stores; a sharded store records
+// every shard into the same histogram.
 func WithSeqlockRetryHist(h *obs.Hist) Option {
 	return func(o *storeOptions) { o.seqlockHist = h }
 }
@@ -380,11 +345,9 @@ func WithSeqlockRetryHist(h *obs.Hist) Option {
 //
 // n > 1 implies WithConcurrency: the sharded store is always safe for
 // concurrent use. n = 1 (the default) keeps today's single-store
-// semantics. Explicit size budgets — WithCapacity, WithTableBytes,
-// WithPoolConfig's page counts, WithInitialGlobalDepth's pre-sized
-// directory — are divided across the shards so the total stays what was
-// asked for; the exception is KindRadix, where WithCapacity bounds the
-// keyspace and every shard keeps the full bound.
+// semantics. Explicit size budgets — WithCapacity, WithPoolConfig's page
+// counts, WithInitialGlobalDepth's pre-sized directory — are divided
+// across the shards so the total stays what was asked for.
 func WithShards(n int) Option {
 	return func(o *storeOptions) {
 		if n <= 0 {
@@ -440,18 +403,7 @@ func (o *storeOptions) effectiveLoadFactor() float64 {
 	return 0.35
 }
 
-// openBytes sizes an open-addressing table (16-byte slots) so capacity
-// entries fit without a rehash.
-func (o *storeOptions) openBytes() int {
-	if o.capacity <= 0 {
-		return 0
-	}
-	slots := int(float64(o.capacity)/o.effectiveLoadFactor()) + 1
-	return slots * 16
-}
-
-// ehConfig assembles the extendible-hashing config shared by KindEH and
-// KindShortcutEH.
+// ehConfig assembles the extendible-hashing config shared by both kinds.
 func (o *storeOptions) ehConfig() eh.Config {
 	cfg := eh.Config{MaxLoadFactor: o.maxLoadFactor}
 	switch {
@@ -488,8 +440,8 @@ func (o *storeOptions) autoPool() (*Pool, error) {
 }
 
 // Open constructs the index kind behind the uniform Store surface. A pool
-// is created and owned by the store when the kind needs one and WithPool
-// did not inject it, so Open(KindShortcutEH) works with no further setup.
+// is created and owned by the store when WithPool did not inject one, so
+// Open(KindShortcutEH) works with no further setup.
 // WithShards(n) with n > 1 returns a sharded store: n independent
 // sub-stores with the keyspace hash-partitioned across them.
 func Open(kind Kind, opts ...Option) (Store, error) {
@@ -530,19 +482,15 @@ func Open(kind Kind, opts ...Option) (Store, error) {
 func openStore(kind Kind, o *storeOptions) (*store, error) {
 	s := &store{kind: kind}
 
-	// Acquire the page pool for the kinds that allocate from one.
-	switch kind {
-	case KindEH, KindShortcutEH, KindRadix:
-		if o.pool != nil {
-			s.pool = o.pool
-		} else {
-			p, err := o.autoPool()
-			if err != nil {
-				return nil, fmt.Errorf("vmshortcut: opening %s: %w", kind, err)
-			}
-			s.pool = p
-			s.ownsPool = true
+	if o.pool != nil {
+		s.pool = o.pool
+	} else {
+		p, err := o.autoPool()
+		if err != nil {
+			return nil, fmt.Errorf("vmshortcut: opening %s: %w", kind, err)
 		}
+		s.pool = p
+		s.ownsPool = true
 	}
 	// On any construction failure below, give back what Open created.
 	fail := func(err error) (*store, error) {
@@ -553,48 +501,6 @@ func openStore(kind Kind, o *storeOptions) (*store, error) {
 	}
 
 	switch kind {
-	case KindHT:
-		t := ht.New(ht.Config{MaxLoadFactor: o.maxLoadFactor, InitialBytes: o.openBytes()})
-		s.idx = t
-		s.stats = func() Stats {
-			return Stats{
-				Kind:           KindHT,
-				Entries:        t.Len(),
-				DirectorySlots: t.Slots(),
-				LoadFactor:     float64(t.Len()) / float64(t.Slots()),
-				StructuralMods: uint64(t.Rehashes),
-			}
-		}
-
-	case KindHTI:
-		t := hti.New(hti.Config{
-			MaxLoadFactor: o.maxLoadFactor,
-			InitialBytes:  o.openBytes(),
-		})
-		s.idx = t
-		s.stats = func() Stats {
-			return Stats{Kind: KindHTI, Entries: t.Len(), StructuralMods: uint64(t.Resizes)}
-		}
-
-	case KindCH:
-		bytes := o.tableBytes
-		if bytes == 0 && o.capacity > 0 {
-			// The paper's 1 GB : 100M ratio — 10 bytes of directory per
-			// expected entry.
-			bytes = o.capacity * 10
-		}
-		t := ch.New(ch.Config{TableBytes: bytes})
-		s.idx = t
-		s.stats = func() Stats {
-			return Stats{
-				Kind:           KindCH,
-				Entries:        t.Len(),
-				DirectorySlots: t.Slots(),
-				Buckets:        t.ChainedBuckets,
-				LoadFactor:     float64(t.Len()) / float64(t.Slots()),
-			}
-		}
-
 	case KindEH:
 		t, err := eh.New(s.pool, o.ehConfig())
 		if err != nil {
@@ -628,43 +534,14 @@ func openStore(kind Kind, o *storeOptions) (*store, error) {
 			scehStats(&st, t, t.Stats())
 			return st
 		}
-
-	case KindRadix:
-		if o.capacity <= 0 {
-			return fail(errors.New("radix requires WithCapacity (the exclusive key-space bound)"))
-		}
-		m, err := radix.New(s.pool, radix.Config{
-			Capacity:        uint64(o.capacity),
-			DisableShortcut: o.disableShortcut,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		s.idx = m
-		s.under = m
-		s.closeInner = m.Close
-		s.stats = func() Stats {
-			return Stats{
-				Kind:           KindRadix,
-				Entries:        m.Len(),
-				DirectorySlots: m.Slots(),
-				Buckets:        m.LeafAllocs - m.LeafFrees,
-				StructuralMods: uint64(m.LeafAllocs + m.LeafFrees),
-			}
-		}
 	}
 
-	// Concurrency: every kind shares one readers-writer wrapper that also
+	// Concurrency: both kinds share one readers-writer wrapper that also
 	// owns the closed flag, so Close drains in-flight operations before
-	// releasing the underlying memory. Reads stay parallel for the kinds
-	// whose reads are pure (Shortcut-EH lookups only touch atomics; HTI
-	// reads migrate entries and serialize).
+	// releasing the underlying memory. Reads stay parallel: both kinds'
+	// lookups are pure (Shortcut-EH's only touch atomics).
 	if o.concurrent {
-		lck := &lockedIndex{
-			idx:         s.idx,
-			readMutates: kind == KindHTI,
-			retryHist:   o.seqlockHist,
-		}
+		lck := &lockedIndex{idx: s.idx, retryHist: o.seqlockHist}
 		s.idx = lck
 		s.lck = lck
 		inner := s.stats
@@ -714,8 +591,7 @@ func scehStats(st *Stats, t *sceh.Table, s sceh.Stats) {
 }
 
 // lockedIndex serializes a rangeIndex for WithConcurrency. Reads take the
-// shared lock unless the implementation mutates on read (KindHTI's
-// incremental migration), and ApplyBatch takes the lock once per batch.
+// shared lock, and ApplyBatch takes the lock once per batch.
 // It also owns the authoritative closed check: the flag is read under the
 // lock, so close() cannot release the underlying memory while an
 // operation is mid-flight.
@@ -729,10 +605,9 @@ func scehStats(st *Stats, t *sceh.Table, s sceh.Stats) {
 // count, so writers never block behind readers but pages are never
 // unmapped under one.
 type lockedIndex struct {
-	mu          sync.RWMutex
-	idx         rangeIndex
-	readMutates bool
-	closed      bool
+	mu     sync.RWMutex
+	idx    rangeIndex
+	closed bool
 
 	seq        atomic.Uint64
 	optReaders atomic.Int64
@@ -788,22 +663,6 @@ func (l *lockedIndex) close(release func() error) error {
 	return release()
 }
 
-func (l *lockedIndex) rlock() {
-	if l.readMutates {
-		l.mu.Lock()
-	} else {
-		l.mu.RLock()
-	}
-}
-
-func (l *lockedIndex) runlock() {
-	if l.readMutates {
-		l.mu.Unlock()
-	} else {
-		l.mu.RUnlock()
-	}
-}
-
 func (l *lockedIndex) Insert(key, value uint64) error {
 	l.beginWrite()
 	defer l.endWrite()
@@ -814,8 +673,8 @@ func (l *lockedIndex) Insert(key, value uint64) error {
 }
 
 func (l *lockedIndex) Lookup(key uint64) (uint64, bool) {
-	l.rlock()
-	defer l.runlock()
+	l.mu.RLock()
+	defer l.mu.RUnlock()
 	if l.closed {
 		return 0, false
 	}
@@ -832,8 +691,8 @@ func (l *lockedIndex) Delete(key uint64) bool {
 }
 
 func (l *lockedIndex) Len() int {
-	l.rlock()
-	defer l.runlock()
+	l.mu.RLock()
+	defer l.mu.RUnlock()
 	if l.closed {
 		return 0
 	}
@@ -841,15 +700,14 @@ func (l *lockedIndex) Len() int {
 }
 
 // applyBatch executes a mixed batch under ONE lock acquisition — the
-// write lock when the batch mutates (or reads migrate, KindHTI), the
-// read lock for a pure-GET batch — so a coalesced pipeline round pays
-// one lock, not one per kind switch. On read-safe kinds a pure-GET batch
-// first attempts a lock-free seqlock pass (seqlockGets) and only falls
-// back to the lock when that pass cannot validate. Plain builds only:
-// the race detector would flag the pass's unsynchronized reads, so -race
-// builds always take the lock.
+// write lock when the batch mutates, the read lock for a pure-GET batch —
+// so a coalesced pipeline round pays one lock, not one per kind switch. A
+// pure-GET batch first attempts a lock-free seqlock pass (seqlockGets) and
+// only falls back to the read lock when that pass cannot validate. Plain
+// builds only: the race detector would flag the pass's unsynchronized
+// reads, so -race builds always take the lock.
 func (l *lockedIndex) applyBatch(b *op.Batch, res *op.Results) ([3]uint64, error) {
-	pureGet := b.Mutations() == 0 && !l.readMutates
+	pureGet := b.Mutations() == 0
 	if pureGet && b.Len() > 0 && !raceEnabled {
 		if l.seqlockGets(b.Keys(), res) {
 			return op.CountRuns(b.Kinds()), nil
@@ -867,10 +725,8 @@ func (l *lockedIndex) applyBatch(b *op.Batch, res *op.Results) ([3]uint64, error
 		return [3]uint64{}, ErrClosed
 	}
 	runs, err := applyEntries(l.idx, b, res)
-	if b.Mutations() == 0 {
-		// GET entries served under the lock — including KindHTI's, whose
-		// migrating reads hold the write lock.
-		l.lockedGets.Add(uint64(b.Len()))
+	if pureGet {
+		l.lockedGets.Add(uint64(b.Len())) // GET entries served under the lock
 	}
 	return runs, err
 }
@@ -931,8 +787,8 @@ func (l *lockedIndex) optimisticPass(keys []uint64, res *op.Results) (ok bool) {
 }
 
 func (l *lockedIndex) Range(fn func(key, value uint64) bool) {
-	l.rlock()
-	defer l.runlock()
+	l.mu.RLock()
+	defer l.mu.RUnlock()
 	if l.closed {
 		return
 	}
@@ -1082,13 +938,6 @@ func AsShortcutEH(s Store) (*ShortcutEH, bool) {
 func AsExtendibleHashing(s Store) (*ExtendibleHashing, bool) {
 	t, ok := underOf(s).(*eh.Table)
 	return t, ok
-}
-
-// AsRadixMap returns the radix map behind an open KindRadix store, e.g.
-// for Range iteration; same caveats as AsShortcutEH.
-func AsRadixMap(s Store) (*RadixMap, bool) {
-	m, ok := underOf(s).(*radix.Map)
-	return m, ok
 }
 
 func underOf(s Store) any {

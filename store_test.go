@@ -45,9 +45,8 @@ func delBatch(s Store, keys []uint64) []bool {
 	return res.Found
 }
 
-// openKinds enumerates every kind with the options that make it openable
-// in a test (radix needs a capacity; shortcut-EH syncs fast with a short
-// poll interval).
+// openKinds opens every kind with the options that suit a test
+// (shortcut-EH syncs fast with a short poll interval).
 func openKinds(tb testing.TB, n int, extra ...Option) map[string]Store {
 	tb.Helper()
 	out := map[string]Store{}
@@ -68,8 +67,7 @@ func openKinds(tb testing.TB, n int, extra ...Option) map[string]Store {
 }
 
 // TestOpenConformance drives the same insert/lookup/delete/batch workload
-// through the Store surface of every kind. Keys stay below n so they fit
-// the radix kind's bounded key space.
+// through the Store surface of every kind.
 func TestOpenConformance(t *testing.T) {
 	const n = 20000
 	for name, s := range openKinds(t, n) {
@@ -112,7 +110,7 @@ func TestOpenConformance(t *testing.T) {
 					t.Fatalf("GET batch[%d] = %d,%v, want %d", i, res.Vals[i], res.Found[i], v1)
 				}
 			}
-			if _, miss := s.Lookup(n + 1); miss && s.Kind() != KindRadix {
+			if _, ok := s.Lookup(n + 1); ok {
 				t.Fatal("lookup of absent key reported present")
 			}
 
@@ -220,7 +218,7 @@ func TestApplyBatchConformance(t *testing.T) {
 // closed store fails with ErrClosed and zeroed results.
 func TestApplyBatchClosed(t *testing.T) {
 	for _, opts := range [][]Option{nil, {WithConcurrency(true)}} {
-		s, err := Open(KindHT, opts...)
+		s, err := Open(KindEH, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,26 +237,35 @@ func TestApplyBatchClosed(t *testing.T) {
 }
 
 // TestApplyBatchUnitFailure pins the unit-failure contract: a rejected
-// insert (radix key out of range) fails the whole batch with the insert
-// error, even though the other entries executed — the entries after it
-// included, whose results are filled in as usual.
+// insert (a bucket split the exhausted page pool refuses) fails the whole
+// batch with the insert error, even though the other entries executed —
+// the entries after it included, whose results are filled in as usual.
 func TestApplyBatchUnitFailure(t *testing.T) {
 	for _, opts := range [][]Option{nil, {WithConcurrency(true)}, {WithShards(2)}} {
-		s, err := Open(KindRadix, append([]Option{WithCapacity(16)}, opts...)...)
+		// One page per store: the first bucket fits, its split does not.
+		s, err := Open(KindEH, append([]Option{WithPoolConfig(PoolConfig{MaxPages: 1})}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.Close()
+		// Fill until a bucket cannot split; upserts of stored keys still
+		// fit, the refused key is refused again.
+		rejected := uint64(0)
+		for ; s.Insert(rejected, rejected) == nil; rejected++ {
+		}
+		if rejected < 3 {
+			t.Fatalf("pool refused key %d already", rejected)
+		}
 		var b OpBatch
 		b.Put(1, 10)
-		b.Put(1<<40, 1) // out of the radix key-space bound
+		b.Put(rejected, 1)
 		b.Get(1)
 		b.Put(2, 20)
 		b.Get(2)
-		b.Get(3)
+		b.Get(rejected)
 		var res OpResults
 		if err := s.ApplyBatch(&b, &res); err == nil {
-			t.Fatal("ApplyBatch accepted an out-of-range radix insert")
+			t.Fatal("ApplyBatch accepted an insert the pool cannot hold")
 		}
 		wantFound := []bool{true, false, true, true, true, false}
 		wantVals := []uint64{0, 0, 10, 0, 20, 0}
@@ -276,20 +283,19 @@ func TestOpenErrors(t *testing.T) {
 	if _, err := Open(Kind(99)); err == nil {
 		t.Fatal("Open(unknown kind) succeeded")
 	}
-	if _, err := Open(KindRadix); err == nil {
-		t.Fatal("Open(KindRadix) without capacity succeeded")
-	}
 	if _, err := Open(KindShortcutEH, WithPool(nil)); err == nil {
 		t.Fatal("WithPool(nil) accepted")
 	}
-	if _, err := Open(KindHT, WithCapacity(-1)); err == nil {
+	if _, err := Open(KindEH, WithCapacity(-1)); err == nil {
 		t.Fatal("WithCapacity(-1) accepted")
 	}
-	if _, err := Open(KindHT, WithMaxLoadFactor(1.5)); err == nil {
+	if _, err := Open(KindEH, WithMaxLoadFactor(1.5)); err == nil {
 		t.Fatal("WithMaxLoadFactor(1.5) accepted")
 	}
-	if _, err := ParseKind("btree"); err == nil {
-		t.Fatal("ParseKind accepted an unknown name")
+	for _, name := range []string{"btree", "ht", "hti", "ch", "radix"} {
+		if _, err := ParseKind(name); err == nil {
+			t.Fatalf("ParseKind accepted %q", name)
+		}
 	}
 	for _, k := range Kinds() {
 		back, err := ParseKind(k.String())
@@ -472,27 +478,9 @@ func TestAsEscapeHatches(t *testing.T) {
 	if _, ok := AsExtendibleHashing(ehs); !ok {
 		t.Fatal("AsExtendibleHashing failed on a KindEH store")
 	}
-
-	r, err := Open(KindRadix, WithCapacity(10000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	m, ok := AsRadixMap(r)
-	if !ok {
-		t.Fatal("AsRadixMap failed on a KindRadix store")
-	}
-	if err := r.Insert(42, 7); err != nil {
-		t.Fatal(err)
-	}
-	seen := 0
-	m.Range(func(k, v uint64) bool { seen++; return true })
-	if seen != 1 {
-		t.Fatalf("Range over the unwrapped map saw %d entries", seen)
-	}
-	r.Close()
-	if _, ok := AsRadixMap(r); ok {
-		t.Fatal("AsRadixMap succeeded on a closed store")
+	ehs.Close()
+	if _, ok := AsExtendibleHashing(ehs); ok {
+		t.Fatal("AsExtendibleHashing succeeded on a closed store")
 	}
 }
 

@@ -7,12 +7,11 @@ import (
 	"vmshortcut/internal/core"
 	"vmshortcut/internal/eh"
 	"vmshortcut/internal/pool"
-	"vmshortcut/internal/radix"
 	"vmshortcut/internal/sceh"
 )
 
-// Index is the common operation surface of all five hash indexes:
-// an upserting Insert, a Lookup, a Delete, and the entry count.
+// Index is the common operation surface of both Store kinds: an
+// upserting Insert, a Lookup, a Delete, and the entry count.
 type Index interface {
 	Insert(key, value uint64) error
 	Lookup(key uint64) (uint64, bool)
@@ -60,12 +59,6 @@ type ExtendibleHashing = eh.Table
 // average fan-in permits. AsShortcutEH returns the one behind an open
 // KindShortcutEH store.
 type ShortcutEH = sceh.Table
-
-// RadixMap is a second shortcut application: a sparse direct-mapped
-// uint64→uint64 index over a bounded key space, whose single wide inner
-// node is expressed as a synchronously maintained page-table shortcut.
-// AsRadixMap returns the one behind an open KindRadix store.
-type RadixMap = radix.Map
 
 // RestoreExtendibleHashing reads a snapshot written by
 // (*ExtendibleHashing).WriteSnapshot into a fresh table backed by p.

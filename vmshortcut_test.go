@@ -12,7 +12,7 @@ type deferredBuffer struct{ bytes.Buffer }
 
 func (b *deferredBuffer) reader() *bytes.Reader { return bytes.NewReader(b.Bytes()) }
 
-// TestFacadeIndexes drives every index kind through the Index interface
+// TestFacadeIndexes drives both index kinds through the Index interface
 // of an Open store — the integration test of the public API — and checks
 // that the As* escape hatches reach the same concrete tables.
 func TestFacadeIndexes(t *testing.T) {
@@ -37,9 +37,6 @@ func TestFacadeIndexes(t *testing.T) {
 		return s
 	}
 	stores := map[string]Store{
-		"HT":          open(KindHT),
-		"HTI":         open(KindHTI),
-		"CH":          open(KindCH, WithTableBytes(1<<16)),
 		"EH":          open(KindEH, WithPool(p)),
 		"Shortcut-EH": open(KindShortcutEH, WithPool(p2), WithPollInterval(time.Millisecond)),
 	}
@@ -81,36 +78,15 @@ func TestFacadeIndexes(t *testing.T) {
 	}
 }
 
-// TestFacadeRadixAndSnapshot exercises the extension APIs end to end.
-func TestFacadeRadixAndSnapshot(t *testing.T) {
+// TestFacadeSnapshot writes an EH snapshot through the facade's escape
+// hatch and restores it into a fresh table.
+func TestFacadeSnapshot(t *testing.T) {
 	p, err := NewPool(PoolConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 
-	// Radix map.
-	rs, err := Open(KindRadix, WithPool(p), WithCapacity(100000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
-	m, ok := AsRadixMap(rs)
-	if !ok {
-		t.Fatal("AsRadixMap reported no radix map")
-	}
-	for k := uint64(0); k < 100000; k += 17 {
-		if err := m.Set(k, k*2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for k := uint64(0); k < 100000; k += 17 {
-		if v, ok := m.Get(k); !ok || v != k*2 {
-			t.Fatalf("radix Get(%d) = %d,%v", k, v, ok)
-		}
-	}
-
-	// EH snapshot through the facade.
 	es, err := Open(KindEH, WithPool(p))
 	if err != nil {
 		t.Fatal(err)
