@@ -370,7 +370,6 @@ func BenchmarkAblationMaintenance(b *testing.B) {
 	}{
 		{"AsyncMapper", nil},
 		{"Synchronous", []Option{WithSynchronousMaintenance(true)}},
-		{"NoShortcut", []Option{WithDisableShortcut(true)}},
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			idx, err := Open(KindShortcutEH, v.opts...)

@@ -17,15 +17,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync/atomic"
 	"time"
 
 	"vmshortcut/internal/wire"
 )
-
-// samplerSeq decorrelates the sampler seeds of connections opened within
-// the same clock tick (ehload opens its whole fleet at once).
-var samplerSeq atomic.Uint64
 
 // Stats is the reply of the STATS request: serving-layer counters plus
 // the backing store's uniform Stats snapshot.
@@ -40,17 +35,6 @@ type Conn struct {
 	readBuf []byte
 	reqBuf  []byte
 	err     error // first transport/protocol error; the Conn is then dead
-
-	// Trace sampling (SetSampling). When the per-write coin flip fires,
-	// writeAll prefixes the outgoing frames with one OpTraceCtx envelope,
-	// asking the server to record the next request's spans in its flight
-	// recorder. sampleThresh is the fire probability scaled to 2^53
-	// (0 = sampling off, the default — the wire bytes are then identical
-	// to a client predating tracing).
-	sampleThresh uint64
-	prng         uint64
-	lastTraceID  uint64
-	traceBuf     []byte
 }
 
 // DialConn opens one connection to a server.
@@ -96,51 +80,6 @@ func DialConnRetry(addr string, timeout time.Duration) (*Conn, error) {
 	}
 }
 
-// SetSampling sets this connection's trace-sampling probability in
-// [0, 1]. While non-zero, each write may be prefixed by a trace-context
-// envelope (wire.OpTraceCtx) that the server attaches to the following
-// request frame; the server must understand the envelope, so only enable
-// sampling against servers of at least this protocol revision — an old
-// server fails the connection with an unknown-opcode error. 0 (the
-// default) restores the envelope-free byte stream.
-func (c *Conn) SetSampling(rate float64) {
-	if rate <= 0 {
-		c.sampleThresh = 0
-		return
-	}
-	if rate > 1 {
-		rate = 1
-	}
-	c.sampleThresh = uint64(rate * (1 << 53))
-	if c.prng == 0 {
-		// Seed once per Conn; splitmix-style scramble so connections
-		// opened in the same nanosecond still diverge.
-		seed := uint64(time.Now().UnixNano()) + samplerSeq.Add(1)*0x9e3779b97f4a7c15
-		seed ^= seed >> 33
-		seed *= 0xff51afd7ed558ccd
-		seed ^= seed >> 33
-		if seed == 0 {
-			seed = 1
-		}
-		c.prng = seed
-	}
-}
-
-// LastTraceID returns the trace ID of the most recent sampled write on
-// this connection (0 = none yet). Load generators log it so an operator
-// can look a specific slow run up at the server's /tracez.
-func (c *Conn) LastTraceID() uint64 { return c.lastTraceID }
-
-// rand64 is a xorshift64 step over the Conn's sampler state.
-func (c *Conn) rand64() uint64 {
-	x := c.prng
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	c.prng = x
-	return x
-}
-
 // Close closes the connection.
 func (c *Conn) Close() error { return c.c.Close() }
 
@@ -154,25 +93,10 @@ func (c *Conn) fail(err error) error {
 	return err
 }
 
-// writeAll sends the request buffer and flushes. With sampling enabled
-// and the coin flip firing, the frames are prefixed by one trace-context
-// envelope, which the server attaches to the first frame that follows —
-// for a pipelined segment that frame seeds the coalesced batch, so the
-// whole batch is traced.
+// writeAll sends the request buffer and flushes.
 func (c *Conn) writeAll(frames []byte) error {
 	if c.err != nil {
 		return c.err
-	}
-	if c.sampleThresh != 0 && c.rand64()>>11 < c.sampleThresh {
-		id := c.rand64()
-		if id == 0 {
-			id = 1
-		}
-		c.lastTraceID = id
-		c.traceBuf = wire.AppendTraceCtx(c.traceBuf[:0], id, wire.TraceFlagSampled)
-		if _, err := c.bw.Write(c.traceBuf); err != nil {
-			return c.fail(err)
-		}
 	}
 	if _, err := c.bw.Write(frames); err != nil {
 		return c.fail(err)

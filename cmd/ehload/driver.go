@@ -33,11 +33,6 @@ type Config struct {
 	// reports the server-side window delta (counters and per-stage latency
 	// percentiles) alongside the client-side numbers.
 	AdminAddr string
-	// SampleRate is the per-round-trip trace-sampling probability each
-	// worker connection runs with (client.Conn.SetSampling). 0 disables
-	// sampling; sampled traces land in the server's flight recorder
-	// (/tracez on its admin listener).
-	SampleRate float64
 }
 
 // workerResult is one connection's tally.
@@ -92,7 +87,7 @@ func Run(cfg Config) (*Report, error) {
 		Bench: "server", Addr: cfg.Addr, Mix: cfg.Mix.Name, Dist: dist,
 		Conns: cfg.Conns, Pipeline: cfg.Pipeline,
 		BatchMode: cfg.BatchMode,
-		Loaded:    cfg.Load, Seed: cfg.Seed, Sample: cfg.SampleRate,
+		Loaded:    cfg.Load, Seed: cfg.Seed,
 		DurationS: elapsed.Seconds(),
 		LoadS:     loadDur.Seconds(),
 		OpCounts:  map[string]uint64{},
@@ -237,9 +232,6 @@ func worker(cfg Config, w int, stop *atomic.Bool) (*workerResult, error) {
 		return nil, err
 	}
 	defer c.Close()
-	if cfg.SampleRate > 0 {
-		c.SetSampling(cfg.SampleRate)
-	}
 
 	res := &workerResult{}
 	gen := workload.NewYCSB(cfg.Seed+uint64(w)*0x9E3779B9, cfg.Mix, cfg.Load)

@@ -66,7 +66,6 @@ func main() {
 	seed := flag.Uint64("seed", 42, "keyspace and workload seed")
 	out := flag.String("out", "BENCH_server.json", "benchmark JSON output path (empty = none)")
 	adminAddr := flag.String("admin-addr", "", "server admin HTTP address (its -admin flag); scrapes /metrics around the measured run and embeds the server-side stage breakdown in the report")
-	sample := flag.Float64("sample", 0, "trace-sampling probability per pipelined round trip, 0..1; sampled traces land in the server's flight recorder (its /tracez admin endpoint)")
 	restartCheck := flag.Bool("restart-check", false, "crash-recovery verification instead of a benchmark: start the server (-server-cmd), write acknowledged keys, kill -9 mid-run, restart, verify nothing acknowledged was lost")
 	serverCmd := flag.String("server-cmd", "", "server command line managed by -restart-check; must include -wal-dir (split on whitespace, no shell quoting)")
 	failoverCheck := flag.Bool("failover-check", false, "replication-failover verification instead of a benchmark: start a primary (-primary-cmd, which must run -repl-sync) and a follower (-follower-cmd), write acknowledged keys, kill -9 the primary mid-run, promote the follower, verify nothing acknowledged was lost")
@@ -120,9 +119,6 @@ func main() {
 	if *duration <= 0 {
 		usageError("-duration must be positive")
 	}
-	if *sample < 0 || *sample > 1 {
-		usageError("-sample must be in [0, 1], got %v", *sample)
-	}
 	batchMode := BatchNone
 	switch strings.ToLower(*batch) {
 	case "", "0", BatchNone:
@@ -135,7 +131,7 @@ func main() {
 		Addr: *addr, Mix: mix, Conns: *conns,
 		Pipeline: *pipeline, BatchMode: batchMode, Load: *load,
 		Duration: *duration, Seed: *seed,
-		AdminAddr: *adminAddr, SampleRate: *sample,
+		AdminAddr: *adminAddr,
 	}
 
 	report, err := Run(cfg)

@@ -24,12 +24,9 @@ type Report struct {
 	Conns    int    `json:"conns"`
 	Pipeline int    `json:"pipeline"`
 	// BatchMode is how ops became frames: none | mixed.
-	BatchMode string `json:"batch_mode"`
-	Loaded    int    `json:"loaded"`
-	Seed      uint64 `json:"seed"`
-	// Sample is the trace-sampling probability the workers ran with
-	// (omitted when sampling was off).
-	Sample     float64 `json:"sample,omitempty"`
+	BatchMode  string  `json:"batch_mode"`
+	Loaded     int     `json:"loaded"`
+	Seed       uint64  `json:"seed"`
 	DurationS  float64 `json:"duration_seconds"`
 	Ops        uint64  `json:"ops"`
 	Errors     uint64  `json:"errors"`

@@ -60,7 +60,7 @@ func main() {
 	// Observability: the admin listener is a second, HTTP port — metrics
 	// scraping and profiling never contend with the binary protocol, and
 	// /readyz keeps answering (503) while the main listener drains.
-	adminAddr := flag.String("admin", "", "admin HTTP listen address serving /metrics, /statsz, /tracez, /healthz, /readyz and /debug/pprof (empty = no admin listener)")
+	adminAddr := flag.String("admin", "", "admin HTTP listen address serving /metrics, /statsz, /healthz, /readyz and /debug/pprof (empty = no admin listener)")
 	slowOp := flag.Duration("slow-op", 10*time.Millisecond, "log batches whose server-side time exceeds this, with a per-stage breakdown (0 = disabled)")
 
 	// Durability: a WAL directory makes the store restart-safe — Open
@@ -81,7 +81,6 @@ func main() {
 	stalenessBound := flag.Duration("staleness-bound", 0, "refuse reads with STALE after losing the primary for this long (0 = serve reads indefinitely; requires -replica-of)")
 	replSync := flag.Bool("repl-sync", false, "synchronous replication: acknowledge a write only after a connected replica applied it (requires -wal-dir)")
 	chained := flag.Bool("chained", false, "maintain a tamper-evidence SHA-256 hash chain over the WAL (requires -wal-dir); with -replica-of, verify the primary's stream per record")
-	replTrace := flag.Bool("repl-trace", false, "request trace metadata on the replication stream: per-record trace IDs and append timestamps flow downstream, apply spans flow back (requires -replica-of and a trace-aware primary)")
 
 	// Store shape: the Open options a deployment picks. Zero/negative
 	// defaults mean "not set" and defer to the implementation's defaults.
@@ -92,7 +91,6 @@ func main() {
 	globalDepth := flag.Int("global-depth", -1, "initial EH directory depth (overrides -capacity's derivation)")
 	poll := flag.Duration("poll", 0, "Shortcut-EH mapper tick: bounds how long readers see a stale shortcut (default 25ms)")
 	syncMaint := flag.Bool("sync-maintenance", false, "Shortcut-EH: apply shortcut maintenance on the writer instead of the mapper thread")
-	noShortcut := flag.Bool("no-shortcut", false, "route every read through the traditional pointer path")
 	flag.Parse()
 
 	kind, err := vmshortcut.ParseKind(*kindName)
@@ -108,9 +106,6 @@ func main() {
 	if *chained && *walDir == "" && *replicaOf == "" {
 		log.Fatal("-chained requires -wal-dir (chain the local WAL) or -replica-of (verify the primary's stream)")
 	}
-	if *replTrace && *replicaOf == "" {
-		log.Fatal("-repl-trace requires -replica-of: the follower side requests trace metadata; a primary serves it automatically")
-	}
 
 	// Metrics exist even without -admin: the STATS frame's obs section and
 	// the slow-op log want them, and pre-registered counters cost nothing
@@ -123,7 +118,6 @@ func main() {
 		// needs the readers-writer wrapper.
 		vmshortcut.WithConcurrency(true),
 		vmshortcut.WithSynchronousMaintenance(*syncMaint),
-		vmshortcut.WithDisableShortcut(*noShortcut),
 		vmshortcut.WithSeqlockRetryHist(metrics.Registry().Hist(
 			"eh_seqlock_retry_attempts",
 			"Retries needed per successful optimistic GET pass.")),
@@ -140,21 +134,15 @@ func main() {
 	if *poll > 0 {
 		opts = append(opts, vmshortcut.WithPollInterval(*poll))
 	}
-	// lsnTraces maps appended LSNs back to trace IDs and append times; the
-	// durable layer stamps it, the replication source reads it back for
-	// stream trace metadata and ack-lag gauges.
-	var lsnTraces *obs.LSNTraces
 	if *walDir != "" {
 		mode, err := vmshortcut.ParseFsyncMode(*fsync)
 		if err != nil {
 			log.Fatal(err)
 		}
-		lsnTraces = obs.NewLSNTraces(4096)
 		opts = append(opts, vmshortcut.WithWAL(*walDir), vmshortcut.WithFsync(mode),
 			// fsync latency is recorded by the WAL itself (a group commit
 			// serves many batches; per-batch attribution would be a lie).
-			vmshortcut.WithFsyncHist(metrics.Pipeline().Hist(obs.StageWALFsync)),
-			vmshortcut.WithLSNTraces(lsnTraces))
+			vmshortcut.WithFsyncHist(metrics.Pipeline().Hist(obs.StageWALFsync)))
 		if *chained {
 			opts = append(opts, vmshortcut.WithChainedWAL(true))
 		}
@@ -204,10 +192,8 @@ func main() {
 		// replica, which after promotion is a full primary for the next
 		// tier of followers.
 		source = repl.NewSource(rep, repl.SourceConfig{
-			Sync:     *replSync,
-			Traces:   lsnTraces,
-			Recorder: metrics.Recorder(),
-			Logf:     log.Printf,
+			Sync: *replSync,
+			Logf: log.Printf,
 		})
 		scfg.Repl = source
 	}
@@ -218,8 +204,6 @@ func main() {
 			BaseDir:   *walDir,
 			Staleness: *stalenessBound,
 			Chained:   *chained,
-			Trace:     *replTrace,
-			Recorder:  metrics.Recorder(),
 			Pipeline:  metrics.Pipeline(),
 			Logf:      log.Printf,
 		})
@@ -247,7 +231,7 @@ func main() {
 			log.Fatalf("admin listen: %v", err)
 		}
 		go http.Serve(adminLn, srv.AdminHandler())
-		log.Printf("ehserver: admin HTTP on %s (/metrics /statsz /tracez /healthz /readyz /debug/pprof)", adminLn.Addr())
+		log.Printf("ehserver: admin HTTP on %s (/metrics /statsz /healthz /readyz /debug/pprof)", adminLn.Addr())
 	}
 
 	sigs := make(chan os.Signal, 1)

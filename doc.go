@@ -124,6 +124,9 @@
 // pipelining, whose per-connection coalescer gathers pipelined requests
 // into one ApplyBatch call — one lock acquisition, one sharded fan-out
 // and one WAL record per round trip.
+// With Config.Metrics set, the server times every batch through its
+// pipeline stages into histograms, rendered at the admin listener's
+// /metrics and in the STATS reply's obs section.
 // cmd/ehserver is the standalone daemon (every Open option as a flag),
 // cmd/ehload the YCSB load generator that records throughput and HDR
 // latency percentiles to BENCH_server.json.

@@ -114,16 +114,6 @@ func WithFsyncHist(h *obs.Hist) Option {
 	return func(o *storeOptions) { o.fsyncHist = h }
 }
 
-// WithLSNTraces stamps every appended WAL record into m: its LSN, the
-// trace ID of the batch that produced it (0 when the request was not
-// sampled), and the append wall clock. The replication source reads the
-// ring back to forward trace context downstream and to turn follower
-// acknowledgements into time-lag measurements. Nil (the default)
-// disables stamping.
-func WithLSNTraces(m *obs.LSNTraces) Option {
-	return func(o *storeOptions) { o.lsnTraces = m }
-}
-
 // Durable is the management surface of a store opened with WithWAL,
 // recovered through AsDurable.
 type Durable interface {
@@ -174,10 +164,6 @@ type durableStore struct {
 	inner Store
 	log   *wal.Log
 	dir   string
-
-	// lsnTraces, when set, receives one (lsn, traceID, append time) stamp
-	// per appended record for the replication lag/trace path. Nil-safe.
-	lsnTraces *obs.LSNTraces
 
 	// mu coordinates mutations (read side) with snapshots and Close
 	// (write side): a snapshot sees a quiescent keyspace whose log
@@ -246,7 +232,7 @@ func openDurable(inner Store, o *storeOptions) (Store, error) {
 		return fail(fmt.Errorf("vmshortcut: recovery hole: WAL ends at LSN %d but the newest snapshot covers LSN %d (log truncated?)",
 			last, baseLSN))
 	}
-	d := &durableStore{inner: inner, log: log, dir: o.walDir, snapEvery: uint64(o.snapshotEvery), lsnTraces: o.lsnTraces}
+	d := &durableStore{inner: inner, log: log, dir: o.walDir, snapEvery: uint64(o.snapshotEvery)}
 	d.snapLSN.Store(baseLSN)
 	return d, nil
 }
@@ -337,7 +323,6 @@ func (d *durableStore) Delete(key uint64) bool {
 		return false
 	}
 	ok := d.inner.Delete(key)
-	d.stampLSN(lsn, 0)
 	d.maybeSnapshot(lsn) // under the read lock; see ApplyBatch
 	return ok
 }
@@ -409,22 +394,11 @@ func (d *durableStore) ApplyBatch(b *op.Batch, res *op.Results) error {
 	if tr != nil {
 		tr.Add(obs.StageWALAppend, time.Since(t0))
 	}
-	b.SetLSN(lsn)
-	d.stampLSN(lsn, b.TraceID())
 	// Still under the read lock: the bg.Add inside is thereby ordered
 	// before any Close (which needs the write lock first), so Close's
 	// bg.Wait cannot race the Add.
 	d.maybeSnapshot(lsn)
 	return nil
-}
-
-// stampLSN records (lsn, traceID, now) into the LSN-trace ring, if one
-// was configured. Every record is stamped — not only sampled ones — so
-// replication time lag is measurable without any client sampling.
-func (d *durableStore) stampLSN(lsn, traceID uint64) {
-	if d.lsnTraces != nil {
-		d.lsnTraces.Put(lsn, traceID, time.Now().UnixNano())
-	}
 }
 
 // maybeSnapshot triggers the automatic snapshot once the log has grown

@@ -43,7 +43,7 @@ var stageHelp = [NumStages]string{
 	StageWALFsync:      "Individual WAL fsync syscalls (global, not per batch).",
 	StageReplAck:       "Wait for synchronous replication acknowledgement.",
 	StageReplyWrite:    "Encode and write the reply frames to the connection.",
-	StageFollowerApply: "Replica-side apply of a shipped record (recorded on the follower; merged into primary traces over the stream).",
+	StageFollowerApply: "Replica-side apply of a shipped record (recorded on the follower).",
 	StageTotal:         "End-to-end server time for the batch, frame read to reply flushed.",
 }
 

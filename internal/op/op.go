@@ -115,15 +115,6 @@ type Batch struct {
 	// stages). Connection infrastructure, not batch content: Reset keeps
 	// it, since the server installs it once per connection.
 	trace *obs.Trace
-
-	// traceID is the wire trace context of the request this batch came
-	// from (0 = unsampled). Unlike trace it is batch content, not
-	// connection infrastructure: Reset clears it.
-	traceID uint64
-	// lsn is the WAL position the batch's record landed at, filled by the
-	// durable layer on the way back up (0 = not logged: pure reads, or a
-	// non-durable store). Batch content; Reset clears it.
-	lsn uint64
 }
 
 // SetTrace installs a per-stage timing collector carried by the batch
@@ -134,22 +125,6 @@ func (b *Batch) SetTrace(t *obs.Trace) { b.trace = t }
 // Trace returns the installed timing collector, or nil.
 func (b *Batch) Trace() *obs.Trace { return b.trace }
 
-// SetTraceID tags the batch with its request's wire trace ID so layers
-// below the server (durability, replication) can stamp the WAL record
-// it produces. 0 means unsampled.
-func (b *Batch) SetTraceID(id uint64) { b.traceID = id }
-
-// TraceID returns the batch's wire trace ID (0 = unsampled).
-func (b *Batch) TraceID() uint64 { return b.traceID }
-
-// SetLSN reports the WAL position the batch's record was appended at;
-// the durable layer calls it so the serving layer can correlate the
-// batch's trace with the log.
-func (b *Batch) SetLSN(lsn uint64) { b.lsn = lsn }
-
-// LSN returns the batch's WAL position (0 = not logged).
-func (b *Batch) LSN() uint64 { return b.lsn }
-
 // Reset empties the batch, retaining its storage for reuse.
 func (b *Batch) Reset() {
 	b.kinds = b.kinds[:0]
@@ -157,7 +132,6 @@ func (b *Batch) Reset() {
 	b.vals = b.vals[:0]
 	b.puts, b.dels = 0, 0
 	b.raw, b.rawCode = nil, 0
-	b.traceID, b.lsn = 0, 0
 }
 
 // Len returns the number of entries.

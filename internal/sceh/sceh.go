@@ -36,9 +36,6 @@ type Config struct {
 	// immediately instead of via the mapper thread. Ablation only: it
 	// exposes the full remap + TLB-shootdown cost to insertions.
 	Synchronous bool
-	// DisableShortcut routes every lookup through the traditional
-	// directory (turns Shortcut-EH back into EH; used by ablations).
-	DisableShortcut bool
 }
 
 // fanInThreshold is the largest average directory fan-in at which lookups
@@ -211,7 +208,7 @@ func (t *Table) onEvent(e eh.Event) {
 // directory as it stands now. Writer goroutine only: it reads the EH
 // directory, which the mapper must not.
 func (t *Table) routable() bool {
-	return !t.cfg.DisableShortcut && t.eh.AvgFanIn() <= fanInThreshold
+	return t.eh.AvgFanIn() <= fanInThreshold
 }
 
 // mapperLoop is the mapper thread (paper §4.1). It replays the backlog

@@ -167,27 +167,6 @@ func TestSynchronousMode(t *testing.T) {
 	}
 }
 
-func TestDisableShortcut(t *testing.T) {
-	tbl := newTable(t, Config{DisableShortcut: true})
-	for k := uint64(0); k < 5000; k++ {
-		tbl.Insert(k, k)
-	}
-	if !tbl.WaitSync(5 * time.Second) {
-		t.Fatal("never synced")
-	}
-	if tbl.UsingShortcut() {
-		t.Fatal("disabled shortcut reported as in use")
-	}
-	for k := uint64(0); k < 5000; k++ {
-		if _, ok := tbl.Lookup(k); !ok {
-			t.Fatalf("key %d lost", k)
-		}
-	}
-	if s := tbl.Stats(); s.ShortcutLookups != 0 {
-		t.Fatalf("disabled shortcut served %d lookups", s.ShortcutLookups)
-	}
-}
-
 func TestFanInThresholdRouting(t *testing.T) {
 	// Pre-size the directory so global depth is large while only one
 	// bucket exists: fan-in = dirSize, far above the threshold.

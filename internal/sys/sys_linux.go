@@ -220,8 +220,10 @@ func NewFile(f *os.File) File {
 
 // Fallocate reserves real blocks for the first size bytes of f and extends
 // the file to size (fallocate mode 0); the new bytes read as zeros. Writes
-// inside the reservation neither allocate nor change the file size, so a
-// later Fdatasync has only data to flush.
+// inside the reservation neither allocate nor change the file size. They
+// are not metadata-free on every filesystem: ext4 reserves unwritten
+// extents, the first write into each block converts its extent, and the
+// next Fdatasync journals that conversion along with the data.
 func Fallocate(f File, size int64) error {
 	return fileControl(f, "fallocate", func(fd int) error { return syscall.Fallocate(fd, 0, 0, size) })
 }

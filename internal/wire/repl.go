@@ -61,15 +61,6 @@ const (
 	ReplRecordHashed
 	ReplHeartbeat
 	ReplAck
-	// ReplTraceMeta (downstream) announces the trace identity of the next
-	// record frame: u64 lsn, u64 traceID, i64 appendNS (the primary's wall
-	// clock at WAL append, unix nanoseconds). Shipped only when the
-	// follower negotiated ReplFlagTrace, so old followers never see it.
-	ReplTraceMeta
-	// ReplSpan (upstream) returns a follower's apply span to the primary:
-	// u64 traceID, u64 lsn, u64 spanNS. The primary's ack reader skips
-	// unknown upstream tags by design, so an old primary tolerates it.
-	ReplSpan
 )
 
 // ReplFlagChained asks the primary to ship each record as
@@ -78,17 +69,9 @@ const (
 // position (fromLSN, or the snapshot LSN after a full sync).
 const ReplFlagChained byte = 1 << 0
 
-// ReplFlagTrace asks the primary to interleave ReplTraceMeta frames into
-// the stream (trace ID and append timestamp per shipped record) and to
-// accept ReplSpan frames upstream. Followers must only set it against
-// primaries known to understand it: like every REPLSYNC capability bit,
-// an old primary rejects the handshake rather than shipping a stream
-// with silently missing semantics.
-const ReplFlagTrace byte = 1 << 1
-
 // replFlagsKnown is the set of REPLSYNC capability bits this revision
 // understands; DecodeReplSync rejects anything outside it.
-const replFlagsKnown = ReplFlagChained | ReplFlagTrace
+const replFlagsKnown = ReplFlagChained
 
 // ReplHashSize is the chain digest width in ReplRecordHashed frames
 // (SHA-256; wal.ChainHashSize, restated here so wire stays free of the
@@ -206,48 +189,6 @@ func DecodeReplU64(p []byte) (uint64, error) {
 	return binary.LittleEndian.Uint64(p), nil
 }
 
-// replTraceSize is the ReplTraceMeta / ReplSpan payload: three u64s.
-const replTraceSize = 24
-
-// AppendReplTraceMeta appends the downstream trace announcement for the
-// record at lsn: its trace ID (0 = unsampled, timestamp only) and the
-// primary's append wall clock.
-func AppendReplTraceMeta(dst []byte, lsn, traceID uint64, appendNS int64) []byte {
-	dst = appendHeader(dst, ReplTraceMeta, replTraceSize)
-	dst = binary.LittleEndian.AppendUint64(dst, lsn)
-	dst = binary.LittleEndian.AppendUint64(dst, traceID)
-	return binary.LittleEndian.AppendUint64(dst, uint64(appendNS))
-}
-
-// DecodeReplTraceMeta decodes a ReplTraceMeta payload.
-func DecodeReplTraceMeta(p []byte) (lsn, traceID uint64, appendNS int64, err error) {
-	if len(p) != replTraceSize {
-		return 0, 0, 0, fmt.Errorf("wire: TRACEMETA payload %d bytes, want %d", len(p), replTraceSize)
-	}
-	return binary.LittleEndian.Uint64(p),
-		binary.LittleEndian.Uint64(p[8:]),
-		int64(binary.LittleEndian.Uint64(p[16:])), nil
-}
-
-// AppendReplSpan appends the upstream follower-apply span for the record
-// at lsn under the given trace ID.
-func AppendReplSpan(dst []byte, traceID, lsn, spanNS uint64) []byte {
-	dst = appendHeader(dst, ReplSpan, replTraceSize)
-	dst = binary.LittleEndian.AppendUint64(dst, traceID)
-	dst = binary.LittleEndian.AppendUint64(dst, lsn)
-	return binary.LittleEndian.AppendUint64(dst, spanNS)
-}
-
-// DecodeReplSpan decodes a ReplSpan payload.
-func DecodeReplSpan(p []byte) (traceID, lsn, spanNS uint64, err error) {
-	if len(p) != replTraceSize {
-		return 0, 0, 0, fmt.Errorf("wire: REPLSPAN payload %d bytes, want %d", len(p), replTraceSize)
-	}
-	return binary.LittleEndian.Uint64(p),
-		binary.LittleEndian.Uint64(p[8:]),
-		binary.LittleEndian.Uint64(p[16:]), nil
-}
-
 // ReadReplFrame is ReadFrame on a replication stream: the length bound
 // is MaxReplFrame instead of MaxFrame, and nothing else differs.
 func ReadReplFrame(r *bufio.Reader, buf []byte) (tag byte, payload, newBuf []byte, err error) {
@@ -282,13 +223,10 @@ type PrimaryReplCounters struct {
 	// with a chained WAL.
 	ChainHead string `json:"chain_head,omitempty"`
 	// LagRecords is LastLSN − MinAckedLSN while followers are connected
-	// (how many records the slowest follower still owes an ack for);
-	// LagMS is the append-to-ack time lag of the most recently
-	// acknowledged record, milliseconds (-1: not yet measurable). Both
-	// were added after the first replication release; old servers simply
-	// omit them, so readers must treat absence as unknown, not zero lag.
+	// (how many records the slowest follower still owes an ack for). It
+	// was added after the first replication release; old servers simply
+	// omit it, so readers must treat absence as unknown, not zero lag.
 	LagRecords uint64 `json:"lag_records"`
-	LagMS      int64  `json:"lag_ms"`
 }
 
 // ReplicaReplCounters is the replica-side replication section of a STATS
@@ -312,13 +250,10 @@ type ReplicaReplCounters struct {
 	Reconnects     uint64 `json:"reconnects"`
 	RecordsApplied uint64 `json:"records_applied"`
 	// LagRecords is PrimaryLSN − AppliedLSN (records known shipped but not
-	// yet applied here); LagMS is the append-to-apply time lag of the most
-	// recently applied record, milliseconds (-1: not yet measurable —
-	// requires a trace-enabled stream for the primary's append timestamp).
-	// Added after the first replication release: absent in old servers'
-	// replies, so readers must treat absence as unknown, not zero lag.
+	// yet applied here). Added after the first replication release: absent
+	// in old servers' replies, so readers must treat absence as unknown,
+	// not zero lag.
 	LagRecords uint64 `json:"lag_records"`
-	LagMS      int64  `json:"lag_ms"`
 }
 
 // ReplicationStats is the STATS reply's replication section: either side

@@ -72,32 +72,6 @@ func TestReplFrameRoundTrips(t *testing.T) {
 			t.Fatalf("u64 frame decode = (%d, %v)", got, err)
 		}
 	}
-
-	tag, p = roundTrip(t, AppendReplSync(nil, 8, ReplFlagChained|ReplFlagTrace))
-	if tag != OpReplSync {
-		t.Fatalf("trace REPLSYNC tag = %d", tag)
-	}
-	if from, flags, err := DecodeReplSync(p); err != nil || from != 8 || flags != ReplFlagChained|ReplFlagTrace {
-		t.Fatalf("trace REPLSYNC decode = (%d, 0x%02x, %v)", from, flags, err)
-	}
-
-	tag, p = roundTrip(t, AppendReplTraceMeta(nil, 21, 0xCAFEBABE, -42))
-	if tag != ReplTraceMeta {
-		t.Fatalf("TRACEMETA tag = %d", tag)
-	}
-	mLSN, mID, mNS, err := DecodeReplTraceMeta(p)
-	if err != nil || mLSN != 21 || mID != 0xCAFEBABE || mNS != -42 {
-		t.Fatalf("TRACEMETA decode = (%d, %x, %d, %v)", mLSN, mID, mNS, err)
-	}
-
-	tag, p = roundTrip(t, AppendReplSpan(nil, 0xCAFEBABE, 21, 999))
-	if tag != ReplSpan {
-		t.Fatalf("SPAN tag = %d", tag)
-	}
-	sID, sLSN, sNS, err := DecodeReplSpan(p)
-	if err != nil || sID != 0xCAFEBABE || sLSN != 21 || sNS != 999 {
-		t.Fatalf("SPAN decode = (%x, %d, %d, %v)", sID, sLSN, sNS, err)
-	}
 }
 
 func TestDecodeReplRejectsMalformed(t *testing.T) {
@@ -106,6 +80,11 @@ func TestDecodeReplRejectsMalformed(t *testing.T) {
 	}
 	if _, _, err := DecodeReplSync(append(make([]byte, 8), 0xFE)); err == nil {
 		t.Fatal("unknown REPLSYNC flags accepted")
+	}
+	// 0x02 asked for per-record trace frames in earlier revisions; no
+	// primary ships them now, so the bit is as unknown as any other.
+	if _, _, err := DecodeReplSync(append(make([]byte, 8), ReplFlagChained|0x02)); err == nil {
+		t.Fatal("retired REPLSYNC trace flag 0x02 accepted")
 	}
 	if _, _, err := DecodeReplSnapBegin(make([]byte, 15)); err == nil {
 		t.Fatal("short SNAPBEGIN accepted")
@@ -123,12 +102,6 @@ func TestDecodeReplRejectsMalformed(t *testing.T) {
 	}
 	if _, err := DecodeReplU64(make([]byte, 7)); err == nil {
 		t.Fatal("short position frame accepted")
-	}
-	if _, _, _, err := DecodeReplTraceMeta(make([]byte, 23)); err == nil {
-		t.Fatal("short TRACEMETA accepted")
-	}
-	if _, _, _, err := DecodeReplSpan(make([]byte, 23)); err == nil {
-		t.Fatal("short SPAN accepted")
 	}
 }
 
@@ -207,10 +180,10 @@ func TestStatsReplyVersionSkew(t *testing.T) {
 		t.Fatalf("replica counters lost: %+v", r.Replication.Replica)
 	}
 	// The lag gauges ride the same add-only contract on both ends.
-	if r.Replication.Replica.LagRecords != 3 || r.Replication.Replica.LagMS != 12 {
+	if r.Replication.Replica.LagRecords != 3 {
 		t.Fatalf("replica lag fields lost: %+v", r.Replication.Replica)
 	}
-	if r.Replication.Primary == nil || r.Replication.Primary.LagRecords != 9 || r.Replication.Primary.LagMS != 4 {
+	if r.Replication.Primary == nil || r.Replication.Primary.LagRecords != 9 {
 		t.Fatalf("primary lag fields lost: %+v", r.Replication.Primary)
 	}
 	// The obs section rides the same contract: stage maps keep keys this
@@ -275,8 +248,9 @@ func FuzzDecodeReplFrame(f *testing.F) {
 	seed(AppendReplRecord(nil, 13, code, &digest, payload))
 	seed(AppendReplU64(nil, ReplHeartbeat, 5))
 	seed(AppendReplU64(nil, ReplAck, 5))
-	seed(AppendReplTraceMeta(nil, 6, 0xF00D, 123456789))
-	seed(AppendReplSpan(nil, 0xF00D, 6, 4242))
+	// Handshakes carrying the retired trace flag 0x02, which decode refuses.
+	seed(AppendReplSync(nil, 6, 0x02))
+	seed(AppendReplSync(nil, 6, ReplFlagChained|0x02))
 	f.Add(ReplRecord, []byte{})
 	f.Add(OpReplSync, make([]byte, replSyncSize))
 	f.Fuzz(func(t *testing.T, tag byte, p []byte) {
@@ -318,22 +292,6 @@ func FuzzDecodeReplFrame(f *testing.F) {
 			}
 			if re := AppendReplU64(nil, tag, lsn)[HeaderSize:]; !bytes.Equal(re, p) {
 				t.Fatalf("position re-encode differs: %x vs %x", re, p)
-			}
-		case ReplTraceMeta:
-			lsn, id, ns, err := DecodeReplTraceMeta(p)
-			if err != nil {
-				return
-			}
-			if re := AppendReplTraceMeta(nil, lsn, id, ns)[HeaderSize:]; !bytes.Equal(re, p) {
-				t.Fatalf("TRACEMETA re-encode differs: %x vs %x", re, p)
-			}
-		case ReplSpan:
-			id, lsn, ns, err := DecodeReplSpan(p)
-			if err != nil {
-				return
-			}
-			if re := AppendReplSpan(nil, id, lsn, ns)[HeaderSize:]; !bytes.Equal(re, p) {
-				t.Fatalf("SPAN re-encode differs: %x vs %x", re, p)
 			}
 		}
 	})

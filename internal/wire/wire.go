@@ -75,41 +75,6 @@ const (
 
 const OpMixedBatch = op.CodeMixedBatch
 
-// OpTraceCtx is the trace-context envelope: a request-path frame carrying
-// u64 traceID, u8 flags that applies to the NEXT request frame on the
-// connection and produces no response frame of its own. Making the
-// context its own frame (rather than a flagged variant of every request)
-// keeps the unsampled wire format byte-identical to older protocol
-// revisions: a client that never samples emits exactly the old byte
-// stream, and a sampling client talking to an old server fails fast with
-// a visible unknown-opcode error instead of silently corrupting state.
-const OpTraceCtx byte = 0x12
-
-// TraceFlagSampled marks the next frame as sampled: the server records
-// its spans in the flight recorder under the carried trace ID.
-const TraceFlagSampled byte = 1 << 0
-
-// traceCtxSize is the OpTraceCtx payload: u64 traceID + u8 flags.
-const traceCtxSize = 9
-
-// AppendTraceCtx appends a trace-context envelope frame.
-func AppendTraceCtx(dst []byte, traceID uint64, flags byte) []byte {
-	dst = appendHeader(dst, OpTraceCtx, traceCtxSize)
-	dst = binary.LittleEndian.AppendUint64(dst, traceID)
-	return append(dst, flags)
-}
-
-// DecodeTraceCtx decodes an OpTraceCtx payload. Unknown flag bits are
-// ignored (not rejected): the envelope is advisory observability
-// metadata, so a newer client bit must not break an older server that
-// already understands the frame.
-func DecodeTraceCtx(p []byte) (traceID uint64, flags byte, err error) {
-	if len(p) != traceCtxSize {
-		return 0, 0, fmt.Errorf("wire: TRACECTX payload %d bytes, want %d", len(p), traceCtxSize)
-	}
-	return binary.LittleEndian.Uint64(p), p[8], nil
-}
-
 // MaxMixedBatch is the largest element count a MIXEDBATCH frame may
 // carry: its worst-case entry (a PUT) is 17 payload bytes.
 const MaxMixedBatch = (MaxFrame - HeaderSize - 4) / 17

@@ -201,31 +201,3 @@ func TestReadFrameReusesBuffer(t *testing.T) {
 		t.Fatal("ReadFrame allocated despite a large enough buffer")
 	}
 }
-
-// TestTraceCtxRoundTrips pins the trace-context envelope: a 9-byte
-// payload, round-tripping exactly, with unknown flag bits tolerated on
-// decode (the envelope is advisory metadata — a reader that errored on
-// a future flag would turn a tracing upgrade into an outage).
-func TestTraceCtxRoundTrips(t *testing.T) {
-	frame := AppendTraceCtx(nil, 0xDEADBEEFCAFE, TraceFlagSampled)
-	tag, p := roundTrip(t, frame)
-	if tag != OpTraceCtx {
-		t.Fatalf("TRACECTX tag = 0x%02x", tag)
-	}
-	id, flags, err := DecodeTraceCtx(p)
-	if err != nil || id != 0xDEADBEEFCAFE || flags != TraceFlagSampled {
-		t.Fatalf("TRACECTX decode = (%x, 0x%02x, %v)", id, flags, err)
-	}
-
-	// Unknown flag bits decode cleanly; the caller sees them and ignores
-	// what it does not know.
-	frame = AppendTraceCtx(nil, 7, TraceFlagSampled|0x80)
-	if _, flags, err = DecodeTraceCtx(frame[HeaderSize:]); err != nil || flags&TraceFlagSampled == 0 {
-		t.Fatalf("future flags rejected: (0x%02x, %v)", flags, err)
-	}
-
-	// Truncated payloads are errors, not zero-valued contexts.
-	if _, _, err := DecodeTraceCtx(frame[HeaderSize : HeaderSize+8]); err == nil {
-		t.Fatal("short TRACECTX accepted")
-	}
-}

@@ -43,20 +43,8 @@ type FollowerConfig struct {
 	// Chained requests per-record chain digests and verifies each one,
 	// halting replication at the first divergence.
 	Chained bool
-	// Trace opts the stream into trace metadata (wire.ReplFlagTrace): the
-	// primary interleaves per-record trace context and append timestamps,
-	// and the follower returns its apply spans upstream. Leave false
-	// against a primary that predates the flag — old primaries reject
-	// unknown handshake flags, loudly.
-	Trace bool
-	// Recorder, when set, captures the follower's own apply spans for
-	// sampled records, so the replica's /tracez shows its side of each
-	// trace. Requires Trace (without the stream metadata the follower
-	// never learns a record's trace ID).
-	Recorder *obs.Recorder
 	// Pipeline, when set, records every record's apply span into the
-	// follower_apply stage histogram — independent of Trace, so a replica
-	// has apply latency percentiles even on an untraced stream.
+	// follower_apply stage histogram.
 	Pipeline *obs.Pipeline
 	// DialTimeout bounds each connection attempt. Default 2s (the
 	// reconnect loop retries indefinitely regardless).
@@ -91,13 +79,6 @@ type Follower struct {
 	fullSyncs      atomic.Uint64
 	reconnects     atomic.Uint64
 	recordsApplied atomic.Uint64
-
-	// applyLagMS is the append-to-apply time lag of the most recently
-	// applied record, milliseconds (-1 until measurable — requires a
-	// trace-enabled stream carrying append timestamps). Primary and
-	// replica clocks both contribute, so skew between the machines skews
-	// the gauge; it is a lag indicator, not a precision measurement.
-	applyLagMS atomic.Int64
 
 	fatalMu  sync.Mutex
 	fatalErr error
@@ -175,7 +156,6 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 		stopc: make(chan struct{}),
 		done:  make(chan struct{}),
 	}
-	f.applyLagMS.Store(-1)
 	if rep, ok := vmshortcut.AsReplicable(cfg.Store); ok {
 		if cfg.BaseDir == "" {
 			return nil, errors.New("repl: a durable replica needs BaseDir (its WAL directory) for position metadata")
@@ -329,7 +309,6 @@ func (f *Follower) Counters() *wire.ReplicaReplCounters {
 		Reconnects:       f.reconnects.Load(),
 		RecordsApplied:   f.recordsApplied.Load(),
 		LagRecords:       primary - applied,
-		LagMS:            f.applyLagMS.Load(),
 	}
 }
 
@@ -393,9 +372,6 @@ func (f *Follower) session() error {
 	if f.cfg.Chained {
 		flags |= wire.ReplFlagChained
 	}
-	if f.cfg.Trace {
-		flags |= wire.ReplFlagTrace
-	}
 	if _, err := bw.Write(wire.AppendReplSync(nil, from, flags)); err != nil {
 		return err
 	}
@@ -412,11 +388,6 @@ func (f *Follower) session() error {
 		buf, ack []byte
 		b        op.Batch
 		res      op.Results
-		// Stashed TRACEMETA for the record that follows it, matched by
-		// LSN. Session-local: the primary interleaves each meta frame
-		// immediately before its record on the same stream.
-		metaLSN, metaTraceID uint64
-		metaAppendNS         int64
 	)
 	for {
 		tag, payload, nbuf, err := wire.ReadReplFrame(br, buf)
@@ -469,46 +440,17 @@ func (f *Follower) session() error {
 			if err := f.cfg.Store.ApplyBatch(&b, &res); err != nil {
 				return f.fatal(fmt.Errorf("repl: applying record %d: %w", lsn, err))
 			}
-			span := time.Since(applyStart)
-			f.cfg.Pipeline.Record(obs.StageFollowerApply, uint64(span))
+			f.cfg.Pipeline.Record(obs.StageFollowerApply, uint64(time.Since(applyStart)))
 			f.applied.Store(lsn)
 			f.recordsApplied.Add(1)
 			if lsn > f.primaryLSN.Load() {
 				f.primaryLSN.Store(lsn)
 			}
-			ack = ack[:0]
-			if metaLSN == lsn {
-				// Append-to-apply time lag, from the primary's append
-				// timestamp to the replica's clock now.
-				if lag := (f.clock().UnixNano() - metaAppendNS) / int64(time.Millisecond); lag >= 0 {
-					f.applyLagMS.Store(lag)
-				}
-				if metaTraceID != 0 {
-					// The record belongs to a sampled trace: capture the
-					// apply span locally and return it upstream so the
-					// primary's flight recorder joins both sides.
-					rec := obs.TraceRecord{
-						ID: metaTraceID, StartNS: applyStart.UnixNano(),
-						Origin: obs.OriginFollower, Ops: b.Len(), LSN: lsn,
-					}
-					rec.NS[obs.StageFollowerApply] = uint64(span)
-					rec.Set[obs.StageFollowerApply] = true
-					f.cfg.Recorder.Record(rec)
-					ack = wire.AppendReplSpan(ack, metaTraceID, lsn, uint64(span))
-				}
-				metaLSN, metaTraceID, metaAppendNS = 0, 0, 0
-			}
-			ack = wire.AppendReplU64(ack, wire.ReplAck, lsn)
+			ack = wire.AppendReplU64(ack[:0], wire.ReplAck, lsn)
 			if _, err := bw.Write(ack); err != nil {
 				return err
 			}
 			if err := bw.Flush(); err != nil {
-				return err
-			}
-
-		case wire.ReplTraceMeta:
-			metaLSN, metaTraceID, metaAppendNS, err = wire.DecodeReplTraceMeta(payload)
-			if err != nil {
 				return err
 			}
 

@@ -73,11 +73,9 @@ func (c deadConn) Write(p []byte) (int, error) {
 func startNode(t *testing.T, dir string, syncMode bool, replicaOf string, fcfg repl.FollowerConfig, storeOpts ...vmshortcut.Option) *node {
 	t.Helper()
 	metrics := server.NewMetrics(obs.NewRegistry())
-	traces := obs.NewLSNTraces(1024)
 	opts := append([]vmshortcut.Option{vmshortcut.WithConcurrency(true)}, storeOpts...)
 	if dir != "" {
-		opts = append(opts, vmshortcut.WithWAL(dir), vmshortcut.WithFsync(vmshortcut.FsyncOff),
-			vmshortcut.WithLSNTraces(traces))
+		opts = append(opts, vmshortcut.WithWAL(dir), vmshortcut.WithFsync(vmshortcut.FsyncOff))
 		if fcfg.Chained {
 			opts = append(opts, vmshortcut.WithChainedWAL(true))
 		}
@@ -92,8 +90,6 @@ func startNode(t *testing.T, dir string, syncMode bool, replicaOf string, fcfg r
 		n.source = repl.NewSource(rep, repl.SourceConfig{
 			Sync:              syncMode,
 			HeartbeatInterval: 20 * time.Millisecond,
-			Traces:            traces,
-			Recorder:          metrics.Recorder(),
 			Logf:              t.Logf,
 		})
 		cfg.Repl = n.source
@@ -354,6 +350,36 @@ func TestDurableReplicaRestartResumes(t *testing.T) {
 		if v, found, err := rc.Get(k); err != nil || !found || v != k {
 			t.Fatalf("replica Get(%d) = %d, %v, %v", k, v, found, err)
 		}
+	}
+}
+
+// TestLagSignals pins the replication-lag signal on both ends: once a
+// replica has applied and acknowledged every record, lag_records reads 0
+// on the primary (newest LSN minus the slowest ack) and on the replica
+// (primary LSN minus applied LSN), and the replica timed every applied
+// record into its follower_apply stage histogram.
+func TestLagSignals(t *testing.T) {
+	const n = 30
+	primary := startNode(t, t.TempDir(), false, "", repl.FollowerConfig{})
+	pipe := obs.NewPipeline(obs.NewRegistry())
+	replica := startNode(t, t.TempDir(), false, primary.addr, repl.FollowerConfig{Pipeline: pipe})
+	pc := mustDial(t, primary.addr)
+	for k := uint64(1); k <= n; k++ {
+		if err := pc.Put(k, k); err != nil {
+			t.Fatalf("Put(%d): %v", k, err)
+		}
+	}
+	waitCaughtUp(t, primary, replica)
+	waitFor(t, "primary lag_records 0", func() bool {
+		c := primary.source.Counters()
+		return c.Followers == 1 && c.MinAckedLSN == c.LastLSN && c.LagRecords == 0
+	})
+	rc := replica.follower.Counters()
+	if rc.LagRecords != rc.PrimaryLSN-rc.AppliedLSN || rc.LagRecords != 0 {
+		t.Fatalf("caught-up replica: lag_records %d, primary LSN %d, applied %d", rc.LagRecords, rc.PrimaryLSN, rc.AppliedLSN)
+	}
+	if got := pipe.Hist(obs.StageFollowerApply).Count(); got != rc.RecordsApplied || got == 0 {
+		t.Fatalf("follower_apply count %d, records applied %d", got, rc.RecordsApplied)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"vmshortcut"
-	"vmshortcut/internal/obs"
 	"vmshortcut/internal/wire"
 	"vmshortcut/wal"
 )
@@ -29,17 +28,6 @@ type SourceConfig struct {
 	// HeartbeatInterval paces the idle-stream keepalive frames that carry
 	// the primary's position to followers. Default 500ms.
 	HeartbeatInterval time.Duration
-	// Traces is the primary's LSN→(trace ID, append time) ring, stamped by
-	// the durable layer (vmshortcut.WithLSNTraces). When set, streams that
-	// negotiated wire.ReplFlagTrace get a ReplTraceMeta frame ahead of each
-	// record, and follower acknowledgements are turned into append-to-ack
-	// time-lag measurements. Nil disables both.
-	Traces *obs.LSNTraces
-	// Recorder, when set, receives follower apply spans returning upstream
-	// as ReplSpan frames: each is merged into the matching trace's flight-
-	// recorder entry under obs.StageFollowerApply, joining the follower's
-	// side of the pipeline to the primary's trace.
-	Recorder *obs.Recorder
 	// Logf receives replication events; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -62,11 +50,6 @@ type Source struct {
 	snapshotsShipped atomic.Uint64
 	syncTimeouts     atomic.Uint64
 	unattachedAcks   atomic.Uint64
-
-	// ackLagMS is the append-to-ack time lag of the most recently
-	// acknowledged record, milliseconds (-1 until measurable — requires
-	// cfg.Traces and an ack whose LSN is still in the ring).
-	ackLagMS atomic.Int64
 }
 
 // followerConn is one connected stream's shared state: the connection
@@ -85,15 +68,13 @@ func NewSource(rep vmshortcut.Replicable, cfg SourceConfig) *Source {
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = 500 * time.Millisecond
 	}
-	s := &Source{
+	return &Source{
 		rep:       rep,
 		cfg:       cfg,
 		followers: make(map[*followerConn]struct{}),
 		ackC:      make(chan struct{}),
 		stopc:     make(chan struct{}),
 	}
-	s.ackLagMS.Store(-1)
-	return s
 }
 
 // SyncMode reports whether writes should wait for follower
@@ -186,7 +167,6 @@ func (s *Source) Counters() *wire.PrimaryReplCounters {
 		SyncTimeouts:     s.syncTimeouts.Load(),
 		UnattachedAcks:   s.unattachedAcks.Load(),
 	}
-	pc.LagMS = s.ackLagMS.Load()
 	s.mu.Lock()
 	pc.Followers = len(s.followers)
 	for fc := range s.followers {
@@ -275,29 +255,12 @@ func (s *Source) ServeConn(c net.Conn, br *bufio.Reader, bw *bufio.Writer, from 
 			if err != nil {
 				return
 			}
-			switch tag {
-			case wire.ReplAck:
-			case wire.ReplSpan:
-				// A follower's apply span returning for a sampled trace:
-				// merge it into the flight recorder so /tracez shows the
-				// follower's side of the pipeline on the primary.
-				if id, _, spanNS, err := wire.DecodeReplSpan(payload); err == nil {
-					s.cfg.Recorder.Merge(id, obs.StageFollowerApply, spanNS)
-				}
-				continue
-			default:
+			if tag != wire.ReplAck {
 				continue // tolerate future upstream frame kinds
 			}
 			lsn, err := wire.DecodeReplU64(payload)
 			if err != nil {
 				return
-			}
-			// Append-to-ack time lag: the acked record's append timestamp is
-			// still in the LSN ring unless the follower is very far behind.
-			if ent, ok := s.cfg.Traces.Get(lsn); ok {
-				if lag := (time.Now().UnixNano() - ent.AppendNS) / int64(time.Millisecond); lag >= 0 {
-					s.ackLagMS.Store(lag)
-				}
 			}
 			if lsn > fc.acked.Load() {
 				fc.acked.Store(lsn)
@@ -369,11 +332,6 @@ func (s *Source) ServeConn(c net.Conn, br *bufio.Reader, bw *bufio.Writer, from 
 		}
 	}()
 
-	// Trace metadata ships only on streams that negotiated it: an old
-	// primary rejects the flag outright, and an old follower would error
-	// on the unknown downstream frame, so both sides must opt in.
-	traced := flags&wire.ReplFlagTrace != 0 && s.cfg.Traces != nil
-
 	var frame []byte
 	err := s.rep.TailWAL(start, stop, func(r wal.TailRecord) error {
 		var hp *[wire.ReplHashSize]byte
@@ -384,17 +342,7 @@ func (s *Source) ServeConn(c net.Conn, br *bufio.Reader, bw *bufio.Writer, from 
 			}
 			hp = &sum
 		}
-		frame = frame[:0]
-		if traced {
-			// One TRACEMETA frame ahead of the record it describes, in the
-			// same write: the follower stashes it and matches it to the
-			// next record by LSN. A ring miss (follower far behind) just
-			// omits the frame — lag falls back to record counts.
-			if ent, ok := s.cfg.Traces.Get(r.LSN); ok {
-				frame = wire.AppendReplTraceMeta(frame, ent.LSN, ent.TraceID, ent.AppendNS)
-			}
-		}
-		frame = wire.AppendReplRecord(frame, r.LSN, r.Code, hp, r.Payload)
+		frame = wire.AppendReplRecord(frame[:0], r.LSN, r.Code, hp, r.Payload)
 		wmu.Lock()
 		_, err := bw.Write(frame)
 		if err == nil {

@@ -35,9 +35,6 @@ type statszRuntime struct {
 //
 //	/metrics       Prometheus text exposition of the metrics registry
 //	/statsz        JSON superset of the STATS frame (adds runtime info)
-//	/tracez        the flight recorder: recent sampled/slow traces with
-//	               per-stage spans (?n=, ?sort=recent|slow, ?stage=,
-//	               ?min_ms= — see tracezHandler)
 //	/healthz       200 while the process serves HTTP at all (liveness)
 //	/readyz        200 while Ready(): 503 while draining, and on a
 //	               replica past its staleness bound (traffic gate)
@@ -78,7 +75,6 @@ func (s *Server) AdminHandler() http.Handler {
 		enc.SetIndent("", "  ")
 		enc.Encode(reply)
 	})
-	mux.HandleFunc("/tracez", s.tracezHandler)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok\n"))
 	})

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"time"
 
 	"vmshortcut"
@@ -27,11 +26,6 @@ type Metrics struct {
 	slowOps     *obs.Counter
 	slowLimiter *obs.Limiter
 
-	// recorder is the flight recorder behind /tracez: sampled and slow
-	// batches' span records, plus follower apply spans merged in over the
-	// replication stream.
-	recorder *obs.Recorder
-
 	// frames is indexed by wire opcode; nil entries (unknown opcodes
 	// never reach the counters) are safe to Inc.
 	frames [256]*obs.Counter
@@ -55,13 +49,7 @@ var frameOpNames = []struct {
 	{wire.OpStats, "stats"},
 	{wire.OpReplSync, "repl_sync"},
 	{wire.OpPromote, "promote"},
-	{wire.OpTraceCtx, "trace_ctx"},
 }
-
-// recorderSize is the flight-recorder ring capacity: generous enough
-// that a follower's apply span returning over the stream still finds its
-// trace under a sampled load burst.
-const recorderSize = 512
 
 // NewMetrics creates the server's metric set in reg. Bindings to a
 // specific server (its counters, store, and replication endpoints) are
@@ -82,17 +70,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	// The slow-op LOG is rate-limited (5/s, burst 10, suppressed count
 	// carried on the next line); the counter above is not.
 	m.slowLimiter = obs.NewLimiter(5, 10)
-	m.recorder = obs.NewRecorder(recorderSize)
 	return m
-}
-
-// Recorder returns the flight recorder (what /tracez renders and the
-// replication source merges follower spans into).
-func (m *Metrics) Recorder() *obs.Recorder {
-	if m == nil {
-		return nil
-	}
-	return m.recorder
 }
 
 // Registry returns the registry the metrics render into.
@@ -184,9 +162,6 @@ func (m *Metrics) bindServer(s *Server) {
 		reg.GaugeFunc("eh_repl_lag_records",
 			"Records the slowest connected follower has not yet acknowledged.",
 			func() float64 { return float64(rs.Counters().LagRecords) })
-		reg.GaugeFunc("eh_repl_lag_ms",
-			"Append-to-ack time lag of the most recent acknowledgement, ms (-1: unknown).",
-			func() float64 { return float64(rs.Counters().LagMS) })
 	}
 
 	if rp := s.cfg.Replica; rp != nil {
@@ -212,9 +187,6 @@ func (m *Metrics) bindServer(s *Server) {
 		reg.GaugeFunc("eh_replica_lag_records",
 			"Records known shipped by the primary but not yet applied here.",
 			func() float64 { return float64(rp.Counters().LagRecords) })
-		reg.GaugeFunc("eh_replica_lag_ms",
-			"Append-to-apply time lag of the most recently applied record, ms (-1: unknown).",
-			func() float64 { return float64(rp.Counters().LagMS) })
 	}
 }
 
@@ -271,12 +243,10 @@ func (m *Metrics) obsStats() *wire.ObsStats {
 }
 
 // slowOp handles one batch that crossed the slow-op threshold: count it
-// always, log it rate-limited with the per-stage breakdown and — when the
-// request carried a sampled trace context — the trace ID, so the log line
-// can be looked up at /tracez. The formatting (and its boxing of
-// arguments) happens only after the limiter admits the line, so the hot
-// path never pays for it.
-func (m *Metrics) slowOp(s *Server, remote string, ops int, total time.Duration, traceID uint64, tr *obs.Trace) {
+// always, log it rate-limited with the per-stage breakdown. The formatting
+// (and its boxing of arguments) happens only after the limiter admits the
+// line, so the hot path never pays for it.
+func (m *Metrics) slowOp(s *Server, remote string, ops int, total time.Duration, tr *obs.Trace) {
 	m.slowOps.Inc()
 	if s.cfg.Logf == nil {
 		return
@@ -285,10 +255,6 @@ func (m *Metrics) slowOp(s *Server, remote string, ops int, total time.Duration,
 	if !ok {
 		return
 	}
-	trace := ""
-	if traceID != 0 {
-		trace = fmt.Sprintf(" trace=%016x", traceID)
-	}
-	s.logf("server: slow op: conn=%s ops=%d total=%v%s [%s]%s",
-		remote, ops, total, trace, tr.Breakdown(), obs.FormatSuppressed(suppressed))
+	s.logf("server: slow op: conn=%s ops=%d total=%v [%s]%s",
+		remote, ops, total, tr.Breakdown(), obs.FormatSuppressed(suppressed))
 }

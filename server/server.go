@@ -453,14 +453,6 @@ type connState struct {
 	traced bool
 	start  time.Time
 	trace  obs.Trace
-
-	// Trace context (wire.OpTraceCtx): pendingCtx is the trace ID a just-
-	// decoded envelope frame announced for the NEXT request frame;
-	// frameCtx is the ID the current frame consumed (0 = unsampled). Two
-	// word stores per frame — the flight-recorder write itself happens
-	// only for sampled or slow batches.
-	pendingCtx uint64
-	frameCtx   uint64
 }
 
 // serveConn runs one connection's request loop until EOF, a protocol
@@ -520,10 +512,6 @@ func (s *Server) serveConn(c net.Conn) {
 			s.metrics.countFrame(tag)
 		}
 		st.resp = st.resp[:0]
-		// The trace context an envelope announced applies to exactly this
-		// frame; a context followed by anything untraceable (STATS, another
-		// envelope) is dropped rather than left armed.
-		st.frameCtx, st.pendingCtx = st.pendingCtx, 0
 		switch tag {
 		case wire.OpGet, wire.OpPut, wire.OpDel:
 			err = st.singles(tag, payload)
@@ -539,11 +527,6 @@ func (s *Server) serveConn(c net.Conn) {
 			return
 		case wire.OpPromote:
 			err = st.promoteReply()
-		case wire.OpTraceCtx:
-			// Trace-context envelope: stash the ID for the next frame and
-			// answer nothing — the envelope has no response frame, so the
-			// response section below writes zero bytes for this iteration.
-			err = st.traceCtx(payload)
 		default:
 			err = fmt.Errorf("unknown opcode 0x%02x", tag)
 		}
@@ -585,8 +568,7 @@ func (s *Server) serveConn(c net.Conn) {
 }
 
 // finishBatch folds a finished batch's trace into the stage histograms,
-// bumps the per-kind op counters, writes the flight-recorder entry for
-// sampled or slow batches, and applies the slow-op threshold. Only
+// bumps the per-kind op counters, and applies the slow-op threshold. Only
 // called with instrumentation on and for iterations that executed a
 // store batch.
 func (s *Server) finishBatch(st *connState) {
@@ -594,41 +576,9 @@ func (s *Server) finishBatch(st *connState) {
 	m.pipeline.RecordTrace(&st.trace)
 	m.countApplied(st.batch.Gets(), st.batch.Puts(), st.batch.Dels())
 	total := time.Duration(st.trace.Get(obs.StageTotal))
-	slow := s.cfg.SlowOp > 0 && total >= s.cfg.SlowOp
-	id := st.batch.TraceID()
-	if id != 0 || slow {
-		// Client-sampled batches always land in the flight recorder; slow
-		// batches land even unsampled (ID 0) — the server-side half of
-		// "always sample on slow".
-		rec := obs.TraceRecord{
-			ID:      id,
-			StartNS: st.start.UnixNano(),
-			Origin:  obs.OriginPrimary,
-			Slow:    slow,
-			Ops:     st.batch.Len(),
-			LSN:     st.batch.LSN(),
-		}
-		rec.FromTrace(&st.trace)
-		m.recorder.Record(rec)
+	if s.cfg.SlowOp > 0 && total >= s.cfg.SlowOp {
+		m.slowOp(s, st.c.RemoteAddr().String(), st.batch.Len(), total, &st.trace)
 	}
-	if slow {
-		m.slowOp(s, st.c.RemoteAddr().String(), st.batch.Len(), total, id, &st.trace)
-	}
-}
-
-// traceCtx decodes a trace-context envelope and arms it for the next
-// frame. The envelope is accepted (and simply dropped) even with
-// instrumentation off, so a sampling client can talk to a metrics-less
-// server of the same protocol revision.
-func (st *connState) traceCtx(payload []byte) error {
-	id, flags, err := wire.DecodeTraceCtx(payload)
-	if err != nil {
-		return err
-	}
-	if st.instr && flags&wire.TraceFlagSampled != 0 && id != 0 {
-		st.pendingCtx = id
-	}
-	return nil
 }
 
 // singles handles a single-op request frame and coalesces: every
@@ -645,7 +595,6 @@ func (st *connState) singles(tag byte, payload []byte) error {
 		t0 = time.Now()
 	}
 	st.batch.Reset()
-	st.batch.SetTraceID(st.frameCtx)
 	if err := st.appendSingle(tag, payload); err != nil {
 		return err
 	}
@@ -852,7 +801,6 @@ func (st *connState) mixedFrame(payload []byte) error {
 	if err := wire.DecodeBatch(wire.OpMixedBatch, payload, &st.batch); err != nil {
 		return err
 	}
-	st.batch.SetTraceID(st.frameCtx)
 	if st.instr {
 		st.trace.Set(obs.StageDecode, time.Since(t0))
 	}

@@ -195,7 +195,9 @@ func TestPipelineOrderAcrossKinds(t *testing.T) {
 // 0x05, PUTBATCH 0x06, DELBATCH 0x07) — well-formed payloads and all —
 // are refused like any unknown opcode: one StatusErr frame, then the
 // connection closes, and the store is untouched. Their codes live on
-// only as WAL record opcodes.
+// only as WAL record opcodes. The retired trace-context envelope (0x12,
+// u64 trace ID + u8 flags) is refused the same way, and the PUT it used
+// to precede is never applied.
 func TestBatchFrames(t *testing.T) {
 	_, st, addr := startServer(t, server.Config{})
 	keys := []uint64{10, 20}
@@ -203,6 +205,7 @@ func TestBatchFrames(t *testing.T) {
 		"GETBATCH": wire.AppendFrame(nil, op.CodeGetBatch, op.AppendKeysPayload(nil, keys)),
 		"PUTBATCH": wire.AppendFrame(nil, op.CodePutBatch, op.AppendPairsPayload(nil, keys, keys)),
 		"DELBATCH": wire.AppendFrame(nil, op.CodeDelBatch, op.AppendKeysPayload(nil, keys)),
+		"TRACECTX": wire.AppendPut(wire.AppendFrame(nil, 0x12, []byte{1, 0, 0, 0, 0, 0, 0, 0, 1}), 10, 10),
 	}
 	for name, frame := range frames {
 		raw, err := net.Dial("tcp", addr)

@@ -203,18 +203,17 @@ type Stats struct {
 type storeOptions struct {
 	err error // first invalid option, reported by Open
 
-	pool            *Pool
-	poolCfg         PoolConfig
-	capacity        int
-	maxLoadFactor   float64
-	initialGD       uint
-	initialGDSet    bool
-	pollInterval    time.Duration
-	synchronous     bool
-	disableShortcut bool
-	concurrent      bool
-	shards          int
-	seqlockHist     *obs.Hist
+	pool          *Pool
+	poolCfg       PoolConfig
+	capacity      int
+	maxLoadFactor float64
+	initialGD     uint
+	initialGDSet  bool
+	pollInterval  time.Duration
+	synchronous   bool
+	concurrent    bool
+	shards        int
+	seqlockHist   *obs.Hist
 
 	// Durability (durable.go): set via WithWAL and friends; ignored
 	// entirely when walDir is empty.
@@ -225,7 +224,6 @@ type storeOptions struct {
 	walSegmentBytes int64
 	chainedWAL      bool
 	fsyncHist       *obs.Hist
-	lsnTraces       *obs.LSNTraces
 }
 
 // Option configures Open. Options that do not apply to the chosen kind are
@@ -308,12 +306,6 @@ func WithPollInterval(d time.Duration) Option {
 // on the writer goroutine instead of the mapper thread (ablations only).
 func WithSynchronousMaintenance(on bool) Option {
 	return func(o *storeOptions) { o.synchronous = on }
-}
-
-// WithDisableShortcut routes every KindShortcutEH read through the
-// traditional pointer path (ablations and baselines).
-func WithDisableShortcut(on bool) Option {
-	return func(o *storeOptions) { o.disableShortcut = on }
 }
 
 // WithConcurrency makes the store safe for concurrent use, including a
@@ -516,10 +508,9 @@ func openStore(kind Kind, o *storeOptions) (*store, error) {
 
 	case KindShortcutEH:
 		cfg := sceh.Config{
-			EH:              o.ehConfig(),
-			PollInterval:    o.pollInterval,
-			Synchronous:     o.synchronous,
-			DisableShortcut: o.disableShortcut,
+			EH:           o.ehConfig(),
+			PollInterval: o.pollInterval,
+			Synchronous:  o.synchronous,
 		}
 		t, err := sceh.New(s.pool, cfg)
 		if err != nil {

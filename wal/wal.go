@@ -38,9 +38,16 @@
 //
 // The log is a directory of segment files named wal-<first-lsn>.log. The
 // active segment is preallocated to SegmentBytes (fallocate, real size)
-// and written at an explicit offset, so an append changes neither the
-// file's size nor its block map and the sync is an fdatasync with no
-// metadata to journal. Past its last record such a file reads as zeros:
+// and written at an explicit offset, so an append never changes the
+// file's size and the sync is an fdatasync that journals no size change.
+// It is not free of metadata: ext4 reserves the blocks as unwritten
+// extents, the first write into each 4 KB block converts its extent, and
+// the next fdatasync journals that conversion. On an ext4 volume of a
+// 2-vCPU VM, 16 KB appends each followed by fdatasync had a p50 sync of
+// 127–187 µs into a preallocated file against 63–93 µs into one already
+// written with zeros; preallocation still pays against a file that grows
+// on write (4000 × 420 B synced appends: 315–670 ms against 480–940 ms).
+// Past its last record such a file reads as zeros:
 // a zero length word at a record boundary is the segment's logical end,
 // for recovery, the tailer and the auditor alike. Rotation and Close
 // seal a segment — flush, truncate to the logical size, sync, close —
@@ -434,7 +441,7 @@ func (l *Log) openSegmentLocked(firstLSN uint64) error {
 	l.segs = append(l.segs, segment{path: path, firstLSN: firstLSN})
 	l.setActiveLocked(f)
 	// After the preallocation, so that this one journal commit carries the
-	// new size too and the segment's first sync is already data-only.
+	// new size too and no later sync of the segment commits a size change.
 	if err := SyncDir(l.dir); err != nil {
 		f.Close()
 		return fmt.Errorf("wal: syncing dir after segment create: %w", err)
@@ -445,10 +452,11 @@ func (l *Log) openSegmentLocked(firstLSN uint64) error {
 // setActiveLocked makes f, positioned at the active segment's logical end,
 // the file appends go to (and syncs reach through one RawConn), and
 // preallocates the rest of the segment: writes below SegmentBytes then
-// never move the file size, so a sync has no metadata to journal. A
-// filesystem that cannot (EOPNOTSUPP) or will not (ENOSPC) reserve leaves
-// a segment that grows on write — as correct, but every sync then commits
-// a size change.
+// never move the file size, so a sync commits no size change (on ext4 it
+// still journals the conversion of the unwritten extents the writes
+// touched; see "Segments and recovery"). A filesystem that cannot
+// (EOPNOTSUPP) or will not (ENOSPC) reserve leaves a segment that grows on
+// write — as correct, but every sync then commits a size change.
 func (l *Log) setActiveLocked(f *os.File) {
 	l.f = sys.NewFile(f)
 	_ = fallocate(l.f, l.opts.SegmentBytes)
