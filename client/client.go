@@ -1,14 +1,11 @@
 // Package client is the Go client of the network KV service (package
-// server): a connection pool over the length-prefixed binary protocol of
+// server): one connection speaking the length-prefixed binary protocol of
 // internal/wire, with single-op round trips and an explicit Pipeline for
 // overlapping many requests — single ops or MIXEDBATCH frames — on one
 // connection.
 //
-// Client is the concurrency-safe entry point: each call checks a
-// connection out of the pool and returns it afterwards, so independent
-// goroutines fan out over independent connections. Conn and Pipeline are
-// single-goroutine objects — the load generator (cmd/ehload) drives one
-// Conn per worker.
+// Conn and Pipeline are single-goroutine objects: concurrent callers dial
+// one Conn each, as the load generator (cmd/ehload) does per worker.
 package client
 
 import (
@@ -26,8 +23,8 @@ import (
 // the backing store's uniform Stats snapshot.
 type Stats = wire.StatsReply
 
-// Conn is one client connection. It is not safe for concurrent use; use
-// Client for pooled concurrency, or one Conn per goroutine.
+// Conn is one client connection. It is not safe for concurrent use; dial
+// one Conn per goroutine.
 type Conn struct {
 	c       net.Conn
 	br      *bufio.Reader
@@ -35,6 +32,11 @@ type Conn struct {
 	readBuf []byte
 	reqBuf  []byte
 	err     error // first transport/protocol error; the Conn is then dead
+
+	// Get, Put and Del run as a one-entry flush of this pipeline, so they
+	// share the pipeline's response decoding.
+	one    Pipeline
+	oneRes []Result
 }
 
 // DialConn opens one connection to a server.
@@ -53,11 +55,13 @@ func DialConnTimeout(addr string, timeout time.Duration) (*Conn, error) {
 		// Frames are small; latency matters more than segment fill.
 		tc.SetNoDelay(true)
 	}
-	return &Conn{
+	cn := &Conn{
 		c:  c,
 		br: bufio.NewReaderSize(c, 64<<10),
 		bw: bufio.NewWriterSize(c, 64<<10),
-	}, nil
+	}
+	cn.one.c = cn
+	return cn, nil
 }
 
 // DialConnRetry dials until the server accepts or the timeout elapses,
@@ -153,60 +157,34 @@ func refusalErr(tag byte) error {
 
 // Get looks up key.
 func (c *Conn) Get(key uint64) (value uint64, found bool, err error) {
-	c.reqBuf = wire.AppendKey(c.reqBuf[:0], wire.OpGet, key)
-	if err := c.writeAll(c.reqBuf); err != nil {
-		return 0, false, err
-	}
-	tag, payload, err := c.readResp()
-	if err != nil {
-		return 0, false, err
-	}
-	switch tag {
-	case wire.StatusOK:
-		if len(payload) < 8 {
-			return 0, false, c.fail(fmt.Errorf("client: GET response payload %d bytes, want 8", len(payload)))
-		}
-		return wire.Uint64(payload, 0), true, nil
-	case wire.StatusNotFound:
-		return 0, false, nil
-	case wire.StatusErr:
-		return 0, false, remoteErr(payload)
-	case wire.StatusReadOnly, wire.StatusStale:
-		return 0, false, refusalErr(tag)
-	}
-	return 0, false, c.fail(fmt.Errorf("client: unexpected status 0x%02x", tag))
+	c.one.Get(key)
+	r, err := c.flushOne()
+	return r.Value, r.Found, err
 }
 
 // Put upserts (key, value).
 func (c *Conn) Put(key, value uint64) error {
-	c.reqBuf = wire.AppendPut(c.reqBuf[:0], key, value)
-	if err := c.writeAll(c.reqBuf); err != nil {
-		return err
-	}
-	return c.readAck()
+	c.one.Put(key, value)
+	_, err := c.flushOne()
+	return err
 }
 
 // Del removes key, reporting whether it was present.
 func (c *Conn) Del(key uint64) (found bool, err error) {
-	c.reqBuf = wire.AppendKey(c.reqBuf[:0], wire.OpDel, key)
-	if err := c.writeAll(c.reqBuf); err != nil {
-		return false, err
-	}
-	tag, payload, err := c.readResp()
+	c.one.Del(key)
+	r, err := c.flushOne()
+	return r.Found, err
+}
+
+// flushOne flushes the one request queued on c.one and returns its
+// outcome, with a per-operation server error as the error.
+func (c *Conn) flushOne() (Result, error) {
+	res, err := c.one.Flush(c.oneRes[:0])
+	c.oneRes = res
 	if err != nil {
-		return false, err
+		return Result{}, err
 	}
-	switch tag {
-	case wire.StatusOK:
-		return true, nil
-	case wire.StatusNotFound:
-		return false, nil
-	case wire.StatusErr:
-		return false, remoteErr(payload)
-	case wire.StatusReadOnly, wire.StatusStale:
-		return false, refusalErr(tag)
-	}
-	return false, c.fail(fmt.Errorf("client: unexpected status 0x%02x", tag))
+	return res[0], res[0].Err
 }
 
 // readAck consumes an empty OK / error response.
@@ -223,7 +201,7 @@ func (c *Conn) readAck() error {
 	case wire.StatusReadOnly, wire.StatusStale:
 		return refusalErr(tag)
 	}
-	return c.fail(fmt.Errorf("client: unexpected status 0x%02x", tag))
+	return c.fail(unexpectedStatus(tag))
 }
 
 // Promote asks a replica server to become the primary: it detaches from
@@ -267,5 +245,5 @@ func (c *Conn) Stats() (Stats, error) {
 		}
 		return st, nil
 	}
-	return Stats{}, c.fail(fmt.Errorf("client: unexpected status 0x%02x", tag))
+	return Stats{}, c.fail(unexpectedStatus(tag))
 }

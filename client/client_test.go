@@ -32,57 +32,6 @@ func startServer(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-func TestDialFailsFast(t *testing.T) {
-	// A port nothing listens on: Dial must fail eagerly, not on first op.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	if _, err := client.Dial(addr, client.WithDialTimeout(2*time.Second)); err == nil {
-		t.Fatal("Dial to a dead address succeeded")
-	}
-}
-
-func TestClientClosed(t *testing.T) {
-	addr := startServer(t)
-	cl, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.Close()
-	if err := cl.Put(1, 2); err != client.ErrClientClosed {
-		t.Fatalf("Put after Close = %v, want ErrClientClosed", err)
-	}
-}
-
-func TestBrokenConnNotPooled(t *testing.T) {
-	addr := startServer(t)
-	cl, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	// Break a connection from inside Do; the pool must discard it and the
-	// next operation must transparently dial a fresh one.
-	cl.Do(func(c *client.Conn) error {
-		c.Close()
-		_, _, err := c.Get(1) // fails, marks the Conn broken
-		if err == nil {
-			t.Error("Get on a closed Conn succeeded")
-		}
-		return nil
-	})
-	if err := cl.Put(5, 50); err != nil {
-		t.Fatalf("Put after discarding broken conn: %v", err)
-	}
-	if v, found, err := cl.Get(5); err != nil || !found || v != 50 {
-		t.Fatalf("Get(5) = %d, %v, %v", v, found, err)
-	}
-}
-
 // TestDeepPipelineNoDeadlock queues far more request bytes than the
 // combined socket buffers hold; Flush's segmented write/read interleave
 // must complete it where a write-everything-then-read client would
@@ -124,7 +73,8 @@ func TestDeepPipelineNoDeadlock(t *testing.T) {
 
 // TestOversizedBatchRejectedClientSide: a mixed batch beyond
 // wire.MaxMixedBatch must fail at Flush with an actionable error, before
-// any byte is written, and leave the connection usable.
+// any byte is written, and leave both the connection and the pipeline
+// usable.
 func TestOversizedBatchRejectedClientSide(t *testing.T) {
 	addr := startServer(t)
 	c, err := client.DialConn(addr)
@@ -148,6 +98,16 @@ func TestOversizedBatchRejectedClientSide(t *testing.T) {
 	}
 	if v, ok, err := c.Get(3); err != nil || !ok || v != 33 {
 		t.Fatalf("Get(3) after rejected batch = %d, %v, %v", v, ok, err)
+	}
+	// So must the pipeline: the rejected batch is dropped, not re-reported.
+	if p.Len() != 0 {
+		t.Fatalf("pipeline keeps the rejected batch: Len = %d", p.Len())
+	}
+	p.Put(4, 44)
+	p.Get(4)
+	res, err := p.Flush(nil)
+	if err != nil || len(res) != 2 || !res[0].Found || res[1].Value != 44 {
+		t.Fatalf("pipeline Flush after rejected batch = %+v, %v", res, err)
 	}
 }
 

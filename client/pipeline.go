@@ -149,9 +149,11 @@ const flushSegmentBytes = 64 << 10
 // oversized frame is a segment of its own), each segment's responses
 // drained before the next is written, so arbitrarily deep pipelines
 // cannot deadlock against the server. The pipeline is empty afterwards
-// and can be reused. A transport or framing error aborts the flush and
-// kills the Conn.
+// and can be reused, also after an error. An oversized mixed batch fails
+// the flush before any byte is written; a transport or framing error
+// aborts the flush and kills the Conn.
 func (p *Pipeline) Flush(results []Result) ([]Result, error) {
+	defer p.reset()
 	if p.err != nil {
 		return results, p.err
 	}
@@ -176,11 +178,16 @@ func (p *Pipeline) Flush(results []Result) ([]Result, error) {
 			}
 		}
 	}
+	return results, nil
+}
+
+// reset empties the pipeline, retaining its storage.
+func (p *Pipeline) reset() {
 	p.buf = p.buf[:0]
 	p.pending = p.pending[:0]
 	p.kinds = p.kinds[:0]
 	p.ops = 0
-	return results, nil
+	p.err = nil
 }
 
 func (p *Pipeline) readOne(pd pendingOp, results []Result) ([]Result, error) {

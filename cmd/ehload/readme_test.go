@@ -163,11 +163,33 @@ func commands(line string) []command {
 	return cmds
 }
 
-// TestREADMEFlagsExist fails when a README command line passes a checked
-// binary a flag it does not define — a flag deleted from the code but
-// still shown in the documentation.
+// flagRow matches one row of a README "| binary | flag | meaning |" table:
+// the binary's name and the flag's.
+var flagRow = regexp.MustCompile("(?m)^\\| `([\\w-]+)` \\| `-([\\w-]+)` \\|")
+
+// TestREADMEFlagsExist fails when a README command line or flag table row
+// passes a checked binary a flag it does not define — a flag deleted from
+// the code but still shown in the documentation.
 func TestREADMEFlagsExist(t *testing.T) {
 	defined := binaryFlags(t)
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for _, m := range flagRow.FindAllStringSubmatch(string(readme), -1) {
+		flags, ok := defined[m[1]]
+		if !ok {
+			continue
+		}
+		rows++
+		if _, ok := flags[m[2]]; !ok {
+			t.Errorf("README's flag table lists %s -%s, which it does not define", m[1], m[2])
+		}
+	}
+	if rows == 0 {
+		t.Fatal("found no README flag table rows to check")
+	}
 	checked := map[string]int{}
 	for _, line := range readmeCommandLines(t) {
 		for _, c := range commands(line) {

@@ -2,9 +2,9 @@
 // wire protocol of package server: GET/PUT/DEL/STATS plus MIXEDBATCH
 // frames, with pipelined requests coalesced into store batch calls.
 //
-// Every Open option is a flag, so the served index can be shaped exactly
-// like the in-process experiments: kind, shard count, capacity
-// pre-sizing, load factors, the Shortcut-EH mapper knobs, and so on.
+// The served index's shape is a handful of flags: kind, shard count and
+// capacity pre-sizing. Shortcut-EH runs with the paper's parameters (load
+// factor 0.35, a 25 ms mapper tick, fan-in threshold 8).
 //
 // With -wal-dir the store is durable: every mutation batch is logged
 // (and, with -fsync always, fsynced — group-committed — before the ack),
@@ -82,15 +82,11 @@ func main() {
 	replSync := flag.Bool("repl-sync", false, "synchronous replication: acknowledge a write only after a connected replica applied it (requires -wal-dir)")
 	chained := flag.Bool("chained", false, "maintain a tamper-evidence SHA-256 hash chain over the WAL (requires -wal-dir); with -replica-of, verify the primary's stream per record")
 
-	// Store shape: the Open options a deployment picks. Zero/negative
-	// defaults mean "not set" and defer to the implementation's defaults.
+	// Store shape: the Open options a deployment picks; -capacity 0 leaves
+	// the index to grow from one bucket.
 	kindName := flag.String("kind", "shortcut-eh", "index kind: shortcut-eh | eh")
 	shards := flag.Int("shards", 1, "hash-partition the keyspace across this many independent shards")
 	capacity := flag.Int("capacity", 0, "pre-size for this many entries")
-	maxLoad := flag.Float64("max-load-factor", 0, "occupancy threshold triggering growth/splits (default 0.35)")
-	globalDepth := flag.Int("global-depth", -1, "initial EH directory depth (overrides -capacity's derivation)")
-	poll := flag.Duration("poll", 0, "Shortcut-EH mapper tick: bounds how long readers see a stale shortcut (default 25ms)")
-	syncMaint := flag.Bool("sync-maintenance", false, "Shortcut-EH: apply shortcut maintenance on the writer instead of the mapper thread")
 	flag.Parse()
 
 	kind, err := vmshortcut.ParseKind(*kindName)
@@ -117,22 +113,9 @@ func main() {
 		// The server runs one goroutine per connection; shards=1 still
 		// needs the readers-writer wrapper.
 		vmshortcut.WithConcurrency(true),
-		vmshortcut.WithSynchronousMaintenance(*syncMaint),
-		vmshortcut.WithSeqlockRetryHist(metrics.Registry().Hist(
-			"eh_seqlock_retry_attempts",
-			"Retries needed per successful optimistic GET pass.")),
 	}
 	if *capacity > 0 {
 		opts = append(opts, vmshortcut.WithCapacity(*capacity))
-	}
-	if *maxLoad > 0 {
-		opts = append(opts, vmshortcut.WithMaxLoadFactor(*maxLoad))
-	}
-	if *globalDepth >= 0 {
-		opts = append(opts, vmshortcut.WithInitialGlobalDepth(uint(*globalDepth)))
-	}
-	if *poll > 0 {
-		opts = append(opts, vmshortcut.WithPollInterval(*poll))
 	}
 	if *walDir != "" {
 		mode, err := vmshortcut.ParseFsyncMode(*fsync)

@@ -51,18 +51,18 @@ func main() {
 	go srv.Serve(ln)
 	fmt.Printf("kvserver listening on %s\n", ln.Addr())
 
-	// The client: a pooled Dial plus a pinned-connection pipeline.
-	cl, err := client.Dial(ln.Addr().String())
+	// The client: one connection, and a pipeline over it.
+	c, err := client.DialConn(ln.Addr().String())
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer cl.Close()
+	defer c.Close()
 
 	// Single round trips.
-	if err := cl.Put(1, 100); err != nil {
+	if err := c.Put(1, 100); err != nil {
 		log.Fatal(err)
 	}
-	v, found, err := cl.Get(1)
+	v, found, err := c.Get(1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,19 +70,16 @@ func main() {
 
 	// One MIXEDBATCH frame = one ApplyBatch against the store, and one
 	// WAL record on a durable one.
-	err = cl.Do(func(c *client.Conn) error {
-		var m client.MixedBatch
-		for i := 0; i < 1000; i++ {
-			m.Put(uint64(i)*7, uint64(i))
-		}
-		p := c.Pipeline()
-		p.Mixed(&m)
-		res, err := p.Flush(nil)
-		if err == nil && res[0].Err != nil {
-			err = res[0].Err // a frame fails as a unit
-		}
-		return err
-	})
+	var m client.MixedBatch
+	for i := 0; i < 1000; i++ {
+		m.Put(uint64(i)*7, uint64(i))
+	}
+	p := c.Pipeline()
+	p.Mixed(&m)
+	res, err := p.Flush(nil)
+	if err == nil && res[0].Err != nil {
+		err = res[0].Err // a frame fails as a unit
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,31 +87,23 @@ func main() {
 	// A pipelined burst: the server's coalescer gathers the GET run into
 	// a single ApplyBatch, so the store's lock is taken once for the whole
 	// run.
-	err = cl.Do(func(c *client.Conn) error {
-		p := c.Pipeline()
-		for i := 0; i < 500; i++ {
-			p.Get(uint64(i) * 7)
-		}
-		res, err := p.Flush(nil)
-		if err != nil {
-			return err
-		}
-		misses := 0
-		for _, r := range res {
-			if !r.Found {
-				misses++
-			}
-		}
-		fmt.Printf("pipelined 500 GETs in one round trip (%d misses)\n", misses)
-		return nil
-	})
-	if err != nil {
+	for i := 0; i < 500; i++ {
+		p.Get(uint64(i) * 7)
+	}
+	if res, err = p.Flush(res[:0]); err != nil {
 		log.Fatal(err)
 	}
+	misses := 0
+	for _, r := range res {
+		if !r.Found {
+			misses++
+		}
+	}
+	fmt.Printf("pipelined 500 GETs in one round trip (%d misses)\n", misses)
 
 	// STATS shows both layers: serving counters and the store's uniform
 	// Stats — the batch counters prove the coalescing happened.
-	st, err := cl.Stats()
+	st, err := c.Stats()
 	if err != nil {
 		log.Fatal(err)
 	}

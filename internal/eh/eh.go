@@ -34,11 +34,18 @@ type DoubleEvent struct {
 func (SplitEvent) isEvent()  {}
 func (DoubleEvent) isEvent() {}
 
+// MaxLoadFactor is the bucket occupancy beyond which a bucket splits:
+// the paper's 0.35 (§4.2).
+const MaxLoadFactor = 0.35
+
+// MaxFill is MaxLoadFactor in entries of one bucket, rounded down (89 of
+// 255): an insert of a new key into a bucket that already holds MaxFill
+// entries splits it first. The product is scaled by 100 so that the
+// constant conversion to int is exact.
+const MaxFill = int(MaxLoadFactor*bucket.Capacity*100) / 100
+
 // Config tunes a Table. The zero value selects the paper's parameters.
 type Config struct {
-	// MaxLoadFactor triggers a bucket split when a bucket's occupancy
-	// exceeds it. Default 0.35 (paper §4.2).
-	MaxLoadFactor float64
 	// MaxGlobalDepth bounds directory growth. Default 30 (a billion
 	// slots) — effectively unbounded for in-memory use.
 	MaxGlobalDepth uint
@@ -47,9 +54,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.MaxLoadFactor <= 0 || c.MaxLoadFactor > 1 {
-		c.MaxLoadFactor = 0.35
-	}
 	if c.MaxGlobalDepth == 0 {
 		c.MaxGlobalDepth = 30
 	}
@@ -69,7 +73,6 @@ type Table struct {
 	buckets int
 	count   int
 	version uint64
-	maxFill int
 	cfg     Config
 	onEvent func(Event)
 
@@ -83,17 +86,7 @@ type Table struct {
 // point of 4 KB effective space.
 func New(p *pool.Pool, cfg Config) (*Table, error) {
 	cfg.fill()
-	t := &Table{
-		pool:    p,
-		cfg:     cfg,
-		maxFill: int(cfg.MaxLoadFactor * float64(bucket.Capacity)),
-	}
-	if t.maxFill < 1 {
-		t.maxFill = 1
-	}
-	if t.maxFill > bucket.Capacity {
-		t.maxFill = bucket.Capacity
-	}
+	t := &Table{pool: p, cfg: cfg}
 	ref, err := p.Alloc()
 	if err != nil {
 		return nil, fmt.Errorf("eh: allocating first bucket: %w", err)
@@ -160,7 +153,7 @@ func (t *Table) Insert(key, value uint64) error {
 			b.Insert(key, value)
 			return nil
 		}
-		if b.Count() < t.maxFill {
+		if b.Count() < MaxFill {
 			if !b.Insert(key, value) {
 				return fmt.Errorf("eh: bucket rejected insert below fill threshold")
 			}

@@ -102,7 +102,7 @@ func TestGrowthThroughSplitsAndDoubles(t *testing.T) {
 }
 
 func TestBucketLoadRespectsThreshold(t *testing.T) {
-	tbl := newTable(t, Config{MaxLoadFactor: 0.35})
+	tbl := newTable(t, Config{})
 	for k := uint64(0); k < 50000; k++ {
 		tbl.Insert(k, k)
 	}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 
-	"vmshortcut/internal/bucket"
 	"vmshortcut/internal/pool"
 	"vmshortcut/internal/sys"
 )
@@ -95,16 +94,12 @@ func Restore(p *pool.Pool, cfg Config, r io.Reader) (*Table, error) {
 	}
 
 	t := &Table{
-		pool:    p,
-		cfg:     cfg,
-		maxFill: int(cfg.MaxLoadFactor * float64(bucket.Capacity)),
-		gd:      gd,
-		count:   int(hdr[3]),
-		dir:     make([]uintptr, 1<<gd),
-		refs:    make([]pool.Ref, 1<<gd),
-	}
-	if t.maxFill < 1 {
-		t.maxFill = 1
+		pool:  p,
+		cfg:   cfg,
+		gd:    gd,
+		count: int(hdr[3]),
+		dir:   make([]uintptr, 1<<gd),
+		refs:  make([]pool.Ref, 1<<gd),
 	}
 	seen := map[uint32]bool{}
 	for i, pi := range idx {

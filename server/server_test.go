@@ -424,15 +424,10 @@ func TestShutdownDrainsHalfFilledWindow(t *testing.T) {
 	}
 }
 
-// TestConcurrentClients hammers one server from several pooled clients;
-// run under -race this is the serving-path race check.
+// TestConcurrentClients hammers one server from several connections, one
+// Conn per worker; run under -race this is the serving-path race check.
 func TestConcurrentClients(t *testing.T) {
 	_, _, addr := startServer(t, server.Config{}, vmshortcut.WithShards(2))
-	cl, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
 
 	const workers, perWorker = 8, 200
 	var wg sync.WaitGroup
@@ -441,6 +436,12 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			cl, err := client.DialConn(addr)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer cl.Close()
 			base := uint64(w) << 32
 			for i := uint64(0); i < perWorker; i++ {
 				if err := cl.Put(base+i, i); err != nil {

@@ -2,7 +2,6 @@ package vmshortcut
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,9 +41,8 @@ type sharded struct {
 // gets a copy of the options with the concurrent wrapper forced on (the
 // per-shard lock stripes replacing WithConcurrency's single lock) and
 // every explicit size budget divided across the shards, so the total
-// stays what the caller asked for: the capacity hint, WithPoolConfig's
-// page counts, and WithInitialGlobalDepth's pre-sized directory (shrunk by
-// log2 n).
+// stays what the caller asked for: the capacity hint and WithPoolConfig's
+// page counts.
 func openSharded(kind Kind, o *storeOptions) (Store, error) {
 	n := o.shards
 	shards := make([]Store, n)
@@ -54,13 +52,6 @@ func openSharded(kind Kind, o *storeOptions) (Store, error) {
 		so.concurrent = true
 		if so.capacity > 0 {
 			so.capacity = (o.capacity + n - 1) / n
-		}
-		if so.initialGDSet {
-			if shift := uint(bits.Len(uint(n - 1))); so.initialGD > shift {
-				so.initialGD -= shift
-			} else {
-				so.initialGD = 0
-			}
 		}
 		if so.poolCfg.MaxPages > 0 {
 			so.poolCfg.MaxPages = (o.poolCfg.MaxPages + n - 1) / n

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"vmshortcut/internal/eh"
 	"vmshortcut/internal/hashfn"
 )
 
@@ -414,15 +415,17 @@ func TestShardedKindsConformance(t *testing.T) {
 }
 
 // TestShardedBudgetDivision checks that explicit size budgets are divided
-// across shards rather than multiplied by the shard count: the pre-sized
-// EH directory must total what the unsharded store would allocate.
+// across shards rather than multiplied by the shard count: the directory
+// WithCapacity pre-sizes must total what the unsharded store would
+// allocate.
 func TestShardedBudgetDivision(t *testing.T) {
-	ehSharded, err := Open(KindEH, WithShards(4), WithInitialGlobalDepth(10))
+	capacity := eh.MaxFill << 10 // 2^10 buckets at the split threshold
+	ehSharded, err := Open(KindEH, WithShards(4), WithCapacity(capacity))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ehSharded.Close()
-	// 4 shards at depth 10-log2(4)=8 pre-size 4*2^8 = 2^10 slots total.
+	// 4 shards of capacity/4 pre-size 4*2^8 = 2^10 slots total.
 	if got := ehSharded.Stats().DirectorySlots; got != 1<<10 {
 		t.Fatalf("sharded EH pre-sizes %d directory slots, want %d", got, 1<<10)
 	}

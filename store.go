@@ -3,6 +3,7 @@ package vmshortcut
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -203,17 +204,13 @@ type Stats struct {
 type storeOptions struct {
 	err error // first invalid option, reported by Open
 
-	pool          *Pool
-	poolCfg       PoolConfig
-	capacity      int
-	maxLoadFactor float64
-	initialGD     uint
-	initialGDSet  bool
-	pollInterval  time.Duration
-	synchronous   bool
-	concurrent    bool
-	shards        int
-	seqlockHist   *obs.Hist
+	pool         *Pool
+	poolCfg      PoolConfig
+	capacity     int
+	pollInterval time.Duration
+	synchronous  bool
+	concurrent   bool
+	shards       int
 
 	// Durability (durable.go): set via WithWAL and friends; ignored
 	// entirely when walDir is empty.
@@ -268,27 +265,6 @@ func WithCapacity(n int) Option {
 	}
 }
 
-// WithMaxLoadFactor sets the bucket occupancy that triggers a split.
-// Default 0.35, the paper's parameter.
-func WithMaxLoadFactor(f float64) Option {
-	return func(o *storeOptions) {
-		if f <= 0 || f >= 1 {
-			o.fail("vmshortcut: WithMaxLoadFactor(%v): need 0 < f < 1", f)
-			return
-		}
-		o.maxLoadFactor = f
-	}
-}
-
-// WithInitialGlobalDepth pre-sizes the EH directory; it takes precedence
-// over the depth WithCapacity derives.
-func WithInitialGlobalDepth(d uint) Option {
-	return func(o *storeOptions) {
-		o.initialGD = d
-		o.initialGDSet = true
-	}
-}
-
 // WithPollInterval sets the mapper thread's tick (KindShortcutEH), which
 // bounds how long readers see a stale shortcut; with no reader the mapper
 // parks. Default DefaultPollInterval (25ms, paper §4.1).
@@ -319,14 +295,6 @@ func WithConcurrency(on bool) Option {
 	return func(o *storeOptions) { o.concurrent = on }
 }
 
-// WithSeqlockRetryHist records, for every optimistic pure-GET read that
-// succeeded, how many seqlock validation retries it needed (0 = clean
-// first pass). Applies to WithConcurrency stores; a sharded store records
-// every shard into the same histogram.
-func WithSeqlockRetryHist(h *obs.Hist) Option {
-	return func(o *storeOptions) { o.seqlockHist = h }
-}
-
 // WithShards hash-partitions the keyspace across n independent sub-stores,
 // each with its own lock stripe and (unless WithPool injects a shared one)
 // its own page pool, so writers to different shards proceed in parallel
@@ -337,9 +305,9 @@ func WithSeqlockRetryHist(h *obs.Hist) Option {
 //
 // n > 1 implies WithConcurrency: the sharded store is always safe for
 // concurrent use. n = 1 (the default) keeps today's single-store
-// semantics. Explicit size budgets — WithCapacity, WithPoolConfig's page
-// counts, WithInitialGlobalDepth's pre-sized directory — are divided
-// across the shards so the total stays what was asked for.
+// semantics. Explicit size budgets — WithCapacity and WithPoolConfig's
+// page counts — are divided across the shards so the total stays what was
+// asked for.
 func WithShards(n int) Option {
 	return func(o *storeOptions) {
 		if n <= 0 {
@@ -386,31 +354,14 @@ func applyEntries(idx rangeIndex, b *op.Batch, res *op.Results) (runs [3]uint64,
 	return op.CountRuns(kinds), firstErr
 }
 
-// effectiveLoadFactor mirrors the 0.35 default every implementation fills
-// in, so capacity pre-sizing agrees with the table it sizes.
-func (o *storeOptions) effectiveLoadFactor() float64 {
-	if o.maxLoadFactor > 0 {
-		return o.maxLoadFactor
-	}
-	return 0.35
-}
-
 // ehConfig assembles the extendible-hashing config shared by both kinds.
 func (o *storeOptions) ehConfig() eh.Config {
-	cfg := eh.Config{MaxLoadFactor: o.maxLoadFactor}
-	switch {
-	case o.initialGDSet:
-		cfg.InitialGlobalDepth = o.initialGD
-	case o.capacity > 0:
+	var cfg eh.Config
+	if o.capacity > 0 {
 		// Buckets needed at the split threshold, rounded up to a power of
-		// two of directory slots (255 entry slots per 4 KB bucket).
-		maxFill := int(o.effectiveLoadFactor() * 255)
-		if maxFill < 1 {
-			maxFill = 1
-		}
-		buckets := (o.capacity + maxFill - 1) / maxFill
-		for cfg.InitialGlobalDepth = 0; 1<<cfg.InitialGlobalDepth < buckets; cfg.InitialGlobalDepth++ {
-		}
+		// two of directory slots.
+		buckets := (o.capacity + eh.MaxFill - 1) / eh.MaxFill
+		cfg.InitialGlobalDepth = uint(bits.Len(uint(buckets - 1)))
 	}
 	return cfg
 }
@@ -499,12 +450,7 @@ func openStore(kind Kind, o *storeOptions) (*store, error) {
 			return fail(err)
 		}
 		s.idx = t
-		s.under = t
-		s.stats = func() Stats {
-			st := ehShapeStats(t.Stats())
-			st.Kind = KindEH
-			return st
-		}
+		s.eh = t
 
 	case KindShortcutEH:
 		cfg := sceh.Config{
@@ -517,14 +463,8 @@ func openStore(kind Kind, o *storeOptions) (*store, error) {
 			return fail(err)
 		}
 		s.idx = t
-		s.under = t
-		s.closeInner = t.Close
-		s.waitSync = t.WaitSync
-		s.stats = func() Stats {
-			st := ehShapeStats(t.EH().Stats())
-			scehStats(&st, t, t.Stats())
-			return st
-		}
+		s.eh = t.EH()
+		s.sc = t
 	}
 
 	// Concurrency: both kinds share one readers-writer wrapper that also
@@ -532,28 +472,18 @@ func openStore(kind Kind, o *storeOptions) (*store, error) {
 	// releasing the underlying memory. Reads stay parallel: both kinds'
 	// lookups are pure (Shortcut-EH's only touch atomics).
 	if o.concurrent {
-		lck := &lockedIndex{idx: s.idx, retryHist: o.seqlockHist}
-		s.idx = lck
-		s.lck = lck
-		inner := s.stats
-		s.stats = func() Stats {
-			lck.mu.Lock()
-			defer lck.mu.Unlock()
-			if lck.closed {
-				return Stats{Kind: kind}
-			}
-			st := inner()
-			lck.fillFastpath(&st)
-			return st
-		}
+		s.lck = &lockedIndex{idx: s.idx}
+		s.idx = s.lck
 	}
 	return s, nil
 }
 
-// ehShapeStats maps the extendible-hashing shape statistics onto the
-// common struct.
-func ehShapeStats(ms eh.MemStats) Stats {
-	return Stats{
+// tableStats reads the shape of the extendible-hashing table and, for
+// KindShortcutEH, the shortcut's maintenance and routing counters.
+func (s *store) tableStats() Stats {
+	ms := s.eh.Stats()
+	st := Stats{
+		Kind:           s.kind,
 		Entries:        ms.Entries,
 		GlobalDepth:    ms.GlobalDepth,
 		DirectorySlots: ms.DirectorySlots,
@@ -562,23 +492,21 @@ func ehShapeStats(ms eh.MemStats) Stats {
 		AvgFanIn:       ms.AvgFanIn,
 		StructuralMods: ms.StructuralMods,
 	}
-}
-
-// scehStats fills the shortcut maintenance and routing fields from a
-// Shortcut-EH table's counters.
-func scehStats(st *Stats, t *sceh.Table, s sceh.Stats) {
-	st.Kind = KindShortcutEH
-	st.ShortcutLookups = s.ShortcutLookups
-	st.TraditionalLookups = s.TraditionalLookups
-	st.UpdatesApplied = s.UpdatesApplied
-	st.CreatesApplied = s.CreatesApplied
-	st.UpdatesSuperseded = s.UpdatesSuperseded
-	st.Remaps = s.Remaps
-	st.MapperFailures = s.MapperFailures
-	st.TradVersion = t.TradVersion()
-	st.ShortcutVersion = t.ShortcutVersion()
-	st.InSync = t.InSync()
-	st.UsingShortcut = t.UsingShortcut()
+	if t := s.sc; t != nil {
+		sc := t.Stats()
+		st.ShortcutLookups = sc.ShortcutLookups
+		st.TraditionalLookups = sc.TraditionalLookups
+		st.UpdatesApplied = sc.UpdatesApplied
+		st.CreatesApplied = sc.CreatesApplied
+		st.UpdatesSuperseded = sc.UpdatesSuperseded
+		st.Remaps = sc.Remaps
+		st.MapperFailures = sc.MapperFailures
+		st.TradVersion = t.TradVersion()
+		st.ShortcutVersion = t.ShortcutVersion()
+		st.InSync = t.InSync()
+		st.UsingShortcut = t.UsingShortcut()
+	}
+	return st
 }
 
 // lockedIndex serializes a rangeIndex for WithConcurrency. Reads take the
@@ -603,7 +531,6 @@ type lockedIndex struct {
 	seq        atomic.Uint64
 	optReaders atomic.Int64
 	closedA    atomic.Bool
-	retryHist  *obs.Hist
 
 	// Fast-path accounting, surfaced through Stats.
 	seqlockReads atomic.Uint64
@@ -747,9 +674,6 @@ func (l *lockedIndex) seqlockGets(keys []uint64, res *op.Results) bool {
 		}
 		if l.optimisticPass(keys, res) && l.seq.Load() == s {
 			l.seqlockReads.Add(uint64(len(keys)))
-			if l.retryHist != nil {
-				l.retryHist.Record(uint64(attempt))
-			}
 			return true
 		}
 		l.seqRetries.Add(1)
@@ -786,18 +710,16 @@ func (l *lockedIndex) Range(fn func(key, value uint64) bool) {
 	l.idx.Range(fn)
 }
 
-// store implements Store: one rangeIndex plus kind-specific lifecycle and
-// observability hooks.
+// store implements Store over one extendible-hashing table, which for
+// KindShortcutEH sits inside a Shortcut-EH table.
 type store struct {
-	kind       Kind
-	idx        rangeIndex
-	pool       *Pool
-	ownsPool   bool
-	under      any                      // concrete table for the As* escape hatches
-	closeInner func() error             // kind's own Close; nil when it has none
-	waitSync   func(time.Duration) bool // nil: always in sync
-	stats      func() Stats
-	lck        *lockedIndex // set with WithConcurrency; owns close ordering
+	kind     Kind
+	idx      rangeIndex // the table, behind lck when set
+	eh       *eh.Table
+	sc       *sceh.Table // nil for KindEH
+	pool     *Pool
+	ownsPool bool
+	lck      *lockedIndex // set with WithConcurrency; owns close ordering
 
 	// Batch-run counters surfaced through Stats; atomics so concurrent
 	// stores count without widening any lock's critical section.
@@ -868,7 +790,19 @@ func (s *store) Stats() Stats {
 	if s.closed.Load() {
 		return Stats{Kind: s.kind}
 	}
-	st := s.stats()
+	var st Stats
+	if l := s.lck; l != nil {
+		l.mu.Lock()
+		if l.closed {
+			l.mu.Unlock()
+			return Stats{Kind: s.kind}
+		}
+		st = s.tableStats()
+		l.fillFastpath(&st)
+		l.mu.Unlock()
+	} else {
+		st = s.tableStats()
+	}
 	st.InsertBatches = s.insertBatches.Load()
 	st.LookupBatches = s.lookupBatches.Load()
 	st.DeleteBatches = s.deleteBatches.Load()
@@ -879,10 +813,10 @@ func (s *store) WaitSync(timeout time.Duration) bool {
 	if s.closed.Load() {
 		return false
 	}
-	if s.waitSync == nil {
+	if s.sc == nil {
 		return true
 	}
-	return s.waitSync(timeout)
+	return s.sc.WaitSync(timeout)
 }
 
 // Close releases the index and, when Open created it, the backing pool.
@@ -898,8 +832,8 @@ func (s *store) Close() error {
 	s.closed.Store(true)
 	release := func() error {
 		var firstErr error
-		if s.closeInner != nil {
-			firstErr = s.closeInner()
+		if s.sc != nil {
+			firstErr = s.sc.Close()
 		}
 		if s.ownsPool {
 			if err := s.pool.Close(); err != nil && firstErr == nil {
@@ -920,18 +854,25 @@ func (s *store) Close() error {
 // A sharded store (WithShards > 1) has no single concrete table, so every
 // As* escape hatch reports false for it.
 func AsShortcutEH(s Store) (*ShortcutEH, bool) {
-	t, ok := underOf(s).(*sceh.Table)
-	return t, ok
+	st := underOf(s)
+	if st == nil || st.sc == nil {
+		return nil, false
+	}
+	return st.sc, true
 }
 
 // AsExtendibleHashing returns the EH table behind an open KindEH store,
 // e.g. for WriteSnapshot; same caveats as AsShortcutEH.
 func AsExtendibleHashing(s Store) (*ExtendibleHashing, bool) {
-	t, ok := underOf(s).(*eh.Table)
-	return t, ok
+	st := underOf(s)
+	if st == nil || st.sc != nil {
+		return nil, false
+	}
+	return st.eh, true
 }
 
-func underOf(s Store) any {
+// underOf returns the open unsharded store behind s, or nil.
+func underOf(s Store) *store {
 	// The durable wrapper is transparent here: it decorates exactly one
 	// inner store, so the documented "sharded stores are the only ones
 	// without a concrete table" contract holds with WithWAL too.
@@ -942,5 +883,5 @@ func underOf(s Store) any {
 	if !ok || st.closed.Load() {
 		return nil
 	}
-	return st.under
+	return st
 }

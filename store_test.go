@@ -289,9 +289,6 @@ func TestOpenErrors(t *testing.T) {
 	if _, err := Open(KindEH, WithCapacity(-1)); err == nil {
 		t.Fatal("WithCapacity(-1) accepted")
 	}
-	if _, err := Open(KindEH, WithMaxLoadFactor(1.5)); err == nil {
-		t.Fatal("WithMaxLoadFactor(1.5) accepted")
-	}
 	for _, name := range []string{"btree", "ht", "hti", "ch", "radix"} {
 		if _, err := ParseKind(name); err == nil {
 			t.Fatalf("ParseKind accepted %q", name)
