@@ -50,7 +50,7 @@
 // # Quickstart
 //
 // Opening the paper's index takes one call — Open creates and owns the
-// backing page pool unless WithPool injects one:
+// backing page pool:
 //
 //	idx, err := vmshortcut.Open(vmshortcut.KindShortcutEH)
 //	if err != nil { ... }
@@ -60,8 +60,7 @@
 // Functional options (WithCapacity, WithPollInterval, WithConcurrency,
 // WithShards, ...) tune the chosen kind; options that do not apply to a
 // kind are ignored so one option set can drive both. Open is the only
-// constructor; AsShortcutEH and AsExtendibleHashing reach the concrete
-// table behind an open store.
+// constructor.
 //
 // # Concurrency
 //

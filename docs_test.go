@@ -11,10 +11,10 @@ import (
 	"testing"
 )
 
-// TestDocsNameOnlyExportedOptions fails when README.md or doc.go names a
-// With* option that the package does not export — an option deleted from
-// the code but still shown in the documentation.
-func TestDocsNameOnlyExportedOptions(t *testing.T) {
+// TestDocsNameOnlyExportedOptionsAndHatches fails when README.md or doc.go
+// names a With* option or an As* escape hatch that the package does not
+// export — one deleted from the code but still shown in the documentation.
+func TestDocsNameOnlyExportedOptionsAndHatches(t *testing.T) {
 	sources, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
@@ -30,24 +30,28 @@ func TestDocsNameOnlyExportedOptions(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, d := range f.Decls {
-			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "With") {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && optionOrHatch.MatchString(fn.Name.Name) {
 				exported[fn.Name.Name] = true
 			}
 		}
 	}
-	if len(exported) == 0 {
-		t.Fatal("found no exported With* options")
+	for _, want := range []string{"WithShards", "AsDurable"} {
+		if !exported[want] {
+			t.Fatalf("found no exported %s", want)
+		}
 	}
-	option := regexp.MustCompile(`\bWith[A-Z]\w*`)
 	for _, doc := range []string{"README.md", "doc.go"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, name := range option.FindAllString(string(text), -1) {
+		for _, name := range optionOrHatch.FindAllString(string(text), -1) {
 			if !exported[name] {
 				t.Errorf("%s names %s, which the package does not export", doc, name)
 			}
 		}
 	}
 }
+
+// optionOrHatch matches the names of With* options and As* escape hatches.
+var optionOrHatch = regexp.MustCompile(`\b(?:With|As)[A-Z]\w*`)

@@ -430,9 +430,10 @@ func TestDurableSkipsInvalidSnapshot(t *testing.T) {
 	verifyEntries(t, s2, want)
 }
 
-// TestDurableEscapeHatches pins the As* contract with WithWAL: the
-// durable wrapper is transparent (one concrete table behind it), and
-// only sharding removes the escape hatch.
+// TestDurableEscapeHatches pins the escape hatches of a WithWAL store:
+// AsDurable and AsReplicable reach the durable wrapper, plain or sharded,
+// and the wrapper decorates exactly one inner store — the unsharded store
+// over its table, or the sharded fan-out.
 func TestDurableEscapeHatches(t *testing.T) {
 	s, err := Open(KindEH, WithWAL(t.TempDir()))
 	if err != nil {
@@ -442,20 +443,31 @@ func TestDurableEscapeHatches(t *testing.T) {
 	if err := s.Insert(7, 70); err != nil {
 		t.Fatal(err)
 	}
-	tbl, ok := AsExtendibleHashing(s)
-	if !ok {
-		t.Fatal("AsExtendibleHashing failed on a durable KindEH store")
+	if _, ok := AsReplicable(s); !ok {
+		t.Fatal("AsReplicable failed on a durable store")
 	}
-	if v, ok := tbl.Lookup(7); !ok || v != 70 {
-		t.Fatalf("concrete table Lookup(7) = %d, %v", v, ok)
+	d, ok := AsDurable(s)
+	if !ok {
+		t.Fatal("AsDurable failed on a durable store")
+	}
+	inner, ok := d.(*durableStore).inner.(*store)
+	if !ok || inner.sc != nil {
+		t.Fatalf("durable KindEH store wraps %T, want the unsharded EH *store", d.(*durableStore).inner)
+	}
+	if v, ok := inner.eh.Lookup(7); !ok || v != 70 {
+		t.Fatalf("table Lookup(7) = %d, %v", v, ok)
 	}
 	sh, err := Open(KindShortcutEH, WithShards(2), WithWAL(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sh.Close()
-	if _, ok := AsShortcutEH(sh); ok {
-		t.Fatal("AsShortcutEH succeeded on a sharded durable store")
+	d, ok = AsDurable(sh)
+	if !ok {
+		t.Fatal("AsDurable failed on a sharded durable store")
+	}
+	if _, ok := d.(*durableStore).inner.(*sharded); !ok {
+		t.Fatalf("sharded durable store wraps %T, want *sharded", d.(*durableStore).inner)
 	}
 }
 

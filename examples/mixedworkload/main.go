@@ -15,8 +15,7 @@ import (
 )
 
 func main() {
-	idx, err := vmshortcut.Open(vmshortcut.KindShortcutEH,
-		vmshortcut.WithPollInterval(vmshortcut.DefaultPollInterval))
+	idx, err := vmshortcut.Open(vmshortcut.KindShortcutEH)
 	if err != nil {
 		log.Fatalf("index: %v", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"vmshortcut"
 	"vmshortcut/internal/core"
 	"vmshortcut/internal/harness"
+	"vmshortcut/internal/sceh"
 	"vmshortcut/internal/vmsim"
 	"vmshortcut/internal/workload"
 )
@@ -83,16 +84,14 @@ func AblationPollInterval(entries int, intervals []time.Duration) (*harness.Tabl
 	}
 	t := harness.NewTable("Ablation: mapper poll interval")
 	for _, iv := range intervals {
-		tbl, err := vmshortcut.Open(vmshortcut.KindShortcutEH,
-			vmshortcut.WithPollInterval(iv),
-			vmshortcut.WithPoolConfig(poolConfigFor(entries)))
+		tbl, release, err := newShortcutEH(entries, sceh.Config{PollInterval: iv})
 		if err != nil {
 			return nil, err
 		}
 		start := time.Now()
 		for i := 0; i < entries; i++ {
 			if err := tbl.Insert(workload.Key(7, uint64(i)), uint64(i)); err != nil {
-				tbl.Close()
+				release()
 				return nil, err
 			}
 		}
@@ -110,7 +109,7 @@ func AblationPollInterval(entries int, intervals []time.Duration) (*harness.Tabl
 			"superseded", fmt.Sprintf("%d", st.UpdatesSuperseded),
 			"creates", fmt.Sprintf("%d", st.CreatesApplied),
 		)
-		tbl.Close()
+		release()
 	}
 	return t, nil
 }
@@ -178,22 +177,22 @@ func AblationSyncMaintenance(entries int) (*harness.Table, error) {
 		entries = 500_000
 	}
 	t := harness.NewTable("Ablation: shortcut maintenance strategy (insert cost, best of 3)")
-	run := func(open func() (vmshortcut.Store, error)) (time.Duration, error) {
+	run := func(open func() (vmshortcut.Index, func(), error)) (time.Duration, error) {
 		best := time.Duration(0)
 		for rep := 0; rep < 3; rep++ {
-			tbl, err := open()
+			tbl, release, err := open()
 			if err != nil {
 				return 0, err
 			}
 			start := time.Now()
 			for i := 0; i < entries; i++ {
 				if err := tbl.Insert(workload.Key(9, uint64(i)), uint64(i)); err != nil {
-					tbl.Close()
+					release()
 					return 0, err
 				}
 			}
 			d := time.Since(start)
-			tbl.Close()
+			release()
 			if best == 0 || d < best {
 				best = d
 			}
@@ -201,20 +200,18 @@ func AblationSyncMaintenance(entries int) (*harness.Table, error) {
 		return best, nil
 	}
 
-	poolOpt := vmshortcut.WithPoolConfig(poolConfigFor(entries))
 	variants := []struct {
 		name string
-		open func() (vmshortcut.Store, error)
+		open func() (vmshortcut.Index, func(), error)
 	}{
-		{"async mapper (paper)", func() (vmshortcut.Store, error) {
-			return vmshortcut.Open(vmshortcut.KindShortcutEH, poolOpt)
+		{"async mapper (paper)", func() (vmshortcut.Index, func(), error) {
+			return newShortcutEH(entries, sceh.Config{})
 		}},
-		{"synchronous maintenance", func() (vmshortcut.Store, error) {
-			return vmshortcut.Open(vmshortcut.KindShortcutEH, poolOpt,
-				vmshortcut.WithSynchronousMaintenance(true))
+		{"synchronous maintenance", func() (vmshortcut.Index, func(), error) {
+			return newShortcutEH(entries, sceh.Config{Synchronous: true})
 		}},
-		{"raw EH (no shortcut, no mapper)", func() (vmshortcut.Store, error) {
-			return vmshortcut.Open(vmshortcut.KindEH, poolOpt)
+		{"raw EH (no shortcut, no mapper)", func() (vmshortcut.Index, func(), error) {
+			return newEH(entries)
 		}},
 	}
 	for _, v := range variants {

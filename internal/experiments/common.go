@@ -14,7 +14,9 @@ import (
 	"fmt"
 	"unsafe"
 
+	"vmshortcut/internal/eh"
 	"vmshortcut/internal/pool"
+	"vmshortcut/internal/sceh"
 	"vmshortcut/internal/sys"
 )
 
@@ -48,6 +50,41 @@ func leafSet(nPages int) (*pool.Pool, []pool.Ref, error) {
 		refs[i] = run + pool.Ref(i*ps)
 	}
 	return p, refs, nil
+}
+
+// poolConfigFor sizes a page pool for n entries at the 0.35 load factor
+// (≈ n/89 buckets) with generous headroom for splits in flight.
+func poolConfigFor(n int) pool.Config {
+	pages := n/32 + (1 << 12)
+	return pool.Config{GrowChunkPages: 1 << 10, MaxPages: pages * 4}
+}
+
+// newEH builds an extendible hash table over a page pool of its own,
+// sized for n entries; release frees the pool.
+func newEH(n int) (t *eh.Table, release func(), err error) {
+	p, err := pool.New(poolConfigFor(n))
+	if err != nil {
+		return nil, nil, err
+	}
+	if t, err = eh.New(p, eh.Config{}); err != nil {
+		p.Close()
+		return nil, nil, err
+	}
+	return t, func() { p.Close() }, nil
+}
+
+// newShortcutEH builds a Shortcut-EH table over a page pool of its own,
+// sized for n entries; release stops its mapper and frees the pool.
+func newShortcutEH(n int, cfg sceh.Config) (t *sceh.Table, release func(), err error) {
+	p, err := pool.New(poolConfigFor(n))
+	if err != nil {
+		return nil, nil, err
+	}
+	if t, err = sceh.New(p, cfg); err != nil {
+		p.Close()
+		return nil, nil, err
+	}
+	return t, func() { t.Close(); p.Close() }, nil
 }
 
 // stampLeaves writes a recognizable word into each leaf page so reads can

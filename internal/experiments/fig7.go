@@ -9,6 +9,7 @@ import (
 	"vmshortcut/internal/harness"
 	"vmshortcut/internal/ht"
 	"vmshortcut/internal/hti"
+	"vmshortcut/internal/sceh"
 	"vmshortcut/internal/vmsim"
 	"vmshortcut/internal/workload"
 )
@@ -17,74 +18,45 @@ import (
 var IndexNames = []string{"HT", "HTI", "CH", "EH", "Shortcut-EH"}
 
 // competitor is what the Figure 7 runner drives. Every competitor reaches
-// its concrete table through the same two calls (this interface, then an
-// embedded vmshortcut.Index), so no index pays the Store facade's
-// per-operation checks and none pays less than another.
-type competitor interface {
-	Insert(key, value uint64) error
-	Lookup(key uint64) (uint64, bool)
-	WaitSync(timeout time.Duration) bool
-	Close() error
-}
-
-// heapIndex adapts the Go-heap baselines (HT, HTI, CH): they have no
-// asynchronous maintenance and nothing to release.
-type heapIndex struct{ vmshortcut.Index }
-
-func (heapIndex) WaitSync(time.Duration) bool { return true }
-func (heapIndex) Close() error                { return nil }
-
-// tableIndex drives the concrete table behind an EH-kind store; the store
-// keeps the lifecycle (mapper thread, page pool).
-type tableIndex struct {
+// its table through the one embedded Index interface, so none pays the
+// Store facade's per-operation checks and none pays less than another.
+// waitSync is nil for an index without asynchronous maintenance, release
+// nil for one that holds nothing outside the Go heap.
+type competitor struct {
 	vmshortcut.Index
-	store vmshortcut.Store
+	waitSync func(time.Duration) bool
+	release  func()
 }
-
-func (t tableIndex) WaitSync(d time.Duration) bool { return t.store.WaitSync(d) }
-func (t tableIndex) Close() error                  { return t.store.Close() }
 
 // buildIndex constructs one competitor, by its IndexNames name, sized for
-// n insertions: HT, HTI and CH directly from their packages, EH and
-// Shortcut-EH through the public Open facade with a page pool sized for n.
-// The structures themselves are deliberately NOT pre-sized: the insertion
-// experiments measure growth behavior from the paper's 4 KB starting
-// point.
+// n insertions: HT, HTI and CH on the Go heap, EH and Shortcut-EH over a
+// page pool sized for n. The structures themselves are deliberately NOT
+// pre-sized: the insertion experiments measure growth behavior from the
+// paper's 4 KB starting point.
 func buildIndex(name string, n int) (competitor, error) {
-	kind := vmshortcut.KindEH
 	switch name {
 	case "HT":
-		return heapIndex{ht.New(ht.Config{})}, nil
+		return competitor{Index: ht.New(ht.Config{})}, nil
 	case "HTI":
-		return heapIndex{hti.New(hti.Config{})}, nil
+		return competitor{Index: hti.New(hti.Config{})}, nil
 	case "CH":
 		// The paper grants CH a fixed 1 GB table for 100M entries; keep
 		// the same bytes-per-entry ratio at any scale.
-		return heapIndex{ch.New(ch.Config{TableBytes: max(n*10, 4096)})}, nil
-	case "Shortcut-EH":
-		kind = vmshortcut.KindShortcutEH
+		return competitor{Index: ch.New(ch.Config{TableBytes: max(n*10, 4096)})}, nil
 	case "EH":
-	default:
-		return nil, fmt.Errorf("unknown index %q (want one of %v)", name, IndexNames)
+		t, release, err := newEH(n)
+		if err != nil {
+			return competitor{}, err
+		}
+		return competitor{Index: t, release: release}, nil
+	case "Shortcut-EH":
+		t, release, err := newShortcutEH(n, sceh.Config{})
+		if err != nil {
+			return competitor{}, err
+		}
+		return competitor{Index: t, waitSync: t.WaitSync, release: release}, nil
 	}
-	s, err := vmshortcut.Open(kind, vmshortcut.WithPoolConfig(poolConfigFor(n)))
-	if err != nil {
-		return nil, err
-	}
-	var tbl vmshortcut.Index
-	if t, ok := vmshortcut.AsShortcutEH(s); ok {
-		tbl = t
-	} else {
-		tbl, _ = vmshortcut.AsExtendibleHashing(s)
-	}
-	return tableIndex{tbl, s}, nil
-}
-
-// poolConfigFor sizes a page pool for n entries at the 0.35 load factor
-// (≈ n/89 buckets) with generous headroom for splits in flight.
-func poolConfigFor(n int) vmshortcut.PoolConfig {
-	pages := n/32 + (1 << 12)
-	return vmshortcut.PoolConfig{GrowChunkPages: 1 << 10, MaxPages: pages * 4}
+	return competitor{}, fmt.Errorf("unknown index %q (want one of %v)", name, IndexNames)
 }
 
 // Fig7Config parameterizes the insertion/lookup comparison.
@@ -146,7 +118,11 @@ func Fig7(cfg Fig7Config) (*Fig7Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fig7 %s: %w", name, err)
 		}
-		cleanup := func() { idx.Close() }
+		cleanup := func() {
+			if idx.release != nil {
+				idx.release()
+			}
+		}
 
 		// --- Figure 7a: insertion sequence with checkpoints.
 		series := harness.Series{Label: name}
@@ -178,7 +154,7 @@ func Fig7(cfg Fig7Config) (*Fig7Result, error) {
 		// --- Figure 7b: hit-only lookups on the filled index. The paper
 		// notes the shortcut is in sync before the lookup phase; kinds
 		// without asynchronous maintenance report in-sync immediately.
-		if !idx.WaitSync(30 * time.Second) {
+		if idx.waitSync != nil && !idx.waitSync(30*time.Second) {
 			cleanup()
 			return nil, fmt.Errorf("fig7 %s: shortcut never synced", name)
 		}

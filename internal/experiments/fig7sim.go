@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"vmshortcut"
 	"vmshortcut/internal/harness"
 	"vmshortcut/internal/hashfn"
 	"vmshortcut/internal/vmsim"
@@ -34,21 +33,19 @@ func Fig7bSim(cfg Fig7Config) (map[string]float64, *harness.Table, error) {
 	var gd uint
 	var buckets int
 	if cfg.Entries <= 4_000_000 {
-		// Build a real table through the facade to extract the exact shape.
-		st, err := vmshortcut.Open(vmshortcut.KindEH,
-			vmshortcut.WithPoolConfig(poolConfigFor(cfg.Entries)))
+		// Build a real table to extract the exact shape.
+		t, release, err := newEH(cfg.Entries)
 		if err != nil {
 			return nil, nil, err
 		}
-		defer st.Close()
+		defer release()
 		for i := 0; i < cfg.Entries; i++ {
-			if err := st.Insert(workload.Key(cfg.Seed, uint64(i)), uint64(i)); err != nil {
+			if err := t.Insert(workload.Key(cfg.Seed, uint64(i)), uint64(i)); err != nil {
 				return nil, nil, err
 			}
 		}
-		shape := st.Stats()
-		gd = shape.GlobalDepth
-		buckets = shape.Buckets
+		gd = t.GlobalDepth()
+		buckets = t.Buckets()
 	} else {
 		// Synthesize the shape (calibrated on 1M/2M real builds).
 		buckets = cfg.Entries / 61

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"vmshortcut"
 	"vmshortcut/internal/harness"
+	"vmshortcut/internal/sceh"
 	"vmshortcut/internal/workload"
 )
 
@@ -77,19 +77,17 @@ type Fig8Point struct {
 func Fig8(cfg Fig8Config) ([]Fig8Point, error) {
 	cfg.fill()
 
-	poolOpt := vmshortcut.WithPoolConfig(poolConfigFor(cfg.BulkLoad * 2))
-	ehTbl, err := vmshortcut.Open(vmshortcut.KindEH, poolOpt)
+	ehTbl, releaseEH, err := newEH(cfg.BulkLoad * 2)
 	if err != nil {
 		return nil, err
 	}
-	defer ehTbl.Close()
+	defer releaseEH()
 
-	scTbl, err := vmshortcut.Open(vmshortcut.KindShortcutEH, poolOpt,
-		vmshortcut.WithPollInterval(cfg.PollInterval))
+	scTbl, releaseSC, err := newShortcutEH(cfg.BulkLoad*2, sceh.Config{PollInterval: cfg.PollInterval})
 	if err != nil {
 		return nil, err
 	}
-	defer scTbl.Close()
+	defer releaseSC()
 
 	// Bulk load both indexes with the same keyspace.
 	for i := 0; i < cfg.BulkLoad; i++ {
@@ -152,9 +150,9 @@ func Fig8(cfg Fig8Config) ([]Fig8Point, error) {
 				Accesses:     i + 1,
 				EHBatchUS:    us(ehBatch),
 				SCBatchUS:    us(scBatch),
-				TradVer:      st.TradVersion,
-				ShortcutVer:  st.ShortcutVersion,
-				InSync:       st.InSync,
+				TradVer:      scTbl.TradVersion(),
+				ShortcutVer:  scTbl.ShortcutVersion(),
+				InSync:       scTbl.InSync(),
 				ShortcutFrac: frac,
 			})
 			ehBatch, scBatch = 0, 0

@@ -1,10 +1,8 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -70,7 +68,7 @@ func (m *metric) value() float64 {
 }
 
 // Registry holds a node's metrics and renders them as Prometheus text
-// exposition (for /metrics and scrapers) or JSON (for /statsz).
+// exposition (for /metrics and scrapers).
 // Registration is synchronized and expected at startup; reads of
 // registered metrics are lock-free. Registries are instances, not
 // globals, so an in-process bench harness can give each node its own.
@@ -215,69 +213,4 @@ func formatPromValue(v float64) string {
 		return fmt.Sprintf("%d", uint64(v))
 	}
 	return fmt.Sprintf("%g", v)
-}
-
-// JSONSnapshot is the registry rendered for /statsz: flat scalar series
-// plus summarized histograms.
-type JSONSnapshot struct {
-	Counters   map[string]uint64        `json:"counters,omitempty"`
-	Gauges     map[string]float64       `json:"gauges,omitempty"`
-	Histograms map[string]HistogramJSON `json:"histograms,omitempty"`
-}
-
-// HistogramJSON is the JSON summary of one histogram.
-type HistogramJSON struct {
-	Count  uint64  `json:"count"`
-	MeanNS float64 `json:"mean_ns"`
-	P50NS  uint64  `json:"p50_ns"`
-	P95NS  uint64  `json:"p95_ns"`
-	P99NS  uint64  `json:"p99_ns"`
-	MaxNS  uint64  `json:"max_ns"`
-}
-
-// SummarizeHDR folds an HDR into the JSON summary shape.
-func SummarizeHDR(h *HDR) HistogramJSON {
-	return HistogramJSON{
-		Count:  h.Count(),
-		MeanNS: h.Mean(),
-		P50NS:  h.Percentile(50),
-		P95NS:  h.Percentile(95),
-		P99NS:  h.Percentile(99),
-		MaxNS:  h.Max(),
-	}
-}
-
-// WriteJSON renders the registry as JSON (sorted keys via map marshal).
-func (r *Registry) WriteJSON(w io.Writer) error {
-	metrics := r.snapshotMetrics()
-	out := JSONSnapshot{
-		Counters:   make(map[string]uint64),
-		Gauges:     make(map[string]float64),
-		Histograms: make(map[string]HistogramJSON),
-	}
-	for _, m := range metrics {
-		switch m.kind {
-		case kindCounter, kindCounterFunc:
-			out.Counters[m.name] = uint64(m.value())
-		case kindGaugeFunc:
-			out.Gauges[m.name] = m.value()
-		case kindHist:
-			h := m.hist.Snapshot()
-			out.Histograms[m.name] = SummarizeHDR(&h)
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-// Names returns all registered series names, sorted — for tests.
-func (r *Registry) Names() []string {
-	metrics := r.snapshotMetrics()
-	names := make([]string, len(metrics))
-	for i, m := range metrics {
-		names[i] = m.name
-	}
-	sort.Strings(names)
-	return names
 }

@@ -16,9 +16,7 @@
 // over the memfd — the page table itself becomes the index's inner node.
 //
 // A Pool is safe for concurrent use: one internal mutex serializes
-// allocation, free and window management. That makes a single pool
-// shareable between the shards of a sharded store (vmshortcut.WithShards)
-// and the asynchronous mapper threads of Shortcut-EH tables — though
-// shards default to one pool each, which keeps allocation uncontended and
-// lets Close release each shard's file independently.
+// allocation, free and window management. Every vmshortcut store owns one
+// pool — a sharded store one per shard — which keeps allocation
+// uncontended and lets Close release each shard's file independently.
 package pool

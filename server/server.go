@@ -213,18 +213,11 @@ func (s *Server) gate() gateState {
 	return gateReadOnly
 }
 
-// waitShipped is the synchronous-replication write gate: after a durable
-// mutation, hold its acknowledgement until a connected follower also has
-// it. The wait degrades (per the source's policy) rather than stalling
-// the write path forever.
-func (s *Server) waitShipped() {
-	if rs := s.cfg.Repl; rs != nil && rs.SyncMode() {
-		rs.WaitShipped(rs.LastLSN())
-	}
-}
-
-// timedWaitShipped is waitShipped with the wait recorded as
-// StageReplAck when instrumentation is on and the gate actually engages.
+// timedWaitShipped is the synchronous-replication write gate: after a
+// durable mutation, hold its acknowledgement until a connected follower
+// also has it. The wait degrades (per the source's policy) rather than
+// stalling the write path forever. It is recorded as StageReplAck when
+// instrumentation is on and the gate actually engages.
 func (st *connState) timedWaitShipped() {
 	rs := st.srv.cfg.Repl
 	if rs == nil || !rs.SyncMode() {

@@ -39,10 +39,9 @@ type sharded struct {
 
 // openSharded builds the n sub-stores behind WithShards(n). Each shard
 // gets a copy of the options with the concurrent wrapper forced on (the
-// per-shard lock stripes replacing WithConcurrency's single lock) and
-// every explicit size budget divided across the shards, so the total
-// stays what the caller asked for: the capacity hint and WithPoolConfig's
-// page counts.
+// per-shard lock stripes replacing WithConcurrency's single lock) and the
+// capacity hint divided across the shards, so the total stays what the
+// caller asked for.
 func openSharded(kind Kind, o *storeOptions) (Store, error) {
 	n := o.shards
 	shards := make([]Store, n)
@@ -52,12 +51,6 @@ func openSharded(kind Kind, o *storeOptions) (Store, error) {
 		so.concurrent = true
 		if so.capacity > 0 {
 			so.capacity = (o.capacity + n - 1) / n
-		}
-		if so.poolCfg.MaxPages > 0 {
-			so.poolCfg.MaxPages = (o.poolCfg.MaxPages + n - 1) / n
-		}
-		if so.poolCfg.InitialPages > 0 {
-			so.poolCfg.InitialPages = (o.poolCfg.InitialPages + n - 1) / n
 		}
 		s, err := openStore(kind, &so)
 		if err != nil {

@@ -432,8 +432,7 @@ func TestShardedBudgetDivision(t *testing.T) {
 }
 
 // TestWithShardsValidation checks option validation and the shards=1
-// passthrough (which must keep today's unsharded semantics and concrete
-// As* escape hatches).
+// passthrough (which must keep the unsharded store and its table).
 func TestWithShardsValidation(t *testing.T) {
 	if _, err := Open(KindEH, WithShards(0)); err == nil {
 		t.Fatal("WithShards(0) was accepted")
@@ -446,18 +445,15 @@ func TestWithShardsValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, ok := s.(*store); !ok {
-		t.Fatalf("WithShards(1) returned %T, want the unsharded *store", s)
-	}
-	if _, ok := AsShortcutEH(s); !ok {
-		t.Fatal("WithShards(1) lost the AsShortcutEH escape hatch")
+	if st, ok := s.(*store); !ok || st.sc == nil {
+		t.Fatalf("WithShards(1) returned %T, want the unsharded *store over a Shortcut-EH table", s)
 	}
 	m, err := Open(KindShortcutEH, WithShards(4), WithPollInterval(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if _, ok := AsShortcutEH(m); ok {
-		t.Fatal("AsShortcutEH must report false for a sharded store")
+	if sh, ok := m.(*sharded); !ok || len(sh.shards) != 4 {
+		t.Fatalf("WithShards(4) returned %T, want a 4-shard *sharded", m)
 	}
 }

@@ -122,7 +122,7 @@ type Store interface {
 	WaitSync(timeout time.Duration) bool
 	// Kind reports which implementation backs the store.
 	Kind() Kind
-	// Close releases the index and any pool Open created for it. It is
+	// Close releases the index and its page pool. It is
 	// idempotent; operations after Close fail with ErrClosed (or report
 	// "not found" where the signature has no error).
 	Close() error
@@ -204,11 +204,8 @@ type Stats struct {
 type storeOptions struct {
 	err error // first invalid option, reported by Open
 
-	pool         *Pool
-	poolCfg      PoolConfig
 	capacity     int
 	pollInterval time.Duration
-	synchronous  bool
 	concurrent   bool
 	shards       int
 
@@ -233,28 +230,9 @@ func (o *storeOptions) fail(format string, args ...any) {
 	}
 }
 
-// WithPool injects the physical page pool backing the index. The caller
-// keeps ownership: Close does not close an injected pool. Without this
-// option, Open creates and owns one.
-func WithPool(p *Pool) Option {
-	return func(o *storeOptions) {
-		if p == nil {
-			o.fail("vmshortcut: WithPool(nil)")
-			return
-		}
-		o.pool = p
-	}
-}
-
-// WithPoolConfig tunes the pool Open auto-creates. Ignored when WithPool
-// injects one.
-func WithPoolConfig(cfg PoolConfig) Option {
-	return func(o *storeOptions) { o.poolCfg = cfg }
-}
-
 // WithCapacity pre-sizes the index for n entries, like make(map, n): it
-// derives the directory's initial global depth and the auto-created
-// pool's page budget.
+// derives the directory's initial global depth and the page pool's
+// budget.
 func WithCapacity(n int) Option {
 	return func(o *storeOptions) {
 		if n <= 0 {
@@ -278,12 +256,6 @@ func WithPollInterval(d time.Duration) Option {
 	}
 }
 
-// WithSynchronousMaintenance applies KindShortcutEH's shortcut maintenance
-// on the writer goroutine instead of the mapper thread (ablations only).
-func WithSynchronousMaintenance(on bool) Option {
-	return func(o *storeOptions) { o.synchronous = on }
-}
-
 // WithConcurrency makes the store safe for concurrent use, including a
 // Close racing in-flight operations: a readers-writer lock admits parallel
 // lookups and exclusive mutation.
@@ -296,18 +268,17 @@ func WithConcurrency(on bool) Option {
 }
 
 // WithShards hash-partitions the keyspace across n independent sub-stores,
-// each with its own lock stripe and (unless WithPool injects a shared one)
-// its own page pool, so writers to different shards proceed in parallel
-// instead of serializing on WithConcurrency's single lock. Single
+// each with its own lock stripe and its own page pool, so writers to
+// different shards proceed in parallel instead of serializing on
+// WithConcurrency's single lock. Single
 // operations route by key hash; ApplyBatch splits the batch by shard in
 // one pass and fans the per-shard sub-batches out across goroutines.
 // Stats aggregates across shards, WaitSync and Close fan out and drain.
 //
 // n > 1 implies WithConcurrency: the sharded store is always safe for
 // concurrent use. n = 1 (the default) keeps today's single-store
-// semantics. Explicit size budgets — WithCapacity and WithPoolConfig's
-// page counts — are divided across the shards so the total stays what was
-// asked for.
+// semantics. A WithCapacity hint is divided across the shards so the total
+// stays what was asked for.
 func WithShards(n int) Option {
 	return func(o *storeOptions) {
 		if n <= 0 {
@@ -366,25 +337,22 @@ func (o *storeOptions) ehConfig() eh.Config {
 	return cfg
 }
 
-// autoPool creates the pool Open owns when none was injected, sized from
-// the capacity hint when one was given.
-func (o *storeOptions) autoPool() (*Pool, error) {
-	cfg := o.poolCfg
-	if o.capacity > 0 && cfg.MaxPages == 0 {
+// newPool creates the page pool a store owns, sized from the capacity
+// hint when one was given.
+func (o *storeOptions) newPool() (*Pool, error) {
+	var cfg PoolConfig
+	if o.capacity > 0 {
 		// ≈ capacity/32 pages of buckets at the 0.35 load factor, with
 		// headroom for splits in flight and shortcut areas.
 		pages := o.capacity/32 + (1 << 12)
-		cfg.MaxPages = pages * 4
-		if cfg.GrowChunkPages == 0 {
-			cfg.GrowChunkPages = 1 << 10
-		}
+		cfg = PoolConfig{GrowChunkPages: 1 << 10, MaxPages: pages * 4}
 	}
 	return pool.New(cfg)
 }
 
-// Open constructs the index kind behind the uniform Store surface. A pool
-// is created and owned by the store when WithPool did not inject one, so
-// Open(KindShortcutEH) works with no further setup.
+// Open constructs the index kind behind the uniform Store surface. Each
+// store creates and owns its page pool, so Open(KindShortcutEH) works with
+// no further setup.
 // WithShards(n) with n > 1 returns a sharded store: n independent
 // sub-stores with the keyspace hash-partitioned across them.
 func Open(kind Kind, opts ...Option) (Store, error) {
@@ -423,29 +391,20 @@ func Open(kind Kind, opts ...Option) (Store, error) {
 // openStore builds one (unsharded) store from validated options — the
 // construction path of every shard and of an Open without WithShards.
 func openStore(kind Kind, o *storeOptions) (*store, error) {
-	s := &store{kind: kind}
-
-	if o.pool != nil {
-		s.pool = o.pool
-	} else {
-		p, err := o.autoPool()
-		if err != nil {
-			return nil, fmt.Errorf("vmshortcut: opening %s: %w", kind, err)
-		}
-		s.pool = p
-		s.ownsPool = true
+	p, err := o.newPool()
+	if err != nil {
+		return nil, fmt.Errorf("vmshortcut: opening %s: %w", kind, err)
 	}
-	// On any construction failure below, give back what Open created.
+	s := &store{kind: kind, pool: p}
+	// On any construction failure below, give back the pool.
 	fail := func(err error) (*store, error) {
-		if s.ownsPool {
-			s.pool.Close()
-		}
+		p.Close()
 		return nil, fmt.Errorf("vmshortcut: opening %s: %w", kind, err)
 	}
 
 	switch kind {
 	case KindEH:
-		t, err := eh.New(s.pool, o.ehConfig())
+		t, err := eh.New(p, o.ehConfig())
 		if err != nil {
 			return fail(err)
 		}
@@ -453,12 +412,8 @@ func openStore(kind Kind, o *storeOptions) (*store, error) {
 		s.eh = t
 
 	case KindShortcutEH:
-		cfg := sceh.Config{
-			EH:           o.ehConfig(),
-			PollInterval: o.pollInterval,
-			Synchronous:  o.synchronous,
-		}
-		t, err := sceh.New(s.pool, cfg)
+		cfg := sceh.Config{EH: o.ehConfig(), PollInterval: o.pollInterval}
+		t, err := sceh.New(p, cfg)
 		if err != nil {
 			return fail(err)
 		}
@@ -713,13 +668,12 @@ func (l *lockedIndex) Range(fn func(key, value uint64) bool) {
 // store implements Store over one extendible-hashing table, which for
 // KindShortcutEH sits inside a Shortcut-EH table.
 type store struct {
-	kind     Kind
-	idx      rangeIndex // the table, behind lck when set
-	eh       *eh.Table
-	sc       *sceh.Table // nil for KindEH
-	pool     *Pool
-	ownsPool bool
-	lck      *lockedIndex // set with WithConcurrency; owns close ordering
+	kind Kind
+	idx  rangeIndex // the table, behind lck when set
+	eh   *eh.Table
+	sc   *sceh.Table // nil for KindEH
+	pool *Pool
+	lck  *lockedIndex // set with WithConcurrency; owns close ordering
 
 	// Batch-run counters surfaced through Stats; atomics so concurrent
 	// stores count without widening any lock's critical section.
@@ -819,7 +773,7 @@ func (s *store) WaitSync(timeout time.Duration) bool {
 	return s.sc.WaitSync(timeout)
 }
 
-// Close releases the index and, when Open created it, the backing pool.
+// Close releases the index and its page pool.
 // Calling it again is a no-op returning nil. On a WithConcurrency store
 // the release runs under the wrapper's write lock, after in-flight
 // operations have drained.
@@ -835,10 +789,8 @@ func (s *store) Close() error {
 		if s.sc != nil {
 			firstErr = s.sc.Close()
 		}
-		if s.ownsPool {
-			if err := s.pool.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
+		if err := s.pool.Close(); err != nil && firstErr == nil {
+			firstErr = err
 		}
 		return firstErr
 	}
@@ -846,42 +798,4 @@ func (s *store) Close() error {
 		return s.lck.close(release)
 	}
 	return release()
-}
-
-// AsShortcutEH returns the Shortcut-EH table behind an open
-// KindShortcutEH store, for read-only inspection past the uniform surface.
-// With WithConcurrency, the caller must not race mutations through it.
-// A sharded store (WithShards > 1) has no single concrete table, so every
-// As* escape hatch reports false for it.
-func AsShortcutEH(s Store) (*ShortcutEH, bool) {
-	st := underOf(s)
-	if st == nil || st.sc == nil {
-		return nil, false
-	}
-	return st.sc, true
-}
-
-// AsExtendibleHashing returns the EH table behind an open KindEH store,
-// e.g. for WriteSnapshot; same caveats as AsShortcutEH.
-func AsExtendibleHashing(s Store) (*ExtendibleHashing, bool) {
-	st := underOf(s)
-	if st == nil || st.sc != nil {
-		return nil, false
-	}
-	return st.eh, true
-}
-
-// underOf returns the open unsharded store behind s, or nil.
-func underOf(s Store) *store {
-	// The durable wrapper is transparent here: it decorates exactly one
-	// inner store, so the documented "sharded stores are the only ones
-	// without a concrete table" contract holds with WithWAL too.
-	if d, ok := s.(*durableStore); ok {
-		s = d.inner
-	}
-	st, ok := s.(*store)
-	if !ok || st.closed.Load() {
-		return nil
-	}
-	return st
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"vmshortcut/internal/op"
+	"vmshortcut/internal/sys"
 )
 
 // applyUniform applies keys as one batch of k entries (vals is read for
@@ -237,44 +238,58 @@ func TestApplyBatchClosed(t *testing.T) {
 }
 
 // TestApplyBatchUnitFailure pins the unit-failure contract: a rejected
-// insert (a bucket split the exhausted page pool refuses) fails the whole
+// insert (a bucket split the page pool cannot grow for) fails the whole
 // batch with the insert error, even though the other entries executed —
 // the entries after it included, whose results are filled in as usual.
 func TestApplyBatchUnitFailure(t *testing.T) {
-	for _, opts := range [][]Option{nil, {WithConcurrency(true)}, {WithShards(2)}} {
-		// One page per store: the first bucket fits, its split does not.
-		s, err := Open(KindEH, append([]Option{WithPoolConfig(PoolConfig{MaxPages: 1})}, opts...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		// Fill until a bucket cannot split; upserts of stored keys still
-		// fit, the refused key is refused again.
-		rejected := uint64(0)
-		for ; s.Insert(rejected, rejected) == nil; rejected++ {
-		}
-		if rejected < 3 {
-			t.Fatalf("pool refused key %d already", rejected)
-		}
-		var b OpBatch
-		b.Put(1, 10)
-		b.Put(rejected, 1)
-		b.Get(1)
-		b.Put(2, 20)
-		b.Get(2)
-		b.Get(rejected)
-		var res OpResults
-		if err := s.ApplyBatch(&b, &res); err == nil {
-			t.Fatal("ApplyBatch accepted an insert the pool cannot hold")
-		}
-		wantFound := []bool{true, false, true, true, true, false}
-		wantVals := []uint64{0, 0, 10, 0, 20, 0}
-		for i := range wantFound {
-			if res.Found[i] != wantFound[i] || res.Vals[i] != wantVals[i] {
-				t.Fatalf("%d options: entry %d = (%v, %d), want (%v, %d)",
-					len(opts), i, res.Found[i], res.Vals[i], wantFound[i], wantVals[i])
+	for name, opts := range map[string][]Option{
+		"plain":      nil,
+		"concurrent": {WithConcurrency(true)},
+		"shards=2":   {WithShards(2)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s, err := Open(KindEH, opts...)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			defer s.Close()
+			// Each pool holds its first chunk of pages now; refuse to grow
+			// any pool file past it.
+			sys.SetFaultHook(func(o sys.Op) error {
+				if o == sys.OpFtruncate {
+					return errors.New("injected ftruncate failure")
+				}
+				return nil
+			})
+			defer sys.SetFaultHook(nil)
+			// Fill until a bucket cannot split; upserts of stored keys
+			// still fit, the refused key is refused again.
+			rejected := uint64(0)
+			for ; s.Insert(rejected, rejected) == nil; rejected++ {
+			}
+			if rejected < 3 {
+				t.Fatalf("pool refused key %d already", rejected)
+			}
+			var b OpBatch
+			b.Put(1, 10)
+			b.Put(rejected, 1)
+			b.Get(1)
+			b.Put(2, 20)
+			b.Get(2)
+			b.Get(rejected)
+			var res OpResults
+			if err := s.ApplyBatch(&b, &res); err == nil {
+				t.Fatal("ApplyBatch accepted an insert the pool cannot hold")
+			}
+			wantFound := []bool{true, false, true, true, true, false}
+			wantVals := []uint64{0, 0, 10, 0, 20, 0}
+			for i := range wantFound {
+				if res.Found[i] != wantFound[i] || res.Vals[i] != wantVals[i] {
+					t.Fatalf("entry %d = (%v, %d), want (%v, %d)",
+						i, res.Found[i], res.Vals[i], wantFound[i], wantVals[i])
+				}
+			}
+		})
 	}
 }
 
@@ -282,9 +297,6 @@ func TestApplyBatchUnitFailure(t *testing.T) {
 func TestOpenErrors(t *testing.T) {
 	if _, err := Open(Kind(99)); err == nil {
 		t.Fatal("Open(unknown kind) succeeded")
-	}
-	if _, err := Open(KindShortcutEH, WithPool(nil)); err == nil {
-		t.Fatal("WithPool(nil) accepted")
 	}
 	if _, err := Open(KindEH, WithCapacity(-1)); err == nil {
 		t.Fatal("WithCapacity(-1) accepted")
@@ -336,29 +348,6 @@ func TestStoreClose(t *testing.T) {
 				t.Fatalf("Stats after Close = %+v", st)
 			}
 		})
-	}
-}
-
-// TestOpenWithInjectedPool verifies pool ownership: Close must leave an
-// injected pool usable.
-func TestOpenWithInjectedPool(t *testing.T) {
-	p, err := NewPool(PoolConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	s, err := Open(KindShortcutEH, WithPool(p), WithPollInterval(time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Insert(7, 8); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Alloc(); err != nil {
-		t.Fatalf("injected pool unusable after store Close: %v", err)
 	}
 }
 
@@ -449,35 +438,6 @@ func TestConcurrentCloseUnderFire(t *testing.T) {
 			}
 			wg.Wait()
 		})
-	}
-}
-
-// TestAsEscapeHatches verifies the typed accessors reach the concrete
-// tables behind the facade.
-func TestAsEscapeHatches(t *testing.T) {
-	sc, err := Open(KindShortcutEH, WithPollInterval(time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	if _, ok := AsShortcutEH(sc); !ok {
-		t.Fatal("AsShortcutEH failed on a KindShortcutEH store")
-	}
-	if _, ok := AsExtendibleHashing(sc); ok {
-		t.Fatal("AsExtendibleHashing succeeded on a KindShortcutEH store")
-	}
-
-	ehs, err := Open(KindEH)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ehs.Close()
-	if _, ok := AsExtendibleHashing(ehs); !ok {
-		t.Fatal("AsExtendibleHashing failed on a KindEH store")
-	}
-	ehs.Close()
-	if _, ok := AsExtendibleHashing(ehs); ok {
-		t.Fatal("AsExtendibleHashing succeeded on a closed store")
 	}
 }
 

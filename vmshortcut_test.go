@@ -1,32 +1,14 @@
 package vmshortcut
 
 import (
-	"bytes"
 	"testing"
 	"time"
 )
 
-// deferredBuffer is a tiny bytes.Buffer wrapper so the test reads the
-// snapshot back through a plain io.Reader.
-type deferredBuffer struct{ bytes.Buffer }
-
-func (b *deferredBuffer) reader() *bytes.Reader { return bytes.NewReader(b.Bytes()) }
-
 // TestFacadeIndexes drives both index kinds through the Index interface
 // of an Open store — the integration test of the public API — and checks
-// that the As* escape hatches reach the same concrete tables.
+// that each store's table holds the same entries.
 func TestFacadeIndexes(t *testing.T) {
-	p, err := NewPool(PoolConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	p2, err := NewPool(PoolConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p2.Close()
-
 	open := func(kind Kind, opts ...Option) Store {
 		t.Helper()
 		s, err := Open(kind, opts...)
@@ -37,8 +19,8 @@ func TestFacadeIndexes(t *testing.T) {
 		return s
 	}
 	stores := map[string]Store{
-		"EH":          open(KindEH, WithPool(p)),
-		"Shortcut-EH": open(KindShortcutEH, WithPool(p2), WithPollInterval(time.Millisecond)),
+		"EH":          open(KindEH),
+		"Shortcut-EH": open(KindShortcutEH, WithPollInterval(time.Millisecond)),
 	}
 	const n = 20000
 	for name, s := range stores {
@@ -65,57 +47,15 @@ func TestFacadeIndexes(t *testing.T) {
 		}
 	}
 
-	ehTbl, ok := AsExtendibleHashing(stores["EH"])
-	if !ok || ehTbl.Len() != n-1 {
-		t.Fatalf("AsExtendibleHashing = %v, %v", ehTbl, ok)
+	if ehTbl := stores["EH"].(*store).eh; ehTbl.Len() != n-1 {
+		t.Fatalf("EH table Len = %d", ehTbl.Len())
 	}
-	scTbl, ok := AsShortcutEH(stores["Shortcut-EH"])
-	if !ok || scTbl.Len() != n-1 {
-		t.Fatalf("AsShortcutEH = %v, %v", scTbl, ok)
+	scTbl := stores["Shortcut-EH"].(*store).sc
+	if scTbl.Len() != n-1 {
+		t.Fatalf("Shortcut-EH table Len = %d", scTbl.Len())
 	}
 	if v, ok := scTbl.Lookup(7); !ok || v != 14 {
 		t.Fatalf("Shortcut-EH table Lookup(7) = %d,%v", v, ok)
-	}
-}
-
-// TestFacadeSnapshot writes an EH snapshot through the facade's escape
-// hatch and restores it into a fresh table.
-func TestFacadeSnapshot(t *testing.T) {
-	p, err := NewPool(PoolConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	es, err := Open(KindEH, WithPool(p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer es.Close()
-	for k := uint64(0); k < 10000; k++ {
-		es.Insert(k, k+5)
-	}
-	src, ok := AsExtendibleHashing(es)
-	if !ok {
-		t.Fatal("AsExtendibleHashing reported no EH table")
-	}
-	var buf deferredBuffer
-	if err := src.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	p2, err := NewPool(PoolConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p2.Close()
-	dst, err := RestoreExtendibleHashing(p2, ExtendibleConfig{}, buf.reader())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := uint64(0); k < 10000; k += 101 {
-		if v, ok := dst.Lookup(k); !ok || v != k+5 {
-			t.Fatalf("restored Lookup(%d) = %d,%v", k, v, ok)
-		}
 	}
 }
 
