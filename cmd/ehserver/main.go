@@ -17,8 +17,7 @@
 // serve reads; -repl-sync holds each write's acknowledgement until a
 // connected replica applied it, making failover lossless for every
 // acknowledged write. SIGUSR1 (or a client PROMOTE frame) promotes a
-// replica to primary. -chained adds a SHA-256 hash chain over the log
-// and the stream, so replicas and offline audits detect tampering.
+// replica to primary.
 //
 // SIGINT/SIGTERM shut down gracefully: accepting stops, in-flight and
 // pipelined requests drain, the shortcut directory is given -waitsync to
@@ -80,7 +79,6 @@ func main() {
 	replicaOf := flag.String("replica-of", "", "replicate from this primary (host:port); serves reads only until promoted (SIGUSR1 or a PROMOTE frame)")
 	stalenessBound := flag.Duration("staleness-bound", 0, "refuse reads with STALE after losing the primary for this long (0 = serve reads indefinitely; requires -replica-of)")
 	replSync := flag.Bool("repl-sync", false, "synchronous replication: acknowledge a write only after a connected replica applied it (requires -wal-dir)")
-	chained := flag.Bool("chained", false, "maintain a tamper-evidence SHA-256 hash chain over the WAL (requires -wal-dir); with -replica-of, verify the primary's stream per record")
 
 	// Store shape: the Open options a deployment picks; -capacity 0 leaves
 	// the index to grow from one bucket.
@@ -98,9 +96,6 @@ func main() {
 	}
 	if *replSync && *walDir == "" {
 		log.Fatal("-repl-sync requires -wal-dir: replication ships the write-ahead log")
-	}
-	if *chained && *walDir == "" && *replicaOf == "" {
-		log.Fatal("-chained requires -wal-dir (chain the local WAL) or -replica-of (verify the primary's stream)")
 	}
 
 	// Metrics exist even without -admin: the STATS frame's obs section and
@@ -126,9 +121,6 @@ func main() {
 			// fsync latency is recorded by the WAL itself (a group commit
 			// serves many batches; per-batch attribution would be a lie).
 			vmshortcut.WithFsyncHist(metrics.Pipeline().Hist(obs.StageWALFsync)))
-		if *chained {
-			opts = append(opts, vmshortcut.WithChainedWAL(true))
-		}
 		if *fsyncInterval > 0 {
 			opts = append(opts, vmshortcut.WithFsyncInterval(*fsyncInterval))
 		}
@@ -186,7 +178,6 @@ func main() {
 			Store:     store,
 			BaseDir:   *walDir,
 			Staleness: *stalenessBound,
-			Chained:   *chained,
 			Pipeline:  metrics.Pipeline(),
 			Logf:      log.Printf,
 		})
@@ -195,7 +186,7 @@ func main() {
 			log.Fatalf("replica: %v", err)
 		}
 		scfg.Replica = follower
-		log.Printf("ehserver: replicating from %s (staleness-bound=%v chained=%v)", *replicaOf, *stalenessBound, *chained)
+		log.Printf("ehserver: replicating from %s (staleness-bound=%v)", *replicaOf, *stalenessBound)
 	}
 
 	srv, err := server.New(scfg)

@@ -98,14 +98,6 @@ func WithWALSegmentBytes(n int64) Option {
 	}
 }
 
-// WithChainedWAL maintains a tamper-evidence hash chain over the WAL's
-// record sequence (see wal.Chain): every append extends it, recovery
-// recomputes it, Replicable.ChainHead publishes it, and wal.VerifyChain
-// audits the segment files against it offline.
-func WithChainedWAL(on bool) Option {
-	return func(o *storeOptions) { o.chainedWAL = on }
-}
-
 // WithFsyncHist records the duration of every WAL fsync syscall into h —
 // the observability layer's eh_stage_wal_fsync_ns histogram. Fsyncs are
 // timed globally rather than per batch because one group-commit leader's
@@ -210,7 +202,6 @@ func openDurable(inner Store, o *storeOptions) (Store, error) {
 		Mode:         o.fsyncMode,
 		Interval:     o.fsyncInterval,
 		SegmentBytes: o.walSegmentBytes,
-		Chained:      o.chainedWAL,
 		FsyncHist:    o.fsyncHist,
 	}, replay)
 	if err != nil {

@@ -7,7 +7,7 @@
 //
 //	OpReplSync       u64 fromLSN, u8 flags    follower → primary handshake:
 //	                 stream every record after fromLSN (0 = everything);
-//	                 ReplFlagChained requests per-record chain digests
+//	                 flags must be 0
 //	OpPromote        (empty)                  admin: replica becomes primary
 //	                 (StatusOK ack; StatusErr when the server is not a
 //	                 replica)
@@ -23,8 +23,11 @@
 //	ReplRecord       u64 lsn, u8 code, batch payload — one WAL record,
 //	                 payload byte-identical to the primary's log (and to
 //	                 the frame the write arrived in: zero re-encode)
-//	ReplRecordHashed u64 lsn, u8 code, 32-byte chain digest, batch payload
 //	ReplHeartbeat    u64 lastLSN              keepalive + lag beacon while idle
+//
+// Tag 0x24 is retired and must stay unassigned, so that an older peer's
+// frame under it is never read as something else; a follower halts on
+// it as on any unknown frame.
 //
 // Upstream (follower → primary):
 //
@@ -33,7 +36,7 @@
 //	                 replication and the primary's lag accounting)
 //
 // A record frame carrying a maximum batch plus the stream prefix can
-// exceed MaxFrame by a few dozen bytes, so stream readers admit
+// exceed MaxFrame by a few bytes, so stream readers admit
 // MaxReplFrame via ReadReplFrame; request-path readers keep the tighter
 // bound.
 package wire
@@ -58,52 +61,38 @@ const (
 	ReplSnapChunk
 	ReplSnapEnd
 	ReplRecord
-	ReplRecordHashed
+	_ // 0x24: retired, never sent
 	ReplHeartbeat
 	ReplAck
 )
 
-// ReplFlagChained asks the primary to ship each record as
-// ReplRecordHashed, carrying the stream chain's digest through that
-// record. The chain is anchored at the handshake's effective start
-// position (fromLSN, or the snapshot LSN after a full sync).
-const ReplFlagChained byte = 1 << 0
-
-// replFlagsKnown is the set of REPLSYNC capability bits this revision
-// understands; DecodeReplSync rejects anything outside it.
-const replFlagsKnown = ReplFlagChained
-
-// ReplHashSize is the chain digest width in ReplRecordHashed frames
-// (SHA-256; wal.ChainHashSize, restated here so wire stays free of the
-// wal dependency).
-const ReplHashSize = 32
-
-// MaxReplFrame bounds stream frame lengths: MaxFrame plus the worst-case
-// stream prefix (lsn + code + digest).
+// MaxReplFrame bounds stream frame lengths: MaxFrame plus room for the
+// record frame's lsn + code prefix.
 const MaxReplFrame = MaxFrame + 64
 
 // replSyncSize is the OpReplSync payload: u64 fromLSN + u8 flags.
 const replSyncSize = 9
 
-// AppendReplSync appends the follower's handshake frame.
-func AppendReplSync(dst []byte, fromLSN uint64, flags byte) []byte {
+// AppendReplSync appends the follower's handshake frame. Its flags byte
+// is always 0.
+func AppendReplSync(dst []byte, fromLSN uint64) []byte {
 	dst = appendHeader(dst, OpReplSync, replSyncSize)
 	dst = binary.LittleEndian.AppendUint64(dst, fromLSN)
-	return append(dst, flags)
+	return append(dst, 0)
 }
 
-// DecodeReplSync decodes an OpReplSync payload. Unknown flag bits are
-// rejected: a primary that silently ignored a capability bit would ship a
-// stream the follower cannot verify.
-func DecodeReplSync(p []byte) (fromLSN uint64, flags byte, err error) {
+// DecodeReplSync decodes an OpReplSync payload. A non-zero flags byte is
+// refused: it asks for a capability this revision does not have, and a
+// primary that ignored it would ship a stream the follower did not ask
+// for.
+func DecodeReplSync(p []byte) (fromLSN uint64, err error) {
 	if len(p) != replSyncSize {
-		return 0, 0, fmt.Errorf("wire: REPLSYNC payload %d bytes, want %d", len(p), replSyncSize)
+		return 0, fmt.Errorf("wire: REPLSYNC payload %d bytes, want %d", len(p), replSyncSize)
 	}
-	flags = p[8]
-	if flags&^replFlagsKnown != 0 {
-		return 0, 0, fmt.Errorf("wire: REPLSYNC unknown flags 0x%02x", flags&^replFlagsKnown)
+	if p[8] != 0 {
+		return 0, fmt.Errorf("wire: REPLSYNC unknown flags 0x%02x", p[8])
 	}
-	return binary.LittleEndian.Uint64(p), flags, nil
+	return binary.LittleEndian.Uint64(p), nil
 }
 
 // AppendReplSnapBegin appends the full-sync announcement: a snapshot
@@ -128,50 +117,32 @@ func DecodeReplSnapBegin(p []byte) (snapLSN uint64, size int64, err error) {
 	return snapLSN, int64(usize), nil
 }
 
-// AppendReplRecord appends one shipped WAL record. With hash non-nil the
-// frame is ReplRecordHashed and carries the chain digest through this
-// record; the payload bytes are appended as given — the zero-re-encode
-// path from the primary's log to the follower's socket.
-func AppendReplRecord(dst []byte, lsn uint64, code byte, hash *[ReplHashSize]byte, payload []byte) []byte {
-	if hash == nil {
-		dst = appendHeader(dst, ReplRecord, 9+len(payload))
-	} else {
-		dst = appendHeader(dst, ReplRecordHashed, 9+ReplHashSize+len(payload))
-	}
+// AppendReplRecord appends one shipped WAL record. The payload bytes are
+// appended as given — the zero-re-encode path from the primary's log to
+// the follower's socket.
+func AppendReplRecord(dst []byte, lsn uint64, code byte, payload []byte) []byte {
+	dst = appendHeader(dst, ReplRecord, 9+len(payload))
 	dst = binary.LittleEndian.AppendUint64(dst, lsn)
 	dst = append(dst, code)
-	if hash != nil {
-		dst = append(dst, hash[:]...)
-	}
 	return append(dst, payload...)
 }
 
-// DecodeReplRecord decodes a ReplRecord or ReplRecordHashed payload. The
-// returned hash is nil for ReplRecord and aliases p for ReplRecordHashed,
-// as does the batch payload; the batch payload's structure is the op
-// codec's concern (the follower's DecodeBatch validates it before apply).
-func DecodeReplRecord(tag byte, p []byte) (lsn uint64, code byte, hash, payload []byte, err error) {
-	prefix := 9
-	if tag == ReplRecordHashed {
-		prefix += ReplHashSize
-	} else if tag != ReplRecord {
-		return 0, 0, nil, nil, fmt.Errorf("wire: tag 0x%02x is not a record frame", tag)
-	}
+// DecodeReplRecord decodes a ReplRecord payload. The returned batch
+// payload aliases p; its structure is the op codec's concern (the
+// follower's DecodeBatch validates it before apply).
+func DecodeReplRecord(p []byte) (lsn uint64, code byte, payload []byte, err error) {
 	// The smallest batch payload is its u32 count.
-	if len(p) < prefix+4 {
-		return 0, 0, nil, nil, fmt.Errorf("wire: record frame payload %d bytes, need at least %d", len(p), prefix+4)
+	if len(p) < 9+4 {
+		return 0, 0, nil, fmt.Errorf("wire: record frame payload %d bytes, need at least %d", len(p), 9+4)
 	}
 	lsn = binary.LittleEndian.Uint64(p)
 	code = p[8]
 	switch code {
 	case op.CodePutBatch, op.CodeDelBatch, op.CodeMixedBatch:
 	default:
-		return 0, 0, nil, nil, fmt.Errorf("wire: record frame carries non-batch code 0x%02x", code)
+		return 0, 0, nil, fmt.Errorf("wire: record frame carries non-batch code 0x%02x", code)
 	}
-	if tag == ReplRecordHashed {
-		hash = p[9:prefix]
-	}
-	return lsn, code, hash, p[prefix:], nil
+	return lsn, code, p[9:], nil
 }
 
 // AppendReplU64 appends a ReplHeartbeat or ReplAck frame (both carry one
@@ -219,9 +190,6 @@ type PrimaryReplCounters struct {
 	// replication while no follower was attached: degraded acks that
 	// carry no failover guarantee.
 	UnattachedAcks uint64 `json:"unattached_acks"`
-	// ChainHead is the primary's live chain digest (hex), present only
-	// with a chained WAL.
-	ChainHead string `json:"chain_head,omitempty"`
 	// LagRecords is LastLSN − MinAckedLSN while followers are connected
 	// (how many records the slowest follower still owes an ack for). It
 	// was added after the first replication release; old servers simply

@@ -10,14 +10,53 @@ import (
 	"vmshortcut/internal/op"
 )
 
-func TestReplFrameRoundTrips(t *testing.T) {
-	tag, p := roundTrip(t, AppendReplSync(nil, 42, ReplFlagChained))
-	if tag != OpReplSync {
-		t.Fatalf("REPLSYNC tag = %d", tag)
+// TestWireNumbersArePinned fixes the byte value of every request opcode,
+// response status and replication stream tag. They are the protocol:
+// a renumbering — say, dropping a retired tag from an iota instead of
+// holding its place — would make this revision misread every frame of
+// an older peer.
+func TestWireNumbersArePinned(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want byte
+	}{
+		{"OpGet", OpGet, 0x01},
+		{"OpPut", OpPut, 0x02},
+		{"OpDel", OpDel, 0x03},
+		{"OpStats", OpStats, 0x04},
+		{"OpMixedBatch", OpMixedBatch, 0x08},
+		{"OpReplSync", OpReplSync, 0x10},
+		{"OpPromote", OpPromote, 0x11},
+		{"StatusOK", StatusOK, 0x00},
+		{"StatusNotFound", StatusNotFound, 0x01},
+		{"StatusErr", StatusErr, 0x02},
+		{"StatusReadOnly", StatusReadOnly, 0x03},
+		{"StatusStale", StatusStale, 0x04},
+		{"ReplSnapBegin", ReplSnapBegin, 0x20},
+		{"ReplSnapChunk", ReplSnapChunk, 0x21},
+		{"ReplSnapEnd", ReplSnapEnd, 0x22},
+		{"ReplRecord", ReplRecord, 0x23},
+		{"ReplHeartbeat", ReplHeartbeat, 0x25},
+		{"ReplAck", ReplAck, 0x26},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = 0x%02x, want 0x%02x", c.name, c.got, c.want)
+		}
+		if c.got == 0x24 {
+			t.Errorf("%s = 0x24, the retired hashed-record tag", c.name)
+		}
 	}
-	from, flags, err := DecodeReplSync(p)
-	if err != nil || from != 42 || flags != ReplFlagChained {
-		t.Fatalf("REPLSYNC decode = (%d, 0x%02x, %v)", from, flags, err)
+}
+
+func TestReplFrameRoundTrips(t *testing.T) {
+	frame := AppendReplSync(nil, 42)
+	tag, p := roundTrip(t, frame)
+	if tag != OpReplSync || len(frame) != HeaderSize+9 || p[8] != 0 {
+		t.Fatalf("REPLSYNC frame = tag %d, %d bytes, flags 0x%02x", tag, len(frame), p[8])
+	}
+	from, err := DecodeReplSync(p)
+	if err != nil || from != 42 {
+		t.Fatalf("REPLSYNC decode = (%d, %v)", from, err)
 	}
 
 	tag, p = roundTrip(t, AppendReplSnapBegin(nil, 7, 123456))
@@ -35,32 +74,16 @@ func TestReplFrameRoundTrips(t *testing.T) {
 	b.Get(4)
 	code, payload := b.Payload()
 
-	tag, p = roundTrip(t, AppendReplRecord(nil, 9, code, nil, payload))
+	tag, p = roundTrip(t, AppendReplRecord(nil, 9, code, payload))
 	if tag != ReplRecord {
 		t.Fatalf("RECORD tag = %d", tag)
 	}
-	lsn, gotCode, hash, gotPayload, err := DecodeReplRecord(tag, p)
-	if err != nil || lsn != 9 || gotCode != code || hash != nil {
-		t.Fatalf("RECORD decode = (%d, 0x%02x, %v, %v)", lsn, gotCode, hash, err)
+	lsn, gotCode, gotPayload, err := DecodeReplRecord(p)
+	if err != nil || lsn != 9 || gotCode != code {
+		t.Fatalf("RECORD decode = (%d, 0x%02x, %v)", lsn, gotCode, err)
 	}
 	if !bytes.Equal(gotPayload, payload) {
 		t.Fatal("RECORD payload not byte-identical")
-	}
-
-	var digest [ReplHashSize]byte
-	for i := range digest {
-		digest[i] = byte(i)
-	}
-	tag, p = roundTrip(t, AppendReplRecord(nil, 10, code, &digest, payload))
-	if tag != ReplRecordHashed {
-		t.Fatalf("RECORDHASHED tag = %d", tag)
-	}
-	lsn, gotCode, hash, gotPayload, err = DecodeReplRecord(tag, p)
-	if err != nil || lsn != 10 || gotCode != code || !bytes.Equal(hash, digest[:]) {
-		t.Fatalf("RECORDHASHED decode = (%d, 0x%02x, %x, %v)", lsn, gotCode, hash, err)
-	}
-	if !bytes.Equal(gotPayload, payload) {
-		t.Fatal("RECORDHASHED payload not byte-identical")
 	}
 
 	for _, u64tag := range []byte{ReplHeartbeat, ReplAck} {
@@ -75,30 +98,28 @@ func TestReplFrameRoundTrips(t *testing.T) {
 }
 
 func TestDecodeReplRejectsMalformed(t *testing.T) {
-	if _, _, err := DecodeReplSync([]byte{1, 2, 3}); err == nil {
+	if _, err := DecodeReplSync([]byte{1, 2, 3}); err == nil {
 		t.Fatal("short REPLSYNC accepted")
 	}
-	if _, _, err := DecodeReplSync(append(make([]byte, 8), 0xFE)); err == nil {
-		t.Fatal("unknown REPLSYNC flags accepted")
-	}
-	// 0x02 asked for per-record trace frames in earlier revisions; no
-	// primary ships them now, so the bit is as unknown as any other.
-	if _, _, err := DecodeReplSync(append(make([]byte, 8), ReplFlagChained|0x02)); err == nil {
-		t.Fatal("retired REPLSYNC trace flag 0x02 accepted")
+	// Every non-zero flags byte is refused, the retired capabilities
+	// included: 0x01 asked for hashed records and 0x02 for trace frames.
+	// An old follower asking for either must be turned away, not handed
+	// a stream without what it asked for.
+	for _, flags := range []byte{0x01, 0x02, 0xFE} {
+		if _, err := DecodeReplSync(append(make([]byte, 8), flags)); err == nil {
+			t.Fatalf("REPLSYNC flags 0x%02x accepted", flags)
+		}
 	}
 	if _, _, err := DecodeReplSnapBegin(make([]byte, 15)); err == nil {
 		t.Fatal("short SNAPBEGIN accepted")
 	}
-	if _, _, _, _, err := DecodeReplRecord(ReplRecord, make([]byte, 12)); err == nil {
+	if _, _, _, err := DecodeReplRecord(make([]byte, 12)); err == nil {
 		t.Fatal("truncated record frame accepted")
 	}
 	bad := make([]byte, 13)
 	bad[8] = OpGet // not a batch code
-	if _, _, _, _, err := DecodeReplRecord(ReplRecord, bad); err == nil {
+	if _, _, _, err := DecodeReplRecord(bad); err == nil {
 		t.Fatal("non-batch record code accepted")
-	}
-	if _, _, _, _, err := DecodeReplRecord(ReplHeartbeat, make([]byte, 64)); err == nil {
-		t.Fatal("non-record tag accepted")
 	}
 	if _, err := DecodeReplU64(make([]byte, 7)); err == nil {
 		t.Fatal("short position frame accepted")
@@ -238,29 +259,28 @@ func FuzzDecodeReplFrame(f *testing.F) {
 	b.Put(1, 2)
 	b.Get(3)
 	code, payload := b.Payload()
-	var digest [ReplHashSize]byte
-	digest[0] = 0xAB
 	seed := func(frame []byte) { f.Add(frame[4], frame[HeaderSize:]) }
-	seed(AppendReplSync(nil, 0, 0))
-	seed(AppendReplSync(nil, 99, ReplFlagChained))
+	seed(AppendReplSync(nil, 0))
+	seed(AppendReplSync(nil, 99))
 	seed(AppendReplSnapBegin(nil, 12, 1<<20))
-	seed(AppendReplRecord(nil, 13, code, nil, payload))
-	seed(AppendReplRecord(nil, 13, code, &digest, payload))
+	seed(AppendReplRecord(nil, 13, code, payload))
 	seed(AppendReplU64(nil, ReplHeartbeat, 5))
 	seed(AppendReplU64(nil, ReplAck, 5))
-	// Handshakes carrying the retired trace flag 0x02, which decode refuses.
-	seed(AppendReplSync(nil, 6, 0x02))
-	seed(AppendReplSync(nil, 6, ReplFlagChained|0x02))
+	// Handshakes carrying the retired flags 0x01 and 0x02, which decode
+	// refuses.
+	for _, flags := range []byte{0x01, 0x02, 0x03} {
+		f.Add(OpReplSync, append(make([]byte, 8), flags))
+	}
 	f.Add(ReplRecord, []byte{})
 	f.Add(OpReplSync, make([]byte, replSyncSize))
 	f.Fuzz(func(t *testing.T, tag byte, p []byte) {
 		switch tag {
 		case OpReplSync:
-			from, flags, err := DecodeReplSync(p)
+			from, err := DecodeReplSync(p)
 			if err != nil {
 				return
 			}
-			if re := AppendReplSync(nil, from, flags)[HeaderSize:]; !bytes.Equal(re, p) {
+			if re := AppendReplSync(nil, from)[HeaderSize:]; !bytes.Equal(re, p) {
 				t.Fatalf("REPLSYNC re-encode differs: %x vs %x", re, p)
 			}
 		case ReplSnapBegin:
@@ -271,18 +291,13 @@ func FuzzDecodeReplFrame(f *testing.F) {
 			if re := AppendReplSnapBegin(nil, lsn, size)[HeaderSize:]; !bytes.Equal(re, p) {
 				t.Fatalf("SNAPBEGIN re-encode differs: %x vs %x", re, p)
 			}
-		case ReplRecord, ReplRecordHashed:
-			lsn, code, hash, payload, err := DecodeReplRecord(tag, p)
+		case ReplRecord:
+			lsn, code, payload, err := DecodeReplRecord(p)
 			if err != nil {
 				return
 			}
-			var hp *[ReplHashSize]byte
-			if hash != nil {
-				hp = new([ReplHashSize]byte)
-				copy(hp[:], hash)
-			}
-			re := AppendReplRecord(nil, lsn, code, hp, payload)
-			if re[4] != tag || !bytes.Equal(re[HeaderSize:], p) {
+			re := AppendReplRecord(nil, lsn, code, payload)
+			if !bytes.Equal(re[HeaderSize:], p) {
 				t.Fatalf("record re-encode differs")
 			}
 		case ReplHeartbeat, ReplAck:

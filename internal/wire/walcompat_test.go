@@ -152,8 +152,8 @@ func TestWALRecordIsWirePayload(t *testing.T) {
 // ReplRecord frame and decoded exactly as a follower decodes it, must
 // land in the follower's own log byte-identical to the primary's record
 // — no encoding pass anywhere from the primary's disk to the replica's.
-// This is what lets a replica's WAL be audited (and chain-verified)
-// against the primary's.
+// This is what lets a replica's WAL be compared byte for byte against
+// the primary's.
 func TestShippedRecordIsWirePayload(t *testing.T) {
 	// The primary-side record: a mixed batch as a client frame would
 	// produce it.
@@ -165,14 +165,16 @@ func TestShippedRecordIsWirePayload(t *testing.T) {
 
 	// Ship it: primary side builds the frame straight from the record
 	// bytes; follower side decodes it back out.
-	frame := wire.AppendReplRecord(nil, 1, code, nil, primaryPayload)
-	tag := frame[4]
-	lsn, gotCode, hash, shipped, err := wire.DecodeReplRecord(tag, frame[wire.HeaderSize:])
+	frame := wire.AppendReplRecord(nil, 1, code, primaryPayload)
+	if tag := frame[4]; tag != wire.ReplRecord {
+		t.Fatalf("record frame tag = %#x", tag)
+	}
+	lsn, gotCode, shipped, err := wire.DecodeReplRecord(frame[wire.HeaderSize:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lsn != 1 || gotCode != code || hash != nil {
-		t.Fatalf("DecodeReplRecord = lsn %d code %#x hash %v", lsn, gotCode, hash)
+	if lsn != 1 || gotCode != code {
+		t.Fatalf("DecodeReplRecord = lsn %d code %#x", lsn, gotCode)
 	}
 	if !bytes.Equal(shipped, primaryPayload) {
 		t.Fatal("shipped payload differs from the primary's record payload")

@@ -2,7 +2,6 @@ package repl
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -20,7 +19,6 @@ import (
 	"vmshortcut/internal/op"
 	"vmshortcut/internal/wire"
 	"vmshortcut/persist"
-	"vmshortcut/wal"
 )
 
 // FollowerConfig configures a replica's connection to its primary.
@@ -40,9 +38,6 @@ type FollowerConfig struct {
 	// losing contact with the primary; past it, reads are refused with
 	// StatusStale until contact resumes. 0 serves reads indefinitely.
 	Staleness time.Duration
-	// Chained requests per-record chain digests and verifies each one,
-	// halting replication at the first divergence.
-	Chained bool
 	// Pipeline, when set, records every record's apply span into the
 	// follower_apply stage histogram.
 	Pipeline *obs.Pipeline
@@ -204,7 +199,7 @@ func (f *Follower) stopped() bool {
 	}
 }
 
-// fatal records an unrecoverable divergence (tampered stream, apply
+// fatal records an unrecoverable divergence (unknown stream frame, apply
 // failure, state mismatch) and returns it; run stops reconnecting once
 // one is set. The replica keeps serving whatever it has — its staleness
 // bound, if any, takes over the freshness story.
@@ -368,11 +363,7 @@ func (f *Follower) session() error {
 	}()
 
 	from := f.applied.Load()
-	var flags byte
-	if f.cfg.Chained {
-		flags |= wire.ReplFlagChained
-	}
-	if _, err := bw.Write(wire.AppendReplSync(nil, from, flags)); err != nil {
+	if _, err := bw.Write(wire.AppendReplSync(nil, from)); err != nil {
 		return err
 	}
 	if err := bw.Flush(); err != nil {
@@ -381,9 +372,6 @@ func (f *Follower) session() error {
 	f.connected.Store(true)
 	f.logf("repl: streaming from %s after LSN %d", f.cfg.Primary, from)
 
-	// The stream chain re-anchors at each session's start position; a
-	// full sync re-anchors it again at the snapshot position.
-	chain := wal.NewChain(from)
 	var (
 		buf, ack []byte
 		b        op.Batch
@@ -405,30 +393,17 @@ func (f *Follower) session() error {
 			if err != nil {
 				return err
 			}
-			chain = wal.NewChain(snapLSN)
 			f.fullSyncs.Add(1)
 			f.logf("repl: full sync restored through LSN %d", snapLSN)
 
-		case wire.ReplRecord, wire.ReplRecordHashed:
-			lsn, code, hash, rp, err := wire.DecodeReplRecord(tag, payload)
+		case wire.ReplRecord:
+			lsn, code, rp, err := wire.DecodeReplRecord(payload)
 			if err != nil {
 				return err
 			}
 			want := f.applied.Load() + 1
 			if lsn != want {
 				return fmt.Errorf("repl: stream gap: got record %d, want %d", lsn, want)
-			}
-			if f.cfg.Chained {
-				if hash == nil {
-					return f.fatal(errors.New("repl: primary sent an unhashed record on a chained stream"))
-				}
-				sum, err := chain.Extend(lsn, code, rp)
-				if err != nil {
-					return f.fatal(err)
-				}
-				if !bytes.Equal(sum[:], hash) {
-					return f.fatal(fmt.Errorf("repl: chain digest mismatch at record %d: the stream was tampered with or the logs diverged", lsn))
-				}
 			}
 			if err := wire.DecodeBatch(code, rp, &b); err != nil {
 				return f.fatal(fmt.Errorf("repl: record %d: %w", lsn, err))
@@ -467,7 +442,10 @@ func (f *Follower) session() error {
 			return f.fatal(fmt.Errorf("repl: primary refused the stream: %s", payload))
 
 		default:
-			return fmt.Errorf("repl: unexpected stream frame 0x%02x", tag)
+			// A frame kind this revision does not know (0x24 included)
+			// means the primary speaks another protocol: reconnecting
+			// would get the same stream again.
+			return f.fatal(fmt.Errorf("repl: unexpected stream frame 0x%02x", tag))
 		}
 	}
 }

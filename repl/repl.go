@@ -1,7 +1,6 @@
 // Package repl is the replication subsystem: WAL shipping from a primary
 // to read replicas, with full sync, resume-from-LSN, optional synchronous
-// acknowledgement, optional tamper-evidence hashing, and runtime
-// promotion.
+// acknowledgement, and runtime promotion.
 //
 // # Topology
 //
@@ -40,13 +39,4 @@
 // with StatusStale once the primary has been silent past a configured
 // bound — so a partitioned replica fails loudly instead of serving
 // arbitrarily old data.
-//
-// # Tamper evidence
-//
-// With the chained mode (wal.Chain), each shipped record carries the
-// stream's running SHA-256 chain digest; the follower recomputes and
-// compares per record, so a modified, reordered, or dropped record —
-// anywhere in the shipped prefix — breaks the chain at the first
-// divergence. The same chain can be maintained over the primary's
-// on-disk log (WithChainedWAL) and audited offline (wal.VerifyChain).
 package repl

@@ -76,9 +76,6 @@ func startNode(t *testing.T, dir string, syncMode bool, replicaOf string, fcfg r
 	opts := append([]vmshortcut.Option{vmshortcut.WithConcurrency(true)}, storeOpts...)
 	if dir != "" {
 		opts = append(opts, vmshortcut.WithWAL(dir), vmshortcut.WithFsync(vmshortcut.FsyncOff))
-		if fcfg.Chained {
-			opts = append(opts, vmshortcut.WithChainedWAL(true))
-		}
 	}
 	st, err := vmshortcut.Open(vmshortcut.KindEH, opts...)
 	if err != nil {
@@ -623,41 +620,12 @@ func TestStalenessGate(t *testing.T) {
 	}
 }
 
-func TestChainedStreamReplicates(t *testing.T) {
-	primary := startNode(t, t.TempDir(), false, "", repl.FollowerConfig{Chained: true})
-	pc := mustDial(t, primary.addr)
-	for k := uint64(1); k <= 100; k++ {
-		if err := pc.Put(k, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	replica := startNode(t, "", false, primary.addr, repl.FollowerConfig{Chained: true})
-	waitCaughtUp(t, primary, replica)
-	if err := replica.follower.Err(); err != nil {
-		t.Fatalf("chained stream halted: %v", err)
-	}
-	rc := mustDial(t, replica.addr)
-	for _, k := range []uint64{1, 50, 100} {
-		if v, found, err := rc.Get(k); err != nil || !found || v != k {
-			t.Fatalf("Get(%d) = %d, %v, %v", k, v, found, err)
-		}
-	}
-	// The primary's stats publish the chain head.
-	s, err := pc.Stats()
-	if err != nil || s.Replication == nil || s.Replication.Primary == nil {
-		t.Fatalf("Stats: %v, %+v", err, s.Replication)
-	}
-	if s.Replication.Primary.ChainHead == "" {
-		t.Fatal("chained primary published no chain head")
-	}
-}
-
-// TestChainedStreamDetectsTamper runs a follower against a fake primary
-// that ships one valid record and one whose chain digest belongs to a
-// different payload — as a man-in-the-middle altering a shipped write
-// would produce. The follower must apply the first, halt fatally on the
-// second, and never apply the altered bytes.
-func TestChainedStreamDetectsTamper(t *testing.T) {
+// TestRetiredHashedFrameHaltsFollower runs a follower against a fake
+// primary that ships one valid record and then a frame under the retired
+// tag 0x24, laid out as the old hashed record (lsn, code, 32-byte digest,
+// payload). The follower must apply the first, halt on the second rather
+// than skip it or reconnect into it again, and apply nothing after it.
+func TestRetiredHashedFrameHaltsFollower(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -685,23 +653,23 @@ func TestChainedStreamDetectsTamper(t *testing.T) {
 			served <- fmt.Errorf("handshake: tag 0x%02x, %v", tag, err)
 			return
 		}
-		from, flags, err := wire.DecodeReplSync(payload)
-		if err != nil || flags&wire.ReplFlagChained == 0 {
-			served <- fmt.Errorf("handshake: from=%d flags=0x%02x, %v", from, flags, err)
+		from, err := wire.DecodeReplSync(payload)
+		if err != nil {
+			served <- fmt.Errorf("handshake: %v", err)
 			return
 		}
-		chain := wal.NewChain(from)
-		var out []byte
-		// Record 1: honest.
 		code, p1 := payloadFor(1, 10)
-		sum, _ := chain.Extend(from+1, code, p1)
-		out = wire.AppendReplRecord(out, from+1, code, &sum, p1)
-		// Record 2: the shipped bytes say Put(2, 666), but the digest was
-		// computed over the original Put(2, 20) — an in-flight alteration.
-		code2, honest := payloadFor(2, 20)
-		sum2, _ := chain.Extend(from+2, code2, honest)
-		_, altered := payloadFor(2, 666)
-		out = wire.AppendReplRecord(out, from+2, code2, &sum2, altered)
+		out := wire.AppendReplRecord(nil, from+1, code, p1)
+		// The old hashed record is a record frame whose payload starts
+		// with a 32-byte digest, under tag 0x24.
+		code2, p2 := payloadFor(2, 20)
+		hashed := wire.AppendReplRecord(nil, from+2, code2, append(make([]byte, 32), p2...))
+		hashed[4] = 0x24
+		out = append(out, hashed...)
+		// Record 3 is valid and in sequence, but comes after the frame
+		// the follower must stop at.
+		code3, p3 := payloadFor(3, 30)
+		out = wire.AppendReplRecord(out, from+2, code3, p3)
 		if _, err := c.Write(out); err != nil {
 			served <- err
 			return
@@ -726,7 +694,6 @@ func TestChainedStreamDetectsTamper(t *testing.T) {
 	f, err := repl.StartFollower(repl.FollowerConfig{
 		Primary: ln.Addr().String(),
 		Store:   st,
-		Chained: true,
 		Logf:    t.Logf,
 	})
 	if err != nil {
@@ -734,16 +701,17 @@ func TestChainedStreamDetectsTamper(t *testing.T) {
 	}
 	defer f.Close()
 
-	waitFor(t, "tamper verdict", func() bool { return f.Err() != nil })
-	if got := f.Err().Error(); !strings.Contains(got, "chain digest mismatch") {
-		t.Fatalf("fatal error = %q, want a chain digest mismatch", got)
+	waitFor(t, "follower to halt", func() bool { return f.Err() != nil })
+	if got := f.Err().Error(); !strings.Contains(got, "unexpected stream frame 0x24") {
+		t.Fatalf("fatal error = %q, want unexpected stream frame 0x24", got)
 	}
-	// The honest record applied; the altered one did not.
 	if v, ok := st.Lookup(1); !ok || v != 10 {
-		t.Fatalf("honest record not applied: %v %d", ok, v)
+		t.Fatalf("record before the 0x24 frame not applied: %v %d", ok, v)
 	}
-	if _, ok := st.Lookup(2); ok {
-		t.Fatal("altered record was applied")
+	for _, k := range []uint64{2, 3} {
+		if _, ok := st.Lookup(k); ok {
+			t.Fatalf("key %d from at or after the 0x24 frame was applied", k)
+		}
 	}
 	if c := f.Counters(); c.RecordsApplied != 1 {
 		t.Fatalf("RecordsApplied = %d, want 1", c.RecordsApplied)

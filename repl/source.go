@@ -2,7 +2,6 @@ package repl
 
 import (
 	"bufio"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -178,9 +177,6 @@ func (s *Source) Counters() *wire.PrimaryReplCounters {
 	if pc.Followers > 0 && pc.LastLSN > pc.MinAckedLSN {
 		pc.LagRecords = pc.LastLSN - pc.MinAckedLSN
 	}
-	if _, _, head, ok := s.rep.ChainHead(); ok {
-		pc.ChainHead = hex.EncodeToString(head[:])
-	}
 	return pc
 }
 
@@ -208,7 +204,7 @@ func (s *Source) Close() {
 // server's request loop has exited) but does not close it — the caller
 // does, uniformly with regular connections. br carries any bytes the
 // server over-read past the handshake; bw is the connection's writer.
-func (s *Source) ServeConn(c net.Conn, br *bufio.Reader, bw *bufio.Writer, from uint64, flags byte) error {
+func (s *Source) ServeConn(c net.Conn, br *bufio.Reader, bw *bufio.Writer, from uint64) error {
 	fc := &followerConn{c: c}
 	fc.acked.Store(from)
 
@@ -296,15 +292,6 @@ func (s *Source) ServeConn(c net.Conn, br *bufio.Reader, bw *bufio.Writer, from 
 		return fmt.Errorf("repl: follower at LSN %d ahead of primary at %d", start, last)
 	}
 
-	// Per-stream chain, anchored at the stream's start position. Each
-	// session re-anchors: the digest authenticates what THIS stream
-	// shipped, and the follower verifies it against the same anchor.
-	var chain *wal.Chain
-	if flags&wire.ReplFlagChained != 0 {
-		ch := wal.NewChain(start)
-		chain = &ch
-	}
-
 	// Heartbeats carry the primary's position while the stream is idle,
 	// feeding the follower's staleness clock and lag accounting.
 	go func() {
@@ -334,15 +321,7 @@ func (s *Source) ServeConn(c net.Conn, br *bufio.Reader, bw *bufio.Writer, from 
 
 	var frame []byte
 	err := s.rep.TailWAL(start, stop, func(r wal.TailRecord) error {
-		var hp *[wire.ReplHashSize]byte
-		if chain != nil {
-			sum, err := chain.Extend(r.LSN, r.Code, r.Payload)
-			if err != nil {
-				return err
-			}
-			hp = &sum
-		}
-		frame = wire.AppendReplRecord(frame[:0], r.LSN, r.Code, hp, r.Payload)
+		frame = wire.AppendReplRecord(frame[:0], r.LSN, r.Code, r.Payload)
 		wmu.Lock()
 		_, err := bw.Write(frame)
 		if err == nil {

@@ -1,10 +1,9 @@
 // Replication hooks on the durable store. The repl package builds its
-// primary (Source) on exactly four capabilities, all of which the
+// primary (Source) on exactly three capabilities, all of which the
 // durability layer already maintains for its own sake: a consistent
 // snapshot with an exact log position (full sync), an ordered feed of log
-// records after a position (tail shipping), the log's bounds (resume
-// vs. full-sync decisions), and the optional chain head (tamper-evidence
-// publication). Exposing them as an interface — rather than handing out
+// records after a position (tail shipping), and the log's bounds (resume
+// vs. full-sync decisions). Exposing them as an interface — rather than handing out
 // the *wal.Log — keeps the replication layer off the store's internals
 // and the lock ordering in one place.
 package vmshortcut
@@ -35,9 +34,6 @@ type Replicable interface {
 	// oldest position the log can still replay.
 	LastLSN() uint64
 	OldestLSN() uint64
-	// ChainHead reports the live tamper-evidence chain (WithChainedWAL);
-	// ok is false without one.
-	ChainHead() (anchor, lsn uint64, head [wal.ChainHashSize]byte, ok bool)
 }
 
 // AsReplicable returns the replication surface of a store opened with
@@ -87,8 +83,3 @@ func (d *durableStore) LastLSN() uint64 { return d.log.LastLSN() }
 
 // OldestLSN implements Replicable.
 func (d *durableStore) OldestLSN() uint64 { return d.log.OldestLSN() }
-
-// ChainHead implements Replicable.
-func (d *durableStore) ChainHead() (uint64, uint64, [wal.ChainHashSize]byte, bool) {
-	return d.log.ChainHead()
-}

@@ -129,7 +129,7 @@ type ReplSource interface {
 	// handshake requested records after fromLSN. The server's request
 	// loop has exited; ServeConn owns the connection's traffic until it
 	// returns, but must not close the connection (the server does).
-	ServeConn(c net.Conn, br *bufio.Reader, bw *bufio.Writer, fromLSN uint64, flags byte) error
+	ServeConn(c net.Conn, br *bufio.Reader, bw *bufio.Writer, fromLSN uint64) error
 	// SyncMode reports synchronous replication; when true the server
 	// calls WaitShipped after each mutation and before its response.
 	SyncMode() bool
@@ -843,7 +843,7 @@ func (st *connState) mixedFrame(payload []byte) error {
 func (st *connState) replStream(payload []byte) {
 	s := st.srv
 	s.ops.Add(1)
-	from, flags, err := wire.DecodeReplSync(payload)
+	from, err := wire.DecodeReplSync(payload)
 	if err == nil && s.cfg.Repl == nil {
 		err = errors.New("replication is not enabled on this server")
 	}
@@ -853,8 +853,8 @@ func (st *connState) replStream(payload []byte) {
 		st.bw.Flush()
 		return
 	}
-	s.logf("server: conn %s: replication stream from LSN %d (flags 0x%02x)", st.c.RemoteAddr(), from, flags)
-	if err := s.cfg.Repl.ServeConn(st.c, st.br, st.bw, from, flags); err != nil && !isClosedErr(err) {
+	s.logf("server: conn %s: replication stream from LSN %d", st.c.RemoteAddr(), from)
+	if err := s.cfg.Repl.ServeConn(st.c, st.br, st.bw, from); err != nil && !isClosedErr(err) {
 		s.logf("server: repl stream %s: %v", st.c.RemoteAddr(), err)
 	}
 }

@@ -216,7 +216,6 @@ type storeOptions struct {
 	fsyncInterval   time.Duration
 	snapshotEvery   int
 	walSegmentBytes int64
-	chainedWAL      bool
 	fsyncHist       *obs.Hist
 }
 

@@ -105,9 +105,8 @@ func decodeRecordPayload(p []byte, b *op.Batch) (lsn uint64, code byte, err erro
 func validCode(code byte) bool { return code == OpPut || code == OpDel || code == OpMixed }
 
 // recordReader decodes one segment's records in order. It is the only
-// reader of the framing: recovery, the live tailer and the chain auditor
-// all go through next and differ only in what a damaged record means to
-// them.
+// reader of the framing: recovery and the live tailer both go through
+// next and differ only in what a damaged record means to them.
 type recordReader struct {
 	br  *bufio.Reader
 	off int64  // offset of the next record boundary

@@ -18,7 +18,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 )
 
 // ErrCompacted is returned by Tail when the requested position has been
@@ -267,29 +266,4 @@ func (l *Log) wakeTailers() {
 	close(l.wakeC)
 	l.wakeC = make(chan struct{})
 	l.wakeMu.Unlock()
-}
-
-// scanRecords is the auditor-side strict segment scan used by
-// VerifyChain: unlike replay it treats every shortfall — including a torn
-// tail — as corruption, and repairs nothing. It returns how many records
-// the segment holds. filepath.Base keeps messages stable across dirs.
-func scanRecords(path string, fn func(lsn uint64, code byte, payload []byte) error) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, fmt.Errorf("wal: opening %s: %w", path, err)
-	}
-	defer f.Close()
-	rd := recordReader{br: bufio.NewReaderSize(f, 1<<20)}
-	for count := 0; ; count++ {
-		lsn, code, payload, err := rd.next()
-		if err == io.EOF {
-			return count, nil
-		}
-		if err != nil {
-			return count, fmt.Errorf("%s: %w", filepath.Base(path), err)
-		}
-		if err := fn(lsn, code, payload[payloadPrefixSize:]); err != nil {
-			return count, err
-		}
-	}
 }

@@ -49,7 +49,7 @@
 // on write (4000 × 420 B synced appends: 315–670 ms against 480–940 ms).
 // Past its last record such a file reads as zeros:
 // a zero length word at a record boundary is the segment's logical end,
-// for recovery, the tailer and the auditor alike. Rotation and Close
+// for recovery and the tailer alike. Rotation and Close
 // seal a segment — flush, truncate to the logical size, sync, close —
 // so sealed segments end with their last record; a crash in between
 // leaves zeros there, which read as the same end.
@@ -141,11 +141,6 @@ type Options struct {
 	// size, and is what each new segment reserves on disk up front.
 	// Default 64 MiB.
 	SegmentBytes int64
-	// Chained maintains a running tamper-evidence digest (see Chain) over
-	// the record sequence: Open recomputes it across the replayed records
-	// and every append extends it. ChainHead exposes the current head for
-	// publication; VerifyChain audits the segment files against it.
-	Chained bool
 	// FsyncHist, when set, records the duration of every sync the log
 	// issues (commit leaders' syncs — two may overlap — and the seals of
 	// rotation and Close) in nanoseconds. Nil disables recording at zero
@@ -212,11 +207,6 @@ type Log struct {
 	// would move to the heap on every record, since bw.Write lets it go.
 	pre [recordHeaderSize + payloadPrefixSize]byte
 
-	// Chained-hash state (Options.Chained), under mu. The chain tracks
-	// lastLSN exactly: every appended record extends it.
-	chain       Chain
-	chainAnchor uint64
-
 	// Tail-subscription wakeup (see tail.go). Appenders close-and-replace
 	// wakeC after publishing a new lastLSN; the counter lets the
 	// no-subscriber hot path skip the channel churn.
@@ -256,9 +246,7 @@ func parseSegName(name string) (uint64, bool) {
 	return lsn, true
 }
 
-// listSegments returns dir's segment files in LSN order. Shared by Open
-// and the offline auditor (VerifyChain), which must agree on what the
-// log's on-disk contents are.
+// listSegments returns dir's segment files in LSN order.
 func listSegments(dir string) ([]segment, error) {
 	names, err := os.ReadDir(dir)
 	if err != nil {
@@ -307,14 +295,6 @@ func Open(dir string, opts Options, replay ReplayFunc) (*Log, error) {
 
 	l := &Log{dir: dir, opts: opts, stopc: make(chan struct{}), done: make(chan struct{}), wakeC: make(chan struct{})}
 	l.syncC = sync.NewCond(&l.syncMu)
-	if opts.Chained {
-		// Anchor the chain just below the oldest record on disk; replay
-		// extends it record by record.
-		if len(segs) > 0 {
-			l.chainAnchor = segs[0].firstLSN - 1
-		}
-		l.chain = NewChain(l.chainAnchor)
-	}
 	for i := range segs {
 		// LSNs must run contiguously across segment boundaries: rotation
 		// names the next segment lastLSN+1, so a gap means a whole
@@ -348,13 +328,6 @@ func Open(dir string, opts Options, replay ReplayFunc) (*Log, error) {
 	}
 	l.segs = segs
 	l.synced.Store(l.lastLSN) // everything replayed is on disk by definition
-	if opts.Chained && l.chain.LSN() != l.lastLSN {
-		// A named-but-empty segment bumped lastLSN past the last replayed
-		// record: the chain cannot span records that no longer exist, so
-		// it re-anchors at the log's position.
-		l.chainAnchor = l.lastLSN
-		l.chain = NewChain(l.lastLSN)
-	}
 
 	if len(l.segs) == 0 {
 		if err := l.openSegmentLocked(l.lastLSN + 1); err != nil {
@@ -403,7 +376,7 @@ func (l *Log) replaySegment(seg *segment, final bool, replay ReplayFunc) (int64,
 	lastLSN, expect := uint64(0), seg.firstLSN
 	for {
 		start := rd.off
-		lsn, code, payload, err := rd.next()
+		lsn, _, payload, err := rd.next()
 		if err == nil && lsn != expect {
 			err = fmt.Errorf("%w: LSN %d, expected %d", ErrCorrupt, lsn, expect)
 		}
@@ -415,11 +388,6 @@ func (l *Log) replaySegment(seg *segment, final bool, replay ReplayFunc) (int64,
 			return start, lastLSN, nil // clean end, or a torn tail Open cuts off
 		case err != nil:
 			return 0, 0, fmt.Errorf("wal: segment %s: %w", filepath.Base(seg.path), err)
-		}
-		if l.opts.Chained {
-			if _, err := l.chain.Extend(lsn, code, payload[payloadPrefixSize:]); err != nil {
-				return 0, 0, err
-			}
 		}
 		if replay != nil {
 			if err := replay(lsn, &batch); err != nil {
@@ -528,9 +496,6 @@ func (l *Log) AppendBatch(code byte, payload []byte) (uint64, error) {
 		return 0, err
 	}
 	l.lastLSN = lsn
-	if l.opts.Chained {
-		l.chain.Extend(lsn, code, payload) // cannot gap: lsn tracks the chain position
-	}
 	l.mu.Unlock()
 	l.wakeTailers()
 	return lsn, l.maybeSync(lsn)
@@ -730,19 +695,6 @@ func (l *Log) LastLSN() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.lastLSN
-}
-
-// ChainHead returns the live tamper-evidence chain: its anchor (the
-// position just below the oldest record it covers), the newest record it
-// covers (always the log's last LSN), and the head digest. ok is false
-// when the log was opened without Options.Chained.
-func (l *Log) ChainHead() (anchor, lsn uint64, head [ChainHashSize]byte, ok bool) {
-	if !l.opts.Chained {
-		return 0, 0, head, false
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.chainAnchor, l.chain.LSN(), l.chain.Sum(), true
 }
 
 // OldestLSN returns the lowest sequence number the log can still
