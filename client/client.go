@@ -1,8 +1,7 @@
 // Package client is the Go client of the network KV service (package
 // server): one connection speaking the length-prefixed binary protocol of
 // internal/wire, with single-op round trips and an explicit Pipeline for
-// overlapping many requests — single ops or MIXEDBATCH frames — on one
-// connection.
+// overlapping many single-op requests on one connection.
 //
 // Conn and Pipeline are single-goroutine objects: concurrent callers dial
 // one Conn each, as the load generator (cmd/ehload) does per worker.

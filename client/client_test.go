@@ -2,7 +2,6 @@ package client_test
 
 import (
 	"net"
-	"strings"
 	"testing"
 	"time"
 
@@ -68,46 +67,6 @@ func TestDeepPipelineNoDeadlock(t *testing.T) {
 	}
 	if len(res) != n || !res[0].Found || res[0].Value != 11 || !res[n-1].Found {
 		t.Fatalf("deep pipeline results wrong: len=%d first=%+v", len(res), res[0])
-	}
-}
-
-// TestOversizedBatchRejectedClientSide: a mixed batch beyond
-// wire.MaxMixedBatch must fail at Flush with an actionable error, before
-// any byte is written, and leave both the connection and the pipeline
-// usable.
-func TestOversizedBatchRejectedClientSide(t *testing.T) {
-	addr := startServer(t)
-	c, err := client.DialConn(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	var m client.MixedBatch
-	for i := uint64(0); i < 70_000; i++ {
-		m.Put(i, i)
-	}
-	p := c.Pipeline()
-	p.Mixed(&m)
-	if _, err := p.Flush(nil); err == nil || !strings.Contains(err.Error(), "MaxMixedBatch") {
-		t.Fatalf("pipeline Flush = %v, want MaxMixedBatch error", err)
-	}
-	// The connection must still work: nothing was written.
-	if err := c.Put(3, 33); err != nil {
-		t.Fatalf("conn dead after rejected batch: %v", err)
-	}
-	if v, ok, err := c.Get(3); err != nil || !ok || v != 33 {
-		t.Fatalf("Get(3) after rejected batch = %d, %v, %v", v, ok, err)
-	}
-	// So must the pipeline: the rejected batch is dropped, not re-reported.
-	if p.Len() != 0 {
-		t.Fatalf("pipeline keeps the rejected batch: Len = %d", p.Len())
-	}
-	p.Put(4, 44)
-	p.Get(4)
-	res, err := p.Flush(nil)
-	if err != nil || len(res) != 2 || !res[0].Found || res[1].Value != 44 {
-		t.Fatalf("pipeline Flush after rejected batch = %+v, %v", res, err)
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 )
 
 // ExampleConn starts an in-process KV server over a Shortcut-EH store,
-// dials one connection, and runs single ops, a mixed batch, and a
-// pipelined round trip — the full surface a networked consumer uses.
+// dials one connection, and runs single ops and pipelined round trips —
+// the full surface a networked consumer uses.
 func ExampleConn() {
 	store, err := vmshortcut.Open(vmshortcut.KindShortcutEH, vmshortcut.WithConcurrency(true))
 	if err != nil {
@@ -48,26 +48,23 @@ func ExampleConn() {
 	}
 	fmt.Println("get 1:", v, found)
 
-	// One MIXEDBATCH frame becomes one ApplyBatch on the server; its
+	// A pipeline overlaps requests on the connection, and the server
+	// coalesces the buffered single-op frames into one ApplyBatch whose
 	// entries apply in order, so the GETs see the PUTs before them.
-	var m client.MixedBatch
-	m.Put(2, 200)
-	m.Put(3, 300)
-	m.Put(4, 400)
-	m.Get(2)
-	m.Get(3)
-	m.Get(99)
 	p := c.Pipeline()
-	p.Mixed(&m)
+	p.Put(2, 200)
+	p.Put(3, 300)
+	p.Put(4, 400)
+	p.Get(2)
+	p.Get(3)
+	p.Get(99)
 	res, err := p.Flush(nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("batch:", res[3].Value, res[4].Value, res[5].Found)
 
-	// The pipeline is reusable: it overlaps requests on the connection,
-	// and the server coalesces the three single-op frames into one
-	// ApplyBatch.
+	// The pipeline is reusable after Flush.
 	p.Get(2)
 	p.Get(3)
 	p.Del(4)

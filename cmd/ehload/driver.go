@@ -12,22 +12,15 @@ import (
 	"vmshortcut/internal/workload"
 )
 
-// Batch modes: how each worker turns its generated ops into wire frames.
-const (
-	BatchNone  = "none"  // pipelined single-op frames (the server coalesces)
-	BatchMixed = "mixed" // each round trip as ONE MIXEDBATCH frame
-)
-
 // Config shapes one measured run against a serving address.
 type Config struct {
-	Addr      string
-	Mix       workload.Mix
-	Conns     int
-	Pipeline  int
-	BatchMode string // BatchNone | BatchMixed
-	Load      int    // keyspace entries preloaded before the measured run
-	Duration  time.Duration
-	Seed      uint64
+	Addr     string
+	Mix      workload.Mix
+	Conns    int
+	Pipeline int
+	Load     int // keyspace entries preloaded before the measured run
+	Duration time.Duration
+	Seed     uint64
 	// AdminAddr is the server's admin HTTP address. When set, the driver
 	// scrapes /metrics immediately before and after the measured drive and
 	// reports the server-side window delta (counters and per-stage latency
@@ -46,8 +39,8 @@ type workerResult struct {
 // Run executes one benchmark: preload, then the measured drive,
 // finishing with a server/store stats snapshot.
 func Run(cfg Config) (*Report, error) {
-	// Preload [0, load) across the connections, one MIXEDBATCH frame of
-	// PUTs per chunk.
+	// Preload [0, load) across the connections, one pipelined run of PUTs
+	// per chunk.
 	loadStart := time.Now()
 	if err := preload(cfg); err != nil {
 		return nil, fmt.Errorf("preload: %w", err)
@@ -86,8 +79,7 @@ func Run(cfg Config) (*Report, error) {
 	rep := &Report{
 		Bench: "server", Addr: cfg.Addr, Mix: cfg.Mix.Name, Dist: dist,
 		Conns: cfg.Conns, Pipeline: cfg.Pipeline,
-		BatchMode: cfg.BatchMode,
-		Loaded:    cfg.Load, Seed: cfg.Seed,
+		Loaded: cfg.Load, Seed: cfg.Seed,
 		DurationS: elapsed.Seconds(),
 		LoadS:     loadDur.Seconds(),
 		OpCounts:  map[string]uint64{},
@@ -174,6 +166,8 @@ func opName(k workload.OpKind) string {
 }
 
 // preload bulk-loads keys [0, load) over cfg.Conns parallel connections.
+// Each chunk is one Flush, which the server gathers into few ApplyBatch
+// calls of up to 1024 PUTs.
 func preload(cfg Config) error {
 	const chunk = 4096
 	errs := make([]error, cfg.Conns)
@@ -185,17 +179,14 @@ func preload(cfg Config) error {
 		}
 		defer c.Close()
 		p := c.Pipeline()
-		var m client.MixedBatch
 		var res []client.Result
 		harness.Chunks(hi-lo, chunk, func(clo, chi int) {
 			if errs[w] != nil {
 				return
 			}
-			m.Reset()
 			for i := lo + clo; i < lo+chi; i++ {
-				m.Put(workload.Key(cfg.Seed, uint64(i)), uint64(i))
+				p.Put(workload.Key(cfg.Seed, uint64(i)), uint64(i))
 			}
-			p.Mixed(&m)
 			if res, errs[w] = p.Flush(res[:0]); errs[w] != nil {
 				return
 			}
@@ -244,19 +235,11 @@ func worker(cfg Config, w int, stop *atomic.Bool) (*workerResult, error) {
 
 	p := c.Pipeline()
 	var exp []expected
-	var mixed client.MixedBatch
 	queue := func(read bool, idx uint64) {
 		key := workload.Key(cfg.Seed, idx)
-		switch {
-		case cfg.BatchMode == BatchMixed:
-			if read {
-				mixed.Get(key)
-			} else {
-				mixed.Put(key, idx)
-			}
-		case read:
+		if read {
 			p.Get(key)
-		default:
+		} else {
 			p.Put(key, idx)
 		}
 		exp = append(exp, expected{read: read, idx: idx})
@@ -278,12 +261,6 @@ func worker(cfg Config, w int, stop *atomic.Bool) (*workerResult, error) {
 				queue(true, idx)
 				queue(false, idx)
 			}
-		}
-		if cfg.BatchMode == BatchMixed {
-			// The whole round trip is one MIXEDBATCH frame: one decode,
-			// one store call, one WAL record server-side.
-			p.Mixed(&mixed)
-			mixed.Reset()
 		}
 
 		start := time.Now()

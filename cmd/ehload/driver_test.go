@@ -57,26 +57,25 @@ func openStore(t *testing.T, opts ...vmshortcut.Option) vmshortcut.Store {
 }
 
 // runConfig is a sub-second mix-A run against addr.
-func runConfig(addr, adminAddr, batchMode string) Config {
+func runConfig(addr, adminAddr string) Config {
 	mix, _ := workload.MixByName("A")
 	return Config{
 		Addr: addr, AdminAddr: adminAddr, Mix: mix, Conns: 2, Pipeline: 8,
-		BatchMode: batchMode, Load: 2000, Duration: 100 * time.Millisecond, Seed: 42,
+		Load: 2000, Duration: 100 * time.Millisecond, Seed: 42,
 	}
 }
 
 // TestRunEndToEnd drives a 2-shard Shortcut-EH server through preload,
-// the measured drive and the /metrics scrapes: once with pipelined single
-// ops on a memory-only store, once with one MIXEDBATCH frame per round
-// trip on a durable store, whose batches must reach the WAL.
+// the measured drive and the /metrics scrapes with pipelined single ops:
+// once on a memory-only store, once on a durable store, whose coalesced
+// batches must reach the WAL.
 func TestRunEndToEnd(t *testing.T) {
 	for _, tc := range []struct {
-		name      string
-		batchMode string
-		durable   bool
+		name    string
+		durable bool
 	}{
-		{"pipelined", BatchNone, false},
-		{"mixed_wal", BatchMixed, true},
+		{"pipelined", false},
+		{"pipelined_wal", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var opts []vmshortcut.Option
@@ -84,7 +83,7 @@ func TestRunEndToEnd(t *testing.T) {
 				opts = append(opts, vmshortcut.WithWAL(t.TempDir()), vmshortcut.WithFsync(vmshortcut.FsyncOff))
 			}
 			addr, adminAddr := serve(t, openStore(t, opts...))
-			r, err := Run(runConfig(addr, adminAddr, tc.batchMode))
+			r, err := Run(runConfig(addr, adminAddr))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +124,7 @@ func (s wrongValueStore) ApplyBatch(b *vmshortcut.OpBatch, res *vmshortcut.OpRes
 // returns a wrong value for a GET must show up in the report's errors.
 func TestRunCountsWrongValues(t *testing.T) {
 	addr, _ := serve(t, wrongValueStore{openStore(t)})
-	r, err := Run(runConfig(addr, "", BatchNone))
+	r, err := Run(runConfig(addr, ""))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@
 //
 //	ehload -addr :6380 -mix A -conns 4 -pipeline 32 -load 100000 -duration 10s
 //	ehload -mix C -dist uniform -out BENCH_server.json
-//	ehload -mix F -batch mixed -duration 5s   # one MIXEDBATCH frame per round trip
+//	ehload -mix F -dist uniform -duration 5s
 //	ehload -restart-check -addr 127.0.0.1:16390 -load 200000 -duration 2s \
 //	       -server-cmd "ehserver -addr 127.0.0.1:16390 -kind eh -wal-dir /tmp/wal -fsync always"
 //	ehload -failover-check -addr 127.0.0.1:16395 -follower-addr 127.0.0.1:16396 \
@@ -60,7 +60,6 @@ func main() {
 	dist := flag.String("dist", "", "request distribution override: zipfian | uniform (default: the mix's own)")
 	conns := flag.Int("conns", 4, "client connections, one worker goroutine each")
 	pipeline := flag.Int("pipeline", 32, "operations in flight per connection round trip")
-	batch := flag.String("batch", "0", "'mixed' submits each round trip as one MIXEDBATCH frame; 0 = pipelined single-op frames")
 	load := flag.Int("load", 100_000, "keyspace entries preloaded before the measured run")
 	duration := flag.Duration("duration", 10*time.Second, "measured run length")
 	seed := flag.Uint64("seed", 42, "keyspace and workload seed")
@@ -119,17 +118,9 @@ func main() {
 	if *duration <= 0 {
 		usageError("-duration must be positive")
 	}
-	batchMode := BatchNone
-	switch strings.ToLower(*batch) {
-	case "", "0", BatchNone:
-	case BatchMixed:
-		batchMode = BatchMixed
-	default:
-		usageError("-batch must be 'mixed' or 0, got %q", *batch)
-	}
 	cfg := Config{
 		Addr: *addr, Mix: mix, Conns: *conns,
-		Pipeline: *pipeline, BatchMode: batchMode, Load: *load,
+		Pipeline: *pipeline, Load: *load,
 		Duration: *duration, Seed: *seed,
 		AdminAddr: *adminAddr,
 	}

@@ -37,6 +37,8 @@ func TestFlagValidation(t *testing.T) {
 		{"conns negative", []string{"-conns", "-3"}, "-conns"},
 		{"pipeline zero", []string{"-pipeline", "0"}, "-pipeline"},
 		{"pipeline negative", []string{"-pipeline", "-1"}, "-pipeline"},
+		// -batch is retired with the MIXEDBATCH frame: any value is an
+		// undefined flag, so a script that still passes it fails loudly.
 		{"batch malformed", []string{"-batch", "banana"}, "-batch"},
 		{"batch negative", []string{"-batch", "-5"}, "-batch"},
 		{"load zero", []string{"-load", "0"}, "-load"},

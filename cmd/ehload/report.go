@@ -14,17 +14,15 @@ import (
 // set is pinned by TestReportSchemaRoundTrip — fields may be added, but
 // never silently renamed or dropped. Fields that described retired
 // mechanisms ("batch_size" of the same-kind batch frames, "read_cache",
-// "batch_window_adaptive") were dropped with them; old reports still
-// decode, the extra keys ignored.
+// "batch_window_adaptive", "batch_mode" of the MIXEDBATCH frame) were
+// dropped with them; old reports still decode, the extra keys ignored.
 type Report struct {
-	Bench    string `json:"bench"`
-	Addr     string `json:"addr"`
-	Mix      string `json:"mix"`
-	Dist     string `json:"dist"`
-	Conns    int    `json:"conns"`
-	Pipeline int    `json:"pipeline"`
-	// BatchMode is how ops became frames: none | mixed.
-	BatchMode  string  `json:"batch_mode"`
+	Bench      string  `json:"bench"`
+	Addr       string  `json:"addr"`
+	Mix        string  `json:"mix"`
+	Dist       string  `json:"dist"`
+	Conns      int     `json:"conns"`
+	Pipeline   int     `json:"pipeline"`
 	Loaded     int     `json:"loaded"`
 	Seed       uint64  `json:"seed"`
 	DurationS  float64 `json:"duration_seconds"`
@@ -69,8 +67,8 @@ type LatencyNS struct {
 // WriteSummary prints the human-readable run summary, with the server's
 // view of the measured window when the report carries one.
 func (r *Report) WriteSummary(w io.Writer) {
-	fmt.Fprintf(w, "mix %s (%s)  conns=%d pipeline=%d batch=%s  loaded=%d\n",
-		r.Mix, r.Dist, r.Conns, r.Pipeline, r.BatchMode, r.Loaded)
+	fmt.Fprintf(w, "mix %s (%s)  conns=%d pipeline=%d  loaded=%d\n",
+		r.Mix, r.Dist, r.Conns, r.Pipeline, r.Loaded)
 	fmt.Fprintf(w, "load: %d entries in %.2fs (%.0f ops/s)\n", r.Loaded, r.LoadS, r.LoadRate)
 	fmt.Fprintf(w, "run:  %d ops in %.2fs = %.0f ops/s, %d errors\n",
 		r.Ops, r.DurationS, r.Throughput, r.Errors)

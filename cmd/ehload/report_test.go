@@ -15,7 +15,7 @@ import (
 func fullReport() *Report {
 	return &Report{
 		Bench: "server", Addr: "127.0.0.1:1", Mix: "A", Dist: "zipfian",
-		Conns: 4, Pipeline: 32, BatchMode: BatchMixed,
+		Conns: 4, Pipeline: 32,
 		Loaded: 1000, Seed: 42, DurationS: 1.5,
 		Ops: 123456, Errors: 0, Throughput: 82304.0,
 		LoadS: 0.1, LoadRate: 10000,
@@ -36,7 +36,7 @@ func fullReport() *Report {
 // schema. Adding a field means adding it here — deliberately; a field
 // vanishing (or the deprecated "batch" int resurfacing) fails the test.
 var reportKeys = []string{
-	"addr", "batch_mode", "bench",
+	"addr", "bench",
 	"conns", "dist", "durability", "duration_seconds", "errors",
 	"latency_ns", "load_ops_per_sec", "load_seconds", "loaded", "mix",
 	"op_counts", "ops", "pipeline", "replication", "seed",
@@ -97,7 +97,7 @@ func TestReportSchemaRoundTrip(t *testing.T) {
 // memory-only run reports no replication section.
 func TestReportOmitsEmptyOptionals(t *testing.T) {
 	r := fullReport()
-	r.BatchMode, r.Replication = BatchNone, nil
+	r.Replication = nil
 	blob, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)

@@ -30,14 +30,14 @@ type restartConfig struct {
 	seed      uint64        // key derivation seed (same scheme as the benchmark)
 }
 
-// checkChunk is the MIXEDBATCH size of the write and verify loops.
+// checkChunk is how many requests the write and verify loops pipeline
+// per round trip.
 const checkChunk = 128
 
-// roundTrip sends m as one MIXEDBATCH frame and returns its per-entry
-// results. A server error on the frame fails the whole batch: none of its
-// entries was acknowledged.
-func roundTrip(p *client.Pipeline, m *client.MixedBatch, res []client.Result) ([]client.Result, error) {
-	p.Mixed(m)
+// roundTrip flushes the requests queued on p and returns their results.
+// Any server error fails the whole chunk: acknowledged counts only ever
+// cover chunks whose every write was acknowledged.
+func roundTrip(p *client.Pipeline, res []client.Result) ([]client.Result, error) {
 	res, err := p.Flush(res[:0])
 	if err != nil {
 		return res, err
@@ -141,18 +141,16 @@ func writePhase(cfg restartConfig, acked *atomic.Int64) error {
 	}
 	defer c.Close()
 	p := c.Pipeline()
-	var m client.MixedBatch
 	var res []client.Result
 	for lo := 0; lo < cfg.maxKeys; lo += checkChunk {
 		hi := lo + checkChunk
 		if hi > cfg.maxKeys {
 			hi = cfg.maxKeys
 		}
-		m.Reset()
 		for i := lo; i < hi; i++ {
-			m.Put(workload.Key(cfg.seed, uint64(i)), uint64(i))
+			p.Put(workload.Key(cfg.seed, uint64(i)), uint64(i))
 		}
-		if res, err = roundTrip(p, &m, res); err != nil {
+		if res, err = roundTrip(p, res); err != nil {
 			return err // the kill landed (or the server fell over early)
 		}
 		acked.Store(int64(hi))
@@ -168,18 +166,16 @@ func verifyPhase(cfg restartConfig, n int64) (missing, mismatched int64, err err
 	}
 	defer c.Close()
 	p := c.Pipeline()
-	var m client.MixedBatch
 	var res []client.Result
 	for lo := int64(0); lo < n; lo += checkChunk {
 		hi := lo + checkChunk
 		if hi > n {
 			hi = n
 		}
-		m.Reset()
 		for i := lo; i < hi; i++ {
-			m.Get(workload.Key(cfg.seed, uint64(i)))
+			p.Get(workload.Key(cfg.seed, uint64(i)))
 		}
-		if res, err = roundTrip(p, &m, res); err != nil {
+		if res, err = roundTrip(p, res); err != nil {
 			return missing, mismatched, fmt.Errorf("verify read: %w", err)
 		}
 		for j, r := range res {

@@ -1,6 +1,6 @@
 // Command ehserver serves a vmshortcut.Store over TCP with the binary
-// wire protocol of package server: GET/PUT/DEL/STATS plus MIXEDBATCH
-// frames, with pipelined requests coalesced into store batch calls.
+// wire protocol of package server: GET/PUT/DEL/STATS frames, with
+// pipelined requests coalesced into store batch calls.
 //
 // The served index's shape is a handful of flags: kind, shard count and
 // capacity pre-sizing. Shortcut-EH runs with the paper's parameters (load
@@ -26,7 +26,7 @@
 //
 // Usage:
 //
-//	ehserver -addr :6380 -kind shortcut-eh -shards 4 -batch-window 0
+//	ehserver -addr :6380 -kind shortcut-eh -shards 4
 //	ehserver -kind eh -capacity 10000000
 //	ehserver -kind eh -wal-dir /var/lib/ehserver -fsync always -snapshot-every 1000000
 package main
@@ -51,8 +51,6 @@ import (
 func main() {
 	// Serving flags.
 	addr := flag.String("addr", ":6380", "listen address")
-	batchWindow := flag.Duration("batch-window", 0, "how long the per-connection coalescer waits for more pipelined requests before executing a batch (0 = only coalesce what is already buffered)")
-	maxBatch := flag.Int("max-batch", server.DefaultMaxBatch, "max ops per coalesced store batch call")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget before connections are closed forcibly")
 	waitSync := flag.Duration("waitsync", 10*time.Second, "how long shutdown waits for asynchronous maintenance (the Shortcut-EH mapper) to catch up")
 
@@ -150,12 +148,10 @@ func main() {
 	}
 
 	scfg := server.Config{
-		Store:       store,
-		BatchWindow: *batchWindow,
-		MaxBatch:    *maxBatch,
-		Logf:        log.Printf,
-		Metrics:     metrics,
-		SlowOp:      *slowOp,
+		Store:   store,
+		Logf:    log.Printf,
+		Metrics: metrics,
+		SlowOp:  *slowOp,
 	}
 
 	// Replication wiring. The Config fields are interfaces: assign only

@@ -11,11 +11,11 @@ import (
 )
 
 // TestDurableZeroReencode pins the unified pipeline's headline property:
-// a batch that arrives as wire bytes (decoded the way the server decodes
-// a frame) reaches the WAL with ZERO payload re-encodings — the record's
-// payload on disk is the frame payload, byte for byte. (External test
-// package: internal/wire imports the root package, so the in-package
-// tests cannot import it back.)
+// a batch that arrives as wire bytes (decoded the way a follower decodes
+// a shipped record) reaches the WAL with ZERO payload re-encodings — the
+// record's payload on disk is the shipped payload, byte for byte.
+// (External test package: internal/wire imports the root package, so the
+// in-package tests cannot import it back.)
 func TestDurableZeroReencode(t *testing.T) {
 	dir := t.TempDir()
 	s, err := vmshortcut.Open(vmshortcut.KindEH,
@@ -23,18 +23,17 @@ func TestDurableZeroReencode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The frame a client would send (encoded client-side; not counted
-	// against the server path below).
+	// The payload a primary would ship (encoded up front; not counted
+	// against the apply path below).
 	var m vmshortcut.OpBatch
 	m.Put(1, 11)
 	m.Get(1)
 	m.Del(2)
-	frame := wire.AppendMixedBatch(nil, &m)
-	payload := frame[wire.HeaderSize:]
+	payload := m.AppendMixedPayload(nil)
 
 	var b vmshortcut.OpBatch
 	var res vmshortcut.OpResults
-	if err := wire.DecodeBatch(frame[4], payload, &b); err != nil {
+	if err := wire.DecodeBatch(op.CodeMixedBatch, payload, &b); err != nil {
 		t.Fatal(err)
 	}
 	before := op.Encodings()
@@ -47,24 +46,24 @@ func TestDurableZeroReencode(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The one record's payload is the frame payload.
+	// The one record's payload is the shipped payload.
 	blob, err := os.ReadFile(filepath.Join(dir, "wal-0000000000000001.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// u32 len | u32 crc | u64 lsn | u8 code | payload
-	if len(blob) != 8+9+len(payload) || blob[16] != wire.OpMixedBatch {
+	if len(blob) != 8+9+len(payload) || blob[16] != op.CodeMixedBatch {
 		t.Fatalf("record framing = %d bytes, code %#x", len(blob), blob[16])
 	}
 	if string(blob[17:]) != string(payload) {
-		t.Fatal("WAL record payload differs from the wire frame payload")
+		t.Fatal("WAL record payload differs from the shipped payload")
 	}
 }
 
-// BenchmarkDurableApplyBatch measures the WAL-enabled ApplyBatch path
-// the server drives: a pre-encoded mixed payload (half PUT / half GET,
-// as YCSB mix A would gather) is decoded as the server decodes a frame
-// and applied to a durable store with -fsync off. The reported
+// BenchmarkDurableApplyBatch measures the WAL-enabled ApplyBatch path a
+// follower drives: a pre-encoded mixed payload (half PUT / half GET, as
+// YCSB mix A would gather) is decoded as a shipped record is decoded and
+// applied to a durable store with -fsync off. The reported
 // encodings/op metric is the acceptance gate for the unified pipeline:
 // it must be 0.000 — the WAL record is the wire payload, never re-packed
 // — where the pre-refactor stack re-encoded every record.
@@ -77,8 +76,8 @@ func BenchmarkDurableApplyBatch(b *testing.B) {
 	}
 	defer s.Close()
 
-	// One reusable frame payload of 128 ops: alternating PUT/GET over a
-	// small key set, the shape a coalesced pipeline round produces.
+	// One reusable payload of 128 ops: alternating PUT/GET over a small
+	// key set, the shape a coalesced pipeline round produces.
 	var m vmshortcut.OpBatch
 	for i := uint64(0); i < 128; i += 2 {
 		m.Put(i, i)
@@ -92,7 +91,7 @@ func BenchmarkDurableApplyBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := wire.DecodeBatch(wire.OpMixedBatch, payload, &batch); err != nil {
+		if err := wire.DecodeBatch(op.CodeMixedBatch, payload, &batch); err != nil {
 			b.Fatal(err)
 		}
 		if err := s.ApplyBatch(&batch, &res); err != nil {

@@ -37,9 +37,9 @@ func main() {
 	}
 	defer store.Close()
 
-	// The server: one Config field is mandatory — the store. The batch
-	// window is left at 0: only requests already buffered on a connection
-	// coalesce, adding no latency.
+	// The server: one Config field is mandatory — the store. Only requests
+	// already buffered on a connection coalesce, so batching adds no
+	// latency.
 	srv, err := server.New(server.Config{Store: store, Logf: log.Printf})
 	if err != nil {
 		log.Fatal(err)
@@ -68,25 +68,25 @@ func main() {
 	}
 	fmt.Printf("GET 1 -> %d (found=%v)\n", v, found)
 
-	// One MIXEDBATCH frame = one ApplyBatch against the store, and one
-	// WAL record on a durable one.
-	var m client.MixedBatch
-	for i := 0; i < 1000; i++ {
-		m.Put(uint64(i)*7, uint64(i))
-	}
+	// A pipelined load: the server's coalescer gathers the buffered PUT
+	// frames into ApplyBatch calls of up to 1024 ops — one lock
+	// acquisition each, and one WAL record each on a durable store.
 	p := c.Pipeline()
-	p.Mixed(&m)
-	res, err := p.Flush(nil)
-	if err == nil && res[0].Err != nil {
-		err = res[0].Err // a frame fails as a unit
+	for i := 0; i < 1000; i++ {
+		p.Put(uint64(i)*7, uint64(i))
 	}
+	res, err := p.Flush(nil)
 	if err != nil {
 		log.Fatal(err)
 	}
+	for _, r := range res {
+		if r.Err != nil {
+			log.Fatal(r.Err)
+		}
+	}
 
-	// A pipelined burst: the server's coalescer gathers the GET run into
-	// a single ApplyBatch, so the store's lock is taken once for the whole
-	// run.
+	// A pipelined burst of reads: the GET run becomes a single
+	// ApplyBatch, so the store's lock is taken once for the whole run.
 	for i := 0; i < 500; i++ {
 		p.Get(uint64(i) * 7)
 	}

@@ -43,9 +43,6 @@ func (t *Traditional) Set(i int, ref pool.Ref) {
 	t.slots[i] = t.pool.Addr(ref)
 }
 
-// Clear empties slot i.
-func (t *Traditional) Clear(i int) { t.slots[i] = 0 }
-
 // Leaf resolves slot i to the leaf page, or nil for an empty slot. This is
 // the three-indirection traversal the paper measures.
 func (t *Traditional) Leaf(i int) []byte {

@@ -36,10 +36,6 @@ func TestTraditionalResolvesLeaves(t *testing.T) {
 	if node.Leaf(3) != nil {
 		t.Fatal("empty slot should resolve to nil")
 	}
-	node.Clear(0)
-	if node.Leaf(0) != nil {
-		t.Fatal("cleared slot should resolve to nil")
-	}
 }
 
 func TestTraditionalRefRoundTrip(t *testing.T) {

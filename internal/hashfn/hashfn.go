@@ -53,17 +53,6 @@ func SplitBit(h uint64, ld uint) uint64 {
 	return (h >> (63 - ld)) & 1
 }
 
-// PrefixRange returns the half-open directory slot range [lo, hi) that
-// shares the ld most significant hash bits with h in a directory of depth
-// gd (gd >= ld). These are exactly the slots that reference the same
-// bucket.
-func PrefixRange(h uint64, ld, gd uint) (lo, hi uint64) {
-	idx := DirIndex(h, gd)
-	span := uint64(1) << (gd - ld)
-	lo = idx &^ (span - 1)
-	return lo, lo + span
-}
-
 // shardMix is a third multiplicative mixer, independent of Hash and Hash2,
 // so shard routing does not correlate with directory placement or in-bucket
 // probe order within a shard.

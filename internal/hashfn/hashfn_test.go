@@ -55,56 +55,6 @@ func TestSplitBit(t *testing.T) {
 	}
 }
 
-func TestPrefixRange(t *testing.T) {
-	// gd=3, ld=1: hash starting with bit 1 covers slots [4,8).
-	h := uint64(1) << 63
-	lo, hi := PrefixRange(h, 1, 3)
-	if lo != 4 || hi != 8 {
-		t.Fatalf("range = [%d,%d), want [4,8)", lo, hi)
-	}
-	// gd == ld: a single slot.
-	lo, hi = PrefixRange(h, 3, 3)
-	if hi-lo != 1 {
-		t.Fatalf("span = %d, want 1", hi-lo)
-	}
-}
-
-// Property: every slot in PrefixRange shares the ld-bit prefix of h, and
-// slots just outside do not.
-func TestQuickPrefixRangeInvariant(t *testing.T) {
-	check := func(h uint64, ldRaw, gdRaw uint8) bool {
-		gd := uint(gdRaw%16) + 1
-		ld := uint(ldRaw) % (gd + 1)
-		lo, hi := PrefixRange(h, ld, gd)
-		if hi-lo != 1<<(gd-ld) {
-			return false
-		}
-		prefix := h >> (64 - ld)
-		if ld == 0 {
-			prefix = 0
-		}
-		for s := lo; s < hi; s++ {
-			sp := s >> (gd - ld)
-			if ld == 0 {
-				sp = 0
-			}
-			if sp != prefix {
-				return false
-			}
-		}
-		if lo > 0 && ld > 0 && (lo-1)>>(gd-ld) == prefix {
-			return false
-		}
-		if hi < 1<<gd && ld > 0 && hi>>(gd-ld) == prefix {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: DirIndex is monotone in h — MSB indexing is order-preserving.
 func TestQuickDirIndexMonotone(t *testing.T) {
 	check := func(a, b uint64, dRaw uint8) bool {

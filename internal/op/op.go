@@ -19,16 +19,16 @@
 //
 // (all integers little-endian; the mixed layout is columnar — kinds,
 // then keys, then one value per PUT entry in entry order). The same code
-// byte and payload bytes name the batch in a request frame
-// (internal/wire) and in a WAL record (package wal), so wire/WAL layout
-// equality holds by construction rather than by test: a batch decoded
-// from the socket is appended to the log without re-encoding.
+// byte and payload bytes name the batch in a WAL record (package wal) and
+// in a replication record frame (internal/wire), so the layouts agree by
+// construction rather than by test: a record a follower decodes from the
+// socket is appended to its own log without re-encoding.
 //
 // A Batch decoded from received bytes retains them (DecodePayload), so
 // Payload returns the original encoding zero-copy; a Batch built
 // entry-by-entry (the server's coalescer) encodes once, into an arena
 // the Batch reuses. Encodings counts actual encoding passes — the
-// zero-re-encoding benchmark asserts it stays flat on the wire→WAL path.
+// zero-re-encoding benchmark asserts it stays flat on the socket→WAL path.
 package op
 
 import (
@@ -40,7 +40,7 @@ import (
 )
 
 // Kind is the operation type of one batch entry. The numeric values are
-// the wire encoding of the MIXEDBATCH kind column.
+// the encoding of the mixed layout's kind column.
 type Kind uint8
 
 const (
@@ -65,9 +65,8 @@ func (k Kind) String() string {
 }
 
 // Batch payload codes. In the WAL they ARE the record opcodes (package
-// wal aliases them), and CodeMixedBatch is also the opcode of the wire's
-// one batch request frame (internal/wire aliases it): one constant, one
-// layout. The same-kind codes name WAL and replication records only.
+// wal aliases them), and replication record frames carry them: one
+// constant, one layout. No request frame uses them.
 const (
 	CodeGetBatch   byte = 0x05
 	CodePutBatch   byte = 0x06
@@ -275,9 +274,9 @@ func AppendPairsPayload(dst []byte, keys, values []uint64) []byte {
 }
 
 // AppendMixedPayload appends the batch in the CodeMixedBatch layout
-// regardless of uniformity — for callers that must pin the frame shape
-// (the client's MIXEDBATCH submission, whose response layout follows the
-// request opcode). It counts as an encoding pass.
+// regardless of uniformity — for callers that must pin the layout, such
+// as benchmarks and tests of the mixed record. It counts as an encoding
+// pass.
 func (b *Batch) AppendMixedPayload(dst []byte) []byte {
 	encodings.Add(1)
 	return b.appendMixedPayload(dst)

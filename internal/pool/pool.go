@@ -105,9 +105,6 @@ func New(cfg Config) (*Pool, error) {
 	return p, nil
 }
 
-// Default returns a pool with default configuration.
-func Default() (*Pool, error) { return New(Config{}) }
-
 // FD exposes the main-memory file descriptor; shortcut construction maps
 // slots of its virtual area onto offsets of this file.
 func (p *Pool) FD() int { return p.fd }

@@ -7,9 +7,9 @@ import (
 )
 
 func TestDefaultPoolAndAccessors(t *testing.T) {
-	p, err := Default()
+	p, err := New(Config{})
 	if err != nil {
-		t.Fatalf("Default: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	defer p.Close()
 	if p.FD() < 0 {

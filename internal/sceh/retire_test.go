@@ -9,6 +9,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -380,6 +381,115 @@ func TestFailedCreateFallsBackUntilNextCreate(t *testing.T) {
 			}
 			check("after recovery")
 		})
+	}
+}
+
+// mapsLines counts the process's mappings, one line of /proc/self/maps
+// each.
+func mapsLines() (int, error) {
+	data, err := os.ReadFile("/proc/self/maps")
+	return bytes.Count(data, []byte("\n")), err
+}
+
+// TestFailedCreateReleasesItsRange fails a create halfway through its
+// build. The range was never published, so the table must unmap it rather
+// than keep it mapped until Close: at the mapping ceiling the leftover
+// holds the process at its limit. The mapping count returns to its level
+// from just before the create reserved the range, no mapping covers the
+// range, every key still answers, and the next doubling's create succeeds.
+func TestFailedCreateReleasesItsRange(t *testing.T) {
+	if _, err := mapsLines(); err != nil {
+		t.Skipf("no /proc/self/maps: %v", err)
+	}
+	// Pre-sized pool and an hour-long poll, as in the tests above: every
+	// mmap is the mapper's, replayed only when WaitSync kicks.
+	p, err := pool.New(pool.Config{InitialPages: 1 << 12, MaxPages: 1 << 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	tbl, err := New(p, Config{PollInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tbl.Close() })
+	model := map[uint64]uint64{}
+	next := uint64(1)
+	growBy := func(n uint) {
+		from := next
+		next = grow(t, tbl, next, n)
+		for k := from; k < next; k++ {
+			model[k] = k
+		}
+	}
+	growBy(7)
+	if !tbl.WaitSync(5 * time.Second) {
+		t.Fatal("never synced")
+	}
+
+	// Queue one doubling. Its create overlays the live generation (the
+	// first mmap), reserves a range, and maps it slot by slot; the hook
+	// counts the mappings at the reservation and fails the build halfway.
+	growBy(1)
+	slots := 1 << tbl.EH().GlobalDepth()
+	var (
+		mu      sync.Mutex
+		before  = -1
+		failed  area
+		mmaps   int
+		hookErr error
+	)
+	sys.SetFaultHook(func(op sys.Op) error {
+		mu.Lock()
+		defer mu.Unlock()
+		switch op {
+		case sys.OpReserve:
+			before, hookErr = mapsLines()
+		case sys.OpMapShared:
+			mmaps++
+			if mmaps == 1+slots/2 {
+				// The hook runs on the mapper, inside the create that
+				// has just reserved this range.
+				failed = tbl.areas[len(tbl.areas)-1]
+				return errors.New("injected fault")
+			}
+		}
+		return nil
+	})
+	synced := tbl.WaitSync(50 * time.Millisecond)
+	sys.SetFaultHook(nil)
+	if synced || tbl.Stats().MapperFailures != 1 {
+		t.Fatalf("synced=%v, MapperFailures=%d: the create did not fail", synced, tbl.Stats().MapperFailures)
+	}
+	after, err := mapsLines()
+	mu.Lock()
+	defer mu.Unlock()
+	if err != nil || hookErr != nil || before < 0 || failed.slots != slots {
+		t.Fatalf("no reading at the reservation: before=%d failed=%+v (%v, %v)", before, failed, err, hookErr)
+	}
+	if after != before {
+		t.Fatalf("%d mappings after the failed create, %d before it reserved its range", after, before)
+	}
+	lo, hi := failed.base, failed.base+uintptr(failed.slots)<<pageShift
+	for _, m := range readSmaps(t) {
+		if m.lo < hi && lo < m.hi {
+			t.Fatalf("the failed range %#x-%#x is still mapped: %#x-%#x", lo, hi, m.lo, m.hi)
+		}
+	}
+	for k, v := range model {
+		if got, ok := tbl.Lookup(k); !ok || got != v {
+			t.Fatalf("after the failed create: Lookup(%d) = %d,%v, want %d", k, got, ok, v)
+		}
+	}
+
+	growBy(1)
+	if !tbl.WaitSync(5 * time.Second) {
+		t.Fatal("the next doubling's create did not succeed")
+	}
+	for k, v := range model {
+		if got, ok := lookupShortcut(tbl, k); !ok || got != v {
+			t.Fatalf("lookupShortcut(%d) = %d,%v, want %d", k, got, ok, v)
+		}
 	}
 }
 

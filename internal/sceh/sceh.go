@@ -1,6 +1,7 @@
 package sceh
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -355,12 +356,41 @@ func (t *Table) applyCreate(r request) error {
 	calls, err := sc.SetAll(r.refs, true)
 	t.remaps.Add(uint64(calls))
 	if err != nil {
-		_ = blank(a)
-		return err
+		// The range was never published, so no reader can hold it:
+		// release it. Blanking it instead needs a new mapping, which at
+		// the mapping ceiling — where creates fail — is refused.
+		return errors.Join(err, t.release(a, sc))
 	}
 	t.sc, t.live = sc, a
 	t.creates.Add(1)
 	t.publish(r)
+	return nil
+}
+
+// release unmaps a range whose build failed before it was published:
+// first the slots the build had mapped, each its own mapping, then the
+// rest of the reservation. Neither call needs a new mapping. The range
+// was the last one reserved; it leaves t.areas once unmapped, and if only
+// the first call succeeds the record shrinks to the part still mapped, so
+// Close never unmaps addresses the kernel may have handed out again.
+func (t *Table) release(a area, sc *core.Shortcut) error {
+	end := a.slots
+	for end > 0 && !sc.Mapped(end-1) {
+		end--
+	}
+	if end > 0 {
+		if err := sys.Unmap(a.base, end<<pageShift); err != nil {
+			return err
+		}
+	}
+	last := len(t.areas) - 1
+	if end < a.slots {
+		if err := sys.Unmap(a.base+uintptr(end)<<pageShift, (a.slots-end)<<pageShift); err != nil {
+			t.areas[last] = area{base: a.base + uintptr(end)<<pageShift, slots: a.slots - end}
+			return err
+		}
+	}
+	t.areas = t.areas[:last]
 	return nil
 }
 

@@ -14,7 +14,8 @@ import (
 // response status and replication stream tag. They are the protocol:
 // a renumbering — say, dropping a retired tag from an iota instead of
 // holding its place — would make this revision misread every frame of
-// an older peer.
+// an older peer. The retired request opcodes (the batch frames 0x05–0x08
+// and the trace-context envelope 0x12) stay unassigned.
 func TestWireNumbersArePinned(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -24,7 +25,6 @@ func TestWireNumbersArePinned(t *testing.T) {
 		{"OpPut", OpPut, 0x02},
 		{"OpDel", OpDel, 0x03},
 		{"OpStats", OpStats, 0x04},
-		{"OpMixedBatch", OpMixedBatch, 0x08},
 		{"OpReplSync", OpReplSync, 0x10},
 		{"OpPromote", OpPromote, 0x11},
 		{"StatusOK", StatusOK, 0x00},
@@ -44,6 +44,11 @@ func TestWireNumbersArePinned(t *testing.T) {
 		}
 		if c.got == 0x24 {
 			t.Errorf("%s = 0x24, the retired hashed-record tag", c.name)
+		}
+	}
+	for _, req := range []byte{OpGet, OpPut, OpDel, OpStats, OpReplSync, OpPromote} {
+		if (req >= 0x05 && req <= 0x08) || req == 0x12 {
+			t.Errorf("request opcode 0x%02x is a retired one", req)
 		}
 	}
 }

@@ -13,12 +13,11 @@ import (
 )
 
 // TestWALOpcodesMatchWire pins what is now true by construction: the
-// WAL's record opcodes are internal/op's batch codes, and the wire
-// protocol's one batch request opcode is the same mixed code — one set
-// of constants, not two kept equal by convention. The uniform PUT/DEL
-// codes survive as record opcodes (and replication record tags) after
-// their request frames were retired, so logs written before that still
-// replay and ship.
+// WAL's record opcodes are internal/op's batch codes — one set of
+// constants, not two kept equal by convention. The PUT/DEL/MIXED codes
+// survive as record opcodes (and replication record tags) after their
+// request frames were retired, so logs written before that still replay
+// and ship.
 func TestWALOpcodesMatchWire(t *testing.T) {
 	pairs := []struct {
 		name         string
@@ -26,7 +25,7 @@ func TestWALOpcodesMatchWire(t *testing.T) {
 	}{
 		{"put", wal.OpPut, op.CodePutBatch},
 		{"del", wal.OpDel, op.CodeDelBatch},
-		{"mixed", wal.OpMixed, wire.OpMixedBatch},
+		{"mixed", wal.OpMixed, op.CodeMixedBatch},
 	}
 	for _, p := range pairs {
 		if p.walOp != p.opRef {
@@ -43,10 +42,11 @@ func TestWALOpcodesMatchWire(t *testing.T) {
 // through the REAL code paths. A uniform PUT batch and a uniform DEL
 // batch, built entry by entry the way the server's coalescer builds
 // them, encode through the op codec into the same-kind PUT/DEL layouts; a
-// MIXEDBATCH frame's payload is decoded exactly as the server decodes
+// frame carrying a mixed payload (the retired MIXEDBATCH request's bytes,
+// and a shipped MIXED record's) is decoded exactly as a follower decodes
 // it. Each is appended to a real log, must appear on disk byte-for-byte
 // as the record's payload, and must decode back (the follower's path)
-// to the same entries. The decoded mixed frame goes to the log with no
+// to the same entries. The decoded mixed payload goes to the log with no
 // re-encoding: op.Encodings stays flat across decode → Payload → append.
 func TestWALRecordIsWirePayload(t *testing.T) {
 	var put, del, m op.Batch
@@ -57,7 +57,7 @@ func TestWALRecordIsWirePayload(t *testing.T) {
 	m.Get(5)
 	m.Put(6, 66)
 	m.Del(7)
-	mixedFrame := wire.AppendMixedBatch(nil, &m)
+	mixedFrame := wire.AppendFrame(nil, op.CodeMixedBatch, m.AppendMixedPayload(nil))
 
 	// The same-kind layouts, spelled out: u32 n, then n × (key, value)
 	// for PUT and n × key for DEL.

@@ -1,9 +1,9 @@
 // Package wire defines the compact length-prefixed binary protocol spoken
 // between the network KV server (package server) and its Go client
 // (package client). The format is built for pipelining: frames are fully
-// self-delimiting, responses come back in request order, and one
-// MIXEDBATCH frame carries a whole ordered mix of operations so one round
-// trip can become one ApplyBatch call against the store.
+// self-delimiting and responses come back in request order, so a client
+// can keep many single-op requests in flight on one connection and the
+// server can gather what it has buffered into one ApplyBatch call.
 //
 // Frame layout (all integers little-endian):
 //
@@ -17,26 +17,16 @@
 //	OpPut         u64 key, u64 value
 //	OpDel         u64 key
 //	OpStats       (empty)
-//	OpMixedBatch  u32 n, n × u8 kind, n × u64 key, puts × u64 value
 //
-// The batch payload is not defined here: it is the internal/op package's
-// mixed batch layout, and OpMixedBatch is its batch code — the same bytes
-// name a batch in a request frame and in a WAL record, so the wire→log
-// path appends payloads without re-encoding. MIXEDBATCH carries an
-// ordered mix of GET/PUT/DEL entries (columnar: kinds, keys, then one
-// value per PUT entry in entry order), so one frame — and one store call,
-// and one WAL record — can carry whatever a pipelined client had in
-// flight. The op package's other batch codes (0x05–0x07, the same-kind
+// The internal/op batch codes (0x05–0x08, the same-kind and mixed batch
 // layouts) name WAL records and replication stream records only; a
-// request frame carrying one is refused as an unknown opcode.
+// request frame carrying one is refused as an unknown opcode. The
+// replication frames are in repl.go.
 //
 // Response payloads:
 //
-//	StatusOK        op-specific: u64 value (GET); empty (PUT, STATS via
-//	                JSON below); u32 n, n × u8 flag, gets × u64 value
-//	                (MIXEDBATCH — flag is presence for GET/DEL entries and
-//	                acceptance for PUT entries; one value per GET entry in
-//	                entry order, zero when absent)
+//	StatusOK        op-specific: u64 value (GET); empty (PUT, DEL hit);
+//	                JSON (STATS, below)
 //	StatusNotFound  empty (GET, DEL miss)
 //	StatusErr       UTF-8 error message
 //
@@ -57,27 +47,19 @@ import (
 // HeaderSize is the fixed frame prefix: u32 length + u8 tag.
 const HeaderSize = 5
 
-// MaxFrame bounds a frame's length field. It admits MIXEDBATCH frames of
-// ~60k entries while keeping a malformed or hostile length prefix from ballooning a
-// connection buffer.
+// MaxFrame bounds a frame's length field. It admits a STATS reply of up
+// to 1 MiB while keeping a malformed or hostile length prefix from
+// ballooning a connection buffer.
 const MaxFrame = 1 << 20
 
-// Request opcodes. OpMixedBatch is the internal/op mixed batch code —
-// not merely equal by convention but the same constant — so the frame
-// tag, the store-facing batch representation, and the WAL record opcode
-// agree by construction.
+// Request opcodes. 0x05–0x08 are the internal/op batch codes and stay
+// unassigned here.
 const (
 	OpGet byte = 0x01 + iota
 	OpPut
 	OpDel
 	OpStats
 )
-
-const OpMixedBatch = op.CodeMixedBatch
-
-// MaxMixedBatch is the largest element count a MIXEDBATCH frame may
-// carry: its worst-case entry (a PUT) is 17 payload bytes.
-const MaxMixedBatch = (MaxFrame - HeaderSize - 4) / 17
 
 // Response statuses. ReadOnly and Stale are the replica's refusals: a
 // replica rejects mutations until promoted, and rejects reads while it
@@ -174,7 +156,7 @@ type ServerCounters struct {
 	// accepted connections.
 	ActiveConns uint64 `json:"active_conns"`
 	TotalConns  uint64 `json:"total_conns"`
-	// Ops counts operations served (a MIXEDBATCH frame counts each entry).
+	// Ops counts operations served.
 	Ops uint64 `json:"ops"`
 	// Frames counts request frames decoded.
 	Frames uint64 `json:"frames"`
@@ -221,19 +203,8 @@ func AppendPut(dst []byte, key, value uint64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, value)
 }
 
-// AppendMixedBatch appends an OpMixedBatch request frame, pinning the
-// mixed layout even for a uniform batch — the response layout follows
-// the request opcode, so the submitting client must know which one went
-// out.
-func AppendMixedBatch(dst []byte, b *op.Batch) []byte {
-	n := b.PayloadSizeMixed()
-	dst = appendHeader(dst, OpMixedBatch, n)
-	return b.AppendMixedPayload(dst)
-}
-
-// DecodeBatch decodes a batch payload under its op batch code (a
-// MIXEDBATCH request frame, or a shipped WAL record of any batch code)
-// into b. b retains payload (aliased) as its pre-encoded form, so the WAL
+// DecodeBatch decodes a batch payload under its op batch code (a shipped
+// WAL record's) into b. b retains payload (aliased) as its pre-encoded form, so the WAL
 // can append it zero-copy; payload must stay untouched while b is in use.
 func DecodeBatch(tag byte, payload []byte, b *op.Batch) error {
 	return op.DecodePayload(tag, payload, b)
@@ -249,64 +220,6 @@ func AppendValue(dst []byte, value uint64) []byte {
 func AppendError(dst []byte, msg string) []byte {
 	dst = appendHeader(dst, StatusErr, len(msg))
 	return append(dst, msg...)
-}
-
-// AppendMixedResults appends the MIXEDBATCH StatusOK response: one flag
-// per entry (presence for GET/DEL, acceptance for PUT), then one u64
-// value per GET entry in entry order (zero where absent).
-func AppendMixedResults(dst []byte, b *op.Batch, r *op.Results) []byte {
-	n := b.Len()
-	dst = appendHeader(dst, StatusOK, 4+n+8*b.Gets())
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
-	for _, ok := range r.Found {
-		dst = append(dst, boolByte(ok))
-	}
-	for i, k := range b.Kinds() {
-		if k == op.Get {
-			dst = binary.LittleEndian.AppendUint64(dst, r.Vals[i])
-		}
-	}
-	return dst
-}
-
-// DecodeMixedResults decodes a MIXEDBATCH StatusOK payload against the
-// kinds of the batch that was sent, filling r with one outcome per
-// entry.
-func DecodeMixedResults(payload []byte, kinds []op.Kind, r *op.Results) error {
-	n := len(kinds)
-	if len(payload) < 4 {
-		return fmt.Errorf("wire: mixed batch response %d bytes, need at least 4", len(payload))
-	}
-	if got := int(Uint32(payload, 0)); got != n {
-		return fmt.Errorf("wire: mixed batch response carries %d entries, want %d", got, n)
-	}
-	gets := 0
-	for _, k := range kinds {
-		if k == op.Get {
-			gets++
-		}
-	}
-	if want := 4 + n + 8*gets; len(payload) != want {
-		return fmt.Errorf("wire: mixed batch response %d bytes, want %d", len(payload), want)
-	}
-	r.Reset(n)
-	valCol := payload[4+n:]
-	vi := 0
-	for i, k := range kinds {
-		r.Found[i] = payload[4+i] == 1
-		if k == op.Get {
-			r.Vals[i] = Uint64(valCol, 8*vi)
-			vi++
-		}
-	}
-	return nil
-}
-
-func boolByte(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // ReadFrame reads one request-path frame from r, reusing buf for the

@@ -37,25 +37,9 @@ func TestRequestFrameRoundTrips(t *testing.T) {
 		t.Fatalf("STATS frame = tag %d payload %x", tag, p)
 	}
 
-	// A uniform batch still goes out as MIXEDBATCH: that is the only
-	// batch request frame.
-	keys := []uint64{1, 2, 3, ^uint64(0)}
-	vals := []uint64{10, 20, 30, 40}
-	var in, b op.Batch
-	for i := range keys {
-		in.Put(keys[i], vals[i])
-	}
-	tag, p = roundTrip(t, AppendMixedBatch(nil, &in))
-	if tag != OpMixedBatch {
-		t.Fatalf("MIXEDBATCH tag = %d", tag)
-	}
-	if err := DecodeBatch(tag, p, &b); err != nil || b.Len() != len(keys) {
-		t.Fatalf("MIXEDBATCH decode = %d entries, %v", b.Len(), err)
-	}
-	for i := range keys {
-		if b.Kinds()[i] != op.Put || b.Keys()[i] != keys[i] || b.Vals()[i] != vals[i] {
-			t.Fatalf("MIXEDBATCH entry[%d] mismatch", i)
-		}
+	tag, p = roundTrip(t, AppendKey(nil, OpDel, 9))
+	if tag != OpDel || len(p) != 8 || Uint64(p, 0) != 9 {
+		t.Fatalf("DEL frame = tag %d payload %x", tag, p)
 	}
 }
 
@@ -75,25 +59,6 @@ func TestResponseFrameRoundTrips(t *testing.T) {
 		t.Fatalf("error response = tag %d payload %q", tag, p)
 	}
 
-	// MIXEDBATCH response: one flag per entry, one value per GET entry.
-	var b op.Batch
-	b.Get(1)
-	b.Del(2)
-	b.Get(3)
-	res := op.Results{Found: []bool{true, false, false}, Vals: []uint64{5, 0, 0}}
-	tag, p = roundTrip(t, AppendMixedResults(nil, &b, &res))
-	if tag != StatusOK || len(p) != 4+3+8*2 {
-		t.Fatalf("mixed response = tag %d payload %x", tag, p)
-	}
-	var got op.Results
-	if err := DecodeMixedResults(p, b.Kinds(), &got); err != nil {
-		t.Fatal(err)
-	}
-	for i := range res.Found {
-		if got.Found[i] != res.Found[i] || got.Vals[i] != res.Vals[i] {
-			t.Fatalf("mixed result[%d] = (%v, %d), want (%v, %d)", i, got.Found[i], got.Vals[i], res.Found[i], res.Vals[i])
-		}
-	}
 }
 
 // TestReadFrameRejectsBadLengths pins the frame reader's failures: a
@@ -132,39 +97,23 @@ func TestReadFrameRejectsBadLengths(t *testing.T) {
 	}
 }
 
-// TestReadFrameLargerThanConnBuffer reads a MIXEDBATCH frame whose body
+// TestReadFrameLargerThanConnBuffer reads a STATS reply whose body
 // exceeds the 64 KiB connection buffer, followed by a small frame: the
 // body reads through the buffer intact and the next frame stays aligned.
 func TestReadFrameLargerThanConnBuffer(t *testing.T) {
-	var b op.Batch
-	for i := range uint64(8000) {
-		if i%3 == 0 {
-			b.Put(i, ^i)
-		} else {
-			b.Get(i)
-		}
+	body := make([]byte, 100<<10)
+	for i := range body {
+		body[i] = byte(i * 7)
 	}
-	stream := AppendMixedBatch(nil, &b)
-	if len(stream) <= 64<<10 {
-		t.Fatalf("frame is %d bytes, want more than the 64 KiB buffer", len(stream))
-	}
+	stream := AppendFrame(nil, StatusOK, body)
 	stream = AppendKey(stream, OpDel, 42)
 	br := bufio.NewReaderSize(bytes.NewReader(stream), 64<<10)
 	tag, p, _, err := ReadFrame(br, nil)
-	if err != nil || tag != OpMixedBatch {
+	if err != nil || tag != StatusOK {
 		t.Fatalf("large frame: tag 0x%02x, %v", tag, err)
 	}
-	var got op.Batch
-	if err := DecodeBatch(tag, p, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != b.Len() {
-		t.Fatalf("decoded %d entries, want %d", got.Len(), b.Len())
-	}
-	for i := range b.Len() {
-		if got.Kinds()[i] != b.Kinds()[i] || got.Keys()[i] != b.Keys()[i] || got.Vals()[i] != b.Vals()[i] {
-			t.Fatalf("entry %d differs after the read", i)
-		}
+	if !bytes.Equal(p, body) {
+		t.Fatal("large frame body differs after the read")
 	}
 	tag, p, _, err = ReadFrame(br, nil)
 	if err != nil || tag != OpDel || Uint64(p, 0) != 42 {

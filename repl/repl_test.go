@@ -200,22 +200,6 @@ func TestReplicaServesReadsRejectsWrites(t *testing.T) {
 	if _, err := rc.Del(5); !errors.Is(err, client.ErrReadOnly) {
 		t.Fatalf("replica Del err = %v, want ErrReadOnly", err)
 	}
-	// A mixed batch frame with a mutation in it is refused as a unit.
-	var m client.MixedBatch
-	m.Get(1)
-	m.Put(2, 2)
-	m.Del(3)
-	mp := rc.Pipeline()
-	mp.Mixed(&m)
-	mres, err := mp.Flush(nil)
-	if err != nil {
-		t.Fatalf("mixed Flush: %v", err)
-	}
-	for i, r := range mres {
-		if !errors.Is(r.Err, client.ErrReadOnly) {
-			t.Fatalf("replica mixed batch entry %d err = %v, want ErrReadOnly", i, r.Err)
-		}
-	}
 	if v, found, err := rc.Get(1); err != nil || !found || v != 10 {
 		t.Fatalf("Get(1) after refusals = %d, %v, %v; the connection should survive", v, found, err)
 	}
@@ -603,12 +587,14 @@ func TestStalenessGate(t *testing.T) {
 	if err := rc.Put(2, 2); !errors.Is(err, client.ErrReadOnly) {
 		t.Fatalf("stale replica Put err = %v, want ErrReadOnly", err)
 	}
-	var m client.MixedBatch
-	m.Get(1)
+	// A pipelined mix is refused per request frame: the read as stale,
+	// the write as read-only.
 	p := rc.Pipeline()
-	p.Mixed(&m)
-	if res, err := p.Flush(nil); err != nil || !errors.Is(res[0].Err, client.ErrStale) {
-		t.Fatalf("stale replica mixed GET = %+v, %v; want ErrStale", res, err)
+	p.Get(1)
+	p.Put(3, 3)
+	res, err := p.Flush(nil)
+	if err != nil || len(res) != 2 || !errors.Is(res[0].Err, client.ErrStale) || !errors.Is(res[1].Err, client.ErrReadOnly) {
+		t.Fatalf("stale replica pipelined GET+PUT = %+v, %v; want ErrStale, ErrReadOnly", res, err)
 	}
 
 	// Promotion clears staleness: the replica is its own authority now.

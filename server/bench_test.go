@@ -17,7 +17,6 @@ import (
 
 	"vmshortcut"
 	"vmshortcut/internal/obs"
-	"vmshortcut/internal/op"
 	"vmshortcut/internal/wire"
 )
 
@@ -74,14 +73,7 @@ func serveOne(b *testing.B, st *connState, tag byte, payload []byte) {
 		st.srv.metrics.countFrame(tag)
 	}
 	st.resp = st.resp[:0]
-	var err error
-	switch tag {
-	case wire.OpGet, wire.OpPut, wire.OpDel:
-		err = st.singles(tag, payload)
-	default:
-		err = st.mixedFrame(payload)
-	}
-	if err != nil {
+	if err := st.singles(tag, payload); err != nil {
 		b.Fatal(err)
 	}
 	var wstart time.Time
@@ -98,12 +90,14 @@ func serveOne(b *testing.B, st *connState, tag byte, payload []byte) {
 }
 
 // BenchmarkServe measures per-request serve-path cost with and without
-// instrumentation, for single-op PUT frames and mixed batch frames.
-// Compare allocs/op between the instr=off and instr=on variants: the
+// instrumentation, for a lone PUT frame and for a pipelined run of 32
+// single-op frames that the coalescer gathers into one batch. Compare
+// allocs/op between the instr=off and instr=on variants: the
 // observability layer must not add any.
 func BenchmarkServe(b *testing.B) {
 	var putPayload [16]byte
-	mixed := buildMixedFrame(b)
+	first, rest := buildPipelinedRun()
+	src := bytes.NewReader(nil)
 	for _, mode := range []struct {
 		name  string
 		instr bool
@@ -119,28 +113,34 @@ func BenchmarkServe(b *testing.B) {
 					serveOne(b, st, wire.OpPut, putPayload[:])
 				}
 			})
-			b.Run("mixedbatch32", func(b *testing.B) {
+			b.Run("pipelined32", func(b *testing.B) {
 				st := newBenchState(b, mode.instr)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					serveOne(b, st, wire.OpMixedBatch, mixed)
+					// The first frame has been read; the other 31 wait
+					// in the connection's buffer.
+					src.Reset(rest)
+					st.br.Reset(src)
+					st.br.Peek(len(rest))
+					serveOne(b, st, wire.OpGet, first)
+					if n := st.batch.Len(); n != 32 {
+						b.Fatalf("coalesced %d ops, want 32", n)
+					}
 				}
 			})
 		})
 	}
 }
 
-// buildMixedFrame encodes one 32-op mixed batch payload (16 gets, 16
-// puts) the way the wire client does.
-func buildMixedFrame(b *testing.B) []byte {
-	b.Helper()
-	var mb op.Batch
+// buildPipelinedRun encodes 32 single-op frames (16 GETs interleaved with
+// 16 PUTs) the way the wire client does, and returns the first frame's
+// payload and the other 31 frames.
+func buildPipelinedRun() (first, rest []byte) {
+	var frames []byte
 	for i := uint64(0); i < 16; i++ {
-		mb.Get(i)
-		mb.Put(i, i*3)
+		frames = wire.AppendKey(frames, wire.OpGet, i)
+		frames = wire.AppendPut(frames, i, i*3)
 	}
-	frame := wire.AppendMixedBatch(nil, &mb)
-	// Strip the header: handlers receive the payload only.
-	return frame[wire.HeaderSize:]
+	return frames[wire.HeaderSize : wire.HeaderSize+8], frames[wire.HeaderSize+8:]
 }

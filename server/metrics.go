@@ -45,7 +45,6 @@ var frameOpNames = []struct {
 	{wire.OpGet, "get"},
 	{wire.OpPut, "put"},
 	{wire.OpDel, "del"},
-	{wire.OpMixedBatch, "mixed_batch"},
 	{wire.OpStats, "stats"},
 	{wire.OpReplSync, "repl_sync"},
 	{wire.OpPromote, "promote"},
@@ -91,7 +90,7 @@ func (m *Metrics) bindServer(s *Server) {
 	reg.GaugeFunc("eh_conns_active", "Currently open client connections.",
 		func() float64 { return float64(s.activeConns.Load()) })
 	reg.CounterFunc("eh_conns_total", "Lifetime accepted connections.", s.totalConns.Load)
-	reg.CounterFunc("eh_ops_total", "Operations served (a MIXEDBATCH frame counts each entry).", s.ops.Load)
+	reg.CounterFunc("eh_ops_total", "Operations served.", s.ops.Load)
 	reg.CounterFunc("eh_frames_read_total", "Request frames decoded.", s.frames.Load)
 	reg.CounterFunc("eh_coalesced_batches_total",
 		"Store batch calls produced by gathering pipelined single-op frames.", s.coalescedBatches.Load)

@@ -1,29 +1,24 @@
 // Package server turns a vmshortcut.Store into a network KV service: a
 // TCP server speaking the compact length-prefixed binary protocol of
-// internal/wire (GET/PUT/DEL/STATS plus the MIXEDBATCH frame) with full
-// pipelining.
+// internal/wire (GET/PUT/DEL/STATS) with full pipelining.
 //
 // The serving layer is built around the same observation as the store's
 // batch API: per-operation overhead — here a syscall, a frame decode, and
 // a routing decision per request — dominates small key-value ops, and
-// batching amortizes it. Each connection runs a coalescer: pipelined
-// single-op requests of ANY kind — those already buffered, plus any that
-// arrive within Config.BatchWindow — are gathered in request order into
-// one mixed operation batch (internal/op.Batch, the representation every
-// layer below shares) and executed as ONE Store.ApplyBatch call: one
-// lock acquisition, one sharded fan-out pass, and — on a durable store —
-// one WAL record whose payload is the batch's own encoding, appended
-// without re-packing. A MIXEDBATCH frame takes the same path: the frame
-// payload decodes directly into the batch and, for mutations, IS the
-// bytes the log appends.
+// batching amortizes it. Each connection runs a coalescer: the pipelined
+// single-op requests of ANY kind already buffered on the connection are
+// gathered in request order into one mixed operation batch
+// (internal/op.Batch, the representation every layer below shares) and
+// executed as ONE Store.ApplyBatch call: one lock acquisition, one
+// sharded fan-out pass, and — on a durable store — one WAL record.
 // Responses are written in request order, so clients cannot observe the
 // coalescing.
 //
-// Error fan-out: a coalesced batch (or a MIXEDBATCH frame) that fails —
-// a rejected insert, a closed store, a log append failure — fails as a
-// unit: every entry gathered into it is answered with StatusErr, because
-// on a durable store a partially acknowledged batch could ack a mutation
-// whose log record was never written.
+// Error fan-out: a coalesced batch that fails — a rejected insert, a
+// closed store, a log append failure — fails as a unit: every entry
+// gathered into it is answered with StatusErr, because on a durable store
+// a partially acknowledged batch could ack a mutation whose log record
+// was never written.
 //
 // Shutdown drains: accepting stops, connections finish every request that
 // has already arrived, and pending responses are flushed before the
@@ -49,9 +44,9 @@ import (
 	"vmshortcut/internal/wire"
 )
 
-// DefaultMaxBatch caps how many pipelined single-op requests one
-// coalesced store call may carry.
-const DefaultMaxBatch = 1024
+// maxBatch caps how many pipelined single-op requests one coalesced store
+// call may carry.
+const maxBatch = 1024
 
 // Config configures a Server. Store is the only required field.
 type Config struct {
@@ -69,20 +64,6 @@ type Config struct {
 	// coalescer's batching makes that one group-committed fsync per
 	// gathered batch rather than per op.
 	Store vmshortcut.Store
-
-	// BatchWindow is how long a connection's coalescer waits for further
-	// pipelined single-op requests — of any kind; the gathered batch is a
-	// mixed operation batch — before executing it. 0 (the default) never
-	// waits: only requests already buffered on the connection coalesce,
-	// which adds no latency. A positive window trades up to that much
-	// added latency for larger batches — worthwhile for clients that
-	// dribble requests.
-	BatchWindow time.Duration
-
-	// MaxBatch caps the ops per coalesced store call (default
-	// DefaultMaxBatch, hard-capped at wire.MaxMixedBatch so a gathered
-	// batch always fits one mixed payload — and so one WAL record).
-	MaxBatch int
 
 	// Logf receives accept/connection errors; nil discards them.
 	Logf func(format string, args ...any)
@@ -237,15 +218,6 @@ func (st *connState) timedWaitShipped() {
 func New(cfg Config) (*Server, error) {
 	if cfg.Store == nil {
 		return nil, errors.New("server: Config.Store is required")
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultMaxBatch
-	}
-	// Cap at the mixed-frame element bound: a coalesced batch must stay
-	// encodable as one mixed payload, which is what a durable store
-	// appends as its WAL record.
-	if cfg.MaxBatch > wire.MaxMixedBatch {
-		cfg.MaxBatch = wire.MaxMixedBatch
 	}
 	s := &Server{cfg: cfg, store: cfg.Store, metrics: cfg.Metrics, conns: map[net.Conn]struct{}{}}
 	if s.metrics != nil {
@@ -473,14 +445,6 @@ func (s *Server) serveConn(c net.Conn) {
 		st.batch.SetTrace(&st.trace)
 	}
 	for {
-		// Drain check before blocking: Shutdown's deadline poke could be
-		// swallowed by the coalescer clearing its batch-window deadline,
-		// so the flag is re-read here, where the connection is about to
-		// park with nothing buffered.
-		if s.draining.Load() && st.br.Buffered() == 0 {
-			st.bw.Flush()
-			return
-		}
 		tag, payload, buf, err := wire.ReadFrame(st.br, st.readBuf)
 		st.readBuf = buf
 		if err != nil {
@@ -508,8 +472,6 @@ func (s *Server) serveConn(c net.Conn) {
 		switch tag {
 		case wire.OpGet, wire.OpPut, wire.OpDel:
 			err = st.singles(tag, payload)
-		case wire.OpMixedBatch:
-			err = st.mixedFrame(payload)
 		case wire.OpStats:
 			err = st.statsReply()
 		case wire.OpReplSync:
@@ -575,12 +537,11 @@ func (s *Server) finishBatch(st *connState) {
 }
 
 // singles handles a single-op request frame and coalesces: every
-// pipelined single-op frame — GET, PUT, and DEL alike, those already
-// buffered plus any that arrive within BatchWindow — is gathered in
-// request order (up to MaxBatch) into one mixed operation batch and
-// executed as ONE ApplyBatch call. Responses are appended in request
-// order, so the wire contract is indistinguishable from serial
-// execution; a kind switch in the pipeline no longer breaks the batch.
+// pipelined single-op frame already buffered — GET, PUT, and DEL alike —
+// is gathered in request order (up to maxBatch) into one mixed operation
+// batch and executed as ONE ApplyBatch call. Responses are appended in
+// request order, so the wire contract is indistinguishable from serial
+// execution; a kind switch in the pipeline does not break the batch.
 func (st *connState) singles(tag byte, payload []byte) error {
 	var t0 time.Time
 	if st.instr {
@@ -592,14 +553,13 @@ func (st *connState) singles(tag byte, payload []byte) error {
 		return err
 	}
 	if st.instr {
-		// The first frame's decode is StageDecode; the gather loop below
-		// — including reads of further pipelined frames and any
-		// batch-window wait — is StageCoalesce.
+		// The first frame's decode is StageDecode; the gather loop below,
+		// which reads the further pipelined frames, is StageCoalesce.
 		now := time.Now()
 		st.trace.Set(obs.StageDecode, now.Sub(t0))
 		t0 = now
 	}
-	for st.batch.Len() < st.srv.cfg.MaxBatch && st.peekSingle() {
+	for st.batch.Len() < maxBatch && st.peekSingle() {
 		tag, p, buf, err := wire.ReadFrame(st.br, st.readBuf)
 		st.readBuf = buf
 		if err != nil {
@@ -749,91 +709,19 @@ func (st *connState) appendSingle(tag byte, payload []byte) error {
 }
 
 // peekSingle reports whether the next buffered frame is another
-// single-op request (any of GET/PUT/DEL — the mixed coalescer gathers
-// across kinds). With a positive BatchWindow it waits up to that long
-// for a header to arrive (flushing pending responses first, so a client
-// waiting on them is not starved); without one it only inspects what is
-// already buffered, adding zero latency. A window timeout consumes
-// nothing — the partial bytes stay buffered for the main loop.
+// single-op request (any of GET/PUT/DEL — the coalescer gathers across
+// kinds). It only inspects what is already buffered, so coalescing adds
+// no latency.
 func (st *connState) peekSingle() bool {
 	if st.br.Buffered() < wire.HeaderSize {
-		w := st.srv.cfg.BatchWindow
-		if w <= 0 || st.srv.draining.Load() {
-			return false
-		}
-		st.bw.Flush()
-		st.c.SetReadDeadline(time.Now().Add(w))
-		_, err := st.br.Peek(wire.HeaderSize)
-		st.c.SetReadDeadline(time.Time{})
-		if err != nil {
-			return false
-		}
-	}
-	hdr, err := st.br.Peek(wire.HeaderSize)
-	if err != nil {
 		return false
 	}
+	hdr, _ := st.br.Peek(wire.HeaderSize)
 	switch hdr[4] {
 	case wire.OpGet, wire.OpPut, wire.OpDel:
 		return true
 	}
 	return false
-}
-
-// mixedFrame answers a MIXEDBATCH frame: the payload decodes directly
-// into the connection's operation batch — which retains the payload
-// bytes, so a durable store's WAL record is those bytes, zero-copy — and
-// one ApplyBatch call executes it. A store-level failure answers
-// StatusErr for the whole frame with the stream still aligned.
-func (st *connState) mixedFrame(payload []byte) error {
-	var t0 time.Time
-	if st.instr {
-		st.traced = true
-		t0 = time.Now()
-	}
-	if err := wire.DecodeBatch(wire.OpMixedBatch, payload, &st.batch); err != nil {
-		return err
-	}
-	if st.instr {
-		st.trace.Set(obs.StageDecode, time.Since(t0))
-	}
-	n := st.batch.Len()
-	st.srv.ops.Add(uint64(n))
-	if g := st.srv.gate(); g != gateOpen {
-		// A MIXEDBATCH frame fails as a unit (one response per frame), so the
-		// refusal is whole-frame: any mutation makes the frame read-only-
-		// refused; a pure-read frame serves under the read-only gate and
-		// is stale-refused under the stale gate.
-		if st.batch.Mutations() > 0 {
-			st.srv.readOnlyRejects.Add(1)
-			st.resp = wire.AppendEmpty(st.resp, wire.StatusReadOnly)
-			return nil
-		}
-		if g == gateStale {
-			st.srv.staleRejects.Add(1)
-			st.resp = wire.AppendEmpty(st.resp, wire.StatusStale)
-			return nil
-		}
-	}
-	if st.instr {
-		t0 = time.Now()
-	}
-	err := st.srv.store.ApplyBatch(&st.batch, &st.res)
-	if st.instr && st.trace.Get(obs.StageApply) == 0 {
-		// See singles: the durable layer fills apply/WAL-append stages
-		// when it runs; otherwise the store call is all apply.
-		st.trace.Set(obs.StageApply, time.Since(t0))
-	}
-	if err != nil {
-		st.srv.errors.Add(1)
-		st.resp = wire.AppendError(st.resp, err.Error())
-		return nil
-	}
-	if st.batch.Mutations() > 0 {
-		st.timedWaitShipped()
-	}
-	st.resp = wire.AppendMixedResults(st.resp, &st.batch, &st.res)
-	return nil
 }
 
 // replStream hands a REPLSYNC connection over to the replication

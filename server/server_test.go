@@ -19,12 +19,6 @@ import (
 	"vmshortcut/server"
 )
 
-// coalesceWindow is the batch window of the tests that assert exact
-// coalescing: a pipelined burst that TCP happens to split across reads
-// still gathers into one run. Tests without batch assertions run with
-// window 0 so lone requests are not delayed.
-const coalesceWindow = 100 * time.Millisecond
-
 // startServer opens a store and serves it on a loopback port, cleaning
 // both up with the test.
 func startServer(t *testing.T, cfg server.Config, storeOpts ...vmshortcut.Option) (*server.Server, vmshortcut.Store, string) {
@@ -97,7 +91,7 @@ func TestSingleOpsRoundTrip(t *testing.T) {
 // multi-entry runs of one ApplyBatch call, visible in the store's batch
 // counters, with every response still correct and in order.
 func TestPipelinedRunsCoalesce(t *testing.T) {
-	srv, st, addr := startServer(t, server.Config{BatchWindow: coalesceWindow})
+	srv, st, addr := startServer(t, server.Config{})
 	c, err := client.DialConn(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -190,14 +184,14 @@ func TestPipelineOrderAcrossKinds(t *testing.T) {
 	}
 }
 
-// TestBatchFrames pins the batch-frame contract: MIXEDBATCH is the only
-// batch request frame. The retired same-kind request frames (GETBATCH
-// 0x05, PUTBATCH 0x06, DELBATCH 0x07) — well-formed payloads and all —
-// are refused like any unknown opcode: one StatusErr frame, then the
-// connection closes, and the store is untouched. Their codes live on
-// only as WAL record opcodes. The retired trace-context envelope (0x12,
-// u64 trace ID + u8 flags) is refused the same way, and the PUT it used
-// to precede is never applied.
+// TestBatchFrames pins the batch-frame contract: there is no batch
+// request frame; pipelined single-op frames are the one request framing.
+// The retired same-kind request frames (GETBATCH 0x05, PUTBATCH 0x06,
+// DELBATCH 0x07) — well-formed payloads and all — are refused like any
+// unknown opcode: one StatusErr frame, then the connection closes, and
+// the store is untouched. Their codes live on only as WAL record opcodes.
+// The retired trace-context envelope (0x12, u64 trace ID + u8 flags) is
+// refused the same way, and the PUT it used to precede is never applied.
 func TestBatchFrames(t *testing.T) {
 	_, st, addr := startServer(t, server.Config{})
 	keys := []uint64{10, 20}
@@ -208,31 +202,55 @@ func TestBatchFrames(t *testing.T) {
 		"TRACECTX": wire.AppendPut(wire.AppendFrame(nil, 0x12, []byte{1, 0, 0, 0, 0, 0, 0, 0, 1}), 10, 10),
 	}
 	for name, frame := range frames {
-		raw, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := raw.Write(frame); err != nil {
-			t.Fatal(err)
-		}
-		raw.SetReadDeadline(time.Now().Add(5 * time.Second))
-		// ReadAll returning without error means the server closed the
-		// connection after its reply.
-		reply, err := io.ReadAll(raw)
-		raw.Close()
-		if err != nil {
-			t.Fatalf("%s: connection not closed: %v", name, err)
-		}
-		tag, msg, _, err := wire.ReadFrame(bufio.NewReader(bytes.NewReader(reply)), nil)
-		if err != nil || tag != wire.StatusErr || !strings.Contains(string(msg), "unknown opcode") {
-			t.Fatalf("%s: reply = tag 0x%02x %q (%v), want a StatusErr unknown-opcode frame", name, tag, msg, err)
-		}
-		if rest := len(reply) - wire.HeaderSize - len(msg); rest != 0 {
-			t.Fatalf("%s: %d bytes after the error frame", name, rest)
-		}
+		expectRefused(t, addr, name, frame)
 	}
 	if n := st.Len(); n != 0 {
 		t.Fatalf("refused batch frames changed the store: %d entries", n)
+	}
+}
+
+// TestMixedBatchFrame pins the retired MIXEDBATCH request frame (0x08): a
+// well-formed ordered GET/PUT/DEL mix is refused as an unknown opcode, and
+// none of its mutations applies. 0x08 lives on as the MIXED WAL record
+// opcode; a pipelined run of single-op frames is what the server gathers
+// into one store batch instead.
+func TestMixedBatchFrame(t *testing.T) {
+	_, st, addr := startServer(t, server.Config{})
+	var m op.Batch
+	m.Put(1, 11)
+	m.Get(1)
+	m.Del(2)
+	expectRefused(t, addr, "MIXEDBATCH", wire.AppendFrame(nil, op.CodeMixedBatch, m.AppendMixedPayload(nil)))
+	if n := st.Len(); n != 0 {
+		t.Fatalf("a refused MIXEDBATCH frame changed the store: %d entries", n)
+	}
+}
+
+// expectRefused sends frame on a fresh connection and requires one
+// StatusErr unknown-opcode frame in reply, then the connection closed.
+func expectRefused(t *testing.T, addr, name string, frame []byte) {
+	t.Helper()
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if _, err := raw.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	// ReadAll returning without error means the server closed the
+	// connection after its reply.
+	reply, err := io.ReadAll(raw)
+	if err != nil {
+		t.Fatalf("%s: connection not closed: %v", name, err)
+	}
+	tag, msg, _, err := wire.ReadFrame(bufio.NewReader(bytes.NewReader(reply)), nil)
+	if err != nil || tag != wire.StatusErr || !strings.Contains(string(msg), "unknown opcode") {
+		t.Fatalf("%s: reply = tag 0x%02x %q (%v), want a StatusErr unknown-opcode frame", name, tag, msg, err)
+	}
+	if rest := len(reply) - wire.HeaderSize - len(msg); rest != 0 {
+		t.Fatalf("%s: %d bytes after the error frame", name, rest)
 	}
 }
 
@@ -240,7 +258,7 @@ func TestBatchFrames(t *testing.T) {
 // store: the coalesced batches must fan out per shard and come back in
 // request order.
 func TestShardedStoreBehindServer(t *testing.T) {
-	_, st, addr := startServer(t, server.Config{BatchWindow: coalesceWindow}, vmshortcut.WithShards(4))
+	_, st, addr := startServer(t, server.Config{}, vmshortcut.WithShards(4))
 	c, err := client.DialConn(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -272,59 +290,12 @@ func TestShardedStoreBehindServer(t *testing.T) {
 	}
 }
 
-// TestMixedBatchFrame drives the MIXEDBATCH opcode end to end: one
-// frame carrying an ordered GET/PUT/DEL mix, one ApplyBatch on the
-// store, element-wise results in entry order — including same-key
-// read-after-write ordering inside the frame.
-func TestMixedBatchFrame(t *testing.T) {
-	_, st, addr := startServer(t, server.Config{})
-	c, err := client.DialConn(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	var m client.MixedBatch
-	m.Put(1, 11) // 0: ack
-	m.Get(1)     // 1: 11
-	m.Put(1, 12) // 2: ack — same key, later entry
-	m.Get(1)     // 3: 12
-	m.Del(1)     // 4: found
-	m.Get(1)     // 5: miss
-	m.Get(2)     // 6: miss
-	m.Put(2, 22) // 7: ack
-	p := c.Pipeline()
-	p.Mixed(&m)
-	if got := p.Len(); got != 8 {
-		t.Fatalf("pipeline queued %d ops for the mixed batch", got)
-	}
-	res, err := p.Flush(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []struct {
-		found bool
-		value uint64
-	}{
-		{true, 0}, {true, 11}, {true, 0}, {true, 12},
-		{true, 0}, {false, 0}, {false, 0}, {true, 0},
-	}
-	for i, w := range want {
-		if res[i].Err != nil || res[i].Found != w.found || res[i].Value != w.value {
-			t.Fatalf("result[%d] = %+v, want %+v", i, res[i], w)
-		}
-	}
-	if v, ok := st.Lookup(2); !ok || v != 22 {
-		t.Fatalf("store after mixed batch: Lookup(2) = %d, %v", v, ok)
-	}
-}
-
-// TestMixedCoalescingAcrossKinds is the acceptance check for the mixed
-// coalescer: a pipelined burst that SWITCHES kinds must still gather
+// TestMixedCoalescingAcrossKinds is the acceptance check for the
+// coalescer's mixed batches: a pipelined burst that SWITCHES kinds must still gather
 // into few ApplyBatch calls (visible as one coalesced batch per flush,
 // not one per kind switch), with every response correct and in order.
 func TestMixedCoalescingAcrossKinds(t *testing.T) {
-	srv, _, addr := startServer(t, server.Config{BatchWindow: coalesceWindow})
+	srv, _, addr := startServer(t, server.Config{})
 	c, err := client.DialConn(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -362,34 +333,31 @@ func TestMixedCoalescingAcrossKinds(t *testing.T) {
 	}
 }
 
-// TestShutdownDrainsHalfFilledWindow is the drain contract for the mixed
-// coalescer's batch window: a connection whose coalescer sits mid-window
-// with a half-filled MIXED batch (a PUT, a GET, and a DEL gathered, more
-// expected) must, on Shutdown, execute the gathered batch, flush the
-// responses in order, and close — not drop the batch, not wait out the
-// window. Run under -race in CI this also checks the drain poke against
-// the window wait.
-func TestShutdownDrainsHalfFilledWindow(t *testing.T) {
-	srv, _, addr := startServer(t, server.Config{BatchWindow: 30 * time.Second})
+// TestShutdownAnswersRunCutByTornFrame is the drain contract for a
+// coalesced run whose next frame is still in flight: the coalescer has
+// gathered a PUT and a GET and is reading a DEL frame whose header
+// arrived but whose body did not. Shutdown's deadline poke cuts that
+// read; the gathered requests must still be executed and answered in
+// order, and the connection must close right after, because the stream
+// is no longer frame-aligned. The torn DEL is never applied.
+func TestShutdownAnswersRunCutByTornFrame(t *testing.T) {
+	srv, st, addr := startServer(t, server.Config{})
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer raw.Close()
 
-	// Three single-op frames of different kinds, then silence: the
-	// coalescer gathers all three and parks in the 30s batch window.
 	var burst []byte
 	burst = wire.AppendPut(burst, 1, 10)
 	burst = wire.AppendKey(burst, wire.OpGet, 1)
-	burst = wire.AppendKey(burst, wire.OpDel, 1)
+	del := wire.AppendKey(nil, wire.OpDel, 1)
+	burst = append(burst, del[:wire.HeaderSize+3]...)
 	if _, err := raw.Write(burst); err != nil {
 		t.Fatal(err)
 	}
-	// Give the server time to ingest the burst and enter the window wait
-	// (the responses cannot arrive before Shutdown — the window flush
-	// only happens when the coalescer peeks, which it has: nothing more
-	// will arrive).
+	// Give the server time to ingest the burst and block on the rest of
+	// the DEL body; nothing more will arrive.
 	time.Sleep(100 * time.Millisecond)
 
 	done := make(chan error, 1)
@@ -404,8 +372,8 @@ func TestShutdownDrainsHalfFilledWindow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading drained responses: %v", err)
 	}
-	// PUT ack, GET hit (5-byte header + 8-byte value), DEL found.
-	if want := 3*wire.HeaderSize + 8; len(reply) != want {
+	// PUT ack, then GET hit (5-byte header + 8-byte value), then EOF.
+	if want := 2*wire.HeaderSize + 8; len(reply) != want {
 		t.Fatalf("drained %d response bytes, want %d", len(reply), want)
 	}
 	if reply[4] != wire.StatusOK {
@@ -413,14 +381,13 @@ func TestShutdownDrainsHalfFilledWindow(t *testing.T) {
 	}
 	get := reply[wire.HeaderSize:]
 	if get[4] != wire.StatusOK || wire.Uint64(get, wire.HeaderSize) != 10 {
-		t.Fatalf("GET response = %x", get[:wire.HeaderSize+8])
-	}
-	del := get[wire.HeaderSize+8:]
-	if del[4] != wire.StatusOK {
-		t.Fatalf("DEL response = %x", del)
+		t.Fatalf("GET response = %x", get)
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("Shutdown: %v", err)
+	}
+	if v, ok := st.Lookup(1); !ok || v != 10 {
+		t.Fatalf("after the drain: Lookup(1) = %d, %v; the torn DEL must not apply", v, ok)
 	}
 }
 

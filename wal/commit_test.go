@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"vmshortcut/internal/op"
 	"vmshortcut/internal/sys"
 )
 
@@ -407,46 +408,102 @@ func TestNoPreallocationStillWorks(t *testing.T) {
 }
 
 // BenchmarkAppendAlways measures the FsyncAlways commit path on the real
-// device: closed-loop writers, each appending one 32-pair batch and waiting
-// for it to be durable. Two writers are the ping-pong case the two-deep
-// sync pipeline exists for; sixteen and sixty-four are the grouping case it
-// must not cost — compare rec/s across writer counts, and rec/sync for how
-// much each sync carried.
+// device: closed-loop writers, each appending one 440 B record (26 pairs,
+// the size of a serve_durable record) and waiting for it to be durable.
+// Two writers are the ping-pong case the two-deep sync pipeline exists
+// for; sixteen and sixty-four are the grouping case it must not cost —
+// compare rec/s across writer counts, and rec/sync for how much each sync
+// carried.
+//
+// At two writers it also compares how the segment is prepared, for 440 B
+// and 16 KiB records: prealloc=fallocate is the log's own reservation, and
+// prealloc=zeros writes the segment's zeros and syncs them before the
+// first append, the way PostgreSQL's wal_init_zero does, so no append
+// converts an unwritten extent. Keep b.N × record size under the 64 MiB
+// segment, so that no rotation lands in the timed loop:
+//
+//	go test -run '^$' -bench 'AppendAlways/writers=2/' -benchtime 3000x -count 5 ./wal
 func BenchmarkAppendAlways(b *testing.B) {
-	keys, vals := make([]uint64, 32), make([]uint64, 32)
+	for _, writers := range []int{1, 2, 4, 16, 64} {
+		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
+			if writers != 2 {
+				benchAppendAlways(b, writers, 440)
+				return
+			}
+			for _, rec := range []struct {
+				name  string
+				bytes int
+			}{{"440B", 440}, {"16KiB", 16 << 10}} {
+				b.Run("record="+rec.name, func(b *testing.B) {
+					for _, pre := range []struct {
+						name string
+						fn   func(sys.File, int64) error
+					}{{"fallocate", sys.Fallocate}, {"zeros", writeZeros}} {
+						b.Run("prealloc="+pre.name, func(b *testing.B) {
+							prev := fallocate
+							fallocate = pre.fn
+							defer func() { fallocate = prev }()
+							benchAppendAlways(b, writers, rec.bytes)
+						})
+					}
+				})
+			}
+		})
+	}
+}
+
+// benchAppendAlways runs b.N appends of one record of about recordBytes
+// (header, LSN and code included) from writers closed-loop goroutines on
+// a fresh FsyncAlways log.
+func benchAppendAlways(b *testing.B, writers, recordBytes int) {
+	pairs := (recordBytes - recordHeaderSize - payloadPrefixSize - 4) / 16
+	keys, vals := make([]uint64, pairs), make([]uint64, pairs)
 	for i := range keys {
 		keys[i], vals[i] = uint64(i)*0x9E3779B97F4A7C15, uint64(i)
 	}
-	for _, writers := range []int{1, 2, 4, 16, 64} {
-		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
-			l, err := Open(b.TempDir(), Options{Mode: FsyncAlways}, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer l.Close()
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for w := 0; w < writers; w++ {
-				n := b.N / writers
-				if w < b.N%writers {
-					n++
-				}
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < n; i++ {
-						if _, err := appendPut(l, keys, vals); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			b.StopTimer()
-			st := l.Stats()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rec/s")
-			b.ReportMetric(float64(st.LastLSN)/float64(st.Syncs), "rec/sync")
-		})
+	payload := op.AppendPairsPayload(nil, keys, vals)
+	l, err := Open(b.TempDir(), Options{Mode: FsyncAlways}, nil)
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer l.Close()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		n := b.N / writers
+		if w < b.N%writers {
+			n++
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				if _, err := l.AppendBatch(OpPut, payload); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+	st := l.Stats()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rec/s")
+	b.ReportMetric(float64(st.LastLSN)/float64(st.Syncs), "rec/sync")
+}
+
+// writeZeros prepares a segment by writing zeros from its end up to size
+// and syncing them.
+func writeZeros(f sys.File, size int64) error {
+	st, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	zeros := make([]byte, 1<<20)
+	for off := st.Size(); off < size; off += int64(len(zeros)) {
+		if _, err := f.WriteAt(zeros[:min(int64(len(zeros)), size-off)], off); err != nil {
+			return err
+		}
+	}
+	return sys.Fdatasync(f)
 }

@@ -12,14 +12,13 @@
 // All integers are little-endian. The payload past the lsn is NOT a
 // private format: the op byte and the bytes after it are exactly an
 // internal/op batch payload — the same constants and the same codec the
-// wire protocol's MIXEDBATCH frame uses (OpPut is op.CodePutBatch,
-// OpMixed is op.CodeMixedBatch is wire.OpMixedBatch). A batch frame
-// received from the socket therefore becomes a log record by prefixing
-// lsn and code; nothing is re-encoded between the read syscall and the
-// fsync. OpMixed records
-// (an ordered GET/PUT/DEL mix) may contain GET entries when the wire
-// payload did; replay applies the mutations and treats the GETs as
-// no-ops.
+// replication stream's record frames use (OpPut is op.CodePutBatch,
+// OpMixed is op.CodeMixedBatch). A record a follower receives from the
+// socket therefore becomes a log record by prefixing lsn and code;
+// nothing is re-encoded between the read syscall and the fsync. OpMixed
+// records (an ordered GET/PUT/DEL mix) may contain GET entries when the
+// coalesced batch did; replay applies the mutations and treats the GETs
+// as no-ops.
 package wal
 
 import (
@@ -34,7 +33,7 @@ import (
 )
 
 // Record opcodes: the internal/op batch codes, shared — by construction,
-// not convention — with the wire protocol's batch frame opcodes.
+// not convention — with the replication stream's record frames.
 const (
 	OpPut   = op.CodePutBatch
 	OpDel   = op.CodeDelBatch
