@@ -3,9 +3,10 @@
 // manages both processes itself — start a primary (which must run
 // synchronous replication) and a follower, wait until the follower is
 // attached, write acknowledged keys against the primary, kill -9 the
-// primary mid-run, promote the follower over the wire, and verify that
-// every write acknowledged before the kill is present on the new
-// primary with the right value. A single missing or mismatched key
+// primary at a seeded acknowledged count with the next batch in flight
+// (as -restart-check does), promote the follower over the wire, and
+// verify that every write acknowledged before the kill is present on the
+// new primary with the right value. A single missing or mismatched key
 // fails the check (and the CI replication-smoke job built on it).
 package main
 
@@ -16,7 +17,6 @@ import (
 	"os"
 	"os/exec"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -29,8 +29,7 @@ type failoverConfig struct {
 	followerAddr string
 	primaryCmd   string
 	followerCmd  string
-	maxKeys      int           // stop writing after this many acknowledged keys
-	duration     time.Duration // kill the primary this long into the write phase
+	maxKeys      int // stop writing after this many acknowledged keys
 	seed         uint64
 	out          string // JSON report path ("" = none)
 }
@@ -39,6 +38,7 @@ type failoverConfig struct {
 type failoverReport struct {
 	Bench      string  `json:"bench"` // "failover-check"
 	Acked      int64   `json:"acked_writes"`
+	InFlight   int64   `json:"in_flight_writes"`
 	Missing    int64   `json:"missing"`
 	Mismatched int64   `json:"mismatched"`
 	PromoteS   float64 `json:"promote_seconds"`
@@ -63,8 +63,6 @@ func runFailoverCheck(cfg failoverConfig) error {
 		return errors.New("command lines are split on whitespace and do not support quoting; use paths without spaces")
 	case cfg.maxKeys <= 0:
 		return errors.New("-load must be positive (it caps the written keyspace)")
-	case cfg.duration <= 0:
-		return errors.New("-duration must be positive (it sets the kill point)")
 	}
 
 	start := func(cmdline string) (*exec.Cmd, error) {
@@ -106,27 +104,18 @@ func runFailoverCheck(cfg failoverConfig) error {
 	}
 	fmt.Println("failover-check: follower attached; starting the write phase")
 
-	var acked atomic.Int64
-	writeErr := make(chan error, 1)
-	go func() {
-		writeErr <- writePhase(restartConfig{addr: cfg.primaryAddr, maxKeys: cfg.maxKeys, seed: cfg.seed}, &acked)
-	}()
-
-	time.Sleep(cfg.duration)
 	// kill -9 the primary: no drain, no goodbye to the follower.
-	if err := primary.Process.Kill(); err != nil {
-		return fmt.Errorf("kill -9 primary: %w", err)
+	n, inFlight, err := killMidRun(restartConfig{addr: cfg.primaryAddr, maxKeys: cfg.maxKeys, seed: cfg.seed}, func() error {
+		err := primary.Process.Kill()
+		primary.Wait()
+		primaryDown = true
+		return err
+	})
+	if err != nil {
+		return err
 	}
-	primary.Wait()
-	primaryDown = true
-	if err := <-writeErr; err != nil && acked.Load() == 0 {
-		return fmt.Errorf("no writes acknowledged before the kill: %w", err)
-	}
-	n := acked.Load()
-	fmt.Printf("failover-check: %d writes acknowledged, primary killed with SIGKILL\n", n)
-	if n == 0 {
-		return errors.New("the write phase acknowledged nothing; increase -duration")
-	}
+	fmt.Printf("failover-check: %d of %d writes acknowledged, primary killed with SIGKILL with %d in flight\n",
+		n, cfg.maxKeys, inFlight)
 
 	// Promote the follower over the wire — the same PROMOTE frame any
 	// operator tooling would send.
@@ -165,7 +154,7 @@ func runFailoverCheck(cfg failoverConfig) error {
 
 	if cfg.out != "" {
 		rep := failoverReport{
-			Bench: "failover-check", Acked: n,
+			Bench: "failover-check", Acked: n, InFlight: inFlight,
 			Missing: missing, Mismatched: mismatched,
 			PromoteS: promoteDur.Seconds(), VerifyS: verifyDur.Seconds(),
 			OK: missing+mismatched == 0,

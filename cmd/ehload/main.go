@@ -20,7 +20,9 @@
 // benchmark: it starts the server itself (-server-cmd, which must point
 // at a WAL directory), writes acknowledged keys, kills the server with
 // SIGKILL mid-run, restarts it, and fails unless every acknowledged
-// write survived.
+// write survived. The kill lands when the acknowledged count reaches a
+// point drawn from -seed in [load/4, 3·load/4], with the next batch in
+// flight; the check fails if every write was acknowledged first.
 //
 // With -failover-check, it verifies replication failover the same way:
 // it starts a primary (-primary-cmd, which must run -repl-sync) and a
@@ -34,10 +36,10 @@
 //	ehload -addr :6380 -mix A -conns 4 -pipeline 32 -load 100000 -duration 10s
 //	ehload -mix C -dist uniform -out BENCH_server.json
 //	ehload -mix F -dist uniform -duration 5s
-//	ehload -restart-check -addr 127.0.0.1:16390 -load 200000 -duration 2s \
+//	ehload -restart-check -addr 127.0.0.1:16390 -load 200000 -seed 7 \
 //	       -server-cmd "ehserver -addr 127.0.0.1:16390 -kind eh -wal-dir /tmp/wal -fsync always"
 //	ehload -failover-check -addr 127.0.0.1:16395 -follower-addr 127.0.0.1:16396 \
-//	       -load 200000 -duration 2s \
+//	       -load 200000 \
 //	       -primary-cmd "ehserver -addr 127.0.0.1:16395 -kind eh -wal-dir /tmp/p -repl-sync" \
 //	       -follower-cmd "ehserver -addr 127.0.0.1:16396 -kind eh -wal-dir /tmp/f -replica-of 127.0.0.1:16395"
 package main
@@ -61,8 +63,8 @@ func main() {
 	conns := flag.Int("conns", 4, "client connections, one worker goroutine each")
 	pipeline := flag.Int("pipeline", 32, "operations in flight per connection round trip")
 	load := flag.Int("load", 100_000, "keyspace entries preloaded before the measured run")
-	duration := flag.Duration("duration", 10*time.Second, "measured run length")
-	seed := flag.Uint64("seed", 42, "keyspace and workload seed")
+	duration := flag.Duration("duration", 10*time.Second, "measured run length (the checks kill on a count instead)")
+	seed := flag.Uint64("seed", 42, "keyspace and workload seed; the checks also draw their kill point from it")
 	out := flag.String("out", "BENCH_server.json", "benchmark JSON output path (empty = none)")
 	adminAddr := flag.String("admin-addr", "", "server admin HTTP address (its -admin flag); scrapes /metrics around the measured run and embeds the server-side stage breakdown in the report")
 	restartCheck := flag.Bool("restart-check", false, "crash-recovery verification instead of a benchmark: start the server (-server-cmd), write acknowledged keys, kill -9 mid-run, restart, verify nothing acknowledged was lost")
@@ -76,7 +78,7 @@ func main() {
 	if *restartCheck {
 		if err := runRestartCheck(restartConfig{
 			addr: *addr, serverCmd: *serverCmd,
-			maxKeys: *load, duration: *duration, seed: *seed,
+			maxKeys: *load, seed: *seed,
 		}); err != nil {
 			log.Fatalf("restart-check: %v", err)
 		}
@@ -89,7 +91,7 @@ func main() {
 		if err := runFailoverCheck(failoverConfig{
 			primaryAddr: *addr, followerAddr: *followerAddr,
 			primaryCmd: *primaryCmd, followerCmd: *followerCmd,
-			maxKeys: *load, duration: *duration, seed: *seed, out: *out,
+			maxKeys: *load, seed: *seed, out: *out,
 		}); err != nil {
 			log.Fatalf("failover-check: %v", err)
 		}

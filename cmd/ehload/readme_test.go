@@ -218,7 +218,7 @@ func TestREADMEFlagsExist(t *testing.T) {
 }
 
 // kindFlags names, per checked binary, the flag that selects an index kind.
-var kindFlags = map[string]string{"ehserver": "kind", "ehstore": "index"}
+var kindFlags = map[string]string{"ehserver": "kind"}
 
 // TestREADMEKindsParse fails when a README command line selects an index
 // kind that vmshortcut.ParseKind rejects — a kind deleted from Open but

@@ -1,10 +1,11 @@
 // The -restart-check mode: an end-to-end crash-recovery verification.
 // ehload manages the server process itself — start it, write
-// acknowledged keys while it runs, kill -9 mid-run, restart it, and
-// verify that every write acknowledged before the kill is present with
-// the right value. With -fsync always on the server this must hold
-// exactly; a single missing or mismatched key fails the check (and the
-// CI crash-recovery job built on it).
+// acknowledged keys while it runs, kill -9 it once the acknowledged count
+// reaches a point drawn from -seed while the next batch is in flight,
+// restart it, and verify that every write acknowledged before the kill
+// is present with the right value. With -fsync always on the server
+// this must hold exactly; a single missing or mismatched key fails the
+// check (and the CI crash-recovery job built on it).
 package main
 
 import (
@@ -25,14 +26,16 @@ import (
 type restartConfig struct {
 	addr      string
 	serverCmd string
-	maxKeys   int           // stop writing after this many acknowledged keys
-	duration  time.Duration // kill the server this long into the write phase
-	seed      uint64        // key derivation seed (same scheme as the benchmark)
+	maxKeys   int    // stop writing after this many acknowledged keys
+	seed      uint64 // key derivation and kill point seed (same key scheme as the benchmark)
 }
 
 // checkChunk is how many requests the write and verify loops pipeline
 // per round trip.
 const checkChunk = 128
+
+// killTimeout bounds how long a check waits for its kill point.
+const killTimeout = time.Minute
 
 // roundTrip flushes the requests queued on p and returns their results.
 // Any server error fails the whole chunk: acknowledged counts only ever
@@ -60,9 +63,6 @@ func runRestartCheck(cfg restartConfig) error {
 	if cfg.maxKeys <= 0 {
 		return errors.New("-load must be positive (it caps the written keyspace)")
 	}
-	if cfg.duration <= 0 {
-		return errors.New("-duration must be positive (it sets the kill point)")
-	}
 	// The command is split on whitespace with no shell-style quoting:
 	// quoted arguments would reach the server as literal quote characters
 	// and fail in confusing ways (e.g. a directory named `"/var`), so
@@ -86,27 +86,18 @@ func runRestartCheck(cfg restartConfig) error {
 	if err != nil {
 		return err
 	}
-	var acked atomic.Int64
-	writeErr := make(chan error, 1)
-	go func() { writeErr <- writePhase(cfg, &acked) }()
-
-	time.Sleep(cfg.duration)
 	// kill -9: no drain, no final fsync — only what the WAL policy made
 	// durable survives.
-	if err := proc.Process.Kill(); err != nil {
-		return fmt.Errorf("kill -9: %w", err)
+	n, inFlight, err := killMidRun(cfg, func() error {
+		err := proc.Process.Kill()
+		proc.Wait()
+		return err
+	})
+	if err != nil {
+		return err
 	}
-	proc.Wait()
-	// The writer either errored out when the connection died (expected)
-	// or had already written every key; both are fine.
-	if err := <-writeErr; err != nil && acked.Load() == 0 {
-		return fmt.Errorf("no writes acknowledged before the kill: %w", err)
-	}
-	n := acked.Load()
-	fmt.Printf("restart-check: %d writes acknowledged, server killed with SIGKILL\n", n)
-	if n == 0 {
-		return errors.New("the write phase acknowledged nothing; increase -duration")
-	}
+	fmt.Printf("restart-check: %d of %d writes acknowledged, server killed with SIGKILL with %d in flight\n",
+		n, cfg.maxKeys, inFlight)
 
 	// Phase 2: restart and verify. Dial success implies recovery is
 	// complete — the durable server only listens after replaying.
@@ -131,10 +122,60 @@ func runRestartCheck(cfg restartConfig) error {
 	return nil
 }
 
+// killPoint draws the acknowledged count at which a check kills the
+// server: uniform over [load/4, 3·load/4] for a given seed.
+func killPoint(load int, seed uint64) int64 {
+	return int64(load/4 + workload.NewRNG(seed).Intn(load/2+1))
+}
+
+// writeProgress is what writePhase shares with the goroutine that kills
+// the server under it.
+type writeProgress struct {
+	sent, acked atomic.Int64
+	killAt      int64
+	reached     chan struct{} // closed once acked reaches killAt
+}
+
+// killMidRun runs writePhase against the server at cfg.addr and calls
+// kill once the acknowledged count reaches killPoint, while the writer
+// goes on with its next batch. It returns the writes acknowledged before
+// the kill, and how many were sent before it without an ack. It fails if
+// the kill point is not reached within killTimeout, or if every write
+// was acknowledged before the kill landed: then no batch was torn.
+func killMidRun(cfg restartConfig, kill func() error) (acked, inFlight int64, err error) {
+	w := &writeProgress{killAt: killPoint(cfg.maxKeys, cfg.seed), reached: make(chan struct{})}
+	var writeErr error
+	done := make(chan struct{})
+	go func() {
+		writeErr = writePhase(cfg, w)
+		close(done)
+	}()
+	select {
+	case <-w.reached:
+	case <-done:
+	case <-time.After(killTimeout):
+	}
+	if err := kill(); err != nil {
+		return 0, 0, fmt.Errorf("kill -9: %w", err)
+	}
+	sent := w.sent.Load()
+	<-done
+	acked = w.acked.Load()
+	switch {
+	case acked < w.killAt:
+		return acked, 0, fmt.Errorf("the kill point (%d acknowledged) was not reached within %s: %d acknowledged (write phase: %v)",
+			w.killAt, killTimeout, acked, writeErr)
+	case writeErr == nil:
+		return acked, 0, fmt.Errorf("all %d writes were acknowledged before the kill landed; raise -load", acked)
+	}
+	return acked, max(sent-acked, 0), nil
+}
+
 // writePhase puts keys 0,1,2,... (through the benchmark's key mapping)
 // in acknowledged batches until maxKeys or the connection dies under the
-// kill. acked counts only fully acknowledged batches.
-func writePhase(cfg restartConfig, acked *atomic.Int64) error {
+// kill. w.acked counts only fully acknowledged batches, w.sent every
+// batch flushed; w.reached closes once w.acked reaches w.killAt.
+func writePhase(cfg restartConfig, w *writeProgress) error {
 	c, err := client.DialConnRetry(cfg.addr, 15*time.Second)
 	if err != nil {
 		return err
@@ -150,10 +191,14 @@ func writePhase(cfg restartConfig, acked *atomic.Int64) error {
 		for i := lo; i < hi; i++ {
 			p.Put(workload.Key(cfg.seed, uint64(i)), uint64(i))
 		}
+		w.sent.Store(int64(hi))
 		if res, err = roundTrip(p, res); err != nil {
 			return err // the kill landed (or the server fell over early)
 		}
-		acked.Store(int64(hi))
+		w.acked.Store(int64(hi))
+		if lo < int(w.killAt) && hi >= int(w.killAt) {
+			close(w.reached)
+		}
 	}
 	return nil
 }

@@ -19,9 +19,6 @@
 package bucket
 
 import (
-	"fmt"
-	"unsafe"
-
 	"vmshortcut/internal/hashfn"
 	"vmshortcut/internal/sys"
 )
@@ -39,15 +36,6 @@ const (
 // is free and all methods operate on the underlying page.
 type Bucket struct {
 	w []uint64
-}
-
-// View wraps a 4 KB page as a bucket. The page must be 8-byte aligned
-// (page-aligned mappings and Go heap allocations both are).
-func View(page []byte) Bucket {
-	if len(page) < wordsPerPage*8 {
-		panic(fmt.Sprintf("bucket: page of %d bytes is too small", len(page)))
-	}
-	return Bucket{w: unsafe.Slice((*uint64)(unsafe.Pointer(&page[0])), wordsPerPage)}
 }
 
 // ViewAddr wraps the mapped page at addr as a bucket — the hot path used
@@ -75,9 +63,6 @@ func (b Bucket) Count() int { return int(b.w[1]) }
 
 // Full reports whether no further entry fits.
 func (b Bucket) Full() bool { return b.Count() >= Capacity }
-
-// LoadFactor returns Count / Capacity.
-func (b Bucket) LoadFactor() float64 { return float64(b.Count()) / float64(Capacity) }
 
 // Insert upserts (key, value). It returns ok=false when the bucket is full
 // and the key is not already present — the caller must then split.

@@ -3,13 +3,18 @@ package bucket
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"vmshortcut/internal/hashfn"
 )
 
+// view wraps a heap page as a bucket, as ViewAddr does a mapped one.
+func view(page []byte) Bucket {
+	return Bucket{w: unsafe.Slice((*uint64)(unsafe.Pointer(&page[0])), wordsPerPage)}
+}
+
 func newBucket() Bucket {
-	page := make([]byte, 4096)
-	b := View(page)
+	b := view(make([]byte, 4096))
 	b.Reset(0)
 	return b
 }
@@ -224,9 +229,9 @@ func TestSplitInto(t *testing.T) {
 
 func TestLocalDepthPersistsInPage(t *testing.T) {
 	page := make([]byte, 4096)
-	View(page).Reset(5)
+	view(page).Reset(5)
 	// A second view over the same page must observe the same header.
-	if View(page).LocalDepth() != 5 {
+	if view(page).LocalDepth() != 5 {
 		t.Fatal("local depth not stored in the page itself")
 	}
 }

@@ -191,23 +191,6 @@ func (s *Shortcut) SetAll(refs []pool.Ref, populate bool) (int, error) {
 	return calls, nil
 }
 
-// ClearSlot detaches slot i back to anonymous memory (e.g. after its leaf
-// was freed), so the slot no longer aliases a pool page.
-func (s *Shortcut) ClearSlot(i int) error {
-	if s.closed {
-		return ErrClosed
-	}
-	if i < 0 || i >= s.k {
-		return fmt.Errorf("core: slot %d out of range [0,%d)", i, s.k)
-	}
-	ps := sys.PageSize()
-	if err := sys.MapAnonFixed(s.base+uintptr(i*ps), ps); err != nil {
-		return err
-	}
-	s.mapped[i] = false
-	return nil
-}
-
 // Mapped reports whether slot i has been rewired onto a pool page.
 func (s *Shortcut) Mapped(i int) bool { return s.mapped[i] }
 

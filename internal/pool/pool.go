@@ -109,10 +109,6 @@ func New(cfg Config) (*Pool, error) {
 // slots of its virtual area onto offsets of this file.
 func (p *Pool) FD() int { return p.fd }
 
-// Window returns the base address of v_pool, the stable linear mapping of
-// the whole main-memory file.
-func (p *Pool) Window() uintptr { return p.window }
-
 // PageSize returns the pool's page size in bytes.
 func (p *Pool) PageSize() int { return sys.PageSize() }
 
@@ -283,16 +279,6 @@ func (p *Pool) Free(r Ref) error {
 	p.stats.Frees++
 	p.free = append(p.free, r)
 	p.isFree[pageIndex(r)] = true
-	return nil
-}
-
-// FreeN frees a batch of pages.
-func (p *Pool) FreeN(refs []Ref) error {
-	for _, r := range refs {
-		if err := p.Free(r); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

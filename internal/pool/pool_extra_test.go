@@ -18,7 +18,7 @@ func TestDefaultPoolAndAccessors(t *testing.T) {
 	if p.PageSize() != sys.PageSize() {
 		t.Fatal("PageSize mismatch")
 	}
-	if p.Window() == 0 {
+	if p.window == 0 {
 		t.Fatal("window not reserved")
 	}
 	r, err := p.Alloc()
@@ -26,25 +26,6 @@ func TestDefaultPoolAndAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Page(r)[0] = 1
-}
-
-func TestFreeN(t *testing.T) {
-	p := newTestPool(t, Config{GrowChunkPages: 4})
-	refs, err := p.AllocN(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.FreeN(refs); err != nil {
-		t.Fatalf("FreeN: %v", err)
-	}
-	if s := p.Stats(); s.UsedPages != 0 || s.Frees != 6 {
-		t.Fatalf("stats after FreeN: %+v", s)
-	}
-	// FreeN must stop at the first invalid ref.
-	r2, _ := p.Alloc()
-	if err := p.FreeN([]Ref{r2, Ref(999)}); err == nil {
-		t.Fatal("invalid ref accepted")
-	}
 }
 
 // TestFreeAllocatesNothing frees pages of a large file: no call may build
@@ -119,7 +100,7 @@ func TestAllocContiguousZeroAndNegative(t *testing.T) {
 
 func TestWindowStableAcrossGrowth(t *testing.T) {
 	p := newTestPool(t, Config{GrowChunkPages: 1, MaxPages: 1 << 12})
-	base := p.Window()
+	base := p.window
 	first, _ := p.Alloc()
 	p.Page(first)[0] = 9
 	for i := 0; i < 500; i++ {
@@ -127,7 +108,7 @@ func TestWindowStableAcrossGrowth(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if p.Window() != base {
+	if p.window != base {
 		t.Fatal("window moved during growth")
 	}
 	if p.Page(first)[0] != 9 {

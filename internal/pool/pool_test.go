@@ -130,7 +130,7 @@ func TestRefOfInvertsAddr(t *testing.T) {
 			t.Fatalf("RefOf interior = %d, %v", got, err)
 		}
 	}
-	if _, err := p.RefOf(p.Window() - 1); err == nil {
+	if _, err := p.RefOf(p.window - 1); err == nil {
 		t.Fatal("RefOf below window should fail")
 	}
 }

@@ -75,14 +75,14 @@ const (
 
 // StatsReply is the JSON payload of a successful OpStats response: the
 // server's own counters next to the backing store's uniform Stats, plus
-// an explicit durability section so remote clients (and the ehload /
-// ehstore outputs) can read the WAL's state without knowing the Stats
-// struct's field names.
+// an explicit durability section so remote clients (and ehload's output)
+// can read the WAL's state without knowing the Stats struct's field
+// names.
 // Forward compatibility is part of the contract: the payload is decoded
 // with encoding/json defaults, which ignore unknown fields, so an old
 // client reading a newer server's reply (extra sections, extra counters)
 // sees everything it knows about and skips the rest — version skew
-// between ehload/ehstore and the server is expected during rollouts.
+// between ehload and the server is expected during rollouts.
 // Fields must therefore never be renamed or change meaning. An optional
 // (omitempty) section may stop being sent; readers already treat an
 // absent section as "not running here".
@@ -263,6 +263,3 @@ func readFrame(r *bufio.Reader, buf []byte, limit uint32) (tag byte, payload, ne
 
 // Uint64 decodes the u64 at offset off of a payload.
 func Uint64(p []byte, off int) uint64 { return binary.LittleEndian.Uint64(p[off:]) }
-
-// Uint32 decodes the u32 at offset off of a payload.
-func Uint32(p []byte, off int) uint32 { return binary.LittleEndian.Uint32(p[off:]) }
