@@ -14,8 +14,12 @@ import (
 // pipeline pays one syscall, one flush, and one routing decision for the
 // whole run.
 //
-// Results come back in submission order, one per queued operation. A
-// Pipeline is reusable after Flush and is not safe for concurrent use.
+// Results come back in submission order, one per queued operation. Flush
+// decodes every response already in the connection's read buffer in
+// place, and blocks on the connection only when no complete response is
+// buffered, so a run's responses cost one read per arriving segment, not
+// one per response. A Pipeline is reusable after Flush and is not safe
+// for concurrent use.
 type Pipeline struct {
 	c       *Conn
 	buf     []byte
@@ -102,13 +106,49 @@ func (p *Pipeline) Flush(results []Result) ([]Result, error) {
 			return results, err
 		}
 		written = segEnd
-		for ; i < j; i++ {
+		var err error
+		if results, err = p.decode(p.pending[i:j], results); err != nil {
+			return results, err
+		}
+		i = j
+	}
+	return results, nil
+}
+
+// decode reads the responses to pend in order, appending their results.
+// Complete responses already buffered are parsed in place and consumed
+// with one Discard; only when none is buffered does it block, reading one
+// response through readResp — which also serves a response larger than
+// the read buffer and reports a malformed length.
+func (p *Pipeline) decode(pend []pendingOp, results []Result) ([]Result, error) {
+	c := p.c
+	for len(pend) > 0 {
+		buf, _ := c.br.Peek(c.br.Buffered())
+		off := 0
+		for len(pend) > 0 {
+			tag, payload, size := wire.NextFrame(buf[off:])
+			if size == 0 {
+				break
+			}
 			var err error
-			results, err = p.readOne(p.pending[i], results)
-			if err != nil {
+			if results, err = p.result(pend[0].op, tag, payload, results); err != nil {
 				return results, err
 			}
+			off += size
+			pend = pend[1:]
 		}
+		c.br.Discard(off)
+		if off > 0 || len(pend) == 0 {
+			continue
+		}
+		tag, payload, err := c.readResp()
+		if err != nil {
+			return results, err
+		}
+		if results, err = p.result(pend[0].op, tag, payload, results); err != nil {
+			return results, err
+		}
+		pend = pend[1:]
 	}
 	return results, nil
 }
@@ -119,12 +159,10 @@ func (p *Pipeline) reset() {
 	p.pending = p.pending[:0]
 }
 
-func (p *Pipeline) readOne(pd pendingOp, results []Result) ([]Result, error) {
+// result appends the Result of one response to a request of opcode op.
+// payload may alias the read buffer; nothing retains it.
+func (p *Pipeline) result(op, tag byte, payload []byte, results []Result) ([]Result, error) {
 	c := p.c
-	tag, payload, err := c.readResp()
-	if err != nil {
-		return results, err
-	}
 	if tag == wire.StatusErr || tag == wire.StatusReadOnly || tag == wire.StatusStale {
 		// One errored response per request frame. The replica refusals
 		// land here too: a replica answers a coalesced pipeline per frame,
@@ -135,7 +173,7 @@ func (p *Pipeline) readOne(pd pendingOp, results []Result) ([]Result, error) {
 		}
 		return append(results, Result{Err: err}), nil
 	}
-	switch pd.op {
+	switch op {
 	case wire.OpGet:
 		switch tag {
 		case wire.StatusOK:

@@ -105,7 +105,7 @@ func runFailoverCheck(cfg failoverConfig) error {
 	fmt.Println("failover-check: follower attached; starting the write phase")
 
 	// kill -9 the primary: no drain, no goodbye to the follower.
-	n, inFlight, err := killMidRun(restartConfig{addr: cfg.primaryAddr, maxKeys: cfg.maxKeys, seed: cfg.seed}, func() error {
+	acked, inFlight, err := killMidRun(restartConfig{addr: cfg.primaryAddr, maxKeys: cfg.maxKeys, seed: cfg.seed}, func() error {
 		err := primary.Process.Kill()
 		primary.Wait()
 		primaryDown = true
@@ -114,8 +114,9 @@ func runFailoverCheck(cfg failoverConfig) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("failover-check: %d of %d writes acknowledged, primary killed with SIGKILL with %d in flight\n",
-		n, cfg.maxKeys, inFlight)
+	n := acked.sum()
+	fmt.Printf("failover-check: %d of %d writes acknowledged (%v per connection), primary killed with SIGKILL with %d in flight (%v)\n",
+		n, cfg.maxKeys, acked, inFlight.sum(), inFlight)
 
 	// Promote the follower over the wire — the same PROMOTE frame any
 	// operator tooling would send.
@@ -133,7 +134,7 @@ func runFailoverCheck(cfg failoverConfig) error {
 	fmt.Printf("failover-check: follower promoted in %s\n", promoteDur.Round(time.Millisecond))
 
 	verifyStart := time.Now()
-	missing, mismatched, err := verifyPhase(restartConfig{addr: cfg.followerAddr, seed: cfg.seed}, n)
+	missing, mismatched, err := verifyPhase(restartConfig{addr: cfg.followerAddr, maxKeys: cfg.maxKeys, seed: cfg.seed}, acked)
 	if err != nil {
 		return err
 	}
@@ -154,7 +155,7 @@ func runFailoverCheck(cfg failoverConfig) error {
 
 	if cfg.out != "" {
 		rep := failoverReport{
-			Bench: "failover-check", Acked: n, InFlight: inFlight,
+			Bench: "failover-check", Acked: n, InFlight: inFlight.sum(),
 			Missing: missing, Mismatched: mismatched,
 			PromoteS: promoteDur.Seconds(), VerifyS: verifyDur.Seconds(),
 			OK: missing+mismatched == 0,

@@ -1,9 +1,9 @@
 // The -restart-check mode: an end-to-end crash-recovery verification.
 // ehload manages the server process itself — start it, write
-// acknowledged keys while it runs, kill -9 it once the acknowledged count
-// reaches a point drawn from -seed while the next batch is in flight,
-// restart it, and verify that every write acknowledged before the kill
-// is present with the right value. With -fsync always on the server
+// acknowledged keys over two connections while it runs, kill -9 it once
+// the acknowledged count reaches a point drawn from -seed while each
+// connection has a batch in flight, restart it, and verify that every
+// write acknowledged before the kill is present with the right value. With -fsync always on the server
 // this must hold exactly; a single missing or mismatched key fails the
 // check (and the CI crash-recovery job built on it).
 package main
@@ -14,6 +14,7 @@ import (
 	"os"
 	"os/exec"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -33,6 +34,26 @@ type restartConfig struct {
 // checkChunk is how many requests the write and verify loops pipeline
 // per round trip.
 const checkChunk = 128
+
+// checkConns is how many connections the write phase drives, each over
+// its own part of the keys with one batch in flight, so that a kill can
+// land with both of the WAL's sync slots open.
+const checkConns = 2
+
+// perConn holds one count per write-phase connection.
+type perConn [checkConns]int64
+
+func (v perConn) sum() (n int64) {
+	for _, x := range v {
+		n += x
+	}
+	return n
+}
+
+// connKeys returns the key indices [lo, hi) connection c writes.
+func connKeys(maxKeys, c int) (lo, hi int) {
+	return c * maxKeys / checkConns, (c + 1) * maxKeys / checkConns
+}
 
 // killTimeout bounds how long a check waits for its kill point.
 const killTimeout = time.Minute
@@ -88,7 +109,7 @@ func runRestartCheck(cfg restartConfig) error {
 	}
 	// kill -9: no drain, no final fsync — only what the WAL policy made
 	// durable survives.
-	n, inFlight, err := killMidRun(cfg, func() error {
+	acked, inFlight, err := killMidRun(cfg, func() error {
 		err := proc.Process.Kill()
 		proc.Wait()
 		return err
@@ -96,8 +117,9 @@ func runRestartCheck(cfg restartConfig) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("restart-check: %d of %d writes acknowledged, server killed with SIGKILL with %d in flight\n",
-		n, cfg.maxKeys, inFlight)
+	n := acked.sum()
+	fmt.Printf("restart-check: %d of %d writes acknowledged (%v per connection), server killed with SIGKILL with %d in flight (%v)\n",
+		n, cfg.maxKeys, acked, inFlight.sum(), inFlight)
 
 	// Phase 2: restart and verify. Dial success implies recovery is
 	// complete — the durable server only listens after replaying.
@@ -109,7 +131,7 @@ func runRestartCheck(cfg restartConfig) error {
 		proc2.Process.Signal(syscall.SIGTERM)
 		proc2.Wait()
 	}()
-	missing, mismatched, err := verifyPhase(cfg, n)
+	missing, mismatched, err := verifyPhase(cfg, acked)
 	if err != nil {
 		return err
 	}
@@ -128,26 +150,38 @@ func killPoint(load int, seed uint64) int64 {
 	return int64(load/4 + workload.NewRNG(seed).Intn(load/2+1))
 }
 
-// writeProgress is what writePhase shares with the goroutine that kills
-// the server under it.
+// writeProgress is what the write phase's connections share with the
+// goroutine that kills the server under them. sent and acked count each
+// connection's writes from the start of its key range.
 type writeProgress struct {
-	sent, acked atomic.Int64
+	sent, acked [checkConns]atomic.Int64
+	total       atomic.Int64 // acked, summed over the connections
 	killAt      int64
-	reached     chan struct{} // closed once acked reaches killAt
+	once        sync.Once
+	reached     chan struct{} // closed once total reaches killAt
 }
 
-// killMidRun runs writePhase against the server at cfg.addr and calls
-// kill once the acknowledged count reaches killPoint, while the writer
-// goes on with its next batch. It returns the writes acknowledged before
-// the kill, and how many were sent before it without an ack. It fails if
-// the kill point is not reached within killTimeout, or if every write
-// was acknowledged before the kill landed: then no batch was torn.
-func killMidRun(cfg restartConfig, kill func() error) (acked, inFlight int64, err error) {
+// killMidRun runs the write phase against the server at cfg.addr and
+// calls kill once the acknowledged count, summed over the connections,
+// reaches killPoint, while each connection goes on with its next batch.
+// It returns, per connection, the writes acknowledged before the kill and
+// how many were sent before it without an ack. It fails if the kill point
+// is not reached within killTimeout, or if every write was acknowledged
+// before the kill landed: then no batch was torn.
+func killMidRun(cfg restartConfig, kill func() error) (acked, inFlight perConn, err error) {
 	w := &writeProgress{killAt: killPoint(cfg.maxKeys, cfg.seed), reached: make(chan struct{})}
-	var writeErr error
+	var writeErrs [checkConns]error
+	var wg sync.WaitGroup
+	for c := range checkConns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			writeErrs[c] = writePhase(cfg, w, c)
+		}()
+	}
 	done := make(chan struct{})
 	go func() {
-		writeErr = writePhase(cfg, w)
+		wg.Wait()
 		close(done)
 	}()
 	select {
@@ -156,55 +190,62 @@ func killMidRun(cfg restartConfig, kill func() error) (acked, inFlight int64, er
 	case <-time.After(killTimeout):
 	}
 	if err := kill(); err != nil {
-		return 0, 0, fmt.Errorf("kill -9: %w", err)
+		return acked, inFlight, fmt.Errorf("kill -9: %w", err)
 	}
-	sent := w.sent.Load()
+	var sent perConn
+	for c := range sent {
+		sent[c] = w.sent[c].Load()
+	}
 	<-done
-	acked = w.acked.Load()
-	switch {
-	case acked < w.killAt:
-		return acked, 0, fmt.Errorf("the kill point (%d acknowledged) was not reached within %s: %d acknowledged (write phase: %v)",
-			w.killAt, killTimeout, acked, writeErr)
-	case writeErr == nil:
-		return acked, 0, fmt.Errorf("all %d writes were acknowledged before the kill landed; raise -load", acked)
+	for c := range acked {
+		acked[c] = w.acked[c].Load()
+		inFlight[c] = max(sent[c]-acked[c], 0)
 	}
-	return acked, max(sent-acked, 0), nil
+	writeErr := errors.Join(writeErrs[:]...)
+	switch {
+	case acked.sum() < w.killAt:
+		return acked, perConn{}, fmt.Errorf("the kill point (%d acknowledged) was not reached within %s: %d acknowledged (write phase: %v)",
+			w.killAt, killTimeout, acked.sum(), writeErr)
+	case writeErr == nil:
+		return acked, perConn{}, fmt.Errorf("all %d writes were acknowledged before the kill landed; raise -load", acked.sum())
+	}
+	return acked, inFlight, nil
 }
 
-// writePhase puts keys 0,1,2,... (through the benchmark's key mapping)
-// in acknowledged batches until maxKeys or the connection dies under the
-// kill. w.acked counts only fully acknowledged batches, w.sent every
-// batch flushed; w.reached closes once w.acked reaches w.killAt.
-func writePhase(cfg restartConfig, w *writeProgress) error {
-	c, err := client.DialConnRetry(cfg.addr, 15*time.Second)
+// writePhase puts connection c's keys (connKeys, through the benchmark's
+// key mapping) in order, in acknowledged batches, until its range is
+// written or the connection dies under the kill. w.acked[c] counts only
+// fully acknowledged batches, w.sent[c] every batch flushed; w.reached
+// closes once the acknowledged total reaches w.killAt.
+func writePhase(cfg restartConfig, w *writeProgress, c int) error {
+	conn, err := client.DialConnRetry(cfg.addr, 15*time.Second)
 	if err != nil {
 		return err
 	}
-	defer c.Close()
-	p := c.Pipeline()
+	defer conn.Close()
+	p := conn.Pipeline()
 	var res []client.Result
-	for lo := 0; lo < cfg.maxKeys; lo += checkChunk {
-		hi := lo + checkChunk
-		if hi > cfg.maxKeys {
-			hi = cfg.maxKeys
-		}
+	first, end := connKeys(cfg.maxKeys, c)
+	for lo := first; lo < end; lo += checkChunk {
+		hi := min(lo+checkChunk, end)
 		for i := lo; i < hi; i++ {
 			p.Put(workload.Key(cfg.seed, uint64(i)), uint64(i))
 		}
-		w.sent.Store(int64(hi))
+		w.sent[c].Store(int64(hi - first))
 		if res, err = roundTrip(p, res); err != nil {
 			return err // the kill landed (or the server fell over early)
 		}
-		w.acked.Store(int64(hi))
-		if lo < int(w.killAt) && hi >= int(w.killAt) {
-			close(w.reached)
+		w.acked[c].Store(int64(hi - first))
+		if w.total.Add(int64(hi-lo)) >= w.killAt {
+			w.once.Do(func() { close(w.reached) })
 		}
 	}
 	return nil
 }
 
-// verifyPhase reads back every acknowledged key after the restart.
-func verifyPhase(cfg restartConfig, n int64) (missing, mismatched int64, err error) {
+// verifyPhase reads back, for each write-phase connection, the prefix of
+// its keys that was acknowledged before the kill.
+func verifyPhase(cfg restartConfig, acked perConn) (missing, mismatched int64, err error) {
 	c, err := client.DialConnRetry(cfg.addr, 30*time.Second)
 	if err != nil {
 		return 0, 0, fmt.Errorf("server did not come back: %w", err)
@@ -212,23 +253,23 @@ func verifyPhase(cfg restartConfig, n int64) (missing, mismatched int64, err err
 	defer c.Close()
 	p := c.Pipeline()
 	var res []client.Result
-	for lo := int64(0); lo < n; lo += checkChunk {
-		hi := lo + checkChunk
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			p.Get(workload.Key(cfg.seed, uint64(i)))
-		}
-		if res, err = roundTrip(p, res); err != nil {
-			return missing, mismatched, fmt.Errorf("verify read: %w", err)
-		}
-		for j, r := range res {
-			switch {
-			case !r.Found:
-				missing++
-			case r.Value != uint64(lo)+uint64(j):
-				mismatched++
+	for conn, n := range acked {
+		first, _ := connKeys(cfg.maxKeys, conn)
+		for lo := first; lo < first+int(n); lo += checkChunk {
+			hi := min(lo+checkChunk, first+int(n))
+			for i := lo; i < hi; i++ {
+				p.Get(workload.Key(cfg.seed, uint64(i)))
+			}
+			if res, err = roundTrip(p, res); err != nil {
+				return missing, mismatched, fmt.Errorf("verify read: %w", err)
+			}
+			for j, r := range res {
+				switch {
+				case !r.Found:
+					missing++
+				case r.Value != uint64(lo+j):
+					mismatched++
+				}
 			}
 		}
 	}

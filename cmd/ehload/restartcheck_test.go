@@ -48,8 +48,9 @@ func startServer(t *testing.T) (addr string, kill func() error, lookup func(uint
 }
 
 // TestKillMidRunTearsTheWritePhase checks that the kill lands at the
-// seeded count, before the last write, and that every write acknowledged
-// before it is in the store.
+// seeded count, summed over the connections, before the last write; that
+// each connection has at most one batch in flight; and that every write
+// each connection had acknowledged before the kill is in the store.
 func TestKillMidRunTearsTheWritePhase(t *testing.T) {
 	addr, kill, lookup := startServer(t)
 	cfg := restartConfig{addr: addr, maxKeys: 50_000, seed: 3}
@@ -57,15 +58,20 @@ func TestKillMidRunTearsTheWritePhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acked < killPoint(cfg.maxKeys, cfg.seed) || acked >= int64(cfg.maxKeys) {
-		t.Fatalf("%d acknowledged: want the kill point %d or more, below %d", acked, killPoint(cfg.maxKeys, cfg.seed), cfg.maxKeys)
+	if n := acked.sum(); n < killPoint(cfg.maxKeys, cfg.seed) || n >= int64(cfg.maxKeys) {
+		t.Fatalf("%d acknowledged: want the kill point %d or more, below %d", n, killPoint(cfg.maxKeys, cfg.seed), cfg.maxKeys)
 	}
-	if inFlight < 0 || inFlight > checkChunk {
-		t.Fatalf("%d in flight, want at most one batch of %d", inFlight, checkChunk)
+	for c, f := range inFlight {
+		if f < 0 || f > checkChunk {
+			t.Fatalf("connection %d: %d in flight, want at most one batch of %d", c, f, checkChunk)
+		}
 	}
-	for i := int64(0); i < acked; i++ {
-		if v, ok := lookup(workload.Key(cfg.seed, uint64(i))); !ok || v != uint64(i) {
-			t.Fatalf("acknowledged write %d = (%d, %v)", i, v, ok)
+	for c, n := range acked {
+		first, _ := connKeys(cfg.maxKeys, c)
+		for i := first; i < first+int(n); i++ {
+			if v, ok := lookup(workload.Key(cfg.seed, uint64(i))); !ok || v != uint64(i) {
+				t.Fatalf("connection %d: acknowledged write %d = (%d, %v)", c, i, v, ok)
+			}
 		}
 	}
 }

@@ -169,6 +169,15 @@ func (t *Table) Lookup(key uint64) (uint64, bool) {
 	return bucket.ViewAddr(t.dir[idx]).Lookup(key)
 }
 
+// LookupRun looks up a run of keys, writing the value and presence of
+// keys[i] to vals[i] and found[i]; vals and found must be at least as long
+// as keys.
+func (t *Table) LookupRun(keys, vals []uint64, found []bool) {
+	for i, k := range keys {
+		vals[i], found[i] = t.Lookup(k)
+	}
+}
+
 // Range calls fn for every stored entry until fn returns false. Each
 // distinct bucket is visited once even when several directory slots fan in
 // to it. Iteration order is unspecified. fn must not mutate the table.

@@ -16,7 +16,9 @@ import (
 // given WaitSync before the timer starts, and the timed loop looks up
 // uniformly chosen hits. Key derivation is the same on both sides, so the
 // difference between kind=eh and kind=sceh at one size is the directory
-// load the shortcut replaces. Interleave runs of the two kinds when
+// load the shortcut replaces. kind=sceh-run looks the same keys up in runs
+// of 32 through LookupRun, the batch path's call, which routes and counts
+// once per run; ns/op is still per key. Interleave runs of the kinds when
 // comparing them:
 //
 //	go test -run '^$' -bench Lookup -benchtime 1s -count 6 ./internal/sceh
@@ -59,7 +61,8 @@ func BenchmarkLookup(b *testing.B) {
 			return t, release, nil
 		},
 	}
-	for _, kind := range []string{"eh", "sceh"} {
+	build["sceh-run"] = build["sceh"]
+	for _, kind := range []string{"eh", "sceh", "sceh-run"} {
 		b.Run("kind="+kind, func(b *testing.B) {
 			for _, lg := range []int{12, 15, 18, 20} {
 				n := 1 << lg
@@ -79,10 +82,14 @@ func BenchmarkLookup(b *testing.B) {
 					}
 					rng := workload.NewRNG(lookupSeed)
 					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						idx := rng.Next() & uint64(n-1)
-						if v, ok := tbl.Lookup(workload.Key(lookupSeed, idx)); !ok || v != idx {
-							b.Fatalf("Lookup(key %d) = %d, %v", idx, v, ok)
+					if kind == "sceh-run" {
+						lookupRuns(b, sc, n, rng)
+					} else {
+						for i := 0; i < b.N; i++ {
+							idx := rng.Next() & uint64(n-1)
+							if v, ok := tbl.Lookup(workload.Key(lookupSeed, idx)); !ok || v != idx {
+								b.Fatalf("Lookup(key %d) = %d, %v", idx, v, ok)
+							}
 						}
 					}
 					if isSceh {
@@ -96,6 +103,26 @@ func BenchmarkLookup(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// lookupRuns looks up b.N uniformly chosen hits of t's n keys in runs of
+// 32 through LookupRun.
+func lookupRuns(b *testing.B, t *Table, n int, rng *workload.RNG) {
+	var idxs, keys, vals [32]uint64
+	var found [32]bool
+	for i := 0; i < b.N; i += len(keys) {
+		m := min(len(keys), b.N-i)
+		for j := range m {
+			idxs[j] = rng.Next() & uint64(n-1)
+			keys[j] = workload.Key(lookupSeed, idxs[j])
+		}
+		t.LookupRun(keys[:m], vals[:m], found[:m])
+		for j := range m {
+			if !found[j] || vals[j] != idxs[j] {
+				b.Fatalf("LookupRun(key %d) = %d, %v", idxs[j], vals[j], found[j])
+			}
+		}
 	}
 }
 

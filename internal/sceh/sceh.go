@@ -460,6 +460,26 @@ func (t *Table) Lookup(key uint64) (uint64, bool) {
 	return t.eh.Lookup(key)
 }
 
+// LookupRun looks up a run of keys like Lookup, writing the value and
+// presence of keys[i] to vals[i] and found[i]; vals and found must be at
+// least as long as keys. The run is routed once and counted with one add,
+// so a batch's run of GETs pays one version check and one shared counter
+// update, not one per key. A writer cannot run during the call unless the
+// caller validates the results afterwards (see Table), so one routing
+// decision holds for the whole run.
+func (t *Table) LookupRun(keys, vals []uint64, found []bool) {
+	if st := t.route(); st != nil {
+		t.scLookups.Add(uint64(len(keys)))
+		for i, k := range keys {
+			vals[i], found[i] = st.lookup(k)
+		}
+		return
+	}
+	t.tradLookups.Add(uint64(len(keys)))
+	t.wake()
+	t.eh.LookupRun(keys, vals, found)
+}
+
 // route returns the published state if it is routable and in sync, and
 // nil otherwise.
 func (t *Table) route() *scState {

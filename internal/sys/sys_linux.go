@@ -121,26 +121,16 @@ func MapSharedNew(length int, fd int, off int64, populate bool) (uintptr, error)
 	return addr, nil
 }
 
-// MapAnonFixed replaces the mapping at [addr, addr+length) with fresh
-// anonymous memory, detaching it from any main-memory file. Used to blank
-// out shortcut slots and to retire shrunk pool tails.
-func MapAnonFixed(addr uintptr, length int) error {
-	return mapAnonFixed(addr, length, syscall.PROT_READ|syscall.PROT_WRITE)
-}
-
-// MapZeroFixed is MapAnonFixed without write access: every page of the
-// range reads as zeros and holds no memory, and the range cannot merge
-// with a writable neighbour. Used to retire a range late readers may
-// still load from.
+// MapZeroFixed replaces the mapping at [addr, addr+length) with one
+// read-only anonymous mapping, detaching the range from any main-memory
+// file: every page reads as zeros and holds no memory, and the range
+// cannot merge with a writable neighbour. Used to retire a range late
+// readers may still load from.
 func MapZeroFixed(addr uintptr, length int) error {
-	return mapAnonFixed(addr, length, syscall.PROT_READ)
-}
-
-func mapAnonFixed(addr uintptr, length int, prot uintptr) error {
 	if err := injected(OpMapShared); err != nil {
 		return errOp(OpMapShared, err)
 	}
-	_, _, errno := syscall.Syscall6(syscall.SYS_MMAP, addr, uintptr(length), prot,
+	_, _, errno := syscall.Syscall6(syscall.SYS_MMAP, addr, uintptr(length), syscall.PROT_READ,
 		syscall.MAP_PRIVATE|syscall.MAP_ANON|syscall.MAP_FIXED, ^uintptr(0), 0)
 	if errno != 0 {
 		return errOp(OpMapShared, errno)

@@ -107,7 +107,9 @@ func TestRewireAliasing(t *testing.T) {
 	}
 }
 
-func TestMapAnonFixedDetaches(t *testing.T) {
+// TestMapZeroFixedDetaches blanks a page mapped from a file: the blank
+// reads zeros, and the file page keeps its value.
+func TestMapZeroFixedDetaches(t *testing.T) {
 	ps := PageSize()
 	fd, err := MemfdCreate("sys-detach")
 	if err != nil {
@@ -126,8 +128,8 @@ func TestMapAnonFixedDetaches(t *testing.T) {
 		t.Fatalf("MapShared: %v", err)
 	}
 	Bytes(area, ps)[0] = 9
-	if err := MapAnonFixed(area, ps); err != nil {
-		t.Fatalf("MapAnonFixed: %v", err)
+	if err := MapZeroFixed(area, ps); err != nil {
+		t.Fatalf("MapZeroFixed: %v", err)
 	}
 	if got := Bytes(area, ps)[0]; got != 0 {
 		t.Fatalf("detached page should read zero, got %d", got)

@@ -261,5 +261,23 @@ func readFrame(r *bufio.Reader, buf []byte, limit uint32) (tag byte, payload, ne
 	return tag, payload, buf, nil
 }
 
+// NextFrame parses the frame at the start of buf in place, returning its
+// tag, its payload (aliasing buf) and the bytes it spans. size is 0 when
+// buf does not start with a complete frame whose length is in [1,
+// MaxFrame]; ReadFrame then waits for the rest, or reports the bad length.
+// A reader that walks its buffered bytes with NextFrame consumes every
+// frame already received with one Peek and one Discard.
+func NextFrame(buf []byte) (tag byte, payload []byte, size int) {
+	if len(buf) < HeaderSize {
+		return 0, nil, 0
+	}
+	n := binary.LittleEndian.Uint32(buf)
+	if n < 1 || n > MaxFrame || len(buf)-4 < int(n) {
+		return 0, nil, 0
+	}
+	size = 4 + int(n)
+	return buf[4], buf[HeaderSize:size], size
+}
+
 // Uint64 decodes the u64 at offset off of a payload.
 func Uint64(p []byte, off int) uint64 { return binary.LittleEndian.Uint64(p[off:]) }

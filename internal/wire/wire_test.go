@@ -121,6 +121,38 @@ func TestReadFrameLargerThanConnBuffer(t *testing.T) {
 	}
 }
 
+// TestNextFrameOnlyCompleteFrames walks every prefix of a two-frame
+// stream: NextFrame reports a frame exactly when all of it is there, and a
+// length outside [1, MaxFrame] never parses, however many bytes follow.
+func TestNextFrameOnlyCompleteFrames(t *testing.T) {
+	stream := AppendPut(nil, 7, 42)
+	first := len(stream)
+	stream = AppendError(stream, "boom")
+	for cut := 0; cut <= len(stream); cut++ {
+		tag, p, size := NextFrame(stream[:cut])
+		if cut < first {
+			if size != 0 {
+				t.Fatalf("prefix of %d bytes parsed a %d-byte frame", cut, size)
+			}
+			continue
+		}
+		if size != first || tag != OpPut || Uint64(p, 0) != 7 || Uint64(p, 8) != 42 {
+			t.Fatalf("prefix of %d bytes: tag 0x%02x payload %x size %d", cut, tag, p, size)
+		}
+		tag, p, size = NextFrame(stream[first:cut])
+		if complete := cut == len(stream); (size != 0) != complete || complete && (tag != StatusErr || string(p) != "boom") {
+			t.Fatalf("second frame of a %d-byte prefix: tag 0x%02x payload %q size %d", cut, tag, p, size)
+		}
+	}
+	for _, n := range []uint32{0, MaxFrame + 1} {
+		bad := binary.LittleEndian.AppendUint32(nil, n)
+		bad = append(bad, make([]byte, 64)...)
+		if _, _, size := NextFrame(bad); size != 0 {
+			t.Fatalf("length %d parsed as a %d-byte frame", n, size)
+		}
+	}
+}
+
 func TestDecodeBatchRejectsMalformedPayloads(t *testing.T) {
 	var b op.Batch
 	if err := DecodeBatch(op.CodeGetBatch, []byte{1, 2}, &b); err == nil {

@@ -63,14 +63,14 @@ func newBenchState(b *testing.B, instr bool) *connState {
 	return st
 }
 
-// serveOne runs one loop iteration's worth of handler work for a frame,
-// mirroring serveConn's per-frame sequence (minus the blocking read).
+// serveOne runs one loop iteration's worth of handler work for a
+// single-op frame, mirroring serveConn's sequence (minus the blocking
+// read); singles counts the batch's frames itself.
 func serveOne(b *testing.B, st *connState, tag byte, payload []byte) {
 	if st.instr {
 		st.start = time.Now()
 		st.trace.Reset()
 		st.traced = false
-		st.srv.metrics.countFrame(tag)
 	}
 	st.resp = st.resp[:0]
 	if err := st.singles(tag, payload); err != nil {

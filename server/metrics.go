@@ -83,6 +83,16 @@ func (m *Metrics) countFrame(tag byte) {
 	m.frames[tag].Inc() // nil-safe for unknown opcodes
 }
 
+// countFrames counts a gathered batch's frames by opcode, one add per
+// kind present.
+func (m *Metrics) countFrames(gets, puts, dels int) {
+	for op, n := range [...]int{wire.OpGet: gets, wire.OpPut: puts, wire.OpDel: dels} {
+		if n > 0 {
+			m.frames[op].Add(uint64(n))
+		}
+	}
+}
+
 // bindServer registers render-time bindings for s's own counters and the
 // subsystems reachable from it. Called once, from New.
 func (m *Metrics) bindServer(s *Server) {

@@ -14,6 +14,12 @@
 // Responses are written in request order, so clients cannot observe the
 // coalescing.
 //
+// The bookkeeping is per batch too. Only a run's first frame takes a
+// blocking read; the frames buffered behind it are parsed in place and
+// consumed with one Discard. The server's frame, op and coalescing
+// counters take one atomic add each per gathered batch, and with Metrics
+// set the per-opcode frame counts take one add per kind in the batch.
+//
 // Error fan-out: a coalesced batch that fails — a rejected insert, a
 // closed store, a log append failure — fails as a unit: every entry
 // gathered into it is answered with StatusErr, because on a durable store
@@ -358,7 +364,10 @@ func (s *Server) closeConns() {
 }
 
 // Counters snapshots the serving-layer counters into a struct in one
-// pass of atomic loads.
+// pass of atomic loads. Frames and Ops move once per gathered batch of
+// pipelined single-op frames, by the batch's size, and CoalescedBatches
+// and CoalescedOps once per batch of more than one op; every other
+// request frame moves Frames and Ops by one.
 //
 // Consistency contract: each field is individually exact and monotonic
 // (every load is atomic, and every counter only increases; ActiveConns
@@ -402,11 +411,6 @@ type connState struct {
 	// gathered batch that mixes reads with refused mutations.
 	gets op.Batch
 	gres op.Results
-	// drainBroken is set when Shutdown's deadline poke interrupted the
-	// coalescer mid-frame: the gathered complete requests are still
-	// answered, but the stream is no longer frame-aligned, so the
-	// connection must close right after.
-	drainBroken bool
 
 	// Observability (instr is set once, from Config.Metrics != nil):
 	// trace collects the current batch's per-stage durations — it is
@@ -461,14 +465,20 @@ func (s *Server) serveConn(c net.Conn) {
 			}
 			return
 		}
-		s.frames.Add(1)
 		if st.instr {
 			st.start = time.Now()
 			st.trace.Reset()
 			st.traced = false
-			s.metrics.countFrame(tag)
 		}
 		st.resp = st.resp[:0]
+		if !isSingle(tag) {
+			// A single-op frame opens a batch, whose frames are counted
+			// once it is gathered.
+			s.frames.Add(1)
+			if st.instr {
+				s.metrics.countFrame(tag)
+			}
+		}
 		switch tag {
 		case wire.OpGet, wire.OpPut, wire.OpDel:
 			err = st.singles(tag, payload)
@@ -494,17 +504,18 @@ func (s *Server) serveConn(c net.Conn) {
 			s.logf("server: conn %s: %v", c.RemoteAddr(), err)
 			return
 		}
-		// Reply write, then flush when the pipeline is (momentarily)
-		// empty — batching the flush across pipelined requests is the
-		// write-side half of the amortization — or when the drain broke
-		// the stream. The whole write+flush span is StageReplyWrite.
+		// Reply write, then flush unless another complete request is
+		// already buffered — batching the flush across pipelined requests
+		// is the write-side half of the amortization. A torn request
+		// does not hold the flush back: its rest may never come. The
+		// whole write+flush span is StageReplyWrite.
 		var wstart time.Time
 		if st.instr {
 			wstart = time.Now()
 		}
 		_, werr := st.bw.Write(st.resp)
 		flushed := false
-		if werr == nil && (st.drainBroken || st.br.Buffered() == 0) {
+		if _, _, size := wire.NextFrame(st.buffered()); werr == nil && size == 0 {
 			werr = st.bw.Flush()
 			flushed = true
 		}
@@ -513,7 +524,7 @@ func (s *Server) serveConn(c net.Conn) {
 			st.trace.Set(obs.StageTotal, time.Since(st.start))
 			s.finishBatch(st)
 		}
-		if werr != nil || st.drainBroken {
+		if werr != nil {
 			return
 		}
 		if flushed && s.draining.Load() {
@@ -541,7 +552,8 @@ func (s *Server) finishBatch(st *connState) {
 // is gathered in request order (up to maxBatch) into one mixed operation
 // batch and executed as ONE ApplyBatch call. Responses are appended in
 // request order, so the wire contract is indistinguishable from serial
-// execution; a kind switch in the pipeline does not break the batch.
+// execution; a kind switch in the pipeline does not break the batch. The
+// server's frame, op and coalescing counters move once per batch.
 func (st *connState) singles(tag byte, payload []byte) error {
 	var t0 time.Time
 	if st.instr {
@@ -553,37 +565,21 @@ func (st *connState) singles(tag byte, payload []byte) error {
 		return err
 	}
 	if st.instr {
-		// The first frame's decode is StageDecode; the gather loop below,
-		// which reads the further pipelined frames, is StageCoalesce.
+		// The first frame's decode is StageDecode; the gather below,
+		// which parses the further pipelined frames, is StageCoalesce.
 		now := time.Now()
 		st.trace.Set(obs.StageDecode, now.Sub(t0))
 		t0 = now
 	}
-	for st.batch.Len() < maxBatch && st.peekSingle() {
-		tag, p, buf, err := wire.ReadFrame(st.br, st.readBuf)
-		st.readBuf = buf
-		if err != nil {
-			// Shutdown's deadline poke can land while a frame's body is
-			// still in flight: the header was consumed, so the stream is
-			// broken — but the requests gathered so far are complete and
-			// must still be answered before the connection closes.
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() && st.srv.draining.Load() {
-				st.drainBroken = true
-				break
-			}
-			return fmt.Errorf("reading pipelined frame: %w", err)
-		}
-		st.srv.frames.Add(1)
-		if st.instr {
-			st.srv.metrics.countFrame(tag)
-		}
-		if err := st.appendSingle(tag, p); err != nil {
-			return err
-		}
-	}
-
+	err := st.gather()
 	n := st.batch.Len()
+	st.srv.frames.Add(uint64(n))
+	if st.instr {
+		st.srv.metrics.countFrames(st.batch.Gets(), st.batch.Puts(), st.batch.Dels())
+	}
+	if err != nil {
+		return err
+	}
 	st.srv.ops.Add(uint64(n))
 	if n > 1 {
 		st.srv.coalescedBatches.Add(1)
@@ -598,7 +594,7 @@ func (st *connState) singles(tag byte, payload []byte) error {
 	if st.instr {
 		t0 = time.Now()
 	}
-	err := st.srv.store.ApplyBatch(&st.batch, &st.res)
+	err = st.srv.store.ApplyBatch(&st.batch, &st.res)
 	if st.instr && st.trace.Get(obs.StageApply) == 0 {
 		// The durable layer splits its span into StageApply and
 		// StageWALAppend through the batch's trace; when it did not run
@@ -708,20 +704,39 @@ func (st *connState) appendSingle(tag byte, payload []byte) error {
 	return nil
 }
 
-// peekSingle reports whether the next buffered frame is another
-// single-op request (any of GET/PUT/DEL — the coalescer gathers across
-// kinds). It only inspects what is already buffered, so coalescing adds
-// no latency.
-func (st *connState) peekSingle() bool {
-	if st.br.Buffered() < wire.HeaderSize {
-		return false
+// gather appends to the batch every complete single-op request (any of
+// GET/PUT/DEL — the coalescer gathers across kinds) already in the read
+// buffer, up to maxBatch, parsing the frames in place and consuming them
+// with one Discard. It never reads from the connection, so coalescing adds
+// no latency: a torn frame, another opcode or a bad length ends the run
+// and waits in the buffer for the blocking read of the next loop.
+func (st *connState) gather() error {
+	buf := st.buffered()
+	off := 0
+	for st.batch.Len() < maxBatch {
+		tag, p, size := wire.NextFrame(buf[off:])
+		if size == 0 || !isSingle(tag) {
+			break
+		}
+		if err := st.appendSingle(tag, p); err != nil {
+			return err
+		}
+		off += size
 	}
-	hdr, _ := st.br.Peek(wire.HeaderSize)
-	switch hdr[4] {
-	case wire.OpGet, wire.OpPut, wire.OpDel:
-		return true
-	}
-	return false
+	st.br.Discard(off)
+	return nil
+}
+
+// buffered returns the bytes already in the read buffer, without reading.
+func (st *connState) buffered() []byte {
+	buf, _ := st.br.Peek(st.br.Buffered())
+	return buf
+}
+
+// isSingle reports whether tag is a single-op request the coalescer
+// gathers.
+func isSingle(tag byte) bool {
+	return tag == wire.OpGet || tag == wire.OpPut || tag == wire.OpDel
 }
 
 // replStream hands a REPLSYNC connection over to the replication

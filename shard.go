@@ -3,7 +3,6 @@ package vmshortcut
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"vmshortcut/internal/hashfn"
@@ -27,12 +26,9 @@ type sharded struct {
 	kind   Kind
 	shards []Store
 
-	// Caller-facing batch counters: the same-kind runs of the batches
-	// ApplyBatch received. Stats reports these instead of the sum of the
-	// shards' counters, which would count every fan-out sub-batch.
-	insertBatches atomic.Uint64
-	lookupBatches atomic.Uint64
-	deleteBatches atomic.Uint64
+	// runs counts the same-kind runs of the batches ApplyBatch received;
+	// the shards count none, so the fan-out's sub-batches are not counted.
+	runs batchRuns
 
 	scratch sync.Pool // of *applyScratch, reused across ApplyBatch calls
 }
@@ -59,6 +55,7 @@ func openSharded(kind Kind, o *storeOptions) (Store, error) {
 			}
 			return nil, fmt.Errorf("vmshortcut: opening shard %d/%d: %w", i, n, err)
 		}
+		s.shard = true
 		shards[i] = s
 	}
 	return &sharded{kind: kind, shards: shards}, nil
@@ -212,10 +209,7 @@ func (s *sharded) ApplyBatch(b *op.Batch, res *op.Results) error {
 		sc.sub[sh].Add(kinds[i], k, vals[i])
 		sc.pos[sh] = append(sc.pos[sh], i)
 	}
-	runs := op.CountRuns(kinds)
-	s.lookupBatches.Add(runs[op.Get])
-	s.insertBatches.Add(runs[op.Put])
-	s.deleteBatches.Add(runs[op.Del])
+	s.runs.add(kinds)
 
 	s.fanOut(sc, n)
 	for sh, pos := range sc.pos {
@@ -304,11 +298,7 @@ func (s *sharded) Stats() Stats {
 	if agg.Buckets > 0 {
 		agg.AvgFanIn = float64(agg.DirectorySlots) / float64(agg.Buckets)
 	}
-	// Batch counters report caller-facing calls, not the per-shard
-	// sub-batches the summation above would have accumulated.
-	agg.InsertBatches = s.insertBatches.Load()
-	agg.LookupBatches = s.lookupBatches.Load()
-	agg.DeleteBatches = s.deleteBatches.Load()
+	s.runs.fill(&agg)
 	return agg
 }
 

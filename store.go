@@ -288,29 +288,43 @@ func WithShards(n int) Option {
 	}
 }
 
-// rangeIndex is the contract every internal index implementation satisfies
-// natively; the store wrapper adds lifecycle and observability on top.
+// rangeIndex is what a store serves its single operations through: the
+// table, or the lock wrapper around it.
 type rangeIndex interface {
 	Index
 	Range(fn func(key, value uint64) bool)
 }
 
-// applyEntries executes a mixed batch against an index one entry at a
-// time, in order, each through the index's single operation, and writes
-// the outcome straight into res at the entry's position. It returns the
-// batch's multi-entry same-kind runs per kind (op.CountRuns: what the
-// store's batch counters count) and the first insert error; later entries
-// still execute, but per the ApplyBatch contract the whole batch then
-// fails as a unit.
-func applyEntries(idx rangeIndex, b *op.Batch, res *op.Results) (runs [3]uint64, firstErr error) {
+// table is the contract both index implementations (eh and sceh) satisfy
+// natively: the single operations plus LookupRun, which looks up a run of
+// keys in one call — for Shortcut-EH with one routing decision and one
+// counter update. The store wrapper adds lifecycle and observability on
+// top.
+type table interface {
+	rangeIndex
+	LookupRun(keys, vals []uint64, found []bool)
+}
+
+// applyEntries executes a mixed batch against a table in order, writing
+// each outcome straight into res at the entry's position: a run of
+// consecutive GETs through one LookupRun, every PUT and DEL through the
+// table's single operation. It returns the first insert error; later
+// entries still execute, but per the ApplyBatch contract the whole batch
+// then fails as a unit.
+func applyEntries(t table, b *op.Batch, res *op.Results) (firstErr error) {
 	kinds, keys, vals := b.Kinds(), b.Keys(), b.Vals()
 	res.Reset(len(kinds))
-	for i, k := range kinds {
-		switch k {
+	for i := 0; i < len(kinds); i++ {
+		switch kinds[i] {
 		case op.Get:
-			res.Vals[i], res.Found[i] = idx.Lookup(keys[i])
+			j := i + 1
+			for j < len(kinds) && kinds[j] == op.Get {
+				j++
+			}
+			t.LookupRun(keys[i:j], res.Vals[i:j], res.Found[i:j])
+			i = j - 1
 		case op.Put:
-			if err := idx.Insert(keys[i], vals[i]); err != nil {
+			if err := t.Insert(keys[i], vals[i]); err != nil {
 				if firstErr == nil {
 					firstErr = err
 				}
@@ -318,10 +332,10 @@ func applyEntries(idx rangeIndex, b *op.Batch, res *op.Results) (runs [3]uint64,
 				res.Found[i] = true
 			}
 		case op.Del:
-			res.Found[i] = idx.Delete(keys[i])
+			res.Found[i] = t.Delete(keys[i])
 		}
 	}
-	return op.CountRuns(kinds), firstErr
+	return firstErr
 }
 
 // ehConfig assembles the extendible-hashing config shared by both kinds.
@@ -407,7 +421,7 @@ func openStore(kind Kind, o *storeOptions) (*store, error) {
 		if err != nil {
 			return fail(err)
 		}
-		s.idx = t
+		s.tbl = t
 		s.eh = t
 
 	case KindShortcutEH:
@@ -416,17 +430,18 @@ func openStore(kind Kind, o *storeOptions) (*store, error) {
 		if err != nil {
 			return fail(err)
 		}
-		s.idx = t
+		s.tbl = t
 		s.eh = t.EH()
 		s.sc = t
 	}
+	s.idx = s.tbl
 
 	// Concurrency: both kinds share one readers-writer wrapper that also
 	// owns the closed flag, so Close drains in-flight operations before
 	// releasing the underlying memory. Reads stay parallel: both kinds'
 	// lookups are pure (Shortcut-EH's only touch atomics).
 	if o.concurrent {
-		s.lck = &lockedIndex{idx: s.idx}
+		s.lck = &lockedIndex{idx: s.tbl}
 		s.idx = s.lck
 	}
 	return s, nil
@@ -463,7 +478,7 @@ func (s *store) tableStats() Stats {
 	return st
 }
 
-// lockedIndex serializes a rangeIndex for WithConcurrency. Reads take the
+// lockedIndex serializes a table for WithConcurrency. Reads take the
 // shared lock, and ApplyBatch takes the lock once per batch.
 // It also owns the authoritative closed check: the flag is read under the
 // lock, so close() cannot release the underlying memory while an
@@ -479,7 +494,7 @@ func (s *store) tableStats() Stats {
 // unmapped under one.
 type lockedIndex struct {
 	mu     sync.RWMutex
-	idx    rangeIndex
+	idx    table
 	closed bool
 
 	seq        atomic.Uint64
@@ -578,11 +593,11 @@ func (l *lockedIndex) Len() int {
 // only falls back to the read lock when that pass cannot validate. Plain
 // builds only: the race detector would flag the pass's unsynchronized
 // reads, so -race builds always take the lock.
-func (l *lockedIndex) applyBatch(b *op.Batch, res *op.Results) ([3]uint64, error) {
+func (l *lockedIndex) applyBatch(b *op.Batch, res *op.Results) error {
 	pureGet := b.Mutations() == 0
 	if pureGet && b.Len() > 0 && !raceEnabled {
 		if l.seqlockGets(b.Keys(), res) {
-			return op.CountRuns(b.Kinds()), nil
+			return nil
 		}
 	}
 	if !pureGet {
@@ -594,13 +609,13 @@ func (l *lockedIndex) applyBatch(b *op.Batch, res *op.Results) ([3]uint64, error
 	}
 	if l.closed {
 		res.Reset(b.Len())
-		return [3]uint64{}, ErrClosed
+		return ErrClosed
 	}
-	runs, err := applyEntries(l.idx, b, res)
+	err := applyEntries(l.idx, b, res)
 	if pureGet {
 		l.lockedGets.Add(uint64(b.Len())) // GET entries served under the lock
 	}
-	return runs, err
+	return err
 }
 
 // seqlockRetries is how many discarded optimistic passes a pure-GET
@@ -636,7 +651,7 @@ func (l *lockedIndex) seqlockGets(keys []uint64, res *op.Results) bool {
 	return false
 }
 
-// optimisticPass reads each key from the index without any lock,
+// optimisticPass reads the keys from the table, as one run, without any lock,
 // protected only by the caller's seqlock validation. A writer racing the
 // pass can expose a mid-rebuild index (a grown table's slices mid-swap),
 // so an out-of-range panic from a torn read is absorbed and reported as
@@ -649,9 +664,7 @@ func (l *lockedIndex) optimisticPass(keys []uint64, res *op.Results) (ok bool) {
 		}
 	}()
 	res.Reset(len(keys))
-	for i, k := range keys {
-		res.Vals[i], res.Found[i] = l.idx.Lookup(k)
-	}
+	l.idx.LookupRun(keys, res.Vals, res.Found)
 	return true
 }
 
@@ -668,17 +681,18 @@ func (l *lockedIndex) Range(fn func(key, value uint64) bool) {
 // KindShortcutEH sits inside a Shortcut-EH table.
 type store struct {
 	kind Kind
-	idx  rangeIndex // the table, behind lck when set
+	tbl  table
+	idx  rangeIndex // tbl, behind lck when set
 	eh   *eh.Table
 	sc   *sceh.Table // nil for KindEH
 	pool *Pool
 	lck  *lockedIndex // set with WithConcurrency; owns close ordering
 
-	// Batch-run counters surfaced through Stats; atomics so concurrent
-	// stores count without widening any lock's critical section.
-	insertBatches atomic.Uint64
-	lookupBatches atomic.Uint64
-	deleteBatches atomic.Uint64
+	// runs counts the same-kind runs of the batches ApplyBatch received,
+	// surfaced through Stats. A shard (shard set) counts none: its
+	// sharded parent counts the caller's batches instead.
+	runs  batchRuns
+	shard bool
 
 	closeMu sync.Mutex
 	closed  atomic.Bool
@@ -719,17 +733,13 @@ func (s *store) ApplyBatch(b *op.Batch, res *op.Results) error {
 		res.Reset(b.Len())
 		return ErrClosed
 	}
-	var runs [3]uint64
-	var err error
-	if s.lck != nil {
-		runs, err = s.lck.applyBatch(b, res)
-	} else {
-		runs, err = applyEntries(s.idx, b, res)
+	if !s.shard {
+		s.runs.add(b.Kinds())
 	}
-	s.lookupBatches.Add(runs[op.Get])
-	s.insertBatches.Add(runs[op.Put])
-	s.deleteBatches.Add(runs[op.Del])
-	return err
+	if s.lck != nil {
+		return s.lck.applyBatch(b, res)
+	}
+	return applyEntries(s.tbl, b, res)
 }
 
 func (s *store) Range(fn func(key, value uint64) bool) {
@@ -756,9 +766,7 @@ func (s *store) Stats() Stats {
 	} else {
 		st = s.tableStats()
 	}
-	st.InsertBatches = s.insertBatches.Load()
-	st.LookupBatches = s.lookupBatches.Load()
-	st.DeleteBatches = s.deleteBatches.Load()
+	s.runs.fill(&st)
 	return st
 }
 
@@ -797,4 +805,28 @@ func (s *store) Close() error {
 		return s.lck.close(release)
 	}
 	return release()
+}
+
+// batchRuns counts the multi-entry runs of consecutive GET, PUT and DEL
+// entries (op.CountRuns) of the batches a store received: Stats'
+// LookupBatches, InsertBatches and DeleteBatches. Atomics, so concurrent
+// stores count without widening any lock's critical section.
+type batchRuns struct {
+	get, put, del atomic.Uint64
+}
+
+// add counts one batch's runs, skipping the kinds it has none of.
+func (r *batchRuns) add(kinds []op.Kind) {
+	runs := op.CountRuns(kinds)
+	for k, c := range [...]*atomic.Uint64{op.Get: &r.get, op.Put: &r.put, op.Del: &r.del} {
+		if runs[k] > 0 {
+			c.Add(runs[k])
+		}
+	}
+}
+
+func (r *batchRuns) fill(st *Stats) {
+	st.LookupBatches = r.get.Load()
+	st.InsertBatches = r.put.Load()
+	st.DeleteBatches = r.del.Load()
 }
